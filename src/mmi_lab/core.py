@@ -38,6 +38,12 @@ def mode_pairs(n_modes: int) -> list[tuple[int, int]]:
     return [(k, l) for k in range(n_modes) for l in range(k, n_modes)]
 
 
+def pair_index(k, l, n_modes: int):
+    """Position of the pair {k, l}, k <= l, in :func:`mode_pairs` order;
+    elementwise on integer arrays."""
+    return k * n_modes - k * (k - 1) // 2 + (l - k)
+
+
 def _check_modes(matrix: TransferMatrix, *indices: int) -> None:
     for idx in indices:
         if not 0 <= idx < matrix.n_modes:
@@ -86,7 +92,11 @@ class CoincidenceDistribution:
 
     def __getitem__(self, pair: tuple[int, int]) -> float:
         k, l = min(pair), max(pair)
-        return float(self.values[self.pairs.index((k, l))])
+        if not 0 <= k <= l < self.n_modes or (self.cross_detector_only and k == l):
+            raise ValueError(f"{(k, l)} is not a pair of this distribution")
+        idx = pair_index(k, l, self.n_modes)
+        # a cross-only table lacks the k + 1 same-detector entries up to row k
+        return float(self.values[idx - (k + 1) if self.cross_detector_only else idx])
 
     def total(self) -> float:
         return float(self.values.sum())

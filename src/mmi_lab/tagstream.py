@@ -1,9 +1,10 @@
 """Time-tag ingestion and correlation analysis.
 
-Detection events are (channel, tick) records with an 81 ps tick.  The
-correlators run in a single chronological pass with working memory
-bounded by the correlation range, not the stream length, so arbitrarily
-long acquisitions stream through unchanged.
+Detection events are (channel, tick) records with an 81 ps tick.  A
+stream is loaded into memory whole; the pair kernels are array code, and
+the cross-correlator works through the stream in chunks, so its
+temporaries grow with the chunk size and the correlation range rather
+than the stream length.
 
 Binary file layout (little endian):
 
@@ -25,22 +26,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CoincidenceDistribution, mode_pairs
+from .core import CoincidenceDistribution, pair_index
 
 MAGIC = b"TTAG"
 VERSION = 1
 DEFAULT_TICK_FS = 81_000  # 81 ps
 _RECORD = np.dtype([("tick", "<u8"), ("channel", "u1"), ("reserved", "V3")])
+# tags per cross-correlation chunk
+_CHUNK_TAGS = 1 << 14
 
 
 class StreamFormatError(ValueError):
     """Malformed time-tag payload; carries the offending byte/row position."""
-
-
-@dataclass(frozen=True)
-class TimeTag:
-    channel: int
-    tick: int
 
 
 @dataclass
@@ -249,7 +246,14 @@ def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
                     pitch: float = 20.0,
                     allow_same: bool = False) -> CorrelationHistogram:
     """Histogram every pair of detections on the two channels with
-    |t_b - t_a| inside the range; single pass, rolling buffer."""
+    |t_b - t_a| inside the range.
+
+    Each tag's earlier partners are found with ``searchsorted`` (Laurence,
+    Fore & Huser, Opt. Lett. 31, 829 (2006)), over-selected by a few ulps
+    and then kept exactly when ``t_j - t_i <= span``; float subtraction is
+    monotone on sorted times, so that is the same set a rolling buffer
+    holds.  Tags are processed in chunks of ``_CHUNK_TAGS``.
+    """
     if ch_a == ch_b and not allow_same:
         raise ValueError("same-channel correlation needs allow_same=True")
     if pitch <= 0 or bin_width < pitch:
@@ -260,26 +264,27 @@ def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
     span = edges[-1]
 
     sub = stream.select([ch_a] if ch_a == ch_b else [ch_a, ch_b])
-    times = sub.times_ns()
+    t = sub.times_ns()
     chans = sub.channels
-    buf: deque[tuple[float, int]] = deque()
-    for t, c in zip(times, chans):
-        while buf and t - buf[0][0] > span:
-            buf.popleft()
-        for t_old, c_old in buf:
-            if ch_a == ch_b:
-                dts = (t - t_old, t_old - t)
-            elif c_old == ch_a and c == ch_b:
-                dts = (t - t_old,)
-            elif c_old == ch_b and c == ch_a:
-                dts = (t_old - t,)
-            else:
-                continue
-            for dt in dts:
-                idx = int(np.floor(dt / pitch)) + n_half
-                if 0 <= idx < fine.size:
-                    fine[idx] += 1
-        buf.append((t, c))
+    slack = 4 * (np.spacing(span) + np.spacing(t[-1] if t.size else 0.0))
+    for r0 in range(0, t.size, _CHUNK_TAGS):
+        rows = np.arange(r0, min(r0 + _CHUNK_TAGS, t.size))
+        first = np.searchsorted(t, t[rows] - (span + slack))
+        m = rows - first
+        jj = np.repeat(rows, m)
+        ii = np.arange(jj.size) + np.repeat(first - (np.cumsum(m) - m), m)
+        dt = t[jj] - t[ii]
+        keep = dt <= span
+        if ch_a == ch_b:
+            dt = dt[keep]
+            dt = np.concatenate((dt, -dt))
+        else:
+            keep &= chans[ii] != chans[jj]
+            # t_b - t_a: negating t_j - t_i gives t_i - t_j exactly
+            dt = np.where(chans[jj[keep]] == ch_b, dt[keep], -dt[keep])
+        idx = np.floor(dt / pitch)
+        idx = idx[(idx >= -n_half) & (idx < n_half)].astype(np.int64) + n_half
+        fine += np.bincount(idx, minlength=fine.size)
 
     width = max(1, int(round(bin_width / pitch)))
     counts = _moving_sum(fine.astype(float), width, circular=False)
@@ -356,12 +361,39 @@ class CoincidenceSet:
         return list(zip(self.pair_k.tolist(), self.pair_l.tolist()))
 
     def same_detector_counts(self) -> np.ndarray:
-        n = self.counts.n_modes
-        out = np.zeros(n)
-        for k, l, in zip(self.pair_k, self.pair_l):
-            if k == l:
-                out[k] += 1
-        return out
+        same = self.pair_k[self.pair_k == self.pair_l]
+        return np.bincount(same, minlength=self.counts.n_modes).astype(float)
+
+
+def _pair_neighbours(times: np.ndarray, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pairing when every earlier tag within ``hi`` qualifies.
+
+    The buffer then never holds more than the previous tag: runs of tags
+    spaced at most ``hi`` apart pair up 1-2, 3-4, ... and an odd last tag
+    of a run is unmatched.
+    """
+    starts = np.ones(times.size, dtype=bool)
+    starts[1:] = np.diff(times) > hi
+    pos = np.arange(times.size)
+    run_start = np.maximum.accumulate(np.where(starts, pos, 0))
+    second = pos[(pos - run_start) % 2 == 1]
+    return second - 1, second
+
+
+def _pair_offset(times: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pairing with separations in [lo, hi], lo > 0: the oldest
+    unmatched tag still within ``hi`` is paired first."""
+    buf: deque[tuple[float, int]] = deque()
+    first, second = [], []
+    for j, t in enumerate(times.tolist()):
+        while buf and t - buf[0][0] > hi:
+            buf.popleft()
+        if buf and t - buf[0][0] >= lo:
+            first.append(buf.popleft()[1])
+            second.append(j)
+        else:
+            buf.append((t, j))
+    return np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
 
 
 def extract_coincidences(stream: TimeTagStream, window_ns: float,
@@ -381,38 +413,26 @@ def extract_coincidences(stream: TimeTagStream, window_ns: float,
         raise ValueError("time offset must be non-negative")
     sub = stream if channels is None else stream.select(channels)
     times = sub.times_ns()
-    chans = sub.channels
     lo = time_offset_ns - window_ns
     hi = time_offset_ns + window_ns
-    buf: deque[tuple[float, int]] = deque()
-    out_k, out_l, out_dt = [], [], []
-    n_unmatched = 0
-    for t, c in zip(times, chans):
-        while buf and t - buf[0][0] > hi:
-            buf.popleft()
-            n_unmatched += 1
-        if buf and t - buf[0][0] >= lo:
-            t_old, c_old = buf.popleft()
-            k, l = sorted((int(c_old), int(c)))
-            out_k.append(k)
-            out_l.append(l)
-            out_dt.append((t - t_old) - time_offset_ns)
-        else:
-            buf.append((t, float(c)))
-    n_unmatched += len(buf)
+    if lo <= 0:
+        first, second = _pair_neighbours(times, hi)
+    else:
+        first, second = _pair_offset(times, lo, hi)
+    c_first = sub.channels[first].astype(int)
+    c_second = sub.channels[second].astype(int)
+    pair_k = np.minimum(c_first, c_second)
+    pair_l = np.maximum(c_first, c_second)
     n = sub.n_channels
-    pairs = mode_pairs(n)
-    vals = np.zeros(len(pairs))
-    for k, l in zip(out_k, out_l):
-        vals[pairs.index((k, l))] += 1
+    vals = np.bincount(pair_index(pair_k, pair_l, n), minlength=n * (n + 1) // 2)
     return CoincidenceSet(
-        pair_k=np.array(out_k, dtype=int),
-        pair_l=np.array(out_l, dtype=int),
-        dtau_ns=np.array(out_dt, dtype=float),
-        counts=CoincidenceDistribution(n, vals),
+        pair_k=pair_k,
+        pair_l=pair_l,
+        dtau_ns=(times[second] - times[first]) - time_offset_ns,
+        counts=CoincidenceDistribution(n, vals.astype(float)),
         window_ns=window_ns,
         time_offset_ns=time_offset_ns,
-        n_unmatched=n_unmatched,
+        n_unmatched=len(times) - 2 * len(first),
     )
 
 
@@ -500,9 +520,8 @@ def deadtime_correction(dtau_ns, intensity: SlidingProfile, tau_r_ns: float,
         missed, clamped = 0.0, True
     add = missed * ref / ref.sum()
     vals = measured.values.copy()
-    for idx, (k, l) in enumerate(mode_pairs(measured.n_modes)):
-        if k == l:
-            vals[idx] += add[k]
+    diag = np.arange(measured.n_modes)
+    vals[pair_index(diag, diag, measured.n_modes)] += add
     corrected = CoincidenceDistribution(measured.n_modes, vals)
     return DeadtimeCorrectionResult(corrected=corrected, missed=float(missed),
                                     missed_sigma=sigma, fit_scale=scale,

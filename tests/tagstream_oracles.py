@@ -1,0 +1,96 @@
+"""Reference implementations of the tag-stream kernels.
+
+These are the original single-pass loops of ``extract_coincidences`` and
+``cross_correlate``, kept verbatim as oracles for the array
+implementations in ``mmi_lab.tagstream``: both must give bit-identical
+output on the same stream.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+
+from mmi_lab.core import CoincidenceDistribution, mode_pairs
+from mmi_lab.tagstream import CoincidenceSet
+
+
+def oracle_cross_correlate(stream, ch_a, ch_b, range_ns, pitch=20.0):
+    """``fine_counts`` of the rolling-buffer cross-correlator."""
+    n_half = int(np.ceil(range_ns / pitch))
+    edges = (np.arange(2 * n_half + 1) - n_half) * pitch
+    fine = np.zeros(2 * n_half, dtype=np.int64)
+    span = edges[-1]
+
+    sub = stream.select([ch_a] if ch_a == ch_b else [ch_a, ch_b])
+    times = sub.times_ns()
+    chans = sub.channels
+    buf: deque[tuple[float, int]] = deque()
+    for t, c in zip(times, chans):
+        while buf and t - buf[0][0] > span:
+            buf.popleft()
+        for t_old, c_old in buf:
+            if ch_a == ch_b:
+                dts = (t - t_old, t_old - t)
+            elif c_old == ch_a and c == ch_b:
+                dts = (t - t_old,)
+            elif c_old == ch_b and c == ch_a:
+                dts = (t_old - t,)
+            else:
+                continue
+            for dt in dts:
+                idx = int(np.floor(dt / pitch)) + n_half
+                if 0 <= idx < fine.size:
+                    fine[idx] += 1
+        buf.append((t, c))
+    return fine
+
+
+def oracle_extract_coincidences(stream, window_ns, channels=None,
+                                time_offset_ns=0.0):
+    """The greedy chronological pairing loop, both modes."""
+    sub = stream if channels is None else stream.select(channels)
+    times = sub.times_ns()
+    chans = sub.channels
+    lo = time_offset_ns - window_ns
+    hi = time_offset_ns + window_ns
+    buf: deque[tuple[float, int]] = deque()
+    out_k, out_l, out_dt = [], [], []
+    n_unmatched = 0
+    for t, c in zip(times, chans):
+        while buf and t - buf[0][0] > hi:
+            buf.popleft()
+            n_unmatched += 1
+        if buf and t - buf[0][0] >= lo:
+            t_old, c_old = buf.popleft()
+            k, l = sorted((int(c_old), int(c)))
+            out_k.append(k)
+            out_l.append(l)
+            out_dt.append((t - t_old) - time_offset_ns)
+        else:
+            buf.append((t, float(c)))
+    n_unmatched += len(buf)
+    n = sub.n_channels
+    pairs = mode_pairs(n)
+    vals = np.zeros(len(pairs))
+    for k, l in zip(out_k, out_l):
+        vals[pairs.index((k, l))] += 1
+    return CoincidenceSet(
+        pair_k=np.array(out_k, dtype=int),
+        pair_l=np.array(out_l, dtype=int),
+        dtau_ns=np.array(out_dt, dtype=float),
+        counts=CoincidenceDistribution(n, vals),
+        window_ns=window_ns,
+        time_offset_ns=time_offset_ns,
+        n_unmatched=n_unmatched,
+    )
+
+
+def oracle_same_detector_counts(co):
+    n = co.counts.n_modes
+    out = np.zeros(n)
+    for k, l, in zip(co.pair_k, co.pair_l):
+        if k == l:
+            out[k] += 1
+    return out

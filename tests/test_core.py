@@ -8,7 +8,8 @@ from mmi_lab import (CoincidenceDistribution, coincidence_classical,
                      project_first_detection, random_unitary,
                      renormalization_magnitude, similarity)
 from mmi_lab.core import (DegenerateDistributionError, ModeIndexError,
-                          TwoPhotonState, UnreachableHeraldError)
+                          TwoPhotonState, UnreachableHeraldError, mode_pairs,
+                          pair_index)
 
 
 class TestFirstDetection:
@@ -263,6 +264,30 @@ class TestDistributionContainer:
         assert len(q.pairs) == 10
         assert len(q.cross_only().pairs) == 6
         assert q.same_detector_values().shape == (4,)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_pair_index_follows_mode_pairs(self, n):
+        pairs = mode_pairs(n)
+        assert [pair_index(k, l, n) for k, l in pairs] == list(range(len(pairs)))
+        k, l = np.array(pairs).T
+        assert pair_index(k, l, n).tolist() == list(range(len(pairs)))
+
+    def test_getitem_matches_pair_order(self):
+        full = CoincidenceDistribution(4, np.arange(10.0))
+        cross = full.cross_only()
+        for idx, pair in enumerate(full.pairs):
+            assert full[pair] == full[pair[::-1]] == idx
+        for idx, pair in enumerate(cross.pairs):
+            assert cross[pair] == cross[pair[::-1]] == cross.values[idx]
+
+    @pytest.mark.parametrize("pair", [(0, 4), (-1, 2), (4, 4)])
+    def test_getitem_rejects_foreign_pairs(self, pair):
+        with pytest.raises(ValueError):
+            CoincidenceDistribution(4, np.zeros(10))[pair]
+
+    def test_cross_only_has_no_same_detector_entry(self):
+        with pytest.raises(ValueError):
+            CoincidenceDistribution(4, np.zeros(10)).cross_only()[(2, 2)]
 
     def test_dict_round_trip(self, chip):
         q = coincidence_quantum(chip, 0, 1)
