@@ -66,10 +66,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _result_dict(res) -> dict:
-    return res.to_json_dict()
-
-
 # -- simulate ----------------------------------------------------------------
 
 
@@ -187,14 +183,21 @@ def analyze_hom(stream: TimeTagStream, reference: TimeTagStream,
     return report
 
 
+def _mmi_inputs(stream: TimeTagStream, cfg: cfgmod.ExperimentConfig):
+    matrix = cfg.build_matrix()
+    if stream.n_channels != matrix.n_modes:
+        raise DataError(f"stream has {stream.n_channels} channels, matrix has {matrix.n_modes} modes")
+    pair = cfg.input_pair()
+    co = extract_coincidences(stream, window_ns=cfg.analysis.coincidence_window_ns)
+    if len(co) == 0:
+        raise DataError("no coincidences found in the stream")
+    return matrix, pair, co
+
+
 def analyze_mmi(stream: TimeTagStream, cfg: cfgmod.ExperimentConfig,
                 outdir: Path) -> dict:
     an = cfg.analysis
-    matrix = cfg.build_matrix()
-    i, j = cfg.input_pair()
-    co = extract_coincidences(stream, window_ns=an.coincidence_window_ns)
-    if len(co) == 0:
-        raise DataError("no coincidences found in the stream")
+    matrix, (i, j), co = _mmi_inputs(stream, cfg)
     offset = an.reference_offset_cycles * cfg.source.duty_cycle_ns
     ref = extract_coincidences(stream, window_ns=an.coincidence_window_ns,
                                time_offset_ns=offset)
@@ -239,7 +242,7 @@ def analyze_mmi(stream: TimeTagStream, cfg: cfgmod.ExperimentConfig,
         "visibility_fit": {"v_star": v_star, "similarity_at_v_star": s_at_v},
         "similarity_cross_vs_quantum": similarity(cross.values, q.cross_only().values),
         "similarity_cross_vs_classical": similarity(cross.values, c.cross_only().values),
-        "similarity_corrected": {k: _result_dict(v) for k, v in mc.items()},
+        "similarity_corrected": {k: v.to_json_dict() for k, v in mc.items()},
     }
     _write_csv(outdir / "mmi_counts.csv",
                ["pair", "counts", "corrected", "quantum", "classical", "mixture"],
@@ -259,16 +262,12 @@ def analyze_mmi(stream: TimeTagStream, cfg: cfgmod.ExperimentConfig,
 def analyze_timeresolved(stream: TimeTagStream, cfg: cfgmod.ExperimentConfig,
                          outdir: Path) -> dict:
     an = cfg.analysis
-    matrix = cfg.build_matrix()
-    i, j = cfg.input_pair()
-    co = extract_coincidences(stream, window_ns=an.coincidence_window_ns)
-    if len(co) == 0:
-        raise DataError("no coincidences found in the stream")
+    matrix, (i, j), co = _mmi_inputs(stream, cfg)
     q = coincidence_quantum(matrix, i, j).cross_only()
     c = coincidence_classical(matrix, i, j).cross_only()
     seed = cfg.seed_for("analyze-timeresolved")
-    rows = similarity_vs_dt(co.dtau_ns, co.pair_labels(), q.values, c.values,
-                            n_modes=matrix.n_modes,
+    rows = similarity_vs_dt(co.dtau_ns, np.column_stack((co.pair_k, co.pair_l)),
+                            q.values, c.values, n_modes=matrix.n_modes,
                             half_window=an.half_window_ns,
                             trials=max(an.mc_trials // 10, 10_000), seed=seed,
                             min_events=an.min_window_events)
@@ -288,8 +287,8 @@ def analyze_timeresolved(stream: TimeTagStream, cfg: cfgmod.ExperimentConfig,
         "half_window_ns": an.half_window_ns,
         "windows": [
             {"center_ns": w.center, "n_events": w.n_events,
-             "vs_quantum": _result_dict(w.vs_quantum),
-             "vs_classical": _result_dict(w.vs_classical)} for w in rows
+             "vs_quantum": w.vs_quantum.to_json_dict(),
+             "vs_classical": w.vs_classical.to_json_dict()} for w in rows
         ],
     }
     _write_json(outdir / "timeresolved_report.json", report)

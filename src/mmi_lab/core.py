@@ -15,6 +15,7 @@ Mode indices are 0-based throughout the library; the command line uses
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,15 +45,25 @@ def pair_index(k, l, n_modes: int):
     return k * n_modes - k * (k - 1) // 2 + (l - k)
 
 
-def _check_modes(matrix: TransferMatrix, *indices: int) -> None:
+def cross_pair_index(k, l, n_modes: int):
+    """:func:`pair_index` in a cross-detector-only table (no k == l entries)."""
+    return pair_index(k, l, n_modes) - (k + 1)
+
+
+@lru_cache(maxsize=None)
+def _table_pairs(n_modes: int, cross_only: bool) -> tuple[tuple[int, int], ...]:
+    return tuple(p for p in mode_pairs(n_modes) if not cross_only or p[0] != p[1])
+
+
+def _check_modes(n_modes: int, *indices: int) -> None:
     for idx in indices:
-        if not 0 <= idx < matrix.n_modes:
+        if not 0 <= idx < n_modes:
             raise ModeIndexError(f"mode index {idx} out of range for "
-                                 f"{matrix.n_modes}-mode interferometer")
+                                 f"{n_modes}-mode interferometer")
 
 
-def _check_input_pair(matrix: TransferMatrix, i: int, j: int) -> None:
-    _check_modes(matrix, i, j)
+def _check_input_pair(n_modes: int, i: int, j: int) -> None:
+    _check_modes(n_modes, i, j)
     if i == j:
         raise ModeIndexError("both photons in one input mode is not supported")
 
@@ -84,19 +95,15 @@ class CoincidenceDistribution:
         object.__setattr__(self, "values", v)
 
     @property
-    def pairs(self) -> list[tuple[int, int]]:
-        all_pairs = mode_pairs(self.n_modes)
-        if self.cross_detector_only:
-            return [p for p in all_pairs if p[0] != p[1]]
-        return all_pairs
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return _table_pairs(self.n_modes, self.cross_detector_only)
 
     def __getitem__(self, pair: tuple[int, int]) -> float:
         k, l = min(pair), max(pair)
         if not 0 <= k <= l < self.n_modes or (self.cross_detector_only and k == l):
             raise ValueError(f"{(k, l)} is not a pair of this distribution")
-        idx = pair_index(k, l, self.n_modes)
-        # a cross-only table lacks the k + 1 same-detector entries up to row k
-        return float(self.values[idx - (k + 1) if self.cross_detector_only else idx])
+        index = cross_pair_index if self.cross_detector_only else pair_index
+        return float(self.values[index(k, l, self.n_modes)])
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -104,16 +111,16 @@ class CoincidenceDistribution:
     def cross_only(self) -> "CoincidenceDistribution":
         if self.cross_detector_only:
             return self
-        mask = np.array([k != l for k, l in self.pairs])
-        return CoincidenceDistribution(self.n_modes, self.values[mask],
+        k, l = np.triu_indices(self.n_modes)
+        return CoincidenceDistribution(self.n_modes, self.values[k != l],
                                        cross_detector_only=True,
                                        renormalized=False)
 
     def same_detector_values(self) -> np.ndarray:
         if self.cross_detector_only:
             raise ValueError("cross-detector-only distribution has no same-detector entries")
-        mask = np.array([k == l for k, l in self.pairs])
-        return self.values[mask]
+        k, l = np.triu_indices(self.n_modes)
+        return self.values[k == l]
 
     def normalized(self) -> "CoincidenceDistribution":
         s = self.values.sum()
@@ -137,7 +144,7 @@ class CoincidenceDistribution:
             k, l = (int(x) - off for x in key.split(","))
             entries[(min(k, l), max(k, l))] = float(v)
         cross_only = all(k != l for k, l in entries)
-        pairs = [p for p in mode_pairs(n_modes) if not cross_only or p[0] != p[1]]
+        pairs = _table_pairs(n_modes, cross_only)
         missing = [p for p in pairs if p not in entries]
         if missing:
             raise ValueError(f"missing pair entries: {missing}")
@@ -185,21 +192,13 @@ class TwoPhotonState:
 
     @classmethod
     def from_input_pair(cls, n_modes: int, i: int, j: int) -> "TwoPhotonState":
-        if i == j:
-            raise ModeIndexError("both photons in one input mode is not supported")
+        _check_input_pair(n_modes, i, j)
         state = cls(n_modes)
-        idx = mode_pairs(n_modes).index((min(i, j), max(i, j)))
-        state.amplitudes[idx] = 1.0
+        state.amplitudes[pair_index(min(i, j), max(i, j), n_modes)] = 1.0
         return state
 
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def normalize(self) -> "TwoPhotonState":
-        n = np.sqrt(self.norm())
-        if n == 0:
-            raise ValueError("cannot normalise the zero state")
-        return TwoPhotonState(self.n_modes, self.amplitudes / n)
 
     def evolve(self, matrix: TransferMatrix) -> "TwoPhotonState":
         """Propagate both photons through the interferometer.
@@ -245,8 +244,8 @@ class TwoPhotonState:
 def detection_prob_first(matrix: TransferMatrix, i: int, j: int, k: int) -> float:
     """Probability that the first photon of the pair (inputs i, j) is
     detected at output k: (|M_ik|^2 + |M_jk|^2) / 2."""
-    _check_input_pair(matrix, i, j)
-    _check_modes(matrix, k)
+    _check_input_pair(matrix.n_modes, i, j)
+    _check_modes(matrix.n_modes, k)
     m = matrix.elements
     return 0.5 * (abs(m[i, k]) ** 2 + abs(m[j, k]) ** 2)
 
@@ -259,8 +258,8 @@ def project_first_detection(matrix: TransferMatrix, i: int, j: int,
     The detection removes one photon without revealing which input it
     came from, leaving ``(M_ik a_j + M_jk a_i) / sqrt(|M_ik|^2 + |M_jk|^2)``.
     """
-    _check_input_pair(matrix, i, j)
-    _check_modes(matrix, k)
+    _check_input_pair(matrix.n_modes, i, j)
+    _check_modes(matrix.n_modes, k)
     m = matrix.elements
     norm = np.sqrt(abs(m[i, k]) ** 2 + abs(m[j, k]) ** 2)
     if norm == 0:
@@ -274,7 +273,7 @@ def detection_prob_second(state: EntangledInputState, matrix: TransferMatrix,
                           l: int) -> float:
     """Probability of the second detection landing at output l, conditioned
     on the heralding detection that produced ``state``."""
-    _check_modes(matrix, l)
+    _check_modes(matrix.n_modes, l)
     m = matrix.elements
     amp = state.amp_on_j * m[state.mode_j, l] + state.amp_on_i * m[state.mode_i, l]
     return float(abs(amp) ** 2)
@@ -314,7 +313,7 @@ def coincidence_quantum(matrix: TransferMatrix, i: int, j: int,
     renormalisation (on by default, matching how predictions are compared
     to data; switch off for identity checks against the Fock oracle).
     """
-    _check_input_pair(matrix, i, j)
+    _check_input_pair(matrix.n_modes, i, j)
     return _as_distribution(matrix.n_modes, _pair_table(matrix, i, j, True), renormalized)
 
 
@@ -322,7 +321,7 @@ def coincidence_classical(matrix: TransferMatrix, i: int, j: int,
                           renormalized: bool = True) -> CoincidenceDistribution:
     """Coincidence probabilities for fully distinguishable photons:
     ``C_ij^{kl} = (|M_ik M_jl|^2 + |M_il M_jk|^2) / (1 + delta_kl)``."""
-    _check_input_pair(matrix, i, j)
+    _check_input_pair(matrix.n_modes, i, j)
     return _as_distribution(matrix.n_modes, _pair_table(matrix, i, j, False), renormalized)
 
 
@@ -348,7 +347,7 @@ def fock_oracle(matrix: TransferMatrix, i: int, j: int,
     independently and the order-resolved products summed.  Always returns
     the raw (unrenormalised) table, which must equal the closed forms.
     """
-    _check_input_pair(matrix, i, j)
+    _check_input_pair(matrix.n_modes, i, j)
     n = matrix.n_modes
     if distinguishable:
         m = matrix.elements
@@ -396,13 +395,8 @@ def fit_visibility(measured: CoincidenceDistribution, matrix: TransferMatrix,
     q = coincidence_quantum(matrix, i, j, renormalized=True)
     c = coincidence_classical(matrix, i, j, renormalized=True)
     if measured.cross_detector_only:
-        q_vals, c_vals = q.cross_only().values, c.cross_only().values
-    else:
-        q_vals, c_vals = q.values, c.values
-    grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    best_v, best_s = 0.0, -1.0
-    for v in grid:
-        s = similarity(counts, v * q_vals + (1.0 - v) * c_vals)
-        if s > best_s:
-            best_v, best_s = float(v), float(s)
-    return best_v, best_s
+        q, c = q.cross_only(), c.cross_only()
+    grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)[:, None]
+    s = similarity(counts, grid * q.values + (1.0 - grid) * c.values)
+    best = int(np.argmax(s))  # the first of tied maxima, as a strict > scan keeps
+    return float(grid[best, 0]), float(s[best])

@@ -197,8 +197,7 @@ class _PairSampler:
         jd = joint_density(matrix, i, j, envelope, envelope, coherence,
                            t_max=envelope.duration)
         pairs = mode_pairs(matrix.n_modes)
-        self.pair_k = np.array([k for k, _ in pairs])
-        self.pair_l = np.array([l for _, l in pairs])
+        self.pair_k, self.pair_l = np.array(pairs).T
         self.nt = jd.t.size
         self.dt = jd.dt
         flat = np.concatenate([jd.densities[p].ravel() for p in pairs])

@@ -21,28 +21,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import cross_pair_index
+
 MODE_BIN_WIDTH = 0.001  # 0.1 percentage points
 _CHUNK = 1 << 17
 
 
-def similarity(p, q) -> float:
-    """Normalised classical fidelity between two non-negative vectors."""
+def similarity(p, q):
+    """Normalised classical fidelity between two non-negative vectors, or
+    between ``p`` and each row of an ``(m, n)`` array ``q``."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
+    if p.ndim != 1 or q.ndim not in (1, 2) or q.shape[-1] != p.size:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     if np.any(p < 0) or np.any(q < 0):
         raise ValueError("similarity arguments must be non-negative")
-    sp, sq = p.sum(), q.sum()
-    if sp <= 0 or sq <= 0:
+    sp, sq = p.sum(), q.sum(axis=-1)
+    if sp <= 0 or np.any(sq <= 0):
         raise ValueError("similarity arguments must have positive sums")
     # square roots first: the plain product can underflow for tiny sums
-    return float((np.sqrt(p) * np.sqrt(q)).sum() / (np.sqrt(sp) * np.sqrt(sq)))
+    s = (np.sqrt(p) * np.sqrt(q)).sum(axis=-1) / (np.sqrt(sp) * np.sqrt(sq))
+    return float(s) if q.ndim == 1 else s
 
 
-def _similarity_rows(draws: np.ndarray, theory: np.ndarray) -> np.ndarray:
-    num = np.sqrt(draws * theory).sum(axis=1)
-    den = np.sqrt(draws.sum(axis=1) * theory.sum())
+# Kept apart from similarity(): its square-roots-first form would move the
+# frozen Monte-Carlo realisations of acceptance criteria 7 and 8 by ulps.
+def _similarity_rows(draws: np.ndarray, q: np.ndarray) -> np.ndarray:
+    num = np.sqrt(draws * q).sum(axis=1)
+    den = np.sqrt(draws.sum(axis=1) * q.sum(axis=-1))
     with np.errstate(invalid="ignore"):
         s = num / den
     return np.nan_to_num(s, nan=0.0)
@@ -62,13 +68,6 @@ def hpd_interval(samples, mass: float = 0.68) -> tuple[float, float]:
     widths = x[m - 1:] - x[:n - m + 1]
     i = int(np.argmin(widths))
     return float(x[i]), float(x[i + m - 1])
-
-
-def _mode_of(samples: np.ndarray, bin_width: float = MODE_BIN_WIDTH) -> float:
-    counts, edges = np.histogram(np.clip(samples, 0.0, 1.0),
-                                 bins=int(round(1.0 / bin_width)), range=(0.0, 1.0))
-    i = int(np.argmax(counts))
-    return float(0.5 * (edges[i] + edges[i + 1]))
 
 
 def max_threads() -> int:
@@ -148,10 +147,11 @@ def _run_chunks(trials: int, seed: int, chunk_fn) -> np.ndarray:
 
 def _summarize(samples: np.ndarray, trials: int, seed: int, raw: float | None,
                keep_samples: bool, mass: float) -> SimilarityResult:
-    histogram, _ = np.histogram(np.clip(samples, 0.0, 1.0),
-                                bins=int(round(1.0 / MODE_BIN_WIDTH)), range=(0.0, 1.0))
+    histogram, edges = np.histogram(np.clip(samples, 0.0, 1.0),
+                                    bins=int(round(1.0 / MODE_BIN_WIDTH)), range=(0.0, 1.0))
+    b = int(np.argmax(histogram))
     return SimilarityResult(
-        mode=_mode_of(samples),
+        mode=float(0.5 * (edges[b] + edges[b + 1])),
         hpd68=hpd_interval(samples, mass),
         mean=float(samples.mean()),
         histogram=histogram,
@@ -207,12 +207,8 @@ def random_baseline(theory=None, dims: int = 6, trials: int = 1_000_000, seed: i
 
     def chunk(rng, size):
         draws = rng.exponential(size=(size, dims))
-        if th is None:
-            other = rng.exponential(size=(size, dims))
-            num = np.sqrt(draws * other).sum(axis=1)
-            den = np.sqrt(draws.sum(axis=1) * other.sum(axis=1))
-            return num / den
-        return _similarity_rows(draws, th)
+        other = rng.exponential(size=(size, dims)) if th is None else th
+        return _similarity_rows(draws, other)
 
     samples = _run_chunks(trials, seed, chunk)
     return _summarize(samples, trials, seed, None, keep_samples, mass)
@@ -255,19 +251,27 @@ def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
     """Time-resolved similarity of cross-detector coincidences.
 
     Slides a window of +/- ``half_window`` over the absolute detection time
-    difference, builds the cross-channel count distribution inside each
-    window, and resamples it against the interfering and non-interfering
-    predictions.  Windows with fewer than ``min_events`` events are omitted.
+    difference, counts the events' detector pairs (``pair_labels``: pairs or
+    an ``(m, 2)`` array) per cross channel inside each window, and resamples
+    them against the interfering and non-interfering predictions.  Windows
+    with fewer than ``min_events`` events are omitted.
     """
     dtau = np.abs(np.asarray(dtau_ns, dtype=float))
     if dtau.size == 0:
         raise ValueError("no coincidence events supplied")
-    cross_pairs = [(k, l) for k in range(n_modes) for l in range(k + 1, n_modes)]
-    index = {p: c for c, p in enumerate(cross_pairs)}
-    labels = np.array([index.get((min(k, l), max(k, l)), -1) for k, l in pair_labels])
+    if not isinstance(pair_labels, np.ndarray):
+        pair_labels = list(pair_labels)  # accepts an iterator such as zip(k, l)
+    pairs = np.asarray(pair_labels, dtype=int)
+    if pairs.shape != (dtau.size, 2):
+        raise ValueError(f"expected {dtau.size} detector pairs, got shape {pairs.shape}")
+    k, l = np.sort(pairs, axis=1).T
+    # -1 for same-detector and out-of-range pairs
+    labels = np.where((0 <= k) & (k < l) & (l < n_modes),
+                      cross_pair_index(k, l, n_modes), -1)
+    n_cross = n_modes * (n_modes - 1) // 2
     tq = np.asarray(theory_quantum, dtype=float)
     tc = np.asarray(theory_classical, dtype=float)
-    if tq.size != len(cross_pairs) or tc.size != len(cross_pairs):
+    if tq.size != n_cross or tc.size != n_cross:
         raise ValueError("theories must be cross-detector vectors")
     if centers is None:
         top = float(dtau.max())
@@ -280,7 +284,7 @@ def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
         n = int(sel.sum())
         if n < min_events:
             continue
-        counts = np.bincount(labels[sel], minlength=len(cross_pairs)).astype(float)
+        counts = np.bincount(labels[sel], minlength=n_cross).astype(float)
         out.append(WindowedSimilarity(
             center=float(center),
             n_events=n,

@@ -58,8 +58,8 @@ class TimeTagStream:
         if ch.size and int(ch.max()) >= self.n_channels:
             raise ValueError(f"channel {int(ch.max())} outside the "
                              f"{self.n_channels}-channel map")
-        if tk.size > 1 and np.any(np.diff(tk.astype(np.int64)) < 0):
-            pos = int(np.argmax(np.diff(tk.astype(np.int64)) < 0)) + 1
+        if np.any(tk[1:] < tk[:-1]):
+            pos = int(np.argmax(tk[1:] < tk[:-1])) + 1
             raise StreamFormatError(f"non-monotonic timestamps at record {pos}")
         self.channels = ch
         self.ticks = tk
@@ -73,9 +73,6 @@ class TimeTagStream:
 
     def times_ns(self) -> np.ndarray:
         return self.ticks.astype(np.float64) * self.tick_ns
-
-    def duration_ns(self) -> float:
-        return float(self.ticks[-1]) * self.tick_ns if len(self) else 0.0
 
     def counts_per_channel(self) -> np.ndarray:
         return np.bincount(self.channels, minlength=self.n_channels)
@@ -109,6 +106,8 @@ class TimeTagStream:
             raise StreamFormatError(f"unsupported format version {version}")
         n_channels = int(np.frombuffer(payload, np.uint16, 1, 6)[0])
         tick_fs = int(np.frombuffer(payload, np.uint64, 1, 8)[0])
+        if tick_fs == 0:
+            raise StreamFormatError("tick size of 0 fs in the header")
         body = payload[16:]
         if len(body) % _RECORD.itemsize:
             raise StreamFormatError(f"truncated record at byte {16 + len(body) - len(body) % _RECORD.itemsize}")
@@ -140,11 +139,13 @@ class TimeTagStream:
         channels, ticks = [], []
         for nr, row in enumerate(rows, start=1):
             try:
-                c, t = row.split(",")
-                channels.append(int(c))
-                ticks.append(int(t))
+                c, t = (int(x) for x in row.split(","))
             except ValueError as exc:
                 raise StreamFormatError(f"bad CSV row {nr}: {row!r}") from exc
+            if not (0 <= c <= 255 and 0 <= t < 1 << 64):
+                raise StreamFormatError(f"CSV row {nr} out of range: {row!r}")
+            channels.append(c)
+            ticks.append(t)
         if n_channels is None:
             n_channels = (max(channels) + 1) if channels else 1
         return cls(np.array(channels, np.uint8), np.array(ticks, np.uint64),
@@ -357,12 +358,8 @@ class CoincidenceSet:
     def __len__(self) -> int:
         return int(self.dtau_ns.size)
 
-    def pair_labels(self) -> list[tuple[int, int]]:
-        return list(zip(self.pair_k.tolist(), self.pair_l.tolist()))
-
     def same_detector_counts(self) -> np.ndarray:
-        same = self.pair_k[self.pair_k == self.pair_l]
-        return np.bincount(same, minlength=self.counts.n_modes).astype(float)
+        return self.counts.same_detector_values()
 
 
 def _pair_neighbours(times: np.ndarray, hi: float) -> tuple[np.ndarray, np.ndarray]:

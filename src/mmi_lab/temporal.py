@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import CoincidenceDistribution, _check_input_pair, mode_pairs
 from .matrix import TransferMatrix, balanced_splitter
@@ -142,7 +141,6 @@ class JointDensity:
         return CoincidenceDistribution(self.n_modes, vals)
 
     def _dtau_mask(self, half_window: float, center: float) -> np.ndarray:
-        nt = self.t.size
         d = np.abs(np.subtract.outer(self.t, self.t).T)  # |t2 - t1|
         lo = max(0.0, center - half_window)
         return (d >= lo) & (d <= center + half_window)
@@ -208,7 +206,7 @@ def joint_density(matrix: TransferMatrix, i: int, j: int,
     integrated table equals the indistinguishable closed form; with
     kappa = 0 it equals the distinguishable one.
     """
-    _check_input_pair(matrix, i, j)
+    _check_input_pair(matrix.n_modes, i, j)
     if env_i.dt != env_j.dt:
         raise ValueError("envelope grids must share the same step")
     dt = env_i.dt
@@ -303,12 +301,20 @@ def integrated_visibility(envelope: Wavepacket, coherence: CoherenceModel,
 
 def calibrate_gaussian_jitter(envelope: Wavepacket,
                               target_visibility: float = 0.708) -> CoherenceModel:
-    """Find the jitter level that reproduces a target integrated visibility."""
+    """Find the jitter level that reproduces a target integrated visibility.
+
+    Bisects ``jitter_sd`` in [1e-6, 500 / duration] to adjacent floats.  The
+    integrated visibility decreases monotonically in ``jitter_sd``, since
+    kappa does at every tau; a target outside the bracket raises ValueError."""
     if not 0 < target_visibility < 1:
         raise ValueError("target visibility must be in (0, 1)")
 
     def gap(sd):
         return integrated_visibility(envelope, CoherenceModel.gaussian(sd)) - target_visibility
 
-    sd = brentq(gap, 1e-6, 10.0 / envelope.duration * 50.0, xtol=1e-12)
-    return CoherenceModel.gaussian(float(sd))
+    lo, hi = 1e-6, 500.0 / envelope.duration
+    if gap(lo) < 0 or gap(hi) > 0:
+        raise ValueError(f"target visibility {target_visibility} not reached in [{lo}, {hi}]")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+    return CoherenceModel.gaussian(mid)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmi_lab
 from mmi_lab import TimeTagStream, config, simulate_fringes
 from mmi_lab.cli import main
 from mmi_lab.instrument import ConfigError
@@ -199,6 +204,46 @@ mc_trials = 50000
     def test_missing_stream_exit_code(self, run_dir):
         assert main(["analyze", "g2", "--stream", "nope.ttag",
                      "--out", str(run_dir / "y")]) == 3
+
+
+class TestMalformedStreams:
+    @pytest.mark.parametrize("row", ["300,200", "1,-5"])
+    def test_csv_row_out_of_range(self, tmp_path, capsys, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"channel,tick\n0,1\n{row}\n")
+        assert main(["analyze", "mmi", "--stream", str(path),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "row 2" in capsys.readouterr().err
+
+    def test_zero_tick_size_header(self, tmp_path, capsys):
+        path = tmp_path / "s.ttag"
+        TimeTagStream(np.array([0, 1], np.uint8), np.array([5, 6], np.uint64), 4,
+                      tick_fs=0).write_file(path)
+        assert main(["analyze", "g2", "--stream", str(path),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "tick size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["mmi", "timeresolved"])
+    def test_channels_must_match_matrix_modes(self, tmp_path, capsys, kind):
+        path = tmp_path / "hbt.ttag"
+        TimeTagStream(np.array([0, 1, 0, 1], np.uint8),
+                      np.array([0, 10, 10_000, 10_010], np.uint64), 2).write_file(path)
+        assert main(["analyze", kind, "--stream", str(path),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "2 channels" in err and "4 modes" in err
+
+
+def test_cli_runs_without_scipy():
+    src = Path(mmi_lab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mmi_lab, mmi_lab.cli\n"
+            "assert mmi_lab.cli.main(['predict']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestCharacterizeCommand:

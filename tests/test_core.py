@@ -8,8 +8,8 @@ from mmi_lab import (CoincidenceDistribution, coincidence_classical,
                      project_first_detection, random_unitary,
                      renormalization_magnitude, similarity)
 from mmi_lab.core import (DegenerateDistributionError, ModeIndexError,
-                          TwoPhotonState, UnreachableHeraldError, mode_pairs,
-                          pair_index)
+                          TwoPhotonState, UnreachableHeraldError, cross_pair_index,
+                          mode_pairs, pair_index)
 
 
 class TestFirstDetection:
@@ -230,6 +230,16 @@ class TestTwoPhotonState:
         with pytest.raises(ModeIndexError):
             TwoPhotonState.from_input_pair(4, 2, 2)
 
+    @pytest.mark.parametrize("pair", [(0, 4), (-1, 2), (2, -1)])
+    def test_rejects_out_of_range_pair(self, pair):
+        with pytest.raises(ModeIndexError):
+            TwoPhotonState.from_input_pair(4, *pair)
+
+    def test_input_pair_slot(self):
+        for i, j in [(0, 1), (2, 0), (1, 3)]:
+            amps = TwoPhotonState.from_input_pair(4, i, j).amplitudes
+            assert np.flatnonzero(amps).tolist() == [mode_pairs(4).index((min(i, j), max(i, j)))]
+
 
 class TestVisibilityFit:
     def test_exact_quantum_counts(self, chip):
@@ -271,6 +281,12 @@ class TestDistributionContainer:
         assert [pair_index(k, l, n) for k, l in pairs] == list(range(len(pairs)))
         k, l = np.array(pairs).T
         assert pair_index(k, l, n).tolist() == list(range(len(pairs)))
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_cross_pair_index_follows_cross_pairs(self, n):
+        cross = CoincidenceDistribution(n, np.zeros(n * (n + 1) // 2)).cross_only().pairs
+        k, l = np.array(cross).T
+        assert cross_pair_index(k, l, n).tolist() == list(range(len(cross)))
 
     def test_getitem_matches_pair_order(self):
         full = CoincidenceDistribution(4, np.arange(10.0))

@@ -72,6 +72,12 @@ class TestBinaryFormat:
         with pytest.raises(StreamFormatError, match="record 1"):
             parse_stream(swapped)
 
+    def test_zero_tick_size_rejected(self):
+        payload = TimeTagStream(np.array([1], np.uint8), np.array([5], np.uint64), 4,
+                                tick_fs=0).to_bytes()
+        with pytest.raises(StreamFormatError, match="tick size"):
+            parse_stream(payload)
+
 
 class TestCsvFormat:
     def test_round_trip(self):
@@ -85,6 +91,16 @@ class TestCsvFormat:
     def test_bad_row_reported(self):
         with pytest.raises(StreamFormatError, match="row 2"):
             TimeTagStream.from_csv("channel,tick\n0,5\nbroken\n")
+
+    @pytest.mark.parametrize("row", ["256,5", "-1,5", "1,-5", f"1,{2 ** 64}"])
+    def test_out_of_range_row_reported(self, row):
+        with pytest.raises(StreamFormatError, match="row 2"):
+            TimeTagStream.from_csv(f"channel,tick\n0,5\n{row}\n")
+
+    def test_extreme_values_accepted(self):
+        stream = TimeTagStream.from_csv(f"0,5\n255,{2 ** 64 - 1}\n")
+        assert stream.n_channels == 256
+        assert int(stream.ticks[-1]) == 2 ** 64 - 1
 
 
 class TestSlidingHistogram:

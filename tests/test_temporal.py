@@ -125,6 +125,15 @@ class TestHomProfile:
         coh = calibrate_gaussian_jitter(envelope, 0.708)
         assert integrated_visibility(envelope, coh) == pytest.approx(0.708, abs=1e-9)
 
+    @pytest.mark.parametrize("target", [0.3, 0.708, 0.95])
+    def test_calibration_bisects_to_target(self, envelope, target):
+        coh = calibrate_gaussian_jitter(envelope, target)
+        assert abs(integrated_visibility(envelope, coh) - target) <= 1e-12
+
+    def test_unbracketed_target_rejected(self, envelope):
+        with pytest.raises(ValueError, match="not reached"):
+            calibrate_gaussian_jitter(envelope, 1e-4)
+
     def test_bandwidth_diagnostic_scale(self, envelope):
         # narrowband photons: implied relative-detuning FWHM of a few MHz
         coh = calibrate_gaussian_jitter(envelope, 0.708)
