@@ -65,14 +65,18 @@ class FringeDataset:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FringeDataset":
-        fringes = {}
-        for key, block in d["fringes"].items():
-            a, b = (int(x) - 1 for x in key.split(","))
-            fringes[(a, b)] = np.asarray(block, dtype=float)
-        return cls(n_modes=int(d["n_modes"]),
-                   phase_grid=np.asarray(d["phase_grid"], dtype=float),
-                   transmissions=np.asarray(d["transmissions"], dtype=float),
-                   fringes=fringes)
+        try:
+            fringes = {}
+            for key, block in d["fringes"].items():
+                a, b = (int(x) - 1 for x in key.split(","))
+                fringes[(a, b)] = np.asarray(block, dtype=float)
+            n_modes = int(d["n_modes"])
+            phase_grid = np.asarray(d["phase_grid"], dtype=float)
+            transmissions = np.asarray(d["transmissions"], dtype=float)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CharacterizationError(f"malformed fringe-dataset JSON: {exc}") from exc
+        return cls(n_modes=n_modes, phase_grid=phase_grid,
+                   transmissions=transmissions, fringes=fringes)
 
     def write_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

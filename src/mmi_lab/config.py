@@ -124,24 +124,26 @@ _SECTION_TYPES = {
 }
 
 
+def _convert(raw: str, default):
+    """``raw`` as the type of ``default``; None marks an optional float."""
+    value = raw.strip()
+    if default is None:
+        return None if value.lower() in ("none", "auto", "calibrated") else float(value)
+    return type(default)(value)
+
+
 def _parse_section(parser: configparser.ConfigParser, name: str, cls):
-    known = {f.name: f for f in fields(cls)}
+    defaults = {f.name: f.default for f in fields(cls)}
     kwargs = {}
     if parser.has_section(name):
         for key, raw in parser.items(name):
-            if key not in known:
+            if key not in defaults:
                 raise ConfigError(f"unknown key [{name}] {key!r}; "
-                                  f"valid keys: {sorted(known)}")
-            f = known[key]
-            if f.type in ("float | None",):
-                kwargs[key] = None if raw.strip().lower() in ("none", "auto", "calibrated") \
-                    else float(raw)
-            elif f.type in ("float",):
-                kwargs[key] = float(raw)
-            elif f.type in ("int",):
-                kwargs[key] = int(raw)
-            else:
-                kwargs[key] = raw.strip()
+                                  f"valid keys: {sorted(defaults)}")
+            try:
+                kwargs[key] = _convert(raw, defaults[key])
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for [{name}] {key}: {exc}") from exc
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -1,0 +1,264 @@
+"""Analysis pipelines: streams, matrices and fringe data in, reports and
+tables out.
+
+Each pipeline returns ``(report, tables)``: ``report`` is the JSON-ready
+result and ``tables`` maps an output file name to its exact text (CSV
+tables keep the csv module's ``\\r\\n`` line endings); ``predict`` returns
+its one table's text.  Nothing here reads or writes files; the
+command-line front end does that.  ``DataError`` marks unusable data and
+``ModeIndexError`` an input pair the matrix does not have.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+
+import numpy as np
+
+from .characterize import FringeDataset, reconstruct_matrix, simulate_fringes
+from .config import ExperimentConfig
+from .core import (ModeIndexError, coincidence_classical, coincidence_mixture,
+                   coincidence_quantum, fit_visibility)
+from .matrix import TransferMatrix, gauge_fix
+from .stats import poisson_mc_similarity, similarity, similarity_vs_dt
+from .tagstream import (TimeTagStream, cross_correlate, deadtime_correction,
+                        extract_coincidences, g2_zero, sliding_histogram)
+
+__all__ = ["DataError", "ModeIndexError", "analyze_g2", "analyze_hom", "analyze_mmi",
+           "analyze_timeresolved", "characterize", "csv_text", "predict"]
+
+
+class DataError(RuntimeError):
+    """Unusable measurement data for the requested analysis."""
+
+
+def csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+# -- analyses of time-tag streams ------------------------------------------------
+
+
+def analyze_g2(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dict]:
+    an = cfg.analysis
+    if stream.n_channels < 2:
+        raise DataError("g2 analysis needs two detector channels")
+    hist = cross_correlate(stream, 0, 1, range_ns=an.correlation_range_ns,
+                           bin_width=an.correlation_bin_ns,
+                           pitch=an.correlation_pitch_ns)
+    res = g2_zero(hist, duty_cycle=cfg.source.duty_cycle_ns)
+    report = {
+        "schema": "g2-report/1",
+        "config_hash": cfg.config_hash(),
+        "g2_zero": res.g2_zero,
+        "central_counts": res.central_counts,
+        "extrapolated_uncorrelated": res.extrapolated_uncorrelated,
+        "side_peaks": {str(k): v for k, v in sorted(res.side_peak_counts.items())},
+    }
+    tables = {"g2_histogram.csv": csv_text(
+        ["dtau_ns", "counts"], zip(hist.centers.tolist(), hist.counts.tolist()))}
+    return report, tables
+
+
+def analyze_hom(stream: TimeTagStream, reference: TimeTagStream,
+                cfg: ExperimentConfig) -> tuple[dict, dict]:
+    an = cfg.analysis
+    co = extract_coincidences(stream, window_ns=an.coincidence_window_ns)
+    co_ref = extract_coincidences(reference, window_ns=an.coincidence_window_ns)
+    n_cross = co.counts[(0, 1)]
+    n_ref = co_ref.counts[(0, 1)]
+    if n_ref <= 0:
+        raise DataError("reference stream contains no cross coincidences")
+    visibility = 1.0 - n_cross / n_ref
+    cross_dtau = [c.dtau_ns[c.pair_k != c.pair_l] for c in (co, co_ref)]
+    # windowed visibility within the short-separation core
+    n_cross_w, n_ref_w = (int(np.sum(np.abs(d) <= 23.0)) for d in cross_dtau)
+    report = {
+        "schema": "hom-report/1",
+        "config_hash": cfg.config_hash(),
+        "n_cross": n_cross,
+        "n_cross_reference": n_ref,
+        "visibility_integrated": visibility,
+        "visibility_within_23ns": (1.0 - n_cross_w / n_ref_w) if n_ref_w else None,
+    }
+    bins = np.arange(-an.coincidence_window_ns, an.coincidence_window_ns
+                     + an.display_pitch_ns, an.display_pitch_ns)
+    cross_hists = [np.histogram(d, bins=bins)[0].tolist() for d in cross_dtau]
+    tables = {"hom_dtau.csv": csv_text(
+        ["dtau_ns", "cross_parallel", "cross_reference"],
+        zip(((bins[:-1] + bins[1:]) / 2).tolist(), *cross_hists))}
+    return report, tables
+
+
+def _mmi_inputs(stream: TimeTagStream, cfg: ExperimentConfig):
+    matrix = cfg.build_matrix()
+    if stream.n_channels != matrix.n_modes:
+        raise DataError(f"stream has {stream.n_channels} channels, matrix has {matrix.n_modes} modes")
+    pair = cfg.input_pair()
+    co = extract_coincidences(stream, window_ns=cfg.analysis.coincidence_window_ns)
+    if len(co) == 0:
+        raise DataError("no coincidences found in the stream")
+    return matrix, pair, co
+
+
+def analyze_mmi(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dict]:
+    an = cfg.analysis
+    matrix, (i, j), co = _mmi_inputs(stream, cfg)
+    offset = an.reference_offset_cycles * cfg.source.duty_cycle_ns
+    ref = extract_coincidences(stream, window_ns=an.coincidence_window_ns,
+                               time_offset_ns=offset)
+    ref_same = ref.same_detector_counts()
+    if ref_same.sum() < 10:
+        raise DataError(
+            "not enough time-offset (distinguishable) coincidences to build "
+            f"the same-detector reference; run long enough that events "
+            f"{an.reference_offset_cycles} duty cycles apart are recorded")
+    profile = sliding_histogram(stream, bin_width=an.profile_bin_ns,
+                                pitch=an.profile_pitch_ns,
+                                fold_period=cfg.source.duty_cycle_ns)
+    corr = deadtime_correction(co.dtau_ns, profile, cfg.detectors.dead_time_ns,
+                               ref_same, co.counts,
+                               max_dtau_ns=an.coincidence_window_ns)
+
+    # visibility from cross-detector counts (immune to recovery-time losses)
+    cross = co.counts.cross_only()
+    v_star, s_at_v = fit_visibility(cross, matrix, i, j)
+    q = coincidence_quantum(matrix, i, j)
+    c = coincidence_classical(matrix, i, j)
+    r = coincidence_mixture(matrix, i, j, v_star)
+
+    seed = cfg.seed_for("analyze-mmi")
+    mc = {name: poisson_mc_similarity(corr.corrected.values, theory.values,
+                                      trials=an.mc_trials, seed=seed + n)
+          for n, (name, theory) in enumerate((("vs_quantum", q), ("vs_classical", c),
+                                               ("vs_fitted_mixture", r)))}
+    report = {
+        "schema": "mmi-report/1",
+        "config_hash": cfg.config_hash(),
+        "seed": seed,
+        "input_pair": [i + 1, j + 1],
+        "n_coincidences": len(co),
+        "counts": co.counts.as_dict(),
+        "corrected_counts": corr.corrected.as_dict(),
+        "missed_same_detector": corr.missed,
+        "missed_sigma": corr.missed_sigma,
+        "visibility_fit": {"v_star": v_star, "similarity_at_v_star": s_at_v},
+        "similarity_cross_vs_quantum": similarity(cross.values, q.cross_only().values),
+        "similarity_cross_vs_classical": similarity(cross.values, c.cross_only().values),
+        "similarity_corrected": {k: v.to_json_dict() for k, v in mc.items()},
+    }
+    tables = {
+        "mmi_counts.csv": csv_text(
+            ["pair", "counts", "corrected", "quantum", "classical", "mixture"],
+            [(f"{k + 1},{l + 1}", co.counts[(k, l)], corr.corrected[(k, l)],
+              q[(k, l)], c[(k, l)], r[(k, l)]) for k, l in co.counts.pairs]),
+        "mmi_coincidences.csv": csv_text(
+            ["dtau_ns", "pair"],
+            [(dt, f"{k + 1},{l + 1}") for dt, k, l in zip(co.dtau_ns, co.pair_k, co.pair_l)]),
+        **{f"similarity_{name}.csv": res.histogram_csv() for name, res in mc.items()},
+    }
+    return report, tables
+
+
+def analyze_timeresolved(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dict]:
+    an = cfg.analysis
+    matrix, (i, j), co = _mmi_inputs(stream, cfg)
+    q = coincidence_quantum(matrix, i, j).cross_only()
+    c = coincidence_classical(matrix, i, j).cross_only()
+    seed = cfg.seed_for("analyze-timeresolved")
+    rows = similarity_vs_dt(co.dtau_ns, np.column_stack((co.pair_k, co.pair_l)),
+                            q.values, c.values, n_modes=matrix.n_modes,
+                            half_window=an.half_window_ns,
+                            trials=max(an.mc_trials // 10, 10_000), seed=seed,
+                            min_events=an.min_window_events)
+    if not rows:
+        raise DataError("no time windows had enough events")
+    report = {
+        "schema": "timeresolved-report/1",
+        "config_hash": cfg.config_hash(),
+        "seed": seed,
+        "input_pair": [i + 1, j + 1],
+        "half_window_ns": an.half_window_ns,
+        "windows": [
+            {"center_ns": w.center, "n_events": w.n_events,
+             "vs_quantum": w.vs_quantum.to_json_dict(),
+             "vs_classical": w.vs_classical.to_json_dict()} for w in rows
+        ],
+    }
+    tables = {"timeresolved.csv": csv_text(
+        ["center_ns", "n_events", "s_quantum_mode", "s_quantum_lo",
+         "s_quantum_hi", "s_classical_mode", "s_classical_lo", "s_classical_hi"],
+        [(w.center, w.n_events, w.vs_quantum.mode, *w.vs_quantum.hpd68,
+          w.vs_classical.mode, *w.vs_classical.hpd68) for w in rows])}
+    return report, tables
+
+
+# -- matrices ------------------------------------------------------------------------
+
+
+def characterize(data: FringeDataset | None, truth: TransferMatrix | None,
+                 noise_sd: float, seed: int, repeat: int) -> tuple[dict, dict]:
+    """Reconstruct a transfer matrix from fringe ``data``.
+
+    With ``data`` None the fringes are simulated from ``truth`` with
+    relative power noise ``noise_sd`` and generator seed ``seed``; then
+    ``repeat`` > 1 seeded trials (seeds ``seed``, ``seed + 1``, ...) add
+    the recovery-error statistics.  A ``truth`` matrix adds the deviation
+    of the reconstruction from it.
+    """
+    simulated = data is None
+    if simulated:
+        data = simulate_fringes(truth, noise_sd=noise_sd, rng=np.random.default_rng(seed))
+    result = reconstruct_matrix(data)
+    rebuilt = result.matrix
+    report = {
+        "schema": "characterize-report/1",
+        "n_modes": rebuilt.n_modes,
+        "unitarity_deviation": rebuilt.unitarity_deviation(),
+        "phase_indeterminate": result.phase_indeterminate.tolist(),
+        "noise_sd": noise_sd if simulated else None,
+    }
+    if truth is not None:
+        target = gauge_fix(truth).elements
+        dev = np.abs(rebuilt.elements - target)
+        report["max_abs_deviation"] = float(dev.max())
+        report["deviation"] = dev.tolist()
+    if simulated and repeat > 1:
+        errs = []
+        for trial in range(repeat):
+            trial_rng = np.random.default_rng(seed + trial)
+            rec = reconstruct_matrix(simulate_fringes(truth, noise_sd, rng=trial_rng))
+            errs.append(float(np.abs(rec.matrix.elements - target).max()))
+        report["repeat_trials"] = repeat
+        report["deviation_median"] = float(np.median(errs))
+        report["deviation_p90"] = float(np.quantile(errs, 0.9))
+        report["deviation_max"] = float(np.max(errs))
+    return report, {"reconstructed_matrix.json": rebuilt.to_json() + "\n"}
+
+
+def predict(matrix: TransferMatrix, i: int, j: int, visibility: float) -> tuple[dict, str]:
+    """Raw and renormalised quantum, classical and mixture tables for the
+    0-based input pair (i, j): the predict-report payload and the same
+    numbers as CSV text, one row per output pair."""
+    raw, renorm = ([coincidence_quantum(matrix, i, j, renormalized=r),
+                    coincidence_classical(matrix, i, j, renormalized=r),
+                    coincidence_mixture(matrix, i, j, visibility, renormalized=r)]
+                   for r in (False, True))
+    names = ("quantum", "classical", "mixture")
+    report = {
+        "schema": "predict-report/1",
+        "input_pair": [i + 1, j + 1],
+        "visibility": visibility,
+        **{name: t.as_dict() for name, t in zip(names, renorm)},
+        **{f"{name}_raw": t.as_dict() for name, t in zip(names, raw)},
+    }
+    table = csv_text(
+        ["pair", "quantum_raw", "classical_raw", "mixture_raw",
+         "quantum_renorm", "classical_renorm", "mixture_renorm"],
+        [(f"{k + 1},{l + 1}", *(t[(k, l)] for t in raw + renorm)) for k, l in raw[0].pairs])
+    return report, table

@@ -11,7 +11,7 @@ import pytest
 
 import mmi_lab as m
 from mmi_lab import config as cfgmod
-from mmi_lab.cli import analyze_mmi, analyze_timeresolved
+from mmi_lab.pipeline import analyze_mmi, analyze_timeresolved
 
 
 def report(num: int, ok: bool, detail: str) -> bool:
@@ -50,16 +50,15 @@ def default_cfg():
 
 
 @pytest.fixture(scope="module")
-def mmi_pipeline(default_cfg, tmp_path_factory):
+def mmi_pipeline(default_cfg):
     """Criterion 10 artifacts: default-profile run plus both analyses."""
-    outdir = tmp_path_factory.mktemp("acceptance_mmi")
     t0 = time.monotonic()
     layout = default_cfg.build_layout()
     stream = m.simulate_run(default_cfg.source, layout, default_cfg.detectors,
                             wall_time_s=380_000.0,
                             seed=default_cfg.seed_for("simulate"))
-    report_mmi = analyze_mmi(stream, default_cfg, outdir)
-    report_tr = analyze_timeresolved(stream, default_cfg, outdir)
+    report_mmi, _ = analyze_mmi(stream, default_cfg)
+    report_tr, _ = analyze_timeresolved(stream, default_cfg)
     return report_mmi, report_tr, time.monotonic() - t0
 
 

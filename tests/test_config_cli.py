@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,26 @@ class TestConfigParsing:
     def test_invalid_value_reported_with_section(self):
         with pytest.raises(ConfigError, match=r"\[source\]"):
             config.loads("[source]\nemission_prob = 1.7\n")
+
+    @pytest.mark.parametrize("text, key", [
+        ("[source]\npulses_per_transit = abc\n", "[source] pulses_per_transit"),
+        ("[source]\ncoherence_jitter_sd = fast\n", "[source] coherence_jitter_sd"),
+        ("[detectors]\ntick_fs = 81.5\n", "[detectors] tick_fs"),
+        ("[analysis]\nmc_trials = 1e6\n", "[analysis] mc_trials"),
+    ])
+    def test_unparsable_value_names_key(self, tmp_path, capsys, text, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config.loads(text)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--seconds", "10",
+                     "--out", str(tmp_path / "x.ttag")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["none", "Auto", " calibrated "])
+    def test_optional_float_none_spellings(self, raw):
+        cfg = config.loads(f"[source]\ncoherence_jitter_sd = {raw}\n")
+        assert cfg.source.coherence_jitter_sd is None
 
     def test_explicit_jitter_value(self):
         cfg = config.loads("[source]\ncoherence_jitter_sd = 0.0128\n")
@@ -168,7 +189,7 @@ class TestAnalyzeCommands:
         # with full indistinguishability and a unitary interferometer the
         # measured distribution converges onto the interfering prediction
         from mmi_lab import random_unitary, simulate_run
-        from mmi_lab.cli import analyze_mmi
+        from mmi_lab.pipeline import analyze_mmi
         from mmi_lab import config as cfgmod
         mat = random_unitary(4, np.random.default_rng(123))
         mpath = tmp_path / "u.json"
@@ -184,7 +205,7 @@ mc_trials = 50000
 """)
         stream = simulate_run(cfg.source, cfg.build_layout(), cfg.detectors,
                               140000.0, seed=77)
-        report = analyze_mmi(stream, cfg, tmp_path / "out")
+        report, _ = analyze_mmi(stream, cfg)
         assert report["n_coincidences"] >= 10_000
         assert report["similarity_corrected"]["vs_quantum"]["raw"] >= 0.99
         assert report["visibility_fit"]["v_star"] >= 0.95
@@ -200,6 +221,23 @@ mc_trials = 50000
         assert len(report["windows"]) >= 3
         first = report["windows"][0]
         assert first["vs_quantum"]["mode"] > first["vs_classical"]["mode"]
+
+    @pytest.mark.parametrize("argv, layout", [
+        (["predict", "-i", "0"], None),
+        (["predict", "-j", "9"], None),
+        (["predict", "-i", "1", "-j", "1"], None),
+        (["analyze", "mmi"], "input_delayed = 2\ninput_direct = 2\n"),
+        (["analyze", "timeresolved"], "input_direct = 5\n"),
+    ])
+    def test_bad_mode_index_is_config_error(self, run_dir, tmp_path, capsys,
+                                             argv, layout):
+        if layout is not None:
+            cfg = tmp_path / "layout.cfg"
+            cfg.write_text(f"[layout]\n{layout}[analysis]\nmc_trials = 50000\n")
+            argv = argv + ["--stream", str(run_dir / "mmi.ttag"), "--config",
+                           str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_stream_exit_code(self, run_dir):
         assert main(["analyze", "g2", "--stream", "nope.ttag",
@@ -270,6 +308,15 @@ class TestCharacterizeCommand:
                      "--out", str(out)]) == 0
         rebuilt = json.loads((out / "reconstructed_matrix.json").read_text())
         assert rebuilt["n_modes"] == 4
+
+    @pytest.mark.parametrize("text", ["{}", "[1, 2]", '{"fringes": [1]}',
+                                      '{"fringes": {"1-2": []}}'])
+    def test_malformed_fringe_file(self, tmp_path, capsys, text):
+        fpath = tmp_path / "fringes.json"
+        fpath.write_text(text)
+        assert main(["characterize", "--fringes", str(fpath),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "malformed fringe-dataset JSON" in capsys.readouterr().err
 
     def test_requires_input(self, tmp_path):
         assert main(["characterize", "--out", str(tmp_path / "z")]) == 3

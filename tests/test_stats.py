@@ -10,6 +10,11 @@ from mmi_lab import (coincidence_classical, coincidence_quantum,
 
 positive_vectors = st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=2,
                             max_size=12).filter(lambda v: sum(v) > 0)
+# scaling a subnormal entry such as 5e-324 rounds away most of its digits,
+# so a relative tolerance can hold only for normal floats
+normal_positive_vectors = st.lists(
+    st.floats(0.0, 1e6, allow_nan=False, allow_subnormal=False), min_size=2,
+    max_size=12).filter(lambda v: sum(v) > 0)
 
 
 class TestSimilarity:
@@ -26,7 +31,7 @@ class TestSimilarity:
         assert similarity(q, c) == pytest.approx(0.901, abs=0.003)
 
     @settings(max_examples=60, deadline=None)
-    @given(positive_vectors, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    @given(normal_positive_vectors, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
     def test_scale_invariance(self, vec, a, b):
         p = np.array(vec)
         q = p[::-1].copy() + 0.5
