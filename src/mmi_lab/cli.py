@@ -157,6 +157,9 @@ def cmd_characterize(args) -> int:
 def cmd_predict(args) -> int:
     matrix = (TransferMatrix.from_file(args.matrix) if args.matrix
               else measured_chip_matrix())
+    for flag, value in (("-i", args.input_i), ("-j", args.input_j)):
+        if not 1 <= value <= matrix.n_modes:
+            raise ModeIndexError(f"{flag} {value} out of range 1..{matrix.n_modes}")
     report, table = predict(matrix, args.input_i - 1, args.input_j - 1,
                             args.visibility)
     text = _json(report) if args.format == "json" else table.rstrip("\n")

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 from .instrument import ConfigError, DetectorConfig, Layout, SourceConfig
-from .matrix import TransferMatrix, builtin_matrix
+from .matrix import TransferMatrix, balanced_splitter, builtin_matrix
 
 _SCHEMA = "experiment-config/1"
 
@@ -28,7 +28,6 @@ class AnalysisConfig:
     reference_offset_cycles: int = 2
     profile_bin_ns: float = 8.0
     profile_pitch_ns: float = 8.0
-    display_bin_ns: float = 40.0
     display_pitch_ns: float = 4.0
     correlation_range_ns: float = 5976.0
     correlation_bin_ns: float = 100.0
@@ -79,10 +78,7 @@ class ExperimentConfig:
         spec = self.layout
         if spec.kind == "hbt":
             return Layout.hbt()
-        matrix = self.build_matrix()
-        if spec.kind == "hom_splitter":
-            from .matrix import balanced_splitter
-            matrix = balanced_splitter()
+        matrix = self.build_matrix() if spec.kind == "mmi" else balanced_splitter()
         return Layout(kind=spec.kind, interference_matrix=matrix,
                       delay_line_ns=spec.delay_line_ns,
                       input_delayed=spec.input_delayed - 1,

@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import mode_pairs
 from .matrix import TransferMatrix, balanced_splitter, measured_chip_matrix
 from .tagstream import TimeTagStream
-from .temporal import (CoherenceModel, Wavepacket, calibrate_gaussian_jitter,
-                       joint_density, sin2_envelope)
+from .temporal import (CoherenceModel, JointDensity, Wavepacket,
+                       calibrate_gaussian_jitter, joint_density, sin2_envelope)
 
 _TRANSIT_CHUNK = 4096
 
@@ -189,33 +188,20 @@ class TruthRecord:
     n_suppressed: int
 
 
-class _PairSampler:
-    """Inverse-CDF sampler over the discretised joint detection density."""
-
-    def __init__(self, matrix: TransferMatrix, i: int, j: int,
-                 envelope: Wavepacket, coherence: CoherenceModel):
-        jd = joint_density(matrix, i, j, envelope, envelope, coherence,
-                           t_max=envelope.duration)
-        pairs = mode_pairs(matrix.n_modes)
-        self.pair_k, self.pair_l = np.array(pairs).T
-        self.nt = jd.t.size
-        self.dt = jd.dt
-        flat = np.concatenate([jd.densities[p].ravel() for p in pairs])
-        total = flat.sum()
-        if total <= 0:
-            raise ConfigError("joint density vanishes; cannot sample pairs")
-        self.cdf = np.cumsum(flat) / total
-
-    def sample(self, rng: np.random.Generator, size: int):
-        u = rng.random(size)
-        flat_idx = np.searchsorted(self.cdf, u)
-        cells = self.nt * self.nt
-        pair_idx = flat_idx // cells
-        rem = flat_idx % cells
-        c1, c2 = rem // self.nt, rem % self.nt
-        t1 = (c1 + rng.random(size)) * self.dt
-        t2 = (c2 + rng.random(size)) * self.dt
-        return self.pair_k[pair_idx], self.pair_l[pair_idx], t1, t2
+def _sample_pairs(jd: JointDensity, rng: np.random.Generator, size: int):
+    """Inverse-CDF draw of (output k, output l, t1, t2) for ``size`` pairs
+    from the discretised joint detection density."""
+    flat = jd.densities.ravel()
+    total = flat.sum()
+    if total <= 0:
+        raise ConfigError("joint density vanishes; cannot sample pairs")
+    cdf = np.cumsum(flat) / total
+    pair, c1, c2 = np.unravel_index(np.searchsorted(cdf, rng.random(size)),
+                                    jd.densities.shape)
+    k, l = np.triu_indices(jd.n_modes)  # the mode_pairs order of the rows
+    t1 = (c1 + rng.random(size)) * jd.dt
+    t2 = (c2 + rng.random(size)) * jd.dt
+    return k[pair], l[pair], t1, t2
 
 
 def _emit_photons(source: SourceConfig, n_transits: int, transit_intervals,
@@ -227,7 +213,9 @@ def _emit_photons(source: SourceConfig, n_transits: int, transit_intervals,
     polarisation.
     """
     n_att = source.pulses_per_transit
-    out_interval, out_pol, out_t = [], [], []
+    out_interval = [np.array([], dtype=np.int64)]
+    out_pol = [np.array([], dtype=np.int8)]
+    out_t = [np.array([], dtype=float)]
     for a in range(0, n_transits, _TRANSIT_CHUNK):
         b = min(a + _TRANSIT_CHUNK, n_transits)
         block = b - a
@@ -258,9 +246,6 @@ def _emit_photons(source: SourceConfig, n_transits: int, transit_intervals,
         out_interval.append(transit_intervals[a + rows] + att)
         out_pol.append(pols)
         out_t.append(envelope.sample_times(rng, rows.size))
-    if not out_interval:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty.astype(np.int8), np.array([], dtype=float)
     return (np.concatenate(out_interval),
             np.concatenate(out_pol).astype(np.int8),
             np.concatenate(out_t))
@@ -315,6 +300,7 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         t_ns = g_interval.astype(float) * duty + t_emit
         pair_id = np.full(n_emitted, -1, dtype=np.int64)
     else:
+        matrix = layout.interference_matrix
         err = rng.random(n_emitted) < source.routing_error_prob
         eff_pol = np.where(err, 1 - pol, pol)  # wrong path flips delay and input
         input_idx = np.where(eff_pol == 0, layout.input_delayed, layout.input_direct)
@@ -326,56 +312,38 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         pair_first = start[(counts == 2)]
         pair_first = pair_first[input_idx[pair_first] != input_idx[pair_first + 1]]
         delivered_pairs = int(pair_first.size)
-        is_pair = np.zeros(arrival.size, dtype=bool)
-        is_pair[pair_first] = True
-        is_pair[pair_first + 1] = True
+        pair_id = np.full(arrival.size, -1, dtype=np.int64)
+        pair_id[pair_first] = pair_id[pair_first + 1] = np.arange(delivered_pairs)
+        is_pair = pair_id >= 0
 
+        # photons route one by one, pairs first: distinguishable pairs keep
+        # their pair id, and at least one group always runs
         chans, times, pids = [], [], []
+        groups = [is_pair, ~is_pair]
         if delivered_pairs and layout.polarization == "parallel":
             # indistinguishable pairs: joint draw over output pair and times
-            sampler = _PairSampler(layout.interference_matrix,
-                                   layout.input_delayed, layout.input_direct,
-                                   envelope, source.coherence())
-            k, l, t1, t2 = sampler.sample(rng, delivered_pairs)
+            jd = joint_density(matrix, layout.input_delayed, layout.input_direct,
+                               envelope, envelope, source.coherence(),
+                               t_max=envelope.duration)
+            k, l, t1, t2 = _sample_pairs(jd, rng, delivered_pairs)
             base = arrival[pair_first].astype(float) * duty
-            pid = np.arange(delivered_pairs, dtype=np.int64)
             chans += [k, l]
             times += [base + t1, base + t2]
-            pids += [pid, pid]
-            singles = ~is_pair
-        elif delivered_pairs:
-            # distinguishable pairs: route both photons independently but
-            # keep the pair bookkeeping
-            pid_arr = np.full(arrival.size, -1, dtype=np.int64)
-            pid_arr[pair_first] = np.arange(delivered_pairs)
-            pid_arr[pair_first + 1] = np.arange(delivered_pairs)
-            chans.append(_route_singles(layout.interference_matrix,
-                                        input_idx[is_pair], rng))
-            times.append(arrival[is_pair].astype(float) * duty + t_arr[is_pair])
-            pids.append(pid_arr[is_pair])
-            singles = ~is_pair
-        else:
-            singles = np.ones(arrival.size, dtype=bool)
-        n_single = int(singles.sum())
-        if n_single:
-            chans.append(_route_singles(layout.interference_matrix,
-                                        input_idx[singles], rng))
-            times.append(arrival[singles].astype(float) * duty + t_arr[singles])
-            pids.append(np.full(n_single, -1, dtype=np.int64))
-        channel = np.concatenate(chans) if chans else np.array([], dtype=np.int64)
-        t_ns = np.concatenate(times) if times else np.array([], dtype=float)
-        pair_id = np.concatenate(pids) if pids else np.array([], dtype=np.int64)
+            pids += [pair_id[pair_first]] * 2
+            groups = [~is_pair]
+        for sel in groups:
+            chans.append(_route_singles(matrix, input_idx[sel], rng))
+            times.append(arrival[sel].astype(float) * duty + t_arr[sel])
+            pids.append(pair_id[sel])
+        # rebinding pair_id to routed order frees the arrival-order array
+        channel, t_ns, pair_id = (np.concatenate(x) for x in (chans, times, pids))
 
     # -- detection chain -------------------------------------------------
     keep_prob = source.detection_chain_prob() if detectors.efficiency > 0 else 0.0
     kept = rng.random(channel.size) < keep_prob
     channel, t_ns, pair_id = channel[kept], t_ns[kept], pair_id[kept]
-    if delivered_pairs:
-        surviving = pair_id[pair_id >= 0]
-        per_pair = np.bincount(surviving, minlength=delivered_pairs)
-        detected_pairs = int(np.sum(per_pair == 2))
-    else:
-        detected_pairs = 0
+    per_pair = np.bincount(pair_id[pair_id >= 0], minlength=delivered_pairs)
+    detected_pairs = int(np.sum(per_pair == 2))
     if detectors.jitter_sd_ps > 0 and t_ns.size:
         t_ns = t_ns + rng.normal(0.0, detectors.jitter_sd_ps * 1e-3, t_ns.size)
 

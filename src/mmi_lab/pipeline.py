@@ -18,8 +18,8 @@ import numpy as np
 
 from .characterize import FringeDataset, reconstruct_matrix, simulate_fringes
 from .config import ExperimentConfig
-from .core import (ModeIndexError, coincidence_classical, coincidence_mixture,
-                   coincidence_quantum, fit_visibility)
+from .core import (ModeIndexError, _check_input_pair, coincidence_classical,
+                   coincidence_mixture, coincidence_quantum, fit_visibility)
 from .matrix import TransferMatrix, gauge_fix
 from .stats import poisson_mc_similarity, similarity, similarity_vs_dt
 from .tagstream import (TimeTagStream, cross_correlate, deadtime_correction,
@@ -97,9 +97,10 @@ def analyze_hom(stream: TimeTagStream, reference: TimeTagStream,
 
 def _mmi_inputs(stream: TimeTagStream, cfg: ExperimentConfig):
     matrix = cfg.build_matrix()
+    pair = cfg.input_pair()
+    _check_input_pair(matrix.n_modes, *pair)
     if stream.n_channels != matrix.n_modes:
         raise DataError(f"stream has {stream.n_channels} channels, matrix has {matrix.n_modes} modes")
-    pair = cfg.input_pair()
     co = extract_coincidences(stream, window_ns=cfg.analysis.coincidence_window_ns)
     if len(co) == 0:
         raise DataError("no coincidences found in the stream")

@@ -1,10 +1,11 @@
 """Time-tag ingestion and correlation analysis.
 
 Detection events are (channel, tick) records with an 81 ps tick.  A
-stream is loaded into memory whole; the pair kernels are array code, and
-the cross-correlator works through the stream in chunks, so its
-temporaries grow with the chunk size and the correlation range rather
-than the stream length.
+stream is loaded into memory whole.  Zero-offset pairing and the count
+tables are array code; time-offset pairing (``_pair_offset``) is a greedy
+Python loop over the tag times.  The cross-correlator is array code that
+works through the stream in chunks, so its temporaries grow with the chunk
+size and the correlation range rather than the stream length.
 
 Binary file layout (little endian):
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoincidenceDistribution, _check_input_pair, mode_pairs
+from .core import CoincidenceDistribution, _check_input_pair, mode_pairs, pair_index
 from .matrix import TransferMatrix, balanced_splitter
 
 
@@ -122,28 +122,23 @@ class CoherenceModel:
 class JointDensity:
     """Joint first/second detection-time densities per output pair.
 
-    ``densities[(k, l)]`` has shape (nt, nt); axis 0 is the detection time
-    at output k, axis 1 at output l.  Units 1/ns^2.
+    ``densities`` is one float64 array of shape (n_pairs, nt, nt) whose rows
+    follow :func:`mode_pairs` order, so outputs k <= l sit in row
+    ``pair_index(k, l, n_modes)``; within a row, axis 0 is the detection
+    time at output k and axis 1 at output l.  Units 1/ns^2.
     """
 
     n_modes: int
     t: np.ndarray
     dt: float
-    densities: dict
+    densities: np.ndarray
 
     def total_integral(self) -> float:
-        return float(sum(d.sum() for d in self.densities.values()) * self.dt ** 2)
+        return float(sum(self.densities.sum(axis=(1, 2))) * self.dt ** 2)
 
     def integrate(self) -> CoincidenceDistribution:
         """Integrate each pair density over both times (raw table)."""
-        vals = np.array([self.densities[p].sum() * self.dt ** 2
-                         for p in mode_pairs(self.n_modes)])
-        return CoincidenceDistribution(self.n_modes, vals)
-
-    def _dtau_mask(self, half_window: float, center: float) -> np.ndarray:
-        d = np.abs(np.subtract.outer(self.t, self.t).T)  # |t2 - t1|
-        lo = max(0.0, center - half_window)
-        return (d >= lo) & (d <= center + half_window)
+        return CoincidenceDistribution(self.n_modes, self.densities.sum(axis=(1, 2)) * self.dt ** 2)
 
     def windowed(self, half_window: float, center: float = 0.0,
                  renormalize: bool = True) -> CoincidenceDistribution:
@@ -154,10 +149,10 @@ class JointDensity:
         if center + half_window > span:
             warnings.warn("window extends beyond the time grid; clamping",
                           stacklevel=2)
-        mask = self._dtau_mask(half_window, center)
-        vals = np.array([(self.densities[p] * mask).sum() * self.dt ** 2
-                         for p in mode_pairs(self.n_modes)])
-        dist = CoincidenceDistribution(self.n_modes, vals)
+        d = np.abs(np.subtract.outer(self.t, self.t).T)  # |t2 - t1|
+        mask = (d >= max(0.0, center - half_window)) & (d <= center + half_window)
+        dist = CoincidenceDistribution(
+            self.n_modes, (self.densities * mask).sum(axis=(1, 2)) * self.dt ** 2)
         return dist.normalized() if renormalize else dist
 
     def dtau_marginal(self, pair: tuple[int, int] | None = None):
@@ -167,10 +162,8 @@ class JointDensity:
         (dtau grid, density per ns).
         """
         nt = self.t.size
-        if pair is None:
-            mat = sum(self.densities[p] for p in mode_pairs(self.n_modes))
-        else:
-            mat = self.densities[(min(pair), max(pair))]
+        mat = (self.densities.sum(axis=0) if pair is None
+               else self.densities[pair_index(min(pair), max(pair), self.n_modes)])
         i1, i2 = np.meshgrid(np.arange(nt), np.arange(nt), indexing="ij")
         offsets = (i2 - i1).ravel() + nt - 1
         marg = np.bincount(offsets, weights=mat.ravel(), minlength=2 * nt - 1) * self.dt
@@ -179,7 +172,7 @@ class JointDensity:
 
     def to_csv(self, pair: tuple[int, int]) -> str:
         """Plot-ready ``t1,t2,value`` rows for one output pair."""
-        mat = self.densities[(min(pair), max(pair))]
+        mat = self.densities[pair_index(min(pair), max(pair), self.n_modes)]
         lines = ["t1_ns,t2_ns,density_per_ns2"]
         for a, t1 in enumerate(self.t):
             for b, t2 in enumerate(self.t):
@@ -221,8 +214,10 @@ def joint_density(matrix: TransferMatrix, i: int, j: int,
     cross = np.outer(u, np.conj(u))
     kap = coherence.kappa(np.subtract.outer(t, t).T)  # kappa(t2 - t1)
     m = matrix.elements
-    densities = {}
-    for k, l in mode_pairs(matrix.n_modes):
+    pairs = mode_pairs(matrix.n_modes)
+    # pair by pair: broadcasting over all pairs multiplies the complex temporaries
+    densities = np.empty((len(pairs), t.size, t.size))
+    for n, (k, l) in enumerate(pairs):
         a = m[i, k] * m[j, l]
         b = m[i, l] * m[j, k]
         dup = 2.0 if k == l else 1.0
@@ -234,7 +229,7 @@ def joint_density(matrix: TransferMatrix, i: int, j: int,
         floor = p.min()
         if floor < -1e-9 * max(p.max(), 1.0):
             raise AssertionError(f"negative joint density {floor} at pair ({k}, {l})")
-        densities[(k, l)] = np.clip(p, 0.0, None)
+        np.clip(p, 0.0, None, out=densities[n])
     return JointDensity(n_modes=matrix.n_modes, t=t, dt=dt, densities=densities)
 
 

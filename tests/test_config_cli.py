@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import mmi_lab
-from mmi_lab import TimeTagStream, config, simulate_fringes
+from mmi_lab import TimeTagStream, config, pipeline, simulate_fringes
 from mmi_lab.cli import main
+from mmi_lab.core import ModeIndexError
 from mmi_lab.instrument import ConfigError
 
 
@@ -123,6 +124,15 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x.ttag")])
         assert code == 2
 
+    @pytest.mark.parametrize("layout, code", [("hom_splitter", 0), ("mmi", 3)])
+    def test_matrix_source_read_only_by_mmi(self, tmp_path, layout, code):
+        # hom_splitter always uses the balanced splitter
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"[matrix]\nsource = file:{tmp_path / 'missing' / 'm.json'}\n")
+        assert main(["simulate", "--config", str(cfg), "--layout", layout,
+                     "--seconds", "1000", "--seed", "1",
+                     "--out", str(tmp_path / "x.ttag")]) == code
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -228,6 +238,8 @@ mc_trials = 50000
         (["predict", "-i", "1", "-j", "1"], None),
         (["analyze", "mmi"], "input_delayed = 2\ninput_direct = 2\n"),
         (["analyze", "timeresolved"], "input_direct = 5\n"),
+        (["predict", "-i", "5"], None),
+        (["predict", "-j", "0"], None),
     ])
     def test_bad_mode_index_is_config_error(self, run_dir, tmp_path, capsys,
                                              argv, layout):
@@ -237,7 +249,27 @@ mc_trials = 50000
             argv = argv + ["--stream", str(run_dir / "mmi.ttag"), "--config",
                            str(cfg), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if argv[0] == "predict" and len(argv) == 3:
+            # the 1-based flag as typed, not the 0-based mode index
+            flag, value = argv[1:]
+            assert err == f"config error: {flag} {value} out of range 1..4\n"
+
+    @pytest.mark.parametrize("analysis", [pipeline.analyze_mmi,
+                                          pipeline.analyze_timeresolved])
+    @pytest.mark.parametrize("layout", ["input_delayed = 2\ninput_direct = 2\n",
+                                        "input_direct = 5\n", "input_delayed = 0\n"])
+    def test_bad_input_pair_fails_before_extraction(self, monkeypatch, analysis, layout):
+        def extraction(*args, **kwargs):
+            raise AssertionError("coincidence extraction ran")
+
+        monkeypatch.setattr(pipeline, "extract_coincidences", extraction)
+        cfg = config.loads(f"[layout]\n{layout}")
+        stream = TimeTagStream(np.arange(8, dtype=np.uint8) % 4, np.arange(8, dtype=np.uint64),
+                               n_channels=4)
+        with pytest.raises(ModeIndexError):
+            analysis(stream, cfg)
 
     def test_missing_stream_exit_code(self, run_dir):
         assert main(["analyze", "g2", "--stream", "nope.ttag",

@@ -4,6 +4,7 @@ import pytest
 from mmi_lab import (CoherenceModel, calibrate_gaussian_jitter,
                      coincidence_classical, coincidence_quantum, hom_profile,
                      joint_density, random_unitary, similarity, sin2_envelope)
+from mmi_lab.core import pair_index
 from mmi_lab.temporal import integrated_visibility
 
 
@@ -63,7 +64,7 @@ class TestJointDensity:
     def test_splitter_perfect_coherence_suppresses_cross(self, splitter, envelope):
         jd = joint_density(splitter, 0, 1, envelope, envelope,
                            CoherenceModel.perfect(), t_max=300.0)
-        assert jd.densities[(0, 1)].max() <= 1e-6
+        assert jd.densities[pair_index(0, 1, 2)].max() <= 1e-6
 
     def test_incoherent_limit_integrates_to_classical(self, chip, envelope):
         jd = joint_density(chip, 0, 1, envelope, envelope,
@@ -83,7 +84,7 @@ class TestJointDensity:
             u = random_unitary(4, rng)
             jd = joint_density(u, 0, 2, envelope, envelope, coh,
                                delay_offset=rng.uniform(0, 50), t_max=400.0)
-            for dens in jd.densities.values():
+            for dens in jd.densities:
                 assert dens.min() >= 0.0
 
     def test_dtau_marginal_symmetry(self, chip, envelope):
