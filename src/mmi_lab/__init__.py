@@ -16,8 +16,7 @@ from .stats import (SimilarityResult, exceedance_probability, hpd_interval,
                     similarity_vs_dt)
 from .tagstream import (CoincidenceSet, CorrelationHistogram, SlidingProfile,
                         TimeTagStream, cross_correlate, deadtime_correction,
-                        extract_coincidences, g2_zero, parse_stream,
-                        sliding_histogram)
+                        extract_coincidences, g2_zero, sliding_histogram)
 from .temporal import (CoherenceModel, HomProfile, JointDensity, Wavepacket,
                        calibrate_gaussian_jitter, hom_profile, joint_density,
                        sin2_envelope)
@@ -36,7 +35,7 @@ __all__ = [
     "detection_prob_first", "detection_prob_second", "exceedance_probability",
     "expected_pair_rate", "extract_coincidences", "fit_visibility", "fock_oracle",
     "g2_zero", "gauge_fix", "hom_profile", "hpd_interval", "identity_matrix",
-    "joint_density", "measured_chip_matrix", "mode_pairs", "parse_stream",
+    "joint_density", "measured_chip_matrix", "mode_pairs",
     "poisson_mc_similarity", "project_first_detection", "random_baseline",
     "random_unitary", "renormalization_magnitude", "similarity",
     "similarity_vs_dt", "simulate_fringes", "simulate_run", "sin2_envelope",

@@ -16,6 +16,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
+from .core import ModeIndexError
 from .instrument import ConfigError, DetectorConfig, Layout, SourceConfig
 from .matrix import TransferMatrix, balanced_splitter, builtin_matrix
 
@@ -79,16 +80,22 @@ class ExperimentConfig:
         if spec.kind == "hbt":
             return Layout.hbt()
         matrix = self.build_matrix() if spec.kind == "mmi" else balanced_splitter()
+        delayed, direct = self._inputs(matrix.n_modes)
         return Layout(kind=spec.kind, interference_matrix=matrix,
-                      delay_line_ns=spec.delay_line_ns,
-                      input_delayed=spec.input_delayed - 1,
-                      input_direct=spec.input_direct - 1,
-                      polarization=spec.polarization)
+                      delay_line_ns=spec.delay_line_ns, input_delayed=delayed,
+                      input_direct=direct, polarization=spec.polarization)
 
-    def input_pair(self) -> tuple[int, int]:
-        """0-based (i, j) input pair fed by the routing."""
-        a, b = self.layout.input_delayed - 1, self.layout.input_direct - 1
-        return (min(a, b), max(a, b))
+    def input_pair(self, n_modes: int) -> tuple[int, int]:
+        """0-based (i, j) input pair fed by the routing into ``n_modes`` modes."""
+        return tuple(sorted(self._inputs(n_modes)))
+
+    def _inputs(self, n_modes: int) -> tuple[int, int]:
+        """0-based (delayed, direct) inputs, each checked against ``n_modes``."""
+        for key in ("input_delayed", "input_direct"):
+            value = getattr(self.layout, key)
+            if not 1 <= value <= n_modes:
+                raise ModeIndexError(f"[layout] {key} = {value} out of range 1..{n_modes}")
+        return self.layout.input_delayed - 1, self.layout.input_direct - 1
 
     # -- seeds and provenance ---------------------------------------------
 

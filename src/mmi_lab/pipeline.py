@@ -97,7 +97,7 @@ def analyze_hom(stream: TimeTagStream, reference: TimeTagStream,
 
 def _mmi_inputs(stream: TimeTagStream, cfg: ExperimentConfig):
     matrix = cfg.build_matrix()
-    pair = cfg.input_pair()
+    pair = cfg.input_pair(matrix.n_modes)
     _check_input_pair(matrix.n_modes, *pair)
     if stream.n_channels != matrix.n_modes:
         raise DataError(f"stream has {stream.n_channels} channels, matrix has {matrix.n_modes} modes")

@@ -3,9 +3,19 @@
 Detection events are (channel, tick) records with an 81 ps tick.  A
 stream is loaded into memory whole.  Zero-offset pairing and the count
 tables are array code; time-offset pairing (``_pair_offset``) is a greedy
-Python loop over the tag times.  The cross-correlator is array code that
+Python loop over the ticks.  The cross-correlator is array code that
 works through the stream in chunks, so its temporaries grow with the chunk
 size and the correlation range rather than the stream length.
+
+Every window and bin decision is exact integer arithmetic on the u64
+ticks.  A bound in ns becomes whole femtoseconds, ``_fs(ns) = round(ns *
+1e6)``.  Two tags ``d`` ticks apart fall within [lo, hi] when ``lo_fs <=
+d * tick_fs <= hi_fs``, tested as ``ceil(lo_fs / tick_fs) <= d <=
+floor(hi_fs / tick_fs)``; their correlation bin of pitch p is ``floor(d *
+tick_fs / p_fs)``; a tag's phase in a fold period P is ``((ticks % P_fs) *
+(tick_fs % P_fs)) % P_fs``.  Only differences and residues are multiplied,
+so nothing wraps or overflows at any tick.  Float ns appear only in
+results: ``dtau_ns = d * tick_ns - time_offset_ns`` and bin edges and centres.
 
 Binary file layout (little endian):
 
@@ -41,6 +51,13 @@ class StreamFormatError(ValueError):
     """Malformed time-tag payload; carries the offending byte/row position."""
 
 
+def _fs(ns: float) -> int:
+    """A time bound in ns as whole femtoseconds."""
+    if not np.isfinite(ns):
+        raise ValueError(f"time bound {ns} ns is not finite")
+    return round(ns * 1e6)
+
+
 @dataclass
 class TimeTagStream:
     """Chronologically ordered detector events."""
@@ -71,9 +88,6 @@ class TimeTagStream:
     @property
     def tick_ns(self) -> float:
         return self.tick_fs * 1e-6
-
-    def times_ns(self) -> np.ndarray:
-        return self.ticks.astype(np.float64) * self.tick_ns
 
     def counts_per_channel(self) -> np.ndarray:
         return np.bincount(self.channels, minlength=self.n_channels)
@@ -113,7 +127,7 @@ class TimeTagStream:
         if len(body) % _RECORD.itemsize:
             raise StreamFormatError(f"truncated record at byte {16 + len(body) - len(body) % _RECORD.itemsize}")
         rec = np.frombuffer(body, dtype=_RECORD)
-        return cls(rec["channel"].copy(), rec["tick"].copy(), n_channels, tick_fs)
+        return cls(rec["channel"], rec["tick"], n_channels, tick_fs)
 
     def write_file(self, path) -> None:
         with open(path, "wb") as fh:
@@ -153,69 +167,46 @@ class TimeTagStream:
                    n_channels, tick_fs)
 
 
-def parse_stream(payload) -> TimeTagStream:
-    """Parse binary bytes or CSV text into a stream."""
-    if isinstance(payload, (bytes, bytearray)):
-        return TimeTagStream.from_bytes(bytes(payload))
-    return TimeTagStream.from_csv(str(payload))
-
-
 # -- sliding histograms --------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SlidingProfile:
-    """Count-rate profile from overlapping bins (width >= pitch)."""
+    """Folded count-rate profile from overlapping bins (width >= pitch)."""
 
     centers: np.ndarray
     counts: np.ndarray
     bin_width: float
     pitch: float
-    folded: bool
     fine_counts: np.ndarray
     fine_edges: np.ndarray
 
 
-def _moving_sum(fine: np.ndarray, width: int, circular: bool) -> np.ndarray:
-    if circular:
-        ext = np.concatenate([fine, fine[:width - 1]]) if width > 1 else fine
-        return np.convolve(ext, np.ones(width), mode="valid")[:fine.size]
-    return np.convolve(fine, np.ones(width), mode="valid")
-
-
-def sliding_histogram(stream: TimeTagStream, channels=None,
-                      bin_width: float = 40.0, pitch: float = 4.0,
-                      fold_period: float | None = None,
-                      span: float | None = None) -> SlidingProfile:
-    """Overlapping-bin count profile of detection times.
-
-    With ``fold_period`` the times are folded modulo the period (circular
-    windows), which is how pulse intensity profiles are accumulated.
-    """
-    if pitch <= 0 or bin_width < pitch:
-        raise ValueError("need pitch > 0 and bin_width >= pitch")
+def sliding_histogram(stream: TimeTagStream, fold_period: float,
+                      bin_width: float = 40.0, pitch: float = 4.0) -> SlidingProfile:
+    """Overlapping-bin count profile of detection times folded modulo
+    ``fold_period`` (circular windows), which is how pulse intensity
+    profiles are accumulated."""
+    period_fs, pitch_fs = _fs(fold_period), _fs(pitch)
+    if pitch_fs <= 0 or bin_width < pitch:
+        raise ValueError("need pitch >= 1 fs and bin_width >= pitch")
+    if period_fs <= 0:
+        raise ValueError("fold period must be positive")
+    step = stream.tick_fs % period_fs
+    if (period_fs - 1) * step >= 1 << 64:
+        raise ValueError(f"fold period {fold_period} ns too long for an exact u64 phase")
     width = max(1, int(round(bin_width / pitch)))
-    sub = stream if channels is None else stream.select(channels)
-    t = sub.times_ns()
-    if fold_period is not None:
-        t = np.mod(t, fold_period)
-        span = fold_period
-    elif span is None:
-        span = float(t.max()) + pitch if t.size else bin_width
-    n_fine = max(width, int(np.ceil(span / pitch)))
-    edges = np.arange(n_fine + 1) * pitch
-    fine, _ = np.histogram(t, bins=edges)
-    circular = fold_period is not None
-    counts = _moving_sum(fine.astype(float), width, circular)
-    if circular:
-        centers = (np.arange(n_fine) + width / 2.0) * pitch % span
-        order = np.argsort(centers)
-        centers, counts = centers[order], counts[order]
-    else:
-        centers = (np.arange(counts.size) + width / 2.0) * pitch
-    return SlidingProfile(centers=centers, counts=counts, bin_width=bin_width,
-                          pitch=pitch, folded=circular,
-                          fine_counts=fine, fine_edges=edges)
+    n_fine = max(width, -(-period_fs // pitch_fs))
+    period = np.uint64(period_fs)
+    phase = stream.ticks % period * np.uint64(step) % period
+    fine = np.bincount((phase // np.uint64(pitch_fs)).astype(np.intp), minlength=n_fine)
+    circular = np.concatenate([fine, fine[:width - 1]]).astype(float)
+    counts = np.convolve(circular, np.ones(width), mode="valid")
+    centers = (np.arange(n_fine) + width / 2.0) * pitch % fold_period
+    order = np.argsort(centers)
+    return SlidingProfile(centers=centers[order], counts=counts[order],
+                          bin_width=bin_width, pitch=pitch, fine_counts=fine,
+                          fine_edges=np.arange(n_fine + 1) * pitch)
 
 
 # -- pair correlators ------------------------------------------------------
@@ -250,46 +241,42 @@ def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
     """Histogram every pair of detections on the two channels with
     |t_b - t_a| inside the range.
 
-    Each tag's earlier partners are found with ``searchsorted`` (Laurence,
-    Fore & Huser, Opt. Lett. 31, 829 (2006)), over-selected by a few ulps
-    and then kept exactly when ``t_j - t_i <= span``; float subtraction is
-    monotone on sorted times, so that is the same set a rolling buffer
-    holds.  Tags are processed in chunks of ``_CHUNK_TAGS``.
+    Each tag's earlier partners, those at most the histogram span before
+    it, are found with ``searchsorted`` on the ticks (Laurence, Fore &
+    Huser, Opt. Lett. 31, 829 (2006)).  Tags are processed in chunks of
+    ``_CHUNK_TAGS``.
     """
     if ch_a == ch_b and not allow_same:
         raise ValueError("same-channel correlation needs allow_same=True")
-    if pitch <= 0 or bin_width < pitch:
-        raise ValueError("need pitch > 0 and bin_width >= pitch")
-    n_half = int(np.ceil(range_ns / pitch))
+    pitch_fs = _fs(pitch)
+    if pitch_fs <= 0 or bin_width < pitch:
+        raise ValueError("need pitch >= 1 fs and bin_width >= pitch")
+    n_half = -(-_fs(range_ns) // pitch_fs)
     edges = (np.arange(2 * n_half + 1) - n_half) * pitch
     fine = np.zeros(2 * n_half, dtype=np.int64)
-    span = edges[-1]
 
     sub = stream.select([ch_a] if ch_a == ch_b else [ch_a, ch_b])
-    t = sub.times_ns()
+    t = sub.ticks
     chans = sub.channels
-    slack = 4 * (np.spacing(span) + np.spacing(t[-1] if t.size else 0.0))
+    span = n_half * pitch_fs // sub.tick_fs
     for r0 in range(0, t.size, _CHUNK_TAGS):
         rows = np.arange(r0, min(r0 + _CHUNK_TAGS, t.size))
-        first = np.searchsorted(t, t[rows] - (span + slack))
+        # the earliest partner tick, clamped at 0 instead of wrapping
+        first = np.searchsorted(t, t[rows] - np.minimum(t[rows], span))
         m = rows - first
         jj = np.repeat(rows, m)
         ii = np.arange(jj.size) + np.repeat(first - (np.cumsum(m) - m), m)
-        dt = t[jj] - t[ii]
-        keep = dt <= span
+        dt = (t[jj] - t[ii]).astype(np.int64) * sub.tick_fs
         if ch_a == ch_b:
-            dt = dt[keep]
             dt = np.concatenate((dt, -dt))
         else:
-            keep &= chans[ii] != chans[jj]
-            # t_b - t_a: negating t_j - t_i gives t_i - t_j exactly
-            dt = np.where(chans[jj[keep]] == ch_b, dt[keep], -dt[keep])
-        idx = np.floor(dt / pitch)
-        idx = idx[(idx >= -n_half) & (idx < n_half)].astype(np.int64) + n_half
-        fine += np.bincount(idx, minlength=fine.size)
+            cross = chans[ii] != chans[jj]
+            dt = np.where(chans[jj[cross]] == ch_b, dt[cross], -dt[cross])
+        # a separation of exactly +span lands one past the last bin
+        fine += np.bincount(dt // pitch_fs + n_half, minlength=fine.size + 1)[:fine.size]
 
     width = max(1, int(round(bin_width / pitch)))
-    counts = _moving_sum(fine.astype(float), width, circular=False)
+    counts = np.convolve(fine.astype(float), np.ones(width), mode="valid")
     centers = edges[:counts.size] + (width / 2.0) * pitch
     return CorrelationHistogram(ch_a=ch_a, ch_b=ch_b, range_ns=range_ns,
                                 bin_width=bin_width, pitch=pitch,
@@ -363,27 +350,27 @@ class CoincidenceSet:
         return self.counts.same_detector_values()
 
 
-def _pair_neighbours(times: np.ndarray, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy pairing when every earlier tag within ``hi`` qualifies.
+def _pair_neighbours(ticks: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pairing when every earlier tag within ``hi`` ticks qualifies.
 
     The buffer then never holds more than the previous tag: runs of tags
     spaced at most ``hi`` apart pair up 1-2, 3-4, ... and an odd last tag
     of a run is unmatched.
     """
-    starts = np.ones(times.size, dtype=bool)
-    starts[1:] = np.diff(times) > hi
-    pos = np.arange(times.size)
+    starts = np.ones(ticks.size, dtype=bool)
+    starts[1:] = np.diff(ticks) > hi
+    pos = np.arange(ticks.size)
     run_start = np.maximum.accumulate(np.where(starts, pos, 0))
     second = pos[(pos - run_start) % 2 == 1]
     return second - 1, second
 
 
-def _pair_offset(times: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy pairing with separations in [lo, hi], lo > 0: the oldest
-    unmatched tag still within ``hi`` is paired first."""
-    buf: deque[tuple[float, int]] = deque()
+def _pair_offset(ticks: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pairing with separations in [lo, hi] ticks, lo > 0: the
+    oldest unmatched tag still within ``hi`` is paired first."""
+    buf: deque[tuple[int, int]] = deque()
     first, second = [], []
-    for j, t in enumerate(times.tolist()):
+    for j, t in enumerate(ticks.tolist()):
         while buf and t - buf[0][0] > hi:
             buf.popleft()
         if buf and t - buf[0][0] >= lo:
@@ -410,13 +397,14 @@ def extract_coincidences(stream: TimeTagStream, window_ns: float,
     if time_offset_ns < 0:
         raise ValueError("time offset must be non-negative")
     sub = stream if channels is None else stream.select(channels)
-    times = sub.times_ns()
-    lo = time_offset_ns - window_ns
-    hi = time_offset_ns + window_ns
+    window_fs, offset_fs = _fs(window_ns), _fs(time_offset_ns)
+    lo = -(-(offset_fs - window_fs) // sub.tick_fs)
+    hi = (offset_fs + window_fs) // sub.tick_fs
+    ticks = sub.ticks
     if lo <= 0:
-        first, second = _pair_neighbours(times, hi)
+        first, second = _pair_neighbours(ticks, hi)
     else:
-        first, second = _pair_offset(times, lo, hi)
+        first, second = _pair_offset(ticks, lo, hi)
     c_first = sub.channels[first].astype(int)
     c_second = sub.channels[second].astype(int)
     pair_k = np.minimum(c_first, c_second)
@@ -426,11 +414,11 @@ def extract_coincidences(stream: TimeTagStream, window_ns: float,
     return CoincidenceSet(
         pair_k=pair_k,
         pair_l=pair_l,
-        dtau_ns=(times[second] - times[first]) - time_offset_ns,
+        dtau_ns=(ticks[second] - ticks[first]) * sub.tick_ns - time_offset_ns,
         counts=CoincidenceDistribution(n, vals.astype(float)),
         window_ns=window_ns,
         time_offset_ns=time_offset_ns,
-        n_unmatched=len(times) - 2 * len(first),
+        n_unmatched=len(ticks) - 2 * len(first),
     )
 
 

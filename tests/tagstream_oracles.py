@@ -1,9 +1,15 @@
 """Reference implementations of the tag-stream kernels.
 
-These are the original single-pass loops of ``extract_coincidences`` and
-``cross_correlate``, kept verbatim as oracles for the array
-implementations in ``mmi_lab.tagstream``: both must give bit-identical
-output on the same stream.
+``oracle_extract_coincidences`` and ``oracle_cross_correlate`` are the
+original single-pass loops over float64 nanosecond times, kept verbatim
+apart from converting the ticks inline.  They are oracles only where
+float64 is exact: 1 ns ticks below 2**53.
+
+The ``int_oracle_*`` loops state the integer rule of ``mmi_lab.tagstream``
+directly on Python-int femtosecond times (``tick * tick_fs``, which never
+wraps): a pair qualifies when ``lo_fs <= t_j - t_i <= hi_fs``, a bin is
+``floor(dt_fs / pitch_fs)`` and a phase is ``t_fs % period_fs``.  The
+array kernels must match them bit for bit at any u64 tick.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ def oracle_cross_correlate(stream, ch_a, ch_b, range_ns, pitch=20.0):
     span = edges[-1]
 
     sub = stream.select([ch_a] if ch_a == ch_b else [ch_a, ch_b])
-    times = sub.times_ns()
+    times = sub.ticks.astype(np.float64) * sub.tick_ns
     chans = sub.channels
     buf: deque[tuple[float, int]] = deque()
     for t, c in zip(times, chans):
@@ -51,7 +57,7 @@ def oracle_extract_coincidences(stream, window_ns, channels=None,
                                 time_offset_ns=0.0):
     """The greedy chronological pairing loop, both modes."""
     sub = stream if channels is None else stream.select(channels)
-    times = sub.times_ns()
+    times = sub.ticks.astype(np.float64) * sub.tick_ns
     chans = sub.channels
     lo = time_offset_ns - window_ns
     hi = time_offset_ns + window_ns
@@ -94,3 +100,83 @@ def oracle_same_detector_counts(co):
         if k == l:
             out[k] += 1
     return out
+
+
+def _fs(ns):
+    return round(ns * 1e6)
+
+
+def int_oracle_extract_coincidences(stream, window_ns, channels=None,
+                                    time_offset_ns=0.0):
+    """The greedy chronological pairing loop on femtosecond integers."""
+    sub = stream if channels is None else stream.select(channels)
+    lo = _fs(time_offset_ns) - _fs(window_ns)
+    hi = _fs(time_offset_ns) + _fs(window_ns)
+    buf: deque[tuple[int, int, int]] = deque()
+    out_k, out_l, out_dt = [], [], []
+    n_unmatched = 0
+    for tick, c in zip(sub.ticks.tolist(), sub.channels.tolist()):
+        t = tick * sub.tick_fs
+        while buf and t - buf[0][0] > hi:
+            buf.popleft()
+            n_unmatched += 1
+        if buf and t - buf[0][0] >= lo:
+            _, tick_old, c_old = buf.popleft()
+            out_k.append(min(c_old, c))
+            out_l.append(max(c_old, c))
+            out_dt.append(float(tick - tick_old) * sub.tick_ns - time_offset_ns)
+        else:
+            buf.append((t, tick, c))
+    n_unmatched += len(buf)
+    n = sub.n_channels
+    pairs = mode_pairs(n)
+    vals = np.zeros(len(pairs))
+    for k, l in zip(out_k, out_l):
+        vals[pairs.index((k, l))] += 1
+    return CoincidenceSet(
+        pair_k=np.array(out_k, dtype=int),
+        pair_l=np.array(out_l, dtype=int),
+        dtau_ns=np.array(out_dt, dtype=float),
+        counts=CoincidenceDistribution(n, vals),
+        window_ns=window_ns,
+        time_offset_ns=time_offset_ns,
+        n_unmatched=n_unmatched,
+    )
+
+
+def int_oracle_cross_correlate(stream, ch_a, ch_b, range_ns, pitch=20.0):
+    """``fine_counts`` of the rolling-buffer correlator on femtosecond integers."""
+    pitch_fs = _fs(pitch)
+    n_half = -(-_fs(range_ns) // pitch_fs)
+    span = n_half * pitch_fs
+    fine = np.zeros(2 * n_half, dtype=np.int64)
+    sub = stream.select([ch_a] if ch_a == ch_b else [ch_a, ch_b])
+    buf: deque[tuple[int, int]] = deque()
+    for tick, c in zip(sub.ticks.tolist(), sub.channels.tolist()):
+        t = tick * sub.tick_fs
+        while buf and t - buf[0][0] > span:
+            buf.popleft()
+        for t_old, c_old in buf:
+            if ch_a == ch_b:
+                dts = (t - t_old, t_old - t)
+            elif c_old == ch_a and c == ch_b:
+                dts = (t - t_old,)
+            elif c_old == ch_b and c == ch_a:
+                dts = (t_old - t,)
+            else:
+                continue
+            for dt in dts:
+                idx = dt // pitch_fs + n_half
+                if 0 <= idx < fine.size:
+                    fine[idx] += 1
+        buf.append((t, c))
+    return fine
+
+
+def int_oracle_fold_counts(stream, fold_period, pitch):
+    """Per-pitch counts of the tags' phases ``t_fs % period_fs``."""
+    period_fs, pitch_fs = _fs(fold_period), _fs(pitch)
+    fine = np.zeros(-(-period_fs // pitch_fs), dtype=np.int64)
+    for tick in stream.ticks.tolist():
+        fine[tick * stream.tick_fs % period_fs // pitch_fs] += 1
+    return fine

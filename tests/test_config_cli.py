@@ -73,7 +73,7 @@ class TestConfigParsing:
 
     def test_input_pair_one_based_to_zero_based(self):
         cfg = config.loads("[layout]\ninput_delayed = 1\ninput_direct = 3\n")
-        assert cfg.input_pair() == (0, 2)
+        assert cfg.input_pair(4) == (0, 2)
 
     def test_matrix_sources(self, tmp_path, chip):
         cfg = config.default_config()
@@ -270,6 +270,31 @@ mc_trials = 50000
                                n_channels=4)
         with pytest.raises(ModeIndexError):
             analysis(stream, cfg)
+
+    @pytest.mark.parametrize("key, value", [("input_direct", 5), ("input_delayed", 0)])
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_layout_input_out_of_range_names_key(self, tmp_path, capsys, key, value, command):
+        cfg = tmp_path / "layout.cfg"
+        cfg.write_text(f"[layout]\n{key} = {value}\n")
+        stream = tmp_path / "s.ttag"
+        if command == "simulate":
+            argv = ["simulate", "--seconds", "10", "--out", str(stream)]
+        else:
+            TimeTagStream(np.arange(8, dtype=np.uint8) % 4, np.arange(8, dtype=np.uint64),
+                          n_channels=4).write_file(stream)
+            argv = ["analyze", "mmi", "--stream", str(stream), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: [layout] {key} = {value} out of range 1..4\n"
+
+    def test_non_finite_window_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("[analysis]\ncoincidence_window_ns = inf\n")
+        stream = tmp_path / "s.ttag"
+        TimeTagStream(np.arange(8, dtype=np.uint8) % 4, np.arange(8, dtype=np.uint64),
+                      n_channels=4).write_file(stream)
+        assert main(["analyze", "mmi", "--stream", str(stream), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "data error: time bound inf ns is not finite\n"
 
     def test_missing_stream_exit_code(self, run_dir):
         assert main(["analyze", "g2", "--stream", "nope.ttag",

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mmi_lab import (CoincidenceDistribution, TimeTagStream, cross_correlate,
                      deadtime_correction, extract_coincidences, g2_zero,
-                     parse_stream, sliding_histogram)
+                     sliding_histogram)
 from mmi_lab.tagstream import DEFAULT_TICK_FS, StreamFormatError
 
 TICK_NS = 0.081
@@ -23,14 +23,14 @@ class TestBinaryFormat:
         stream = TimeTagStream(np.array([], np.uint8), np.array([], np.uint64), 4)
         payload = stream.to_bytes()
         assert len(payload) == 16
-        back = parse_stream(payload)
+        back = TimeTagStream.from_bytes(payload)
         assert len(back) == 0
         assert back.n_channels == 4
         assert back.tick_fs == DEFAULT_TICK_FS
 
     def test_single_record(self):
         stream = TimeTagStream(np.array([2], np.uint8), np.array([1000], np.uint64), 4)
-        back = parse_stream(stream.to_bytes())
+        back = TimeTagStream.from_bytes(stream.to_bytes())
         assert back.channels.tolist() == [2]
         assert back.ticks.tolist() == [1000]
 
@@ -56,27 +56,52 @@ class TestBinaryFormat:
         assert np.array_equal(back.ticks, ticks)
         assert back.to_bytes() == payload
 
+    def test_file_round_trip(self, tmp_path):
+        ticks = np.array([0, 5, 5, 2 ** 63, 2 ** 64 - 1], np.uint64)
+        stream = TimeTagStream(np.array([3, 0, 1, 2, 3], np.uint8), ticks, 4)
+        stream.write_file(tmp_path / "s.ttag")
+        back = TimeTagStream.from_file(tmp_path / "s.ttag")
+        assert np.array_equal(back.ticks, stream.ticks)
+        assert np.array_equal(back.channels, stream.channels)
+        assert back.ticks.dtype == np.uint64 and back.channels.dtype == np.uint8
+        assert (back.n_channels, back.tick_fs) == (4, DEFAULT_TICK_FS)
+
     def test_bad_magic(self):
         with pytest.raises(StreamFormatError, match="magic"):
-            parse_stream(b"NOPE" + b"\x00" * 12)
+            TimeTagStream.from_bytes(b"NOPE" + b"\x00" * 12)
 
     def test_truncated_record(self):
         stream = TimeTagStream(np.array([1], np.uint8), np.array([5], np.uint64), 4)
         with pytest.raises(StreamFormatError, match="truncated"):
-            parse_stream(stream.to_bytes()[:-3])
+            TimeTagStream.from_bytes(stream.to_bytes()[:-3])
 
     def test_non_monotonic_rejected_with_position(self):
         payload = TimeTagStream(np.array([0, 0], np.uint8),
                                 np.array([10, 20], np.uint64), 2).to_bytes()
         swapped = payload[:16] + payload[28:] + payload[16:28]
         with pytest.raises(StreamFormatError, match="record 1"):
-            parse_stream(swapped)
+            TimeTagStream.from_bytes(swapped)
 
     def test_zero_tick_size_rejected(self):
         payload = TimeTagStream(np.array([1], np.uint8), np.array([5], np.uint64), 4,
                                 tick_fs=0).to_bytes()
         with pytest.raises(StreamFormatError, match="tick size"):
-            parse_stream(payload)
+            TimeTagStream.from_bytes(payload)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("kernel", [
+    lambda s, x: extract_coincidences(s, window_ns=x),
+    lambda s, x: extract_coincidences(s, window_ns=300.0, time_offset_ns=x),
+    lambda s, x: cross_correlate(s, 0, 1, range_ns=x),
+    lambda s, x: cross_correlate(s, 0, 1, range_ns=100.0, bin_width=x, pitch=x),
+    lambda s, x: sliding_histogram(s, fold_period=x),
+    lambda s, x: sliding_histogram(s, fold_period=664.0, bin_width=x, pitch=x),
+], ids=["window", "offset", "range", "pitch", "fold period", "fold pitch"])
+def test_non_finite_bounds_rejected(kernel, bad):
+    # a bound must become whole femtoseconds, which inf and nan cannot
+    with pytest.raises(ValueError):
+        kernel(make_stream([0.0, 10.0], [0, 1], n_channels=2), bad)
 
 
 class TestCsvFormat:
@@ -110,19 +135,20 @@ class TestSlidingHistogram:
         assert prof.counts.sum() == 0
 
     def test_poisson_stream_flat(self, rng):
-        times = np.sort(rng.uniform(0, 1e6, 20000))
+        # 100 periods of uniform arrivals fold onto a flat profile
+        times = np.sort(rng.uniform(0, 1e8, 20000))
         stream = make_stream(times, np.zeros(20000), n_channels=1)
         prof = sliding_histogram(stream, bin_width=1000.0, pitch=1000.0,
-                                 span=1e6)
+                                 fold_period=1e6)
         expected = 20.0
         dev = np.abs(prof.counts - expected) / np.sqrt(expected)
         assert np.mean(dev <= 3.0) >= 0.985  # per-bin 3-sigma counting noise
         assert dev.max() <= 5.0
 
     def test_instant_burst_plateau(self):
-        times = np.full(500, 5000.0)
+        times = np.full(500, 7 * 10000.0 + 5000.0)
         stream = make_stream(times, np.zeros(500), n_channels=1)
-        prof = sliding_histogram(stream, bin_width=40.0, pitch=4.0, span=10000.0)
+        prof = sliding_histogram(stream, bin_width=40.0, pitch=4.0, fold_period=10000.0)
         occupied = prof.counts >= 499
         width = occupied.sum() * prof.pitch
         assert abs(width - prof.bin_width) <= 2 * prof.pitch
@@ -144,7 +170,14 @@ class TestSlidingHistogram:
     def test_pitch_validation(self):
         stream = make_stream([1.0], [0], n_channels=1)
         with pytest.raises(ValueError):
-            sliding_histogram(stream, bin_width=4.0, pitch=40.0)
+            sliding_histogram(stream, bin_width=4.0, pitch=40.0, fold_period=664.0)
+
+    @pytest.mark.parametrize("fold_period", [0.0, -664.0, 1e9])
+    def test_fold_period_validation(self, fold_period):
+        # 1 s on 81 ps ticks would overflow the exact u64 phase product
+        stream = make_stream([1.0], [0], n_channels=1)
+        with pytest.raises(ValueError, match="fold period"):
+            sliding_histogram(stream, bin_width=8.0, pitch=8.0, fold_period=fold_period)
 
 
 class TestCrossCorrelate:
@@ -294,7 +327,7 @@ class TestDeadtimeCorrection:
         counts = np.where(t < 300.0, np.sin(np.pi * t / 300.0) ** 2, 0.0) * 1000
         from mmi_lab.tagstream import SlidingProfile
         return SlidingProfile(centers=t, counts=counts, bin_width=8.0,
-                              pitch=8.0, folded=True,
+                              pitch=8.0,
                               fine_counts=counts, fine_edges=np.arange(84) * 8.0)
 
     def test_zero_recovery_time_is_identity(self, rng):
