@@ -89,7 +89,7 @@ def cmd_simulate(args) -> int:
         "delivered_pairs": truth.delivered_pairs,
         "detected_pairs": truth.detected_pairs,
         "n_suppressed": truth.n_suppressed,
-        "expected_pair_rate_hz": expected_pair_rate(cfg.source, layout, cfg.detectors),
+        "expected_pair_rate_hz": expected_pair_rate(cfg.source, layout),
     }
     _write(out.parent, {out.name + ".manifest.json": _json(manifest) + "\n"})
     print(_json(manifest))

@@ -2,7 +2,8 @@
 
 INI-style documents with sections [source], [detectors], [layout],
 [matrix] and [analysis].  Unknown sections or keys are rejected so typos
-cannot silently fall back to defaults.  Mode indices in config files are
+cannot silently fall back to defaults; every number must be finite and
+every [analysis] duration (``*_ns``) positive.  Mode indices in config files are
 1-based (matching how interferometer ports are labelled); the library
 converts to 0-based indices internally.  Every stochastic step derives
 its seed deterministically from ``analysis.master_seed``.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
@@ -39,8 +41,10 @@ class AnalysisConfig:
     master_seed: int = 20260101
 
     def __post_init__(self):
-        if self.coincidence_window_ns <= 0:
-            raise ConfigError("coincidence window must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_ns") and not value > 0:
+                raise ConfigError(f"{f.name} must be positive, got {value}")
         if self.mc_trials < 1000:
             raise ConfigError("mc_trials unreasonably small")
         if self.reference_offset_cycles < 1:
@@ -50,7 +54,6 @@ class AnalysisConfig:
 @dataclass(frozen=True)
 class LayoutSpec:
     kind: str = "mmi"
-    delay_line_ns: float = 664.0
     input_delayed: int = 1          # 1-based, as written in config files
     input_direct: int = 2
     polarization: str = "parallel"
@@ -82,8 +85,8 @@ class ExperimentConfig:
         matrix = self.build_matrix() if spec.kind == "mmi" else balanced_splitter()
         delayed, direct = self._inputs(matrix.n_modes)
         return Layout(kind=spec.kind, interference_matrix=matrix,
-                      delay_line_ns=spec.delay_line_ns, input_delayed=delayed,
-                      input_direct=direct, polarization=spec.polarization)
+                      input_delayed=delayed, input_direct=direct,
+                      polarization=spec.polarization)
 
     def input_pair(self, n_modes: int) -> tuple[int, int]:
         """0-based (i, j) input pair fed by the routing into ``n_modes`` modes."""
@@ -130,9 +133,12 @@ _SECTION_TYPES = {
 def _convert(raw: str, default):
     """``raw`` as the type of ``default``; None marks an optional float."""
     value = raw.strip()
-    if default is None:
-        return None if value.lower() in ("none", "auto", "calibrated") else float(value)
-    return type(default)(value)
+    if default is None and value.lower() in ("none", "auto", "calibrated"):
+        return None
+    converted = float(value) if default is None else type(default)(value)
+    if isinstance(converted, float) and not math.isfinite(converted):
+        raise ValueError(f"{value!r} is not finite")
+    return converted
 
 
 def _parse_section(parser: configparser.ConfigParser, name: str, cls):

@@ -130,18 +130,16 @@ class CoincidenceDistribution:
                                        cross_detector_only=self.cross_detector_only,
                                        renormalized=not self.cross_detector_only)
 
-    def as_dict(self, one_based: bool = True) -> dict[str, float]:
-        off = 1 if one_based else 0
-        return {f"{k + off},{l + off}": float(v)
+    def as_dict(self) -> dict[str, float]:
+        """``"k,l" -> value`` with 1-based detector labels."""
+        return {f"{k + 1},{l + 1}": float(v)
                 for (k, l), v in zip(self.pairs, self.values)}
 
     @classmethod
-    def from_dict(cls, d: dict[str, float], n_modes: int,
-                  one_based: bool = True) -> "CoincidenceDistribution":
-        off = 1 if one_based else 0
+    def from_dict(cls, d: dict[str, float], n_modes: int) -> "CoincidenceDistribution":
         entries = {}
         for key, v in d.items():
-            k, l = (int(x) - off for x in key.split(","))
+            k, l = (int(x) - 1 for x in key.split(","))
             entries[(min(k, l), max(k, l))] = float(v)
         cross_only = all(k != l for k, l in entries)
         pairs = _table_pairs(n_modes, cross_only)
@@ -380,9 +378,9 @@ def renormalization_magnitude(matrix: TransferMatrix) -> float:
 
 
 def fit_visibility(measured: CoincidenceDistribution, matrix: TransferMatrix,
-                   i: int, j: int, grid_step: float = 0.001) -> tuple[float, float]:
+                   i: int, j: int) -> tuple[float, float]:
     """Find the two-photon visibility whose mixture best matches measured
-    counts, maximising the similarity S over V in [0, 1].
+    counts, maximising the similarity S over V on a 0.001 grid in [0, 1].
 
     Returns ``(V*, S at V*)``.  The measured distribution may be
     cross-detector-only; the prediction is restricted to the same channels.
@@ -396,7 +394,7 @@ def fit_visibility(measured: CoincidenceDistribution, matrix: TransferMatrix,
     c = coincidence_classical(matrix, i, j, renormalized=True)
     if measured.cross_detector_only:
         q, c = q.cross_only(), c.cross_only()
-    grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)[:, None]
+    grid = np.arange(0.0, 1.0005, 0.001)[:, None]
     s = similarity(counts, grid * q.values + (1.0 - grid) * c.values)
     best = int(np.argmax(s))  # the first of tied maxima, as a strict > scan keeps
     return float(grid[best, 0]), float(s[best])

@@ -16,7 +16,6 @@ order, so identical seeds give bit-identical streams.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +86,8 @@ class SourceConfig:
             return 0.0
         return min(1.0, self.overall_efficiency / self.emission_prob)
 
-    def envelope(self, dt: float = 1.0) -> Wavepacket:
-        return sin2_envelope(self.pulse_length_ns, dt)
+    def envelope(self) -> Wavepacket:
+        return sin2_envelope(self.pulse_length_ns)
 
     def coherence(self) -> CoherenceModel:
         if self.coherence_jitter_sd is not None:
@@ -99,15 +98,12 @@ class SourceConfig:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    efficiency: float = 0.85
     jitter_sd_ps: float = 50.0
     dead_time_ns: float = 50.0
     dark_rate_per_hour: float = 30.0
     tick_fs: int = 81_000
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ConfigError("detector efficiency must be in [0, 1]")
         if self.dead_time_ns < 0 or self.jitter_sd_ps < 0 or self.dark_rate_per_hour < 0:
             raise ConfigError("detector parameters must be non-negative")
 
@@ -132,7 +128,6 @@ class Layout:
 
     kind: str = "mmi"
     interference_matrix: TransferMatrix = field(default_factory=measured_chip_matrix)
-    delay_line_ns: float = 664.0
     input_delayed: int = 0
     input_direct: int = 1
     polarization: str = "parallel"
@@ -275,10 +270,6 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     """
     if wall_time_s <= 0:
         raise ConfigError("wall time must be positive")
-    if layout.kind != "hbt" and layout.delay_line_ns != source.duty_cycle_ns:
-        warnings.warn("delay line does not match the duty cycle; "
-                      "paired photons will not arrive simultaneously",
-                      stacklevel=2)
     rng = np.random.default_rng(seed)
     duty = source.duty_cycle_ns
     wall_ns = wall_time_s * 1e9
@@ -339,8 +330,7 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         channel, t_ns, pair_id = (np.concatenate(x) for x in (chans, times, pids))
 
     # -- detection chain -------------------------------------------------
-    keep_prob = source.detection_chain_prob() if detectors.efficiency > 0 else 0.0
-    kept = rng.random(channel.size) < keep_prob
+    kept = rng.random(channel.size) < source.detection_chain_prob()
     channel, t_ns, pair_id = channel[kept], t_ns[kept], pair_id[kept]
     per_pair = np.bincount(pair_id[pair_id >= 0], minlength=delivered_pairs)
     detected_pairs = int(np.sum(per_pair == 2))
@@ -365,10 +355,7 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     keep = _apply_dead_time(channel, ticks, n_det, dead_ticks)
     stream = TimeTagStream(channel[keep].astype(np.uint8),
                            ticks[keep].astype(np.uint64),
-                           n_channels=n_det, tick_fs=detectors.tick_fs,
-                           metadata={"seed": seed, "wall_time_s": wall_time_s,
-                                     "layout": layout.kind,
-                                     "polarization": layout.polarization})
+                           n_channels=n_det, tick_fs=detectors.tick_fs)
     if not with_truth:
         return stream
     truth = TruthRecord(
@@ -399,8 +386,7 @@ def _apply_dead_time(channel: np.ndarray, ticks: np.ndarray, n_channels: int,
     return keep
 
 
-def expected_pair_rate(source: SourceConfig, layout: Layout,
-                       detectors: DetectorConfig) -> float:
+def expected_pair_rate(source: SourceConfig, layout: Layout) -> float:
     """Analytic mean rate of recorded coincident pairs (both photons
     detected), to first order in the routing-error and two-photon rates.
 
@@ -416,7 +402,7 @@ def expected_pair_rate(source: SourceConfig, layout: Layout,
     that of detected same-interval pairs from two-photon emissions.
     """
     p1, p2 = source.emission_prob, source.two_photon_prob
-    keep = source.detection_chain_prob() if detectors.efficiency > 0 else 0.0
+    keep = source.detection_chain_prob()
     if p1 <= 0 or keep <= 0:
         return 0.0
     n = source.pulses_per_transit

@@ -92,7 +92,6 @@ class SimilarityResult:
     hpd68: tuple[float, float]
     mean: float
     histogram: np.ndarray
-    bin_width: float
     n_trials: int
     seed: int
     raw: float | None = None
@@ -115,7 +114,7 @@ class SimilarityResult:
         lines = ["similarity,count"]
         for b, count in enumerate(self.histogram):
             if count:
-                center = (b + 0.5) * self.bin_width
+                center = (b + 0.5) * MODE_BIN_WIDTH
                 lines.append(f"{center:.4f},{int(count)}")
         return "\n".join(lines) + "\n"
 
@@ -146,16 +145,15 @@ def _run_chunks(trials: int, seed: int, chunk_fn) -> np.ndarray:
 
 
 def _summarize(samples: np.ndarray, trials: int, seed: int, raw: float | None,
-               keep_samples: bool, mass: float) -> SimilarityResult:
+               keep_samples: bool) -> SimilarityResult:
     histogram, edges = np.histogram(np.clip(samples, 0.0, 1.0),
                                     bins=int(round(1.0 / MODE_BIN_WIDTH)), range=(0.0, 1.0))
     b = int(np.argmax(histogram))
     return SimilarityResult(
         mode=float(0.5 * (edges[b] + edges[b + 1])),
-        hpd68=hpd_interval(samples, mass),
+        hpd68=hpd_interval(samples),
         mean=float(samples.mean()),
         histogram=histogram,
-        bin_width=MODE_BIN_WIDTH,
         n_trials=trials,
         seed=seed,
         raw=raw,
@@ -164,7 +162,6 @@ def _summarize(samples: np.ndarray, trials: int, seed: int, raw: float | None,
 
 
 def poisson_mc_similarity(counts, theory, trials: int = 1_000_000, seed: int = 0,
-                          mass: float = 0.68,
                           keep_samples: bool = False) -> SimilarityResult:
     """Resample measured channel counts Poissonially and collect the
     similarity to ``theory`` for every trial.
@@ -185,11 +182,10 @@ def poisson_mc_similarity(counts, theory, trials: int = 1_000_000, seed: int = 0
         return _similarity_rows(draws, theory)
 
     samples = _run_chunks(trials, seed, chunk)
-    return _summarize(samples, trials, seed, raw, keep_samples, mass)
+    return _summarize(samples, trials, seed, raw, keep_samples)
 
 
 def random_baseline(theory=None, dims: int = 6, trials: int = 1_000_000, seed: int = 0,
-                    mass: float = 0.68,
                     keep_samples: bool = True) -> SimilarityResult:
     """Similarity of distributions drawn evenly from the ``dims``-dimensional
     space of distributions, against ``theory`` (or against a second random
@@ -211,7 +207,7 @@ def random_baseline(theory=None, dims: int = 6, trials: int = 1_000_000, seed: i
         return _similarity_rows(draws, other)
 
     samples = _run_chunks(trials, seed, chunk)
-    return _summarize(samples, trials, seed, None, keep_samples, mass)
+    return _summarize(samples, trials, seed, None, keep_samples)
 
 
 def exceedance_probability(baseline: SimilarityResult,
@@ -219,21 +215,15 @@ def exceedance_probability(baseline: SimilarityResult,
     """Fraction of baseline similarities at or above the interval's lower edge.
 
     Quantifies the chance that a random distribution performs within or
-    beyond the credible interval of a measured result.
+    beyond the credible interval of a measured result.  The baseline must
+    keep its samples (``keep_samples=True``).
     """
     lo, hi = interval
     if not 0.0 <= lo <= 1.0 + 1e-12 or hi < lo:
         raise ValueError(f"invalid interval ({lo}, {hi})")
-    if baseline.samples is not None:
-        return float(np.mean(baseline.samples >= lo))
-    # fall back to the stored histogram with partial-bin interpolation
-    edges = np.arange(baseline.histogram.size + 1) * baseline.bin_width
-    full = baseline.histogram[edges[1:] > lo].sum()
-    k = int(np.searchsorted(edges, lo, side="right")) - 1
-    if 0 <= k < baseline.histogram.size:
-        frac_inside = (lo - edges[k]) / baseline.bin_width
-        full -= baseline.histogram[k] * frac_inside
-    return float(full / baseline.n_trials)
+    if baseline.samples is None:
+        raise ValueError("baseline was built without samples (keep_samples=False)")
+    return float(np.mean(baseline.samples >= lo))
 
 
 @dataclass(frozen=True)
@@ -246,11 +236,12 @@ class WindowedSimilarity:
 
 def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
                      n_modes: int = 4, half_window: float = 25.0,
-                     centers=None, trials: int = 100_000, seed: int = 0,
+                     trials: int = 100_000, seed: int = 0,
                      min_events: int = 5) -> list[WindowedSimilarity]:
     """Time-resolved similarity of cross-detector coincidences.
 
-    Slides a window of +/- ``half_window`` over the absolute detection time
+    Slides a window of +/- ``half_window``, in steps of ``half_window / 2.5``
+    from 0 to the largest |dtau|, over the absolute detection time
     difference, counts the events' detector pairs (``pair_labels``: pairs or
     an ``(m, 2)`` array) per cross channel inside each window, and resamples
     them against the interfering and non-interfering predictions.  Windows
@@ -273,9 +264,7 @@ def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
     tc = np.asarray(theory_classical, dtype=float)
     if tq.size != n_cross or tc.size != n_cross:
         raise ValueError("theories must be cross-detector vectors")
-    if centers is None:
-        top = float(dtau.max())
-        centers = np.arange(0.0, top + half_window, half_window / 2.5)
+    centers = np.arange(0.0, float(dtau.max()) + half_window, half_window / 2.5)
     out = []
     for w, center in enumerate(centers):
         lo = max(0.0, center - half_window)

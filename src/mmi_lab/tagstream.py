@@ -33,7 +33,7 @@ from __future__ import annotations
 import io
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class TimeTagStream:
     ticks: np.ndarray
     n_channels: int
     tick_fs: int = DEFAULT_TICK_FS
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         ch = np.asarray(self.channels, dtype=np.uint8)
@@ -95,7 +94,7 @@ class TimeTagStream:
     def select(self, channels) -> "TimeTagStream":
         mask = np.isin(self.channels, list(channels))
         return TimeTagStream(self.channels[mask], self.ticks[mask],
-                             self.n_channels, self.tick_fs, dict(self.metadata))
+                             self.n_channels, self.tick_fs)
 
     # -- binary format ---------------------------------------------------
 
@@ -220,8 +219,6 @@ class CorrelationHistogram:
     are the sliding (width ``bin_width``) sums used for display.
     """
 
-    ch_a: int
-    ch_b: int
     range_ns: float
     bin_width: float
     pitch: float
@@ -236,18 +233,17 @@ class CorrelationHistogram:
 
 def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
                     range_ns: float, bin_width: float = 100.0,
-                    pitch: float = 20.0,
-                    allow_same: bool = False) -> CorrelationHistogram:
-    """Histogram every pair of detections on the two channels with
-    |t_b - t_a| inside the range.
+                    pitch: float = 20.0) -> CorrelationHistogram:
+    """Histogram every pair of detections on the two distinct channels
+    with |t_b - t_a| inside the range.
 
     Each tag's earlier partners, those at most the histogram span before
     it, are found with ``searchsorted`` on the ticks (Laurence, Fore &
     Huser, Opt. Lett. 31, 829 (2006)).  Tags are processed in chunks of
     ``_CHUNK_TAGS``.
     """
-    if ch_a == ch_b and not allow_same:
-        raise ValueError("same-channel correlation needs allow_same=True")
+    if ch_a == ch_b:
+        raise ValueError(f"cross-correlation needs two channels, got {ch_a} twice")
     pitch_fs = _fs(pitch)
     if pitch_fs <= 0 or bin_width < pitch:
         raise ValueError("need pitch >= 1 fs and bin_width >= pitch")
@@ -255,7 +251,7 @@ def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
     edges = (np.arange(2 * n_half + 1) - n_half) * pitch
     fine = np.zeros(2 * n_half, dtype=np.int64)
 
-    sub = stream.select([ch_a] if ch_a == ch_b else [ch_a, ch_b])
+    sub = stream.select([ch_a, ch_b])
     t = sub.ticks
     chans = sub.channels
     span = n_half * pitch_fs // sub.tick_fs
@@ -267,19 +263,15 @@ def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
         jj = np.repeat(rows, m)
         ii = np.arange(jj.size) + np.repeat(first - (np.cumsum(m) - m), m)
         dt = (t[jj] - t[ii]).astype(np.int64) * sub.tick_fs
-        if ch_a == ch_b:
-            dt = np.concatenate((dt, -dt))
-        else:
-            cross = chans[ii] != chans[jj]
-            dt = np.where(chans[jj[cross]] == ch_b, dt[cross], -dt[cross])
+        cross = chans[ii] != chans[jj]
+        dt = np.where(chans[jj[cross]] == ch_b, dt[cross], -dt[cross])
         # a separation of exactly +span lands one past the last bin
         fine += np.bincount(dt // pitch_fs + n_half, minlength=fine.size + 1)[:fine.size]
 
     width = max(1, int(round(bin_width / pitch)))
     counts = np.convolve(fine.astype(float), np.ones(width), mode="valid")
     centers = edges[:counts.size] + (width / 2.0) * pitch
-    return CorrelationHistogram(ch_a=ch_a, ch_b=ch_b, range_ns=range_ns,
-                                bin_width=bin_width, pitch=pitch,
+    return CorrelationHistogram(range_ns=range_ns, bin_width=bin_width, pitch=pitch,
                                 fine_edges=edges, fine_counts=fine,
                                 centers=centers, counts=counts)
 
@@ -292,8 +284,7 @@ class G2Result:
     extrapolated_uncorrelated: float
 
 
-def g2_zero(hist: CorrelationHistogram, duty_cycle: float,
-            n_fit_peaks: int = 4) -> G2Result:
+def g2_zero(hist: CorrelationHistogram, duty_cycle: float) -> G2Result:
     """Second-order correlation at zero delay from a peaked correlogram.
 
     Integrates each peak over a window of +/- half the duty cycle and
@@ -302,15 +293,15 @@ def g2_zero(hist: CorrelationHistogram, duty_cycle: float,
     decay of the side peaks caused by finite emission sequences).
     """
     n_peaks = int(np.floor(hist.range_ns / duty_cycle - 0.5))
-    if n_peaks < max(n_fit_peaks, 5):
+    if n_peaks < 5:
         raise ValueError(f"histogram range covers only {n_peaks} side peaks; "
-                         f"need at least {max(n_fit_peaks, 5)} per side")
+                         "need at least 5 per side")
     centers = hist.fine_edges[:-1] + np.diff(hist.fine_edges) / 2.0
     peak_counts = {}
     for m in range(-n_peaks, n_peaks + 1):
         sel = np.abs(centers - m * duty_cycle) <= duty_cycle / 2.0
         peak_counts[m] = float(hist.fine_counts[sel].sum())
-    ms = [m for m in range(-n_fit_peaks, n_fit_peaks + 1) if m != 0]
+    ms = [m for m in range(-4, 5) if m != 0]  # the baseline fit uses 4 per side
     side = np.array([peak_counts[m] for m in ms], dtype=float)
     if side.sum() == 0:
         raise ValueError("no side peaks found; cannot normalise g2")
@@ -339,8 +330,6 @@ class CoincidenceSet:
     pair_l: np.ndarray
     dtau_ns: np.ndarray
     counts: CoincidenceDistribution
-    window_ns: float
-    time_offset_ns: float
     n_unmatched: int
 
     def __len__(self) -> int:
@@ -382,7 +371,6 @@ def _pair_offset(ticks: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.nd
 
 
 def extract_coincidences(stream: TimeTagStream, window_ns: float,
-                         channels=None,
                          time_offset_ns: float = 0.0) -> CoincidenceSet:
     """Pair detection events whose separation falls within
     ``time_offset_ns +/- window_ns``, chronologically and greedily.
@@ -396,28 +384,25 @@ def extract_coincidences(stream: TimeTagStream, window_ns: float,
         raise ValueError("window must be positive")
     if time_offset_ns < 0:
         raise ValueError("time offset must be non-negative")
-    sub = stream if channels is None else stream.select(channels)
     window_fs, offset_fs = _fs(window_ns), _fs(time_offset_ns)
-    lo = -(-(offset_fs - window_fs) // sub.tick_fs)
-    hi = (offset_fs + window_fs) // sub.tick_fs
-    ticks = sub.ticks
+    lo = -(-(offset_fs - window_fs) // stream.tick_fs)
+    hi = (offset_fs + window_fs) // stream.tick_fs
+    ticks = stream.ticks
     if lo <= 0:
         first, second = _pair_neighbours(ticks, hi)
     else:
         first, second = _pair_offset(ticks, lo, hi)
-    c_first = sub.channels[first].astype(int)
-    c_second = sub.channels[second].astype(int)
+    c_first = stream.channels[first].astype(int)
+    c_second = stream.channels[second].astype(int)
     pair_k = np.minimum(c_first, c_second)
     pair_l = np.maximum(c_first, c_second)
-    n = sub.n_channels
+    n = stream.n_channels
     vals = np.bincount(pair_index(pair_k, pair_l, n), minlength=n * (n + 1) // 2)
     return CoincidenceSet(
         pair_k=pair_k,
         pair_l=pair_l,
-        dtau_ns=(ticks[second] - ticks[first]) * sub.tick_ns - time_offset_ns,
+        dtau_ns=(ticks[second] - ticks[first]) * stream.tick_ns - time_offset_ns,
         counts=CoincidenceDistribution(n, vals.astype(float)),
-        window_ns=window_ns,
-        time_offset_ns=time_offset_ns,
         n_unmatched=len(ticks) - 2 * len(first),
     )
 
@@ -436,7 +421,7 @@ class DeadtimeCorrectionResult:
 
 def deadtime_correction(dtau_ns, intensity: SlidingProfile, tau_r_ns: float,
                         reference_same, measured: CoincidenceDistribution,
-                        max_dtau_ns: float | None = None) -> DeadtimeCorrectionResult:
+                        max_dtau_ns: float) -> DeadtimeCorrectionResult:
     """Recover same-detector coincidences lost to detector recovery time.
 
     The time-difference distribution of all coincidences follows the
@@ -472,8 +457,6 @@ def deadtime_correction(dtau_ns, intensity: SlidingProfile, tau_r_ns: float,
     n_bins = profile.size
     lags = np.concatenate([auto[mid:], [0.0]])
     shape = lags[:n_bins] + lags[1:n_bins + 1]
-    if max_dtau_ns is None:
-        max_dtau_ns = n_bins * step
     # drop any bin only partially covered by the coincidence window
     n_use = min(n_bins, int(max_dtau_ns / step))
     shape = shape[:n_use]

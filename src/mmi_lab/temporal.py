@@ -247,7 +247,6 @@ class HomProfile:
     parallel: np.ndarray
     orthogonal: np.ndarray
     visibility_integrated: float
-    dt: float
 
     def windowed_visibility(self, half_window: float) -> float:
         mask = np.abs(self.dtau) <= half_window
@@ -278,7 +277,7 @@ def hom_profile(env_1: Wavepacket, env_2: Wavepacket,
         raise ValueError("no cross coincidences in the distinguishable reference")
     vis = float(1.0 - p_par.sum() / total_orth)
     return HomProfile(dtau=dtau, parallel=p_par, orthogonal=p_orth,
-                      visibility_integrated=vis, dt=par.dt)
+                      visibility_integrated=vis)
 
 
 def integrated_visibility(envelope: Wavepacket, coherence: CoherenceModel,

@@ -230,10 +230,6 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     """
     if wall_time_s <= 0:
         raise ConfigError("wall time must be positive")
-    if layout.kind != "hbt" and layout.delay_line_ns != source.duty_cycle_ns:
-        warnings.warn("delay line does not match the duty cycle; "
-                      "paired photons will not arrive simultaneously",
-                      stacklevel=2)
     rng = np.random.default_rng(seed)
     duty = source.duty_cycle_ns
     wall_ns = wall_time_s * 1e9
@@ -307,8 +303,7 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         pair_id = np.concatenate(pids) if pids else np.array([], dtype=np.int64)
 
     # -- detection chain -------------------------------------------------
-    keep_prob = source.detection_chain_prob() if detectors.efficiency > 0 else 0.0
-    kept = rng.random(channel.size) < keep_prob
+    kept = rng.random(channel.size) < source.detection_chain_prob()
     channel, t_ns, pair_id = channel[kept], t_ns[kept], pair_id[kept]
     if delivered_pairs:
         surviving = pair_id[pair_id >= 0]
@@ -337,10 +332,7 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     keep = _apply_dead_time(channel, ticks, n_det, dead_ticks)
     stream = TimeTagStream(channel[keep].astype(np.uint8),
                            ticks[keep].astype(np.uint64),
-                           n_channels=n_det, tick_fs=detectors.tick_fs,
-                           metadata={"seed": seed, "wall_time_s": wall_time_s,
-                                     "layout": layout.kind,
-                                     "polarization": layout.polarization})
+                           n_channels=n_det, tick_fs=detectors.tick_fs)
     if not with_truth:
         return stream
     truth = TruthRecord(

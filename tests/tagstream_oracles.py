@@ -2,7 +2,8 @@
 
 ``oracle_extract_coincidences`` and ``oracle_cross_correlate`` are the
 original single-pass loops over float64 nanosecond times, kept verbatim
-apart from converting the ticks inline.  They are oracles only where
+apart from converting the ticks inline and no longer storing the window
+and offset on the ``CoincidenceSet``.  They are oracles only where
 float64 is exact: 1 ns ticks below 2**53.
 
 The ``int_oracle_*`` loops state the integer rule of ``mmi_lab.tagstream``
@@ -87,8 +88,6 @@ def oracle_extract_coincidences(stream, window_ns, channels=None,
         pair_l=np.array(out_l, dtype=int),
         dtau_ns=np.array(out_dt, dtype=float),
         counts=CoincidenceDistribution(n, vals),
-        window_ns=window_ns,
-        time_offset_ns=time_offset_ns,
         n_unmatched=n_unmatched,
     )
 
@@ -138,8 +137,6 @@ def int_oracle_extract_coincidences(stream, window_ns, channels=None,
         pair_l=np.array(out_l, dtype=int),
         dtau_ns=np.array(out_dt, dtype=float),
         counts=CoincidenceDistribution(n, vals),
-        window_ns=window_ns,
-        time_offset_ns=time_offset_ns,
         n_unmatched=n_unmatched,
     )
 

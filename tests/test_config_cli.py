@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -27,6 +28,26 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             config.loads("[source]\nemision_prob = 0.5\n")
+
+    @pytest.mark.parametrize("text", ["[detectors]\nefficiency = 0.85\n",
+                                      "[layout]\ndelay_line_ns = 664\n"])
+    def test_removed_keys_rejected(self, tmp_path, capsys, text):
+        # the simulator never read these: the delay is one duty cycle by
+        # construction and overall_efficiency already includes detection
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--seconds", "10",
+                     "--out", str(tmp_path / "x.ttag")]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [
+        (name, f.name) for name, cls in config._SECTION_TYPES.items()
+        for f in dataclasses.fields(cls) if f.default is None or isinstance(f.default, float)])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_names_key(self, section, key, value):
+        message = f"[{section}] {key}: '{value}' is not finite"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config.loads(f"[{section}]\n{key} = {value}\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown config sections"):
@@ -286,15 +307,36 @@ mc_trials = 50000
         assert main(argv + ["--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"config error: [layout] {key} = {value} out of range 1..4\n"
 
-    def test_non_finite_window_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_window_is_config_error(self, tmp_path, capsys, value):
         cfg = tmp_path / "w.cfg"
-        cfg.write_text("[analysis]\ncoincidence_window_ns = inf\n")
+        cfg.write_text(f"[analysis]\ncoincidence_window_ns = {value}\n")
         stream = tmp_path / "s.ttag"
         TimeTagStream(np.arange(8, dtype=np.uint8) % 4, np.arange(8, dtype=np.uint64),
                       n_channels=4).write_file(stream)
         assert main(["analyze", "mmi", "--stream", str(stream), "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err == "data error: time bound inf ns is not finite\n"
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("config error: invalid value for [analysis] "
+                                           f"coincidence_window_ns: '{value}' is not finite\n")
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("timeresolved", "half_window_ns", "0"),
+        ("hom", "display_pitch_ns", "0"),
+        ("mmi", "profile_pitch_ns", "0"),
+        ("g2", "correlation_pitch_ns", "-5"),
+    ])
+    def test_non_positive_duration_is_config_error(self, tmp_path, capsys, kind, key, value):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(f"[analysis]\n{key} = {value}\n")
+        stream = tmp_path / "s.ttag"
+        n = 2 if kind in ("g2", "hom") else 4
+        TimeTagStream(np.arange(8, dtype=np.uint8) % n, np.arange(8, dtype=np.uint64),
+                      n_channels=n).write_file(stream)
+        argv = ["analyze", kind, "--stream", str(stream), "--config", str(cfg),
+                "--out", str(tmp_path / "o")]
+        assert main(argv + ["--reference", str(stream)] if kind == "hom" else argv) == 2
+        assert capsys.readouterr().err == ("config error: invalid [analysis] section: "
+                                           f"{key} must be positive, got {float(value)}\n")
 
     def test_missing_stream_exit_code(self, run_dir):
         assert main(["analyze", "g2", "--stream", "nope.ttag",

@@ -185,13 +185,11 @@ class TestExceedance:
         assert exceedance_probability(base, (0.0, 1.0)) == 1.0
         assert exceedance_probability(base, (1.0, 1.0)) <= 1e-4
 
-    def test_histogram_fallback_close_to_samples(self, chip):
+    def test_baseline_without_samples_rejected(self, chip):
         q = coincidence_quantum(chip, 0, 1).cross_only().values
-        base = random_baseline(q, trials=100_000, seed=29, keep_samples=True)
-        exact = exceedance_probability(base, (0.9, 1.0))
-        from dataclasses import replace
-        approx = exceedance_probability(replace(base, samples=None), (0.9, 1.0))
-        assert approx == pytest.approx(exact, abs=5e-4)
+        base = random_baseline(q, trials=5_000, seed=29, keep_samples=False)
+        with pytest.raises(ValueError, match="without samples"):
+            exceedance_probability(base, (0.9, 1.0))
 
 
 class TestSimilarityVsDt:
@@ -228,9 +226,13 @@ class TestSimilarityVsDt:
         q = coincidence_quantum(chip, 0, 1).cross_only().values
         c = coincidence_classical(chip, 0, 1).cross_only().values
         dtau, labels = self._events(rng, q, 30, spread=10.0)
-        rows = similarity_vs_dt(dtau, labels, q, c, trials=5_000, seed=41,
-                                centers=np.array([0.0, 200.0]))
-        assert all(r.center == 0.0 for r in rows)
+        rows = similarity_vs_dt(dtau, labels, q, c, trials=5_000, seed=41)
+        # windows of +/- 25 ns every 10 ns; those with fewer than 5 events go
+        centers = np.arange(0.0, dtau.max() + 25.0, 10.0)
+        dense = [x for x in centers
+                 if np.sum((dtau >= max(0.0, x - 25.0)) & (dtau <= x + 25.0)) >= 5]
+        assert [r.center for r in rows] == dense
+        assert 0 < len(dense) < len(centers)
 
     def test_empty_rejected(self, chip):
         q = coincidence_quantum(chip, 0, 1).cross_only().values

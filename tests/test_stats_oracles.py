@@ -16,7 +16,7 @@ from mmi_lab import (CoincidenceDistribution, TransferMatrix, coincidence_classi
                      coincidence_quantum, extract_coincidences, fit_visibility,
                      poisson_mc_similarity, random_baseline, random_unitary, similarity,
                      similarity_vs_dt, simulate_run)
-from mmi_lab.stats import _run_chunks
+from mmi_lab.stats import MODE_BIN_WIDTH, _run_chunks
 
 
 def _tables(measured_values, n, cross_only):
@@ -122,7 +122,7 @@ class TestSimilarityRows:
 class TestModeFromHistogram:
     def check(self, res):
         assert res.mode == oracle_mode(res.samples)
-        centre = (int(np.argmax(res.histogram)) + 0.5) * res.bin_width
+        centre = (int(np.argmax(res.histogram)) + 0.5) * MODE_BIN_WIDTH
         assert res.mode == pytest.approx(centre, abs=1e-12)
 
     def test_poisson_resampling(self, chip):

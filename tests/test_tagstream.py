@@ -210,13 +210,10 @@ class TestCrossCorrelate:
         # qualifying (a, b) pairs: (0,10) (0,700) (20,10) (20,700)
         assert hist.total_pairs() == 4
 
-    def test_same_channel_needs_flag(self):
-        stream = make_stream([0.0, 10.0], [0, 0], n_channels=1)
-        with pytest.raises(ValueError):
-            cross_correlate(stream, 0, 0, range_ns=100.0)
-        hist = cross_correlate(stream, 0, 0, range_ns=100.0, bin_width=10.0,
-                               pitch=10.0, allow_same=True)
-        assert hist.fine_counts.sum() == 2  # both signs of the single pair
+    def test_same_channel_rejected(self):
+        stream = make_stream([0.0, 10.0, 20.0], [1, 1, 0], n_channels=2)
+        with pytest.raises(ValueError, match="two channels"):
+            cross_correlate(stream, 1, 1, range_ns=100.0)
 
     def test_simulated_hbt_comb(self, default_source, default_detectors):
         from mmi_lab import Layout, simulate_run
@@ -321,6 +318,8 @@ class TestExtractCoincidences:
 
 
 class TestDeadtimeCorrection:
+    SPAN = 83 * 8.0  # |dtau| fit range: all 83 bins of the profile
+
     def _profile(self, envelope_like=True):
         # synthetic sin^2-shaped folded intensity profile
         t = (np.arange(83) + 0.5) * 8.0
@@ -333,7 +332,7 @@ class TestDeadtimeCorrection:
     def test_zero_recovery_time_is_identity(self, rng):
         measured = CoincidenceDistribution(4, rng.integers(0, 50, 10).astype(float))
         res = deadtime_correction(rng.uniform(0, 300, 500), self._profile(),
-                                  0.0, np.ones(4), measured)
+                                  0.0, np.ones(4), measured, self.SPAN)
         assert np.array_equal(res.corrected.values, measured.values)
         assert res.missed == 0.0
 
@@ -343,7 +342,7 @@ class TestDeadtimeCorrection:
         dtaus = rng.uniform(0, 40, 400)
         with pytest.warns(UserWarning, match="clamping"):
             res = deadtime_correction(dtaus, self._profile(), 50.0,
-                                      np.ones(4), measured)
+                                      np.ones(4), measured, self.SPAN)
         assert res.missed == 0.0
         assert res.clamped
 
@@ -351,7 +350,7 @@ class TestDeadtimeCorrection:
         measured = CoincidenceDistribution(4, np.ones(10))
         with pytest.raises(ValueError):
             deadtime_correction(rng.uniform(0, 300, 50), self._profile(), 50.0,
-                                np.zeros(4), measured)
+                                np.zeros(4), measured, self.SPAN)
 
     def test_missed_counts_distributed_like_reference(self, rng):
         # half the pair mass removed below 50 ns; reference all on channel 1
@@ -363,7 +362,8 @@ class TestDeadtimeCorrection:
         dt_kept = dt_all[dt_all > 50.0]
         measured = CoincidenceDistribution(4, np.zeros(10))
         ref = np.array([0.0, 3.0, 0.0, 1.0])
-        res = deadtime_correction(dt_kept, self._profile(), 50.0, ref, measured)
+        res = deadtime_correction(dt_kept, self._profile(), 50.0, ref, measured,
+                                  self.SPAN)
         added = res.corrected.same_detector_values()
         assert added[1] == pytest.approx(0.75 * res.missed, rel=1e-9)
         assert added[3] == pytest.approx(0.25 * res.missed, rel=1e-9)
