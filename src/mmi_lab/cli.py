@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -49,10 +50,19 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _outdir(path: Path) -> None:
+    """Create the ``--out`` directory ``path``; a file in its way is a usage
+    error, not a data error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"--out: cannot create directory {path} ({exc.strerror})") from None
+
+
 def _write(outdir: Path, files: dict[str, str]) -> None:
     """Write each ``name -> text`` verbatim (no newline translation, so CSV
     tables keep their ``\\r\\n`` line endings)."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    _outdir(outdir)
     for name, text in files.items():
         (outdir / name).write_text(text, encoding="utf-8", newline="")
 
@@ -66,13 +76,15 @@ def cmd_simulate(args) -> int:
         cfg = replace(cfg, layout=replace(cfg.layout, kind=args.layout))
     if args.polarization:
         cfg = replace(cfg, layout=replace(cfg.layout, polarization=args.polarization))
+    if not math.isfinite(args.seconds) or args.seconds <= 0:
+        raise ConfigError(f"--seconds must be positive and finite, got {args.seconds}")
     seed = args.seed if args.seed is not None else cfg.seed_for("simulate")
     layout = cfg.build_layout()
     stream, truth = simulate_run(cfg.source, layout, cfg.detectors,
                                  wall_time_s=args.seconds, seed=seed,
                                  with_truth=True)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _outdir(out.parent)
     stream.write_file(out)
     if args.truth_out:
         truth.pre_deadtime.write_file(Path(args.truth_out))

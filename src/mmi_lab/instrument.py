@@ -268,8 +268,8 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     Returns the stream, or ``(stream, TruthRecord)`` when ``with_truth``
     is set.
     """
-    if wall_time_s <= 0:
-        raise ConfigError("wall time must be positive")
+    if not np.isfinite(wall_time_s) or wall_time_s <= 0:
+        raise ConfigError(f"wall time must be positive and finite, got {wall_time_s}")
     rng = np.random.default_rng(seed)
     duty = source.duty_cycle_ns
     wall_ns = wall_time_s * 1e9

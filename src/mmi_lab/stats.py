@@ -9,13 +9,17 @@ to one; it is invariant under rescaling of either argument.  Credible
 intervals on measured similarities are obtained by resampling each
 channel count from the Poissonian that most likely produced it and
 taking the highest-posterior-density interval of the resampled S
-values.  Random-distribution baselines give the context for how
-discriminating a given similarity level actually is.
+values.  Judged against several theories at once, the counts are
+resampled once and every theory sees the same draws (common random
+numbers), so each theory's result carries the one seed of those draws.
+Random-distribution baselines give the context for how discriminating a
+given similarity level actually is.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -119,28 +123,43 @@ class SimilarityResult:
         return "\n".join(lines) + "\n"
 
 
-def _run_chunks(trials: int, seed: int, chunk_fn) -> np.ndarray:
-    """Evaluate ``chunk_fn(rng, size)`` over deterministic chunks.
+_worker = threading.local()
+
+
+def _ordered_map(fn, items) -> list:
+    """``[fn(x) for x in items]`` on up to ``max_threads()`` threads.
+
+    Results keep the order of ``items``.  A call from inside a worker runs
+    serially, so there is never a pool inside a pool and never more than
+    MMI_LAB_THREADS threads at work.
+    """
+    items = list(items)
+    workers = min(max_threads(), len(items))
+    if workers < 2 or getattr(_worker, "busy", False):
+        return [fn(x) for x in items]
+
+    def work(x):
+        _worker.busy = True
+        return fn(x)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, items))
+
+
+def _run_chunks(trials: int, seed: int, chunk_fn, rows: int = 1) -> np.ndarray:
+    """Fill a ``(rows, trials)`` array chunk by chunk: ``chunk_fn(rng, out)``
+    writes one chunk's columns into the view ``out``.
 
     Each chunk's generator is derived from (seed, chunk index), so results
     are bit-identical no matter how many threads execute the chunks.
     """
-    spans = [(a, min(a + _CHUNK, trials)) for a in range(0, trials, _CHUNK)]
+    out = np.empty((rows, trials))
 
-    def one(idx_span):
-        idx, (a, b) = idx_span
+    def one(idx):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-        return a, chunk_fn(rng, b - a)
+        chunk_fn(rng, out[:, idx * _CHUNK:(idx + 1) * _CHUNK])
 
-    out = np.empty(trials)
-    workers = max_threads()
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for a, block in pool.map(one, enumerate(spans)):
-                out[a:a + block.size] = block
-    else:
-        for a, block in map(one, enumerate(spans)):
-            out[a:a + block.size] = block
+    _ordered_map(one, range(-(-trials // _CHUNK)))
     return out
 
 
@@ -162,27 +181,36 @@ def _summarize(samples: np.ndarray, trials: int, seed: int, raw: float | None,
 
 
 def poisson_mc_similarity(counts, theory, trials: int = 1_000_000, seed: int = 0,
-                          keep_samples: bool = False) -> SimilarityResult:
+                          keep_samples: bool = False
+                          ) -> SimilarityResult | list[SimilarityResult]:
     """Resample measured channel counts Poissonially and collect the
     similarity to ``theory`` for every trial.
 
     Each trial draws ``n_i ~ Poisson(N_i)`` independently, with the measured
-    count ``N_i`` as the most likely Poissonian mean.
+    count ``N_i`` as the most likely Poissonian mean.  ``theory`` may also
+    be an ``(m, n)`` array of m predictions: each trial's draw is then
+    shared, judged against every row, and one result per row comes back in
+    row order.  Every result's ``seed`` is the call's ``seed``, and row k's
+    result equals a call with ``theory[k]`` alone at that seed.
     """
     counts = np.asarray(counts, dtype=float)
     theory = np.asarray(theory, dtype=float)
-    if counts.shape != theory.shape:
+    rows = np.atleast_2d(theory)
+    if counts.ndim != 1 or theory.ndim not in (1, 2) or rows.shape[1] != counts.size:
         raise ValueError("counts and theory must have equal length")
     if counts.sum() <= 0:
         raise ValueError("all-zero counts cannot be resampled")
-    raw = similarity(counts, theory)
+    raws = [similarity(counts, q) for q in rows]
 
-    def chunk(rng, size):
-        draws = rng.poisson(lam=counts, size=(size, counts.size)).astype(float)
-        return _similarity_rows(draws, theory)
+    def chunk(rng, out):
+        draws = rng.poisson(lam=counts, size=(out.shape[1], counts.size)).astype(float)
+        for row, q in zip(out, rows):
+            row[:] = _similarity_rows(draws, q)
 
-    samples = _run_chunks(trials, seed, chunk)
-    return _summarize(samples, trials, seed, raw, keep_samples)
+    samples = _run_chunks(trials, seed, chunk, rows=len(rows))
+    results = [_summarize(s, trials, seed, raw, keep_samples)
+               for s, raw in zip(samples, raws)]
+    return results if theory.ndim == 2 else results[0]
 
 
 def random_baseline(theory=None, dims: int = 6, trials: int = 1_000_000, seed: int = 0,
@@ -201,12 +229,13 @@ def random_baseline(theory=None, dims: int = 6, trials: int = 1_000_000, seed: i
     if th is not None and th.size != dims:
         dims = th.size
 
-    def chunk(rng, size):
+    def chunk(rng, out):
+        size = out.shape[1]
         draws = rng.exponential(size=(size, dims))
         other = rng.exponential(size=(size, dims)) if th is None else th
-        return _similarity_rows(draws, other)
+        out[0] = _similarity_rows(draws, other)
 
-    samples = _run_chunks(trials, seed, chunk)
+    samples = _run_chunks(trials, seed, chunk)[0]
     return _summarize(samples, trials, seed, None, keep_samples)
 
 
@@ -244,8 +273,9 @@ def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
     from 0 to the largest |dtau|, over the absolute detection time
     difference, counts the events' detector pairs (``pair_labels``: pairs or
     an ``(m, 2)`` array) per cross channel inside each window, and resamples
-    them against the interfering and non-interfering predictions.  Windows
-    with fewer than ``min_events`` events are omitted.
+    them against the interfering and non-interfering predictions, which
+    share each window's draws.  Windows with fewer than ``min_events``
+    events are omitted; the rest run on up to MMI_LAB_THREADS threads.
     """
     dtau = np.abs(np.asarray(dtau_ns, dtype=float))
     if dtau.size == 0:
@@ -264,20 +294,22 @@ def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
     tc = np.asarray(theory_classical, dtype=float)
     if tq.size != n_cross or tc.size != n_cross:
         raise ValueError("theories must be cross-detector vectors")
+    theories = np.stack((tq, tc))
     centers = np.arange(0.0, float(dtau.max()) + half_window, half_window / 2.5)
-    out = []
+    windows = []
     for w, center in enumerate(centers):
         lo = max(0.0, center - half_window)
         hi = center + half_window
         sel = (dtau >= lo) & (dtau <= hi) & (labels >= 0)
         n = int(sel.sum())
-        if n < min_events:
-            continue
-        counts = np.bincount(labels[sel], minlength=n_cross).astype(float)
-        out.append(WindowedSimilarity(
-            center=float(center),
-            n_events=n,
-            vs_quantum=poisson_mc_similarity(counts, tq, trials, seed + 2 * w),
-            vs_classical=poisson_mc_similarity(counts, tc, trials, seed + 2 * w + 1),
-        ))
-    return out
+        if n >= min_events:
+            windows.append((w, float(center), n,
+                            np.bincount(labels[sel], minlength=n_cross).astype(float)))
+
+    def judge(window):
+        w, center, n, counts = window
+        vs_quantum, vs_classical = poisson_mc_similarity(counts, theories, trials, seed + 2 * w)
+        return WindowedSimilarity(center, n, vs_quantum, vs_classical)
+
+    # each window draws from its own seed, so the thread count cannot matter
+    return _ordered_map(judge, windows)

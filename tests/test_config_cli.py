@@ -154,6 +154,21 @@ class TestSimulateCommand:
                      "--seconds", "1000", "--seed", "1",
                      "--out", str(tmp_path / "x.ttag")]) == code
 
+    @pytest.mark.parametrize("seconds", ["inf", "nan", "0", "-1"])
+    def test_run_length_is_config_error(self, tmp_path, capsys, seconds):
+        out = tmp_path / "x.ttag"
+        assert main(["simulate", f"--seconds={seconds}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: --seconds must be positive "
+                                           f"and finite, got {float(seconds)}\n")
+        assert not out.exists()
+
+    def test_out_under_a_file_is_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        assert main(["simulate", "--seconds", "10", "--out", str(blocker / "x.ttag")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: --out: cannot create "
+                                                  f"directory {blocker}")
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -341,6 +356,22 @@ mc_trials = 50000
     def test_missing_stream_exit_code(self, run_dir):
         assert main(["analyze", "g2", "--stream", "nope.ttag",
                      "--out", str(run_dir / "y")]) == 3
+
+
+@pytest.mark.parametrize("argv", [["analyze", "g2", "--stream", "hbt.ttag"],
+                                  ["characterize", "--simulate"]])
+@pytest.mark.parametrize("under_file", [False, True])
+def test_out_blocked_by_a_file_is_config_error(run_dir, tmp_path, capsys, argv, under_file):
+    # --out names an existing file, or a directory inside one
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out = blocker / "sub" if under_file else blocker
+    argv = [str(run_dir / a) if a.endswith(".ttag") else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out: cannot create directory {out} (")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "x"
 
 
 class TestMalformedStreams:

@@ -49,6 +49,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             Layout(kind="mmi", polarization="circular")
 
+    @pytest.mark.parametrize("seconds", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_run_length_positive_and_finite(self, default_source, default_detectors,
+                                            mmi_layout, seconds):
+        with pytest.raises(ConfigError, match="wall time must be positive and finite"):
+            simulate_run(default_source, mmi_layout, default_detectors, seconds, seed=1)
+
 
 class TestDeterminism:
     def test_identical_seeds_bit_exact(self, default_source, default_detectors,

@@ -7,6 +7,8 @@ from mmi_lab import (coincidence_classical, coincidence_quantum,
                      exceedance_probability, hpd_interval,
                      poisson_mc_similarity, random_baseline, similarity,
                      similarity_vs_dt)
+from mmi_lab import stats
+from mmi_lab.core import cross_pair_index
 
 positive_vectors = st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=2,
                             max_size=12).filter(lambda v: sum(v) > 0)
@@ -157,6 +159,98 @@ class TestPoissonResampling:
         assert lines[0] == "similarity,count"
         total = sum(int(row.split(",")[1]) for row in lines[1:])
         assert total == res.n_trials
+
+
+def same_result(a, b):
+    """Exact equality of two resampling results, samples included."""
+    assert (a.mode, a.hpd68, a.mean, a.raw, a.seed, a.n_trials) == \
+        (b.mode, b.hpd68, b.mean, b.raw, b.seed, b.n_trials)
+    assert np.array_equal(a.histogram, b.histogram)
+    assert (a.samples is None) == (b.samples is None)
+    if a.samples is not None:
+        assert np.array_equal(a.samples, b.samples)
+
+
+def same_windows(a, b):
+    assert [(w.center, w.n_events) for w in a] == [(w.center, w.n_events) for w in b]
+    for wa, wb in zip(a, b):
+        same_result(wa.vs_quantum, wb.vs_quantum)
+        same_result(wa.vs_classical, wb.vs_classical)
+
+
+class TestSharedDraws:
+    """Several theories judged on one set of Poisson draws."""
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_rows_equal_single_calls(self, chip, monkeypatch, threads):
+        monkeypatch.setenv("MMI_LAB_THREADS", threads)
+        q = coincidence_quantum(chip, 0, 1).values
+        c = coincidence_classical(chip, 0, 1).values
+        theories = np.stack((q, c, 0.7 * q + 0.3 * c))
+        counts = np.round(3000 * q)
+        trials = 2 * stats._CHUNK + 1001  # three chunks, the last one short
+        rows = poisson_mc_similarity(counts, theories, trials, seed=17, keep_samples=True)
+        assert len(rows) == 3
+        for row, theory in zip(rows, theories):
+            same_result(row, poisson_mc_similarity(counts, theory, trials, seed=17,
+                                                   keep_samples=True))
+        assert rows[0].samples.shape == (trials,)
+
+    def test_single_row_matrix(self, chip):
+        q = coincidence_quantum(chip, 0, 1).cross_only().values
+        counts = np.round(200 * q)
+        (row,) = poisson_mc_similarity(counts, q[None], 5000, seed=2)
+        same_result(row, poisson_mc_similarity(counts, q, 5000, seed=2))
+
+    @pytest.mark.parametrize("theory", [np.ones((2, 5)), np.ones((1, 2, 6)), np.float64(1.0)])
+    def test_rejects_misshaped_theory(self, theory):
+        with pytest.raises(ValueError, match="equal length"):
+            poisson_mc_similarity(np.ones(6), theory, 1000)
+
+    def _events(self, chip, rng, n):
+        q = coincidence_quantum(chip, 0, 1).cross_only().values
+        c = coincidence_classical(chip, 0, 1).cross_only().values
+        labels6 = [(k, l) for k in range(4) for l in range(k + 1, 4)]
+        idx = rng.choice(len(labels6), size=n, p=q / q.sum())
+        return np.abs(rng.normal(0.0, 60.0, n)), [labels6[i] for i in idx], q, c
+
+    def test_windows_independent_of_thread_count(self, chip, rng, monkeypatch):
+        dtau, labels, q, c = self._events(chip, rng, 3000)
+        monkeypatch.setenv("MMI_LAB_THREADS", "1")
+        serial = similarity_vs_dt(dtau, labels, q, c, trials=4000, seed=43)
+        monkeypatch.setenv("MMI_LAB_THREADS", "4")
+        threaded = similarity_vs_dt(dtau, labels, q, c, trials=4000, seed=43)
+        assert len(serial) >= 5
+        same_windows(serial, threaded)
+
+    def test_window_judges_both_theories_on_its_quantum_seed(self, chip, rng):
+        dtau, labels, q, c = self._events(chip, rng, 500)
+        rows = similarity_vs_dt(dtau, labels, q, c, trials=3000, seed=5)
+        w = 2  # centres are 0, 10, 20 ns ...; every window here is dense
+        assert rows[w].center == 20.0
+        sel = (dtau <= 45.0) & (dtau >= 0.0)
+        counts = np.bincount([cross_pair_index(*sorted(p), 4)
+                              for p, keep in zip(labels, sel) if keep], minlength=6)
+        same_result(rows[w].vs_quantum, poisson_mc_similarity(counts, q, 3000, 5 + 2 * w))
+        same_result(rows[w].vs_classical, poisson_mc_similarity(counts, c, 3000, 5 + 2 * w))
+
+    def test_chunked_windows_build_one_pool(self, chip, rng, monkeypatch):
+        dtau, labels, q, c = self._events(chip, rng, 400)
+        built = []
+
+        class CountingPool(stats.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        trials = stats._CHUNK + 10  # two chunks per window
+        serial = similarity_vs_dt(dtau, labels, q, c, trials=trials, seed=9, half_window=40.0)
+        monkeypatch.setattr(stats, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setenv("MMI_LAB_THREADS", "3")
+        threaded = similarity_vs_dt(dtau, labels, q, c, trials=trials, seed=9, half_window=40.0)
+        assert len(threaded) >= 4
+        assert built == [3]
+        same_windows(serial, threaded)
 
 
 class TestRandomBaseline:

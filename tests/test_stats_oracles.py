@@ -114,9 +114,11 @@ class TestSimilarityRows:
     def test_rand_vs_rand_matches_inline_formula(self):
         trials, seed, dims = 300_000, 5, 6  # more than two resampling chunks
         got = random_baseline(None, dims=dims, trials=trials, seed=seed)
-        want = _run_chunks(trials, seed,
-                           lambda rng, size: oracle_rand_vs_rand_chunk(rng, size, dims))
-        assert np.array_equal(got.samples, want)
+
+        def chunk(rng, out):
+            out[0] = oracle_rand_vs_rand_chunk(rng, out.shape[1], dims)
+
+        assert np.array_equal(got.samples, _run_chunks(trials, seed, chunk)[0])
 
 
 class TestModeFromHistogram:
@@ -152,6 +154,20 @@ def windows(rows):
              w.vs_classical.to_json_dict()) for w in rows]
 
 
+def shared_draw_oracle(dtau, pairs, tq, tc, **kwargs):
+    """The oracle's windows with ``vs_classical`` drawn at the quantum seed
+    ``seed + 2w``, as ``similarity_vs_dt`` now shares each window's draws.
+
+    ``vs_quantum`` is the oracle's own; the oracle run with the theories
+    swapped judges the classical theory at that same seed.
+    """
+    pairs = list(pairs)
+    quantum = oracle_similarity_vs_dt(dtau, pairs, tq, tc, **kwargs)
+    swapped = oracle_similarity_vs_dt(dtau, pairs, tc, tq, **kwargs)
+    return [(center, n, vs_q, vs_c)
+            for (center, n, vs_q, _), (_, _, vs_c, _) in zip(quantum, swapped)]
+
+
 class TestPairLabels:
     @settings(max_examples=100, deadline=None)
     @given(labelled_events())
@@ -159,7 +175,7 @@ class TestPairLabels:
         n, pairs, dtau = case
         theory = np.arange(1.0, n * (n - 1) // 2 + 1)
         kwargs = dict(n_modes=n, trials=500, seed=7, min_events=1)
-        want = oracle_similarity_vs_dt(dtau, pairs, theory, theory[::-1], **kwargs)
+        want = shared_draw_oracle(dtau, pairs, theory, theory[::-1], **kwargs)
         assert windows(similarity_vs_dt(dtau, pairs, theory, theory[::-1], **kwargs)) == want
         as_array = np.array(pairs, dtype=int)
         assert windows(similarity_vs_dt(dtau, as_array, theory, theory[::-1], **kwargs)) == want
@@ -169,7 +185,7 @@ class TestPairLabels:
         k, l = [0, 1, 2, 3], [1, 2, 3, 3]
         theory = np.arange(1.0, 7.0)
         kwargs = dict(trials=500, seed=7, min_events=1)
-        want = oracle_similarity_vs_dt(dtau, zip(k, l), theory, theory[::-1], **kwargs)
+        want = shared_draw_oracle(dtau, zip(k, l), theory, theory[::-1], **kwargs)
         assert windows(similarity_vs_dt(dtau, zip(k, l), theory, theory[::-1], **kwargs)) == want
 
     @pytest.mark.parametrize("pairs", [np.zeros((4, 3), dtype=int), [0, 1, 1, 2, 2, 3, 0, 3],
@@ -187,7 +203,7 @@ class TestPairLabels:
         c = coincidence_classical(chip, 0, 1).cross_only().values
         got = similarity_vs_dt(co.dtau_ns, np.column_stack((co.pair_k, co.pair_l)), q, c,
                                trials=5000, seed=3)
-        want = oracle_similarity_vs_dt(co.dtau_ns, zip(co.pair_k.tolist(), co.pair_l.tolist()),
-                                       q, c, trials=5000, seed=3)
+        want = shared_draw_oracle(co.dtau_ns, zip(co.pair_k.tolist(), co.pair_l.tolist()),
+                                  q, c, trials=5000, seed=3)
         assert len(want) >= 5
         assert windows(got) == want
