@@ -100,8 +100,8 @@ def simulate_fringes(matrix: TransferMatrix, noise_sd: float = 0.0,
     By default all inputs are probed against input 0, which is what the
     reconstruction needs.
     """
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be non-negative")
+    if not np.isfinite(noise_sd) or noise_sd < 0:
+        raise ValueError(f"noise_sd must be non-negative and finite, got {noise_sd}")
     n = matrix.n_modes
     if phase_grid is None:
         phase_grid = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)

@@ -50,6 +50,12 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _not_a_dir(flag: str, path: str | None) -> None:
+    """An output file flag that names a directory is a usage error."""
+    if path and Path(path).is_dir():
+        raise ConfigError(f"{flag}: {path} is a directory, not a file")
+
+
 def _outdir(path: Path) -> None:
     """Create the ``--out`` directory ``path``; a file in its way is a usage
     error, not a data error."""
@@ -78,6 +84,8 @@ def cmd_simulate(args) -> int:
         cfg = replace(cfg, layout=replace(cfg.layout, polarization=args.polarization))
     if not math.isfinite(args.seconds) or args.seconds <= 0:
         raise ConfigError(f"--seconds must be positive and finite, got {args.seconds}")
+    _not_a_dir("--out", args.out)
+    _not_a_dir("--truth-out", args.truth_out)
     seed = args.seed if args.seed is not None else cfg.seed_for("simulate")
     layout = cfg.build_layout()
     stream, truth = simulate_run(cfg.source, layout, cfg.detectors,
@@ -145,6 +153,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_characterize(args) -> int:
+    if not math.isfinite(args.noise_sd) or args.noise_sd < 0:
+        raise ConfigError(f"--noise-sd must be non-negative and finite, got {args.noise_sd}")
+    if args.repeat < 1:
+        raise ConfigError(f"--repeat must be at least 1, got {args.repeat}")
     data = truth = None
     if args.simulate:
         truth = (TransferMatrix.from_file(args.matrix) if args.matrix
@@ -167,6 +179,8 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if not 0.0 <= args.visibility <= 1.0:
+        raise ConfigError(f"--visibility must be in [0, 1], got {args.visibility}")
     matrix = (TransferMatrix.from_file(args.matrix) if args.matrix
               else measured_chip_matrix())
     for flag, value in (("-i", args.input_i), ("-j", args.input_j)):
@@ -176,6 +190,7 @@ def cmd_predict(args) -> int:
                             args.visibility)
     text = _json(report) if args.format == "json" else table.rstrip("\n")
     if args.out and args.out != "-":
+        _not_a_dir("--out", args.out)
         out = Path(args.out)
         _write(out.parent, {out.name: text + "\n"})
     print(text)
@@ -252,7 +267,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, StreamFormatError, CharacterizationError,
-            FileNotFoundError, ValueError) as exc:
+            FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

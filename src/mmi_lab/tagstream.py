@@ -1,9 +1,9 @@
 """Time-tag ingestion and correlation analysis.
 
 Detection events are (channel, tick) records with an 81 ps tick.  A
-stream is loaded into memory whole.  Zero-offset pairing and the count
-tables are array code; time-offset pairing (``_pair_offset``) is a greedy
-Python loop over the ticks.  The cross-correlator is array code that
+stream is loaded into memory whole.  Pairing cuts the ticks at gaps no
+pair can span and loops in Python only over runs of 3 or more tags; the
+count tables are array code.  The cross-correlator is array code that
 works through the stream in chunks, so its temporaries grow with the chunk
 size and the correlation range rather than the stream length.
 
@@ -30,7 +30,7 @@ The CSV alternative is ``channel,tick`` rows with a header line.
 
 from __future__ import annotations
 
-import io
+import struct
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -42,6 +42,7 @@ from .core import CoincidenceDistribution, pair_index
 MAGIC = b"TTAG"
 VERSION = 1
 DEFAULT_TICK_FS = 81_000  # 81 ps
+_HEADER = "<4sHHQ"  # magic, format version, channel count, tick size in fs
 _RECORD = np.dtype([("tick", "<u8"), ("channel", "u1"), ("reserved", "V3")])
 # tags per cross-correlation chunk
 _CHUNK_TAGS = 1 << 14
@@ -99,27 +100,20 @@ class TimeTagStream:
     # -- binary format ---------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        head = io.BytesIO()
-        head.write(MAGIC)
-        head.write(np.uint16(VERSION).tobytes())
-        head.write(np.uint16(self.n_channels).tobytes())
-        head.write(np.uint64(self.tick_fs).tobytes())
         rec = np.zeros(len(self), dtype=_RECORD)
         rec["tick"] = self.ticks
         rec["channel"] = self.channels
-        return head.getvalue() + rec.tobytes()
+        return struct.pack(_HEADER, MAGIC, VERSION, self.n_channels, self.tick_fs) + rec.tobytes()
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "TimeTagStream":
         if len(payload) < 16:
             raise StreamFormatError(f"header truncated: {len(payload)} bytes")
-        if payload[:4] != MAGIC:
-            raise StreamFormatError(f"bad magic {payload[:4]!r}")
-        version = int(np.frombuffer(payload, np.uint16, 1, 4)[0])
+        magic, version, n_channels, tick_fs = struct.unpack_from(_HEADER, payload)
+        if magic != MAGIC:
+            raise StreamFormatError(f"bad magic {magic!r}")
         if version != VERSION:
             raise StreamFormatError(f"unsupported format version {version}")
-        n_channels = int(np.frombuffer(payload, np.uint16, 1, 6)[0])
-        tick_fs = int(np.frombuffer(payload, np.uint64, 1, 8)[0])
         if tick_fs == 0:
             raise StreamFormatError("tick size of 0 fs in the header")
         body = payload[16:]
@@ -339,27 +333,20 @@ class CoincidenceSet:
         return self.counts.same_detector_values()
 
 
-def _pair_neighbours(ticks: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy pairing when every earlier tag within ``hi`` ticks qualifies.
-
-    The buffer then never holds more than the previous tag: runs of tags
-    spaced at most ``hi`` apart pair up 1-2, 3-4, ... and an odd last tag
-    of a run is unmatched.
-    """
-    starts = np.ones(ticks.size, dtype=bool)
-    starts[1:] = np.diff(ticks) > hi
-    pos = np.arange(ticks.size)
-    run_start = np.maximum.accumulate(np.where(starts, pos, 0))
-    second = pos[(pos - run_start) % 2 == 1]
-    return second - 1, second
-
-
-def _pair_offset(ticks: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy pairing with separations in [lo, hi] ticks, lo > 0: the
-    oldest unmatched tag still within ``hi`` is paired first."""
+def _pair_greedy(ticks: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pairing with separations in [lo, hi] ticks: the oldest
+    unmatched tag still within ``hi`` pairs first.  A gap wider than ``hi``
+    expires every buffered tag, so each run between such gaps pairs alone:
+    a 2-tag run when its gap is at least ``lo``, a longer run through the
+    buffer loop.  Pairs are ordered by their second tag."""
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(ticks) > hi) + 1, [ticks.size]))
+    sizes = np.diff(edges)
+    two = edges[:-1][sizes == 2]
+    two = two[ticks[two + 1] - ticks[two] >= lo]
+    rest = np.flatnonzero(np.repeat(sizes > 2, sizes))
     buf: deque[tuple[int, int]] = deque()
     first, second = [], []
-    for j, t in enumerate(ticks.tolist()):
+    for j, t in zip(rest.tolist(), ticks[rest].tolist()):
         while buf and t - buf[0][0] > hi:
             buf.popleft()
         if buf and t - buf[0][0] >= lo:
@@ -367,7 +354,10 @@ def _pair_offset(ticks: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.nd
             second.append(j)
         else:
             buf.append((t, j))
-    return np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
+    first = np.concatenate((two, np.array(first, dtype=np.intp)))
+    second = np.concatenate((two + 1, np.array(second, dtype=np.intp)))
+    order = np.argsort(second)
+    return first[order], second[order]
 
 
 def extract_coincidences(stream: TimeTagStream, window_ns: float,
@@ -387,23 +377,16 @@ def extract_coincidences(stream: TimeTagStream, window_ns: float,
     window_fs, offset_fs = _fs(window_ns), _fs(time_offset_ns)
     lo = -(-(offset_fs - window_fs) // stream.tick_fs)
     hi = (offset_fs + window_fs) // stream.tick_fs
-    ticks = stream.ticks
-    if lo <= 0:
-        first, second = _pair_neighbours(ticks, hi)
-    else:
-        first, second = _pair_offset(ticks, lo, hi)
-    c_first = stream.channels[first].astype(int)
-    c_second = stream.channels[second].astype(int)
-    pair_k = np.minimum(c_first, c_second)
-    pair_l = np.maximum(c_first, c_second)
+    first, second = _pair_greedy(stream.ticks, lo, hi)
+    pair_k, pair_l = np.sort(stream.channels[np.stack((first, second))].astype(int), axis=0)
     n = stream.n_channels
     vals = np.bincount(pair_index(pair_k, pair_l, n), minlength=n * (n + 1) // 2)
     return CoincidenceSet(
         pair_k=pair_k,
         pair_l=pair_l,
-        dtau_ns=(ticks[second] - ticks[first]) * stream.tick_ns - time_offset_ns,
+        dtau_ns=(stream.ticks[second] - stream.ticks[first]) * stream.tick_ns - time_offset_ns,
         counts=CoincidenceDistribution(n, vals.astype(float)),
-        n_unmatched=len(ticks) - 2 * len(first),
+        n_unmatched=len(stream) - 2 * len(first),
     )
 
 

@@ -11,6 +11,11 @@ directly on Python-int femtosecond times (``tick * tick_fs``, which never
 wraps): a pair qualifies when ``lo_fs <= t_j - t_i <= hi_fs``, a bin is
 ``floor(dt_fs / pitch_fs)`` and a phase is ``t_fs % period_fs``.  The
 array kernels must match them bit for bit at any u64 tick.
+
+``_pair_neighbours`` (the closed form for ``lo <= 0``) and ``_pair_offset``
+(the per-tag buffer loop for ``lo > 0``) are the two pairing kernels that
+``mmi_lab.tagstream._pair_greedy`` replaced, kept verbatim; they work on
+raw tick arrays with bounds in ticks.
 """
 
 from __future__ import annotations
@@ -177,3 +182,34 @@ def int_oracle_fold_counts(stream, fold_period, pitch):
     for tick in stream.ticks.tolist():
         fine[tick * stream.tick_fs % period_fs // pitch_fs] += 1
     return fine
+
+
+def _pair_neighbours(ticks: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pairing when every earlier tag within ``hi`` ticks qualifies.
+
+    The buffer then never holds more than the previous tag: runs of tags
+    spaced at most ``hi`` apart pair up 1-2, 3-4, ... and an odd last tag
+    of a run is unmatched.
+    """
+    starts = np.ones(ticks.size, dtype=bool)
+    starts[1:] = np.diff(ticks) > hi
+    pos = np.arange(ticks.size)
+    run_start = np.maximum.accumulate(np.where(starts, pos, 0))
+    second = pos[(pos - run_start) % 2 == 1]
+    return second - 1, second
+
+
+def _pair_offset(ticks: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pairing with separations in [lo, hi] ticks, lo > 0: the
+    oldest unmatched tag still within ``hi`` is paired first."""
+    buf: deque[tuple[int, int]] = deque()
+    first, second = [], []
+    for j, t in enumerate(ticks.tolist()):
+        while buf and t - buf[0][0] > hi:
+            buf.popleft()
+        if buf and t - buf[0][0] >= lo:
+            first.append(buf.popleft()[1])
+            second.append(j)
+        else:
+            buf.append((t, j))
+    return np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)

@@ -40,6 +40,11 @@ class TestFringeForwardModel:
         with pytest.raises(ValueError):
             simulate_fringes(chip, noise_sd=-0.1)
 
+    @pytest.mark.parametrize("noise_sd", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, chip, noise_sd):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_fringes(chip, noise_sd=noise_sd)
+
 
 class TestReconstruction:
     def test_noiseless_chip_round_trip(self, chip):

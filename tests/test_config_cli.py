@@ -374,6 +374,59 @@ def test_out_blocked_by_a_file_is_config_error(run_dir, tmp_path, capsys, argv, 
     assert blocker.read_text() == "x"
 
 
+@pytest.mark.parametrize("argv, code, flag", [
+    (["simulate", "--seconds", "10", "--out", "DIR"], 2, "--out"),
+    (["simulate", "--seconds", "10", "--out", "x.ttag", "--truth-out", "DIR"], 2, "--truth-out"),
+    (["predict", "--out", "DIR"], 2, "--out"),
+    (["analyze", "g2", "--stream", "DIR"], 3, None),
+    (["analyze", "g2", "--stream", "x.ttag", "--config", "DIR"], 3, None),
+    (["predict", "--matrix", "DIR"], 3, None),
+    (["characterize", "--fringes", "DIR"], 3, None),
+    (["analyze", "g2", "--stream", "FILE/x.ttag"], 3, None),
+    (["predict", "--matrix", "FILE/m.json"], 3, None),
+])
+def test_directory_as_file_flag(tmp_path, monkeypatch, capsys, argv, code, flag):
+    # DIR is a directory where a file belongs; FILE/... reads through a file
+    def simulation(*args, **kwargs):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr("mmi_lab.cli.simulate_run", simulation)
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "FILE").write_text("x")
+    argv = [str(tmp_path / a) if a.split("/")[0] in ("DIR", "FILE", "x.ttag") else a
+            for a in argv]
+    if argv[0] != "simulate" and "--out" not in argv:
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if flag:
+        assert err == f"config error: {flag}: {tmp_path / 'DIR'} is a directory, not a file\n"
+    else:
+        assert err.startswith("data error: ") and "Traceback" not in err
+    assert not (tmp_path / "x.ttag").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["characterize", "--simulate", "--noise-sd", "nan"],
+     "--noise-sd must be non-negative and finite, got nan"),
+    (["characterize", "--simulate", "--noise-sd", "inf"],
+     "--noise-sd must be non-negative and finite, got inf"),
+    (["characterize", "--simulate", "--noise-sd", "-1"],
+     "--noise-sd must be non-negative and finite, got -1.0"),
+    (["characterize", "--simulate", "--noise-sd", "0.01", "--repeat", "-3"],
+     "--repeat must be at least 1, got -3"),
+    (["characterize", "--simulate", "--repeat", "0"], "--repeat must be at least 1, got 0"),
+    (["predict", "--visibility", "2"], "--visibility must be in [0, 1], got 2.0"),
+    (["predict", "--visibility", "nan"], "--visibility must be in [0, 1], got nan"),
+    (["predict", "--visibility", "-0.5"], "--visibility must be in [0, 1], got -0.5"),
+])
+def test_bad_numeric_flag_is_config_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 class TestMalformedStreams:
     @pytest.mark.parametrize("row", ["300,200", "1,-5"])
     def test_csv_row_out_of_range(self, tmp_path, capsys, row):

@@ -7,16 +7,16 @@ streams where float64 nanoseconds are exact (1 ns ticks below 2**53).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from tagstream_oracles import (int_oracle_cross_correlate,
+from tagstream_oracles import (_pair_neighbours, _pair_offset, int_oracle_cross_correlate,
                                int_oracle_extract_coincidences, int_oracle_fold_counts,
                                oracle_cross_correlate, oracle_extract_coincidences,
                                oracle_same_detector_counts)
 
 from mmi_lab import (Layout, TimeTagStream, cross_correlate, extract_coincidences,
                      simulate_run, sliding_histogram)
-from mmi_lab.tagstream import DEFAULT_TICK_FS
+from mmi_lab.tagstream import DEFAULT_TICK_FS, _pair_greedy
 
 UNIT_TICK_FS = 1_000_000  # 1 ns ticks: times, windows and offsets are exact
 # start ticks of 81 ps streams near 380 ks (the headline run), near 1e6 s
@@ -187,6 +187,42 @@ def test_pairing_edge_streams(name, offset):
 @pytest.mark.parametrize("ch_a, ch_b", [(1, 1), (0, 1), (1, 2)])
 def test_cross_correlate_edge_streams(name, ch_a, ch_b):
     check_correlation(EDGE_STREAMS[name], ch_a, ch_b, 50.0, 5.0)
+
+
+def _same_channel(ticks, window, offset=0):
+    return _stream(ticks, [0] * len(ticks)), float(window), float(offset)
+
+
+U64_TOP = 2 ** 64 - 1
+# bounds in ticks from a case's window w and offset o; a window narrower
+# than a tick, half a tick past o, admits no separation at all (lo > hi)
+PAIRING_BOUNDS = {"offset": lambda w, o: (o - w, o + w),
+                  "zero offset": lambda w, o: (-w, w),
+                  "sub-tick window": lambda w, o: (o + 1, o)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(tag_streams(starts=st.one_of(st.integers(0, 1000), late_starts)),
+       st.sampled_from(list(PAIRING_BOUNDS)))
+@example(_same_channel([], 3), "zero offset")
+@example(_same_channel([], 3, 5), "offset")
+@example(_same_channel([7], 3), "zero offset")
+@example(_same_channel([7], 3, 5), "offset")
+@example(_same_channel([5, 5, 5, 5, 5], 2), "zero offset")
+@example(_same_channel([5, 5, 5, 9, 9, 9], 2, 4), "offset")
+@example(_same_channel([0, 3, 5, 6, 40, 41, 100], 2, 3), "sub-tick window")
+@example(_same_channel([U64_TOP - 9, U64_TOP - 8, U64_TOP - 4, U64_TOP], 4), "zero offset")
+@example(_same_channel([U64_TOP - 9, U64_TOP - 8, U64_TOP - 4, U64_TOP], 2, 5), "offset")
+@example(_same_channel([0, 1, 2, 10, 11, 12, 13, 14, 30, 31, 32, 33, 34, 35], 2),
+         "zero offset")
+def test_pair_greedy_matches_the_kernels_it_replaced(case, bounds):
+    stream, window, offset = case
+    lo, hi = PAIRING_BOUNDS[bounds](round(window / stream.tick_ns),
+                                    round(offset / stream.tick_ns))
+    got = _pair_greedy(stream.ticks, lo, hi)
+    want = _pair_neighbours(stream.ticks, hi) if lo <= 0 else _pair_offset(stream.ticks, lo, hi)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_empty_pairing_shapes():
