@@ -90,14 +90,13 @@ class FringeDataset:
 
 
 def simulate_fringes(matrix: TransferMatrix, noise_sd: float = 0.0,
-                     phase_grid=None, pairs=None,
-                     rng: np.random.Generator | None = None) -> FringeDataset:
+                     phase_grid=None, rng: np.random.Generator | None = None) -> FringeDataset:
     """Forward model of the characterisation measurement.
 
-    The probe drives inputs (i1, i2) with equal amplitudes and relative
-    phase phi, so the power at output k is |M[i1,k] + e^{i phi} M[i2,k]|^2.
+    The probe drives inputs (0, i) with equal amplitudes and relative
+    phase phi, so the power at output k is |M[0,k] + e^{i phi} M[i,k]|^2.
     ``noise_sd`` adds multiplicative Gaussian noise to every power sample.
-    By default all inputs are probed against input 0, which is what the
+    Every input i > 0 is probed against input 0, which is what the
     reconstruction needs.
     """
     if not np.isfinite(noise_sd) or noise_sd < 0:
@@ -105,20 +104,18 @@ def simulate_fringes(matrix: TransferMatrix, noise_sd: float = 0.0,
     n = matrix.n_modes
     if phase_grid is None:
         phase_grid = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-    if pairs is None:
-        pairs = [(0, i) for i in range(1, n)]
     if rng is None:
         rng = np.random.default_rng()
     m = matrix.elements
     trans = np.abs(m) ** 2
     fringes = {}
-    for i1, i2 in pairs:
-        probe = m[i1, :][None, :] + np.exp(1j * np.asarray(phase_grid))[:, None] * m[i2, :][None, :]
+    for i in range(1, n):
+        probe = m[0, :][None, :] + np.exp(1j * np.asarray(phase_grid))[:, None] * m[i, :][None, :]
         powers = np.abs(probe) ** 2
         if noise_sd > 0:
             powers = powers * (1.0 + noise_sd * rng.standard_normal(powers.shape))
             powers = np.clip(powers, 0.0, None)
-        fringes[(i1, i2)] = powers
+        fringes[(0, i)] = powers
     if noise_sd > 0:
         trans = np.clip(trans * (1.0 + noise_sd * rng.standard_normal(trans.shape)), 0.0, None)
     return FringeDataset(n_modes=n, phase_grid=np.asarray(phase_grid, dtype=float),

@@ -50,25 +50,29 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _not_a_dir(flag: str, path: str | None) -> None:
-    """An output file flag that names a directory is a usage error."""
-    if path and Path(path).is_dir():
-        raise ConfigError(f"{flag}: {path} is a directory, not a file")
-
-
-def _outdir(path: Path) -> None:
-    """Create the ``--out`` directory ``path``; a file in its way is a usage
-    error, not a data error."""
+def _outdir(flag: str, path: Path) -> None:
+    """Create the directory ``path`` that ``flag`` writes into; a file in its
+    way is a usage error, not a data error."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"--out: cannot create directory {path} ({exc.strerror})") from None
+        raise ConfigError(f"{flag}: cannot create directory {path} ({exc.strerror})") from None
+
+
+def _outfile(flag: str, path: str) -> Path:
+    """The output file ``flag`` names, checked before any work: a directory
+    in its place is a usage error, and its parent is created."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"{flag}: {path} is a directory, not a file")
+    _outdir(flag, out.parent)
+    return out
 
 
 def _write(outdir: Path, files: dict[str, str]) -> None:
     """Write each ``name -> text`` verbatim (no newline translation, so CSV
     tables keep their ``\\r\\n`` line endings)."""
-    _outdir(outdir)
+    _outdir("--out", outdir)
     for name, text in files.items():
         (outdir / name).write_text(text, encoding="utf-8", newline="")
 
@@ -84,18 +88,16 @@ def cmd_simulate(args) -> int:
         cfg = replace(cfg, layout=replace(cfg.layout, polarization=args.polarization))
     if not math.isfinite(args.seconds) or args.seconds <= 0:
         raise ConfigError(f"--seconds must be positive and finite, got {args.seconds}")
-    _not_a_dir("--out", args.out)
-    _not_a_dir("--truth-out", args.truth_out)
+    out = _outfile("--out", args.out)
+    truth_out = _outfile("--truth-out", args.truth_out) if args.truth_out else None
     seed = args.seed if args.seed is not None else cfg.seed_for("simulate")
     layout = cfg.build_layout()
     stream, truth = simulate_run(cfg.source, layout, cfg.detectors,
                                  wall_time_s=args.seconds, seed=seed,
                                  with_truth=True)
-    out = Path(args.out)
-    _outdir(out.parent)
     stream.write_file(out)
-    if args.truth_out:
-        truth.pre_deadtime.write_file(Path(args.truth_out))
+    if truth_out:
+        truth.pre_deadtime.write_file(truth_out)
     manifest = {
         "schema": "run-manifest/1",
         "config_hash": cfg.config_hash(),
@@ -186,12 +188,11 @@ def cmd_predict(args) -> int:
     for flag, value in (("-i", args.input_i), ("-j", args.input_j)):
         if not 1 <= value <= matrix.n_modes:
             raise ModeIndexError(f"{flag} {value} out of range 1..{matrix.n_modes}")
+    out = _outfile("--out", args.out) if args.out and args.out != "-" else None
     report, table = predict(matrix, args.input_i - 1, args.input_j - 1,
                             args.visibility)
     text = _json(report) if args.format == "json" else table.rstrip("\n")
-    if args.out and args.out != "-":
-        _not_a_dir("--out", args.out)
-        out = Path(args.out)
+    if out:
         _write(out.parent, {out.name: text + "\n"})
     print(text)
     return EXIT_OK

@@ -29,7 +29,6 @@ _SCHEMA = "experiment-config/1"
 class AnalysisConfig:
     coincidence_window_ns: float = 300.0
     reference_offset_cycles: int = 2
-    profile_bin_ns: float = 8.0
     profile_pitch_ns: float = 8.0
     display_pitch_ns: float = 4.0
     correlation_range_ns: float = 5976.0
@@ -60,23 +59,28 @@ class LayoutSpec:
 
 
 @dataclass(frozen=True)
+class MatrixSpec:
+    source: str = "builtin:chip_4x4_v1"   # or file:<path>
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     source: SourceConfig = field(default_factory=SourceConfig)
     detectors: DetectorConfig = field(default_factory=DetectorConfig)
     layout: LayoutSpec = field(default_factory=LayoutSpec)
-    matrix_source: str = "builtin:chip_4x4_v1"
+    matrix: MatrixSpec = field(default_factory=MatrixSpec)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     # -- assembly --------------------------------------------------------
 
     def build_matrix(self) -> TransferMatrix:
-        kind, _, name = self.matrix_source.partition(":")
+        kind, _, name = self.matrix.source.partition(":")
         if kind == "builtin":
             return builtin_matrix(name)
         if kind == "file":
             return TransferMatrix.from_file(name)
         raise ConfigError(f"matrix source must be 'builtin:<name>' or "
-                          f"'file:<path>', got {self.matrix_source!r}")
+                          f"'file:<path>', got {self.matrix.source!r}")
 
     def build_layout(self) -> Layout:
         spec = self.layout
@@ -108,14 +112,8 @@ class ExperimentConfig:
         return int.from_bytes(digest[:8], "little") % (2 ** 63)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": _SCHEMA,
-            "source": asdict(self.source),
-            "detectors": asdict(self.detectors),
-            "layout": asdict(self.layout),
-            "matrix": {"source": self.matrix_source},
-            "analysis": asdict(self.analysis),
-        }
+        return {"schema": _SCHEMA,
+                **{name: asdict(getattr(self, name)) for name in _SECTION_TYPES}}
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
@@ -126,6 +124,7 @@ _SECTION_TYPES = {
     "source": SourceConfig,
     "detectors": DetectorConfig,
     "layout": LayoutSpec,
+    "matrix": MatrixSpec,
     "analysis": AnalysisConfig,
 }
 
@@ -165,25 +164,12 @@ def loads(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    allowed = set(_SECTION_TYPES) | {"matrix"}
-    unknown = set(parser.sections()) - allowed
+    unknown = set(parser.sections()) - set(_SECTION_TYPES)
     if unknown:
         raise ConfigError(f"unknown config sections {sorted(unknown)}; "
-                          f"valid sections: {sorted(allowed)}")
-    matrix_source = "builtin:chip_4x4_v1"
-    if parser.has_section("matrix"):
-        keys = dict(parser.items("matrix"))
-        extra = set(keys) - {"source"}
-        if extra:
-            raise ConfigError(f"unknown key [matrix] {sorted(extra)}")
-        matrix_source = keys.get("source", matrix_source).strip()
-    return ExperimentConfig(
-        source=_parse_section(parser, "source", SourceConfig),
-        detectors=_parse_section(parser, "detectors", DetectorConfig),
-        layout=_parse_section(parser, "layout", LayoutSpec),
-        matrix_source=matrix_source,
-        analysis=_parse_section(parser, "analysis", AnalysisConfig),
-    )
+                          f"valid sections: {sorted(_SECTION_TYPES)}")
+    return ExperimentConfig(**{name: _parse_section(parser, name, cls)
+                               for name, cls in _SECTION_TYPES.items()})
 
 
 def load(path) -> ExperimentConfig:

@@ -119,7 +119,7 @@ def analyze_mmi(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dic
             "not enough time-offset (distinguishable) coincidences to build "
             f"the same-detector reference; run long enough that events "
             f"{an.reference_offset_cycles} duty cycles apart are recorded")
-    profile = sliding_histogram(stream, bin_width=an.profile_bin_ns,
+    profile = sliding_histogram(stream, bin_width=an.profile_pitch_ns,
                                 pitch=an.profile_pitch_ns,
                                 fold_period=cfg.source.duty_cycle_ns)
     corr = deadtime_correction(co.dtau_ns, profile, cfg.detectors.dead_time_ns,
@@ -149,6 +149,8 @@ def analyze_mmi(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dic
         "corrected_counts": corr.corrected.as_dict(),
         "missed_same_detector": corr.missed,
         "missed_sigma": corr.missed_sigma,
+        "missed_clamped": corr.clamped,
+        "deadtime_fit_scale": corr.fit_scale,
         "visibility_fit": {"v_star": v_star, "similarity_at_v_star": s_at_v},
         "similarity_cross_vs_quantum": similarity(cross.values, q.cross_only().values),
         "similarity_cross_vs_classical": similarity(cross.values, c.cross_only().values),

@@ -31,7 +31,6 @@ The CSV alternative is ``channel,tick`` rows with a header line.
 from __future__ import annotations
 
 import struct
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -408,12 +407,15 @@ def deadtime_correction(dtau_ns, intensity: SlidingProfile, tau_r_ns: float,
     """Recover same-detector coincidences lost to detector recovery time.
 
     The time-difference distribution of all coincidences follows the
-    autoconvolution of the photon intensity profile.  Its amplitude is
-    fitted to the measured |dtau| histogram outside the recovery time;
-    the deficit inside |dtau| <= tau_r is the number of missed pairs,
-    distributed over the same-detector channels proportionally to the
-    distinguishable-photon reference (that relative distribution does not
-    depend on photon interference).
+    autoconvolution of the photon intensity profile, taken from the
+    per-pitch folded histogram ``intensity.fine_counts`` (the sliding sums
+    in ``counts`` would smooth it).  Its amplitude is fitted to the
+    measured |dtau| histogram outside the recovery time; the deficit
+    inside |dtau| <= tau_r is the number of missed pairs, distributed over
+    the same-detector channels proportionally to the distinguishable-photon
+    reference (that relative distribution does not depend on photon
+    interference).  A negative deficit is a statistical fluctuation: it is
+    reported as zero with ``clamped`` set.
     """
     ref = np.asarray(reference_same, dtype=float)
     if ref.ndim != 1 or ref.size != measured.n_modes:
@@ -427,7 +429,7 @@ def deadtime_correction(dtau_ns, intensity: SlidingProfile, tau_r_ns: float,
                                         clamped=False)
     dtau = np.abs(np.asarray(dtau_ns, dtype=float))
     step = intensity.pitch
-    profile = intensity.counts.astype(float)
+    profile = intensity.fine_counts.astype(float)
     # dark counts add a flat pedestal to the folded profile whose
     # autoconvolution would fake a broad coincidence background
     floor = np.median(np.sort(profile)[:max(1, profile.size // 4)])
@@ -465,11 +467,8 @@ def deadtime_correction(dtau_ns, intensity: SlidingProfile, tau_r_ns: float,
     # a difference against a fluctuating count of that size
     sigma = float(np.sqrt(var_scale * shape[inside].sum() ** 2
                           + max(expected_inside, measured_inside)))
-    clamped = False
-    if missed < 0:
-        warnings.warn("inferred missed-coincidence count was negative; "
-                      "clamping to zero (statistical fluctuation)", stacklevel=2)
-        missed, clamped = 0.0, True
+    clamped = bool(missed < 0)
+    missed = max(missed, 0.0)
     add = missed * ref / ref.sum()
     vals = measured.values.copy()
     diag = np.arange(measured.n_modes)

@@ -280,16 +280,12 @@ def hom_profile(env_1: Wavepacket, env_2: Wavepacket,
                       visibility_integrated=vis)
 
 
-def integrated_visibility(envelope: Wavepacket, coherence: CoherenceModel,
-                          half_window: float | None = None) -> float:
+def integrated_visibility(envelope: Wavepacket, coherence: CoherenceModel) -> float:
     """Visibility of identical-envelope pairs, via the intensity
     autocorrelation (same discrete sum as the full 2-D integral)."""
     intensity = envelope.intensity() * envelope.dt
     auto = np.correlate(intensity, intensity, mode="full")
     tau = np.arange(-(intensity.size - 1), intensity.size) * envelope.dt
-    if half_window is not None:
-        sel = np.abs(tau) <= half_window
-        auto, tau = auto[sel], tau[sel]
     return float(np.sum(auto * coherence.kappa(tau)) / np.sum(auto))
 
 

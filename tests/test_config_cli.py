@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mmi_lab
-from mmi_lab import TimeTagStream, config, pipeline, simulate_fringes
+from mmi_lab import TimeTagStream, config, pipeline, simulate_fringes, simulate_run
 from mmi_lab.cli import main
 from mmi_lab.core import ModeIndexError
 from mmi_lab.instrument import ConfigError
@@ -106,6 +107,32 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config.loads("[matrix]\nsource = magic:wand\n").build_matrix()
 
+    def test_matrix_section_parsed_like_the_others(self):
+        message = "unknown key [matrix] 'sorce'; valid keys: ['source']"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config.loads("[matrix]\nsorce = builtin:chip_4x4_v1\n")
+        cfg = config.loads("[matrix]\nsource =  file:m.json \n")
+        assert cfg.matrix.source == "file:m.json"
+
+    def test_default_to_dict(self):
+        # every report and manifest carries this hash; moving it is a named change
+        d = config.default_config().to_dict()
+        assert list(d) == ["schema", "source", "detectors", "layout", "matrix", "analysis"]
+        assert d["matrix"] == {"source": "builtin:chip_4x4_v1"}
+        assert config.default_config().config_hash() == "0da35b9ed99e6e96"
+
+    def test_profile_bin_ns_removed(self):
+        # the dead-time fit reads the per-pitch histogram; a wider bin only biased it
+        with pytest.raises(ConfigError, match="unknown key \\[analysis\\] 'profile_bin_ns'"):
+            config.loads("[analysis]\nprofile_bin_ns = 8\n")
+
+    def test_readme_profile(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = config.loads(text)
+        assert cfg.source.coherence_jitter_sd is None
+        assert cfg.build_matrix().n_modes == 4
+
 
 class TestSimulateCommand:
     def test_reruns_byte_identical(self, tmp_path):
@@ -168,6 +195,28 @@ class TestSimulateCommand:
         assert main(["simulate", "--seconds", "10", "--out", str(blocker / "x.ttag")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: --out: cannot create "
                                                   f"directory {blocker}")
+
+    def test_truth_out_into_missing_dirs(self, tmp_path):
+        out, truth = tmp_path / "a" / "b" / "s.ttag", tmp_path / "c" / "d" / "t.ttag"
+        assert main(["simulate", "--seconds", "1000", "--seed", "2", "--out", str(out),
+                     "--truth-out", str(truth)]) == 0
+        stream, pre = TimeTagStream.from_file(out), TimeTagStream.from_file(truth)
+        manifest = json.loads((out.parent / "s.ttag.manifest.json").read_text())
+        assert len(pre) - manifest["n_suppressed"] == len(stream) == manifest["n_tags"]
+
+    def test_truth_out_under_a_file_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def simulation(*args, **kwargs):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr("mmi_lab.cli.simulate_run", simulation)
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out = tmp_path / "s.ttag"
+        assert main(["simulate", "--seconds", "10", "--out", str(out),
+                     "--truth-out", str(blocker / "t.ttag")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: --truth-out: cannot create "
+                                                  f"directory {blocker}")
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +316,42 @@ mc_trials = 50000
         assert len(report["windows"]) >= 3
         first = report["windows"][0]
         assert first["vs_quantum"]["mode"] > first["vs_classical"]["mode"]
+
+    def test_trials_and_seed_overrides(self, run_dir):
+        out = run_dir / "mmi_override"
+        assert main(["analyze", "mmi", "--stream", str(run_dir / "mmi.ttag"),
+                     "--trials", "2000", "--seed", "5", "--out", str(out)]) == 0
+        report = json.loads((out / "mmi_report.json").read_text())
+        cfg = config.loads("[analysis]\nmaster_seed = 5\n")
+        assert report["seed"] == cfg.seed_for("analyze-mmi")
+        assert report["similarity_corrected"]["vs_quantum"]["n_trials"] == 2000
+        assert report["missed_clamped"] is False
+        assert report["deadtime_fit_scale"] > 0
+
+    def test_csv_format_prints_scalars(self, run_dir, capsys):
+        out = run_dir / "g2_csv"
+        assert main(["analyze", "g2", "--stream", str(run_dir / "hbt.ttag"),
+                     "--format", "csv", "--out", str(out)]) == 0
+        report = json.loads((out / "g2_report.json").read_text())
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(lines) == sorted(f"{k},{v}" for k, v in report.items()
+                                       if not isinstance(v, dict))
+        assert lines[0] == "schema,g2-report/1"
+
+    def test_clamped_deficit_is_reported_not_warned(self):
+        # a 1000 s run holds 28 coincidences: the fitted tail expects fewer
+        # inside the dead time than were measured, so the deficit is clamped
+        cfg = config.default_config()
+        cfg = dataclasses.replace(cfg, analysis=dataclasses.replace(cfg.analysis,
+                                                                    mc_trials=1000))
+        stream = simulate_run(cfg.source, cfg.build_layout(), cfg.detectors, 1000.0, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, _ = pipeline.analyze_mmi(stream, cfg)
+        assert report["missed_clamped"] is True
+        assert report["missed_same_detector"] == 0.0
+        assert isinstance(report["deadtime_fit_scale"], float)
+        assert json.loads(json.dumps(report)) == report
 
     @pytest.mark.parametrize("argv, layout", [
         (["predict", "-i", "0"], None),
@@ -492,6 +577,26 @@ class TestCharacterizeCommand:
         rebuilt = json.loads((out / "reconstructed_matrix.json").read_text())
         assert rebuilt["n_modes"] == 4
 
+    def test_fringes_against_matrix(self, tmp_path, chip):
+        fpath, mpath = tmp_path / "fringes.json", tmp_path / "chip.json"
+        simulate_fringes(chip).write_file(fpath)
+        chip.write_file(mpath)
+        out = tmp_path / "charm"
+        assert main(["characterize", "--fringes", str(fpath), "--matrix", str(mpath),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "characterize_report.json").read_text())
+        assert report["noise_sd"] is None
+        assert report["max_abs_deviation"] <= 1e-10
+
+    def test_repeat_statistics(self, tmp_path):
+        out = tmp_path / "charr"
+        assert main(["characterize", "--simulate", "--noise-sd", "0.01", "--repeat", "5",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "characterize_report.json").read_text())
+        assert report["repeat_trials"] == 5
+        assert 0 < report["deviation_median"] <= report["deviation_p90"] \
+            <= report["deviation_max"] <= 0.05
+
     @pytest.mark.parametrize("text", ["{}", "[1, 2]", '{"fringes": [1]}',
                                       '{"fringes": {"1-2": []}}'])
     def test_malformed_fringe_file(self, tmp_path, capsys, text):
@@ -525,6 +630,11 @@ class TestPredictCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["quantum"]["1,2"] == pytest.approx(0.0, abs=1e-12)
         assert payload["quantum"]["1,1"] == pytest.approx(0.5)
+
+    def test_out_file_matches_stdout(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "q.csv"
+        assert main(["predict", "--out", str(out)]) == 0
+        assert out.read_bytes().decode() == capsys.readouterr().out
 
     def test_bad_matrix_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -340,11 +342,29 @@ class TestDeadtimeCorrection:
         # all events concentrated inside the window: fitted tail ~ 0
         measured = CoincidenceDistribution(4, np.ones(10))
         dtaus = rng.uniform(0, 40, 400)
-        with pytest.warns(UserWarning, match="clamping"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the flag is the only report
             res = deadtime_correction(dtaus, self._profile(), 50.0,
                                       np.ones(4), measured, self.SPAN)
         assert res.missed == 0.0
-        assert res.clamped
+        assert res.clamped is True
+
+    def test_profile_bin_width_does_not_move_correction(self, default_detectors, mmi_layout):
+        # the fit reads the per-pitch folded histogram, never the sliding sums
+        from mmi_lab import SourceConfig, simulate_run
+        stream = simulate_run(SourceConfig(coherence_jitter_sd=0.0), mmi_layout,
+                              default_detectors, 30_000.0, seed=40_000)
+        meas = extract_coincidences(stream, window_ns=300.0)
+        ref = extract_coincidences(stream, window_ns=300.0, time_offset_ns=2 * 664.0)
+        results = [deadtime_correction(
+            meas.dtau_ns, sliding_histogram(stream, fold_period=664.0, bin_width=width, pitch=8.0),
+            50.0, ref.same_detector_counts(), meas.counts, max_dtau_ns=300.0)
+            for width in (8.0, 16.0, 40.0)]
+        assert results[0].missed > 0
+        for res in results[1:]:
+            assert (res.missed, res.missed_sigma, res.fit_scale) == (
+                results[0].missed, results[0].missed_sigma, results[0].fit_scale)
+            assert np.array_equal(res.corrected.values, results[0].corrected.values)
 
     def test_reference_validation(self, rng):
         measured = CoincidenceDistribution(4, np.ones(10))
