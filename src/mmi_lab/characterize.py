@@ -141,10 +141,6 @@ class ReconstructionResult:
     matrix: TransferMatrix
     phase_indeterminate: np.ndarray  # bool, True where fringe contrast was below noise
 
-    @property
-    def any_indeterminate(self) -> bool:
-        return bool(self.phase_indeterminate.any())
-
 
 def reconstruct_matrix(data: FringeDataset) -> ReconstructionResult:
     """Rebuild the gauge-fixed transfer matrix from fringe data.

@@ -146,6 +146,8 @@ def cmd_analyze(args) -> int:
         print(_json(report))
     else:
         for key, val in report.items():
+            if isinstance(val, bool) or val is None:
+                val = json.dumps(val)  # the JSON report's spelling: true, false, null
             if not isinstance(val, (dict, list)):
                 print(f"{key},{val}")
     return EXIT_OK

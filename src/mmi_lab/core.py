@@ -1,12 +1,10 @@
-"""Exact linear-optics detection algebra for photon pairs.
+"""Two-photon coincidence tables for a multimode interferometer.
 
-Implements the detection chain for two photons entering a multimode
-interferometer in distinct input modes: probability of the first
-detection, the entangled state of the remaining excitation it heralds,
-the conditional second detection, and the resulting coincidence
-distributions for indistinguishable (``Q``) and fully distinguishable
-(``C``) photon pairs.  A brute-force two-photon Fock-space oracle is
-provided as an independent cross-check of the closed forms.
+For two photons entering distinct input modes, computes the coincidence
+distributions over unordered output pairs for indistinguishable (``Q``)
+and fully distinguishable (``C``) photons, their visibility-weighted
+mixture, and the visibility that best fits measured counts.  A
+brute-force two-photon Fock-space oracle cross-checks the closed forms.
 
 Mode indices are 0-based throughout the library; the command line uses
 1-based labels.
@@ -24,10 +22,6 @@ from .matrix import TransferMatrix
 
 class ModeIndexError(IndexError):
     """Mode index out of range or otherwise unusable."""
-
-
-class UnreachableHeraldError(ValueError):
-    """First detection requested at an output the input state cannot reach."""
 
 
 class DegenerateDistributionError(ValueError):
@@ -55,15 +49,11 @@ def _table_pairs(n_modes: int, cross_only: bool) -> tuple[tuple[int, int], ...]:
     return tuple(p for p in mode_pairs(n_modes) if not cross_only or p[0] != p[1])
 
 
-def _check_modes(n_modes: int, *indices: int) -> None:
-    for idx in indices:
+def _check_input_pair(n_modes: int, i: int, j: int) -> None:
+    for idx in (i, j):
         if not 0 <= idx < n_modes:
             raise ModeIndexError(f"mode index {idx} out of range for "
                                  f"{n_modes}-mode interferometer")
-
-
-def _check_input_pair(n_modes: int, i: int, j: int) -> None:
-    _check_modes(n_modes, i, j)
     if i == j:
         raise ModeIndexError("both photons in one input mode is not supported")
 
@@ -105,9 +95,6 @@ class CoincidenceDistribution:
         index = cross_pair_index if self.cross_detector_only else pair_index
         return float(self.values[index(k, l, self.n_modes)])
 
-    def total(self) -> float:
-        return float(self.values.sum())
-
     def cross_only(self) -> "CoincidenceDistribution":
         if self.cross_detector_only:
             return self
@@ -122,54 +109,10 @@ class CoincidenceDistribution:
         k, l = np.triu_indices(self.n_modes)
         return self.values[k == l]
 
-    def normalized(self) -> "CoincidenceDistribution":
-        s = self.values.sum()
-        if s <= 0:
-            raise DegenerateDistributionError("cannot normalise an all-zero distribution")
-        return CoincidenceDistribution(self.n_modes, self.values / s,
-                                       cross_detector_only=self.cross_detector_only,
-                                       renormalized=not self.cross_detector_only)
-
     def as_dict(self) -> dict[str, float]:
         """``"k,l" -> value`` with 1-based detector labels."""
         return {f"{k + 1},{l + 1}": float(v)
                 for (k, l), v in zip(self.pairs, self.values)}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, float], n_modes: int) -> "CoincidenceDistribution":
-        entries = {}
-        for key, v in d.items():
-            k, l = (int(x) - 1 for x in key.split(","))
-            entries[(min(k, l), max(k, l))] = float(v)
-        cross_only = all(k != l for k, l in entries)
-        pairs = _table_pairs(n_modes, cross_only)
-        missing = [p for p in pairs if p not in entries]
-        if missing:
-            raise ValueError(f"missing pair entries: {missing}")
-        vals = np.array([entries[p] for p in pairs])
-        return cls(n_modes, vals, cross_detector_only=cross_only)
-
-
-@dataclass(frozen=True)
-class EntangledInputState:
-    """Single remaining input excitation after a heralding detection.
-
-    The photon detected at output ``herald_output`` removes one excitation;
-    the surviving one is ``amp_on_j * a_j + amp_on_i * a_i`` (creation
-    operators on the two original input modes).
-    """
-
-    amp_on_j: complex
-    amp_on_i: complex
-    mode_j: int
-    mode_i: int
-    herald_output: int
-
-    def __post_init__(self):
-        norm = abs(self.amp_on_j) ** 2 + abs(self.amp_on_i) ** 2
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"entangled state not normalised: |a|^2+|b|^2 = {norm}")
-
 
 @dataclass
 class TwoPhotonState:
@@ -194,9 +137,6 @@ class TwoPhotonState:
         state = cls(n_modes)
         state.amplitudes[pair_index(min(i, j), max(i, j), n_modes)] = 1.0
         return state
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     def evolve(self, matrix: TransferMatrix) -> "TwoPhotonState":
         """Propagate both photons through the interferometer.
@@ -234,47 +174,6 @@ class TwoPhotonState:
 
     def pair_probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-# -- detection chain ----------------------------------------------------
-
-
-def detection_prob_first(matrix: TransferMatrix, i: int, j: int, k: int) -> float:
-    """Probability that the first photon of the pair (inputs i, j) is
-    detected at output k: (|M_ik|^2 + |M_jk|^2) / 2."""
-    _check_input_pair(matrix.n_modes, i, j)
-    _check_modes(matrix.n_modes, k)
-    m = matrix.elements
-    return 0.5 * (abs(m[i, k]) ** 2 + abs(m[j, k]) ** 2)
-
-
-def project_first_detection(matrix: TransferMatrix, i: int, j: int,
-                            k: int) -> EntangledInputState:
-    """State of the remaining input excitation heralded by a first
-    detection at output k.
-
-    The detection removes one photon without revealing which input it
-    came from, leaving ``(M_ik a_j + M_jk a_i) / sqrt(|M_ik|^2 + |M_jk|^2)``.
-    """
-    _check_input_pair(matrix.n_modes, i, j)
-    _check_modes(matrix.n_modes, k)
-    m = matrix.elements
-    norm = np.sqrt(abs(m[i, k]) ** 2 + abs(m[j, k]) ** 2)
-    if norm == 0:
-        raise UnreachableHeraldError(
-            f"output {k} is unreachable from inputs ({i}, {j}); cannot herald")
-    return EntangledInputState(amp_on_j=m[i, k] / norm, amp_on_i=m[j, k] / norm,
-                               mode_j=j, mode_i=i, herald_output=k)
-
-
-def detection_prob_second(state: EntangledInputState, matrix: TransferMatrix,
-                          l: int) -> float:
-    """Probability of the second detection landing at output l, conditioned
-    on the heralding detection that produced ``state``."""
-    _check_modes(matrix.n_modes, l)
-    m = matrix.elements
-    amp = state.amp_on_j * m[state.mode_j, l] + state.amp_on_i * m[state.mode_i, l]
-    return float(abs(amp) ** 2)
 
 
 # -- coincidence distributions ------------------------------------------

@@ -66,9 +66,6 @@ class TransferMatrix:
         eye = np.eye(self.n_modes)
         return float(max(np.abs(gram_rows - eye).max(), np.abs(gram_cols - eye).max()))
 
-    def is_unitary(self, tol: float = 1e-9) -> bool:
-        return self.unitarity_deviation() <= tol
-
     # -- serialisation -------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -108,10 +105,6 @@ class TransferMatrix:
     def write_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json() + "\n")
-
-
-def identity_matrix(n_modes: int = 4) -> TransferMatrix:
-    return TransferMatrix(np.eye(n_modes, dtype=complex))
 
 
 def balanced_splitter() -> TransferMatrix:

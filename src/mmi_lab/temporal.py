@@ -11,7 +11,6 @@ difference exposes the gradual loss of indistinguishability.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,6 @@ class Wavepacket:
             raise ValueError(f"wavepacket intensity integrates to {norm}, expected 1")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def times(self) -> np.ndarray:
-        return (np.arange(self.amplitudes.size) + 0.5) * self.dt
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -113,10 +108,6 @@ class CoherenceModel:
             return np.ones_like(tau)
         return np.exp(-0.5 * (self.jitter_sd * tau) ** 2)
 
-    def bandwidth_fwhm_mhz(self) -> float:
-        """Implied FWHM of the relative-detuning distribution, in MHz."""
-        return float(2 * np.sqrt(2 * np.log(2)) * self.jitter_sd / (2 * np.pi) * 1e3)
-
 
 @dataclass(frozen=True)
 class JointDensity:
@@ -133,27 +124,9 @@ class JointDensity:
     dt: float
     densities: np.ndarray
 
-    def total_integral(self) -> float:
-        return float(sum(self.densities.sum(axis=(1, 2))) * self.dt ** 2)
-
     def integrate(self) -> CoincidenceDistribution:
         """Integrate each pair density over both times (raw table)."""
         return CoincidenceDistribution(self.n_modes, self.densities.sum(axis=(1, 2)) * self.dt ** 2)
-
-    def windowed(self, half_window: float, center: float = 0.0,
-                 renormalize: bool = True) -> CoincidenceDistribution:
-        """Coincidence distribution restricted to |t2 - t1| within the window."""
-        if half_window <= 0:
-            raise ValueError("half_window must be positive")
-        span = self.t[-1] - self.t[0]
-        if center + half_window > span:
-            warnings.warn("window extends beyond the time grid; clamping",
-                          stacklevel=2)
-        d = np.abs(np.subtract.outer(self.t, self.t).T)  # |t2 - t1|
-        mask = (d >= max(0.0, center - half_window)) & (d <= center + half_window)
-        dist = CoincidenceDistribution(
-            self.n_modes, (self.densities * mask).sum(axis=(1, 2)) * self.dt ** 2)
-        return dist.normalized() if renormalize else dist
 
     def dtau_marginal(self, pair: tuple[int, int] | None = None):
         """Marginal density over the detection time difference t2 - t1.
@@ -169,15 +142,6 @@ class JointDensity:
         marg = np.bincount(offsets, weights=mat.ravel(), minlength=2 * nt - 1) * self.dt
         dtau = np.arange(-(nt - 1), nt) * self.dt
         return dtau, marg
-
-    def to_csv(self, pair: tuple[int, int]) -> str:
-        """Plot-ready ``t1,t2,value`` rows for one output pair."""
-        mat = self.densities[pair_index(min(pair), max(pair), self.n_modes)]
-        lines = ["t1_ns,t2_ns,density_per_ns2"]
-        for a, t1 in enumerate(self.t):
-            for b, t2 in enumerate(self.t):
-                lines.append(f"{t1},{t2},{mat[a, b]:.10g}")
-        return "\n".join(lines) + "\n"
 
 
 def joint_density(matrix: TransferMatrix, i: int, j: int,
@@ -254,13 +218,6 @@ class HomProfile:
         if ref <= 0:
             raise ValueError("orthogonal reference vanishes inside the window")
         return float(1.0 - self.parallel[mask].sum() / ref)
-
-    def to_csv(self) -> str:
-        """Plot-ready ``dtau,parallel,orthogonal`` rows."""
-        lines = ["dtau_ns,parallel_per_ns,orthogonal_per_ns"]
-        for dt_, p, o in zip(self.dtau, self.parallel, self.orthogonal):
-            lines.append(f"{dt_},{p:.10g},{o:.10g}")
-        return "\n".join(lines) + "\n"
 
 
 def hom_profile(env_1: Wavepacket, env_2: Wavepacket,

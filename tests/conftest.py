@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mmi_lab import (DetectorConfig, Layout, SourceConfig, balanced_splitter,
-                     identity_matrix, measured_chip_matrix, sin2_envelope)
+from mmi_lab import (DetectorConfig, Layout, SourceConfig, TransferMatrix,
+                     balanced_splitter, measured_chip_matrix, sin2_envelope)
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +17,7 @@ def splitter():
 
 @pytest.fixture(scope="session")
 def identity4():
-    return identity_matrix(4)
+    return TransferMatrix(np.eye(4, dtype=complex))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ truth records, and the stacked density array the same numbers.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,34 +36,11 @@ class JointDensity:
     dt: float
     densities: dict
 
-    def total_integral(self) -> float:
-        return float(sum(d.sum() for d in self.densities.values()) * self.dt ** 2)
-
     def integrate(self) -> CoincidenceDistribution:
         """Integrate each pair density over both times (raw table)."""
         vals = np.array([self.densities[p].sum() * self.dt ** 2
                          for p in mode_pairs(self.n_modes)])
         return CoincidenceDistribution(self.n_modes, vals)
-
-    def _dtau_mask(self, half_window: float, center: float) -> np.ndarray:
-        d = np.abs(np.subtract.outer(self.t, self.t).T)  # |t2 - t1|
-        lo = max(0.0, center - half_window)
-        return (d >= lo) & (d <= center + half_window)
-
-    def windowed(self, half_window: float, center: float = 0.0,
-                 renormalize: bool = True) -> CoincidenceDistribution:
-        """Coincidence distribution restricted to |t2 - t1| within the window."""
-        if half_window <= 0:
-            raise ValueError("half_window must be positive")
-        span = self.t[-1] - self.t[0]
-        if center + half_window > span:
-            warnings.warn("window extends beyond the time grid; clamping",
-                          stacklevel=2)
-        mask = self._dtau_mask(half_window, center)
-        vals = np.array([(self.densities[p] * mask).sum() * self.dt ** 2
-                         for p in mode_pairs(self.n_modes)])
-        dist = CoincidenceDistribution(self.n_modes, vals)
-        return dist.normalized() if renormalize else dist
 
     def dtau_marginal(self, pair: tuple[int, int] | None = None):
         """Marginal density over the detection time difference t2 - t1.
@@ -82,15 +58,6 @@ class JointDensity:
         marg = np.bincount(offsets, weights=mat.ravel(), minlength=2 * nt - 1) * self.dt
         dtau = np.arange(-(nt - 1), nt) * self.dt
         return dtau, marg
-
-    def to_csv(self, pair: tuple[int, int]) -> str:
-        """Plot-ready ``t1,t2,value`` rows for one output pair."""
-        mat = self.densities[(min(pair), max(pair))]
-        lines = ["t1_ns,t2_ns,density_per_ns2"]
-        for a, t1 in enumerate(self.t):
-            for b, t2 in enumerate(self.t):
-                lines.append(f"{t1},{t2},{mat[a, b]:.10g}")
-        return "\n".join(lines) + "\n"
 
 
 def joint_density(matrix: TransferMatrix, i: int, j: int,

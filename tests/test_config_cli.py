@@ -328,15 +328,19 @@ mc_trials = 50000
         assert report["missed_clamped"] is False
         assert report["deadtime_fit_scale"] > 0
 
-    def test_csv_format_prints_scalars(self, run_dir, capsys):
-        out = run_dir / "g2_csv"
-        assert main(["analyze", "g2", "--stream", str(run_dir / "hbt.ttag"),
+    @pytest.mark.parametrize("kind", ["g2", "mmi"])
+    def test_csv_format_prints_scalars(self, run_dir, capsys, kind):
+        out = run_dir / f"{kind}_csv"
+        stream = run_dir / {"g2": "hbt.ttag", "mmi": "mmi.ttag"}[kind]
+        assert main(["analyze", kind, "--stream", str(stream), "--trials", "1000",
                      "--format", "csv", "--out", str(out)]) == 0
-        report = json.loads((out / "g2_report.json").read_text())
+        report = json.loads((out / f"{kind}_report.json").read_text())
         lines = capsys.readouterr().out.splitlines()
-        assert sorted(lines) == sorted(f"{k},{v}" for k, v in report.items()
-                                       if not isinstance(v, dict))
-        assert lines[0] == "schema,g2-report/1"
+        # strings bare, everything else (numbers, true/false, null) as the JSON spells it
+        assert sorted(lines) == sorted(f"{k},{v if isinstance(v, str) else json.dumps(v)}"
+                                       for k, v in report.items()
+                                       if not isinstance(v, (dict, list)))
+        assert lines[0] == f"schema,{kind}-report/1"
 
     def test_clamped_deficit_is_reported_not_warned(self):
         # a 1000 s run holds 28 coincidences: the fitted tail expects fewer

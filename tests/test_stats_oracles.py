@@ -51,7 +51,7 @@ class TestFitVisibilityGrid:
             v = rng.random()
             counts = rng.poisson(2000 * (v * q + (1 - v) * c)).astype(float)
             measured = _tables(counts, n, cross_only)
-            if measured.total() > 0:
+            if measured.values.sum() > 0:
                 check_fit(measured, u, i, j)
 
     @pytest.mark.parametrize("cross_only", [False, True])
@@ -76,7 +76,7 @@ class TestFitVisibilityGrid:
             c = coincidence_classical(u, 0, 1).values
             v = grid[int(rng.integers(0, grid.size)), 0]
             measured = _tables(v * q + (1.0 - v) * c, n, cross_only)
-            if measured.total() <= 0:
+            if measured.values.sum() <= 0:
                 continue
             _, s_max = check_fit(measured, u, 0, 1)
             k, l = np.triu_indices(n)

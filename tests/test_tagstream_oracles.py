@@ -228,7 +228,7 @@ def test_pair_greedy_matches_the_kernels_it_replaced(case, bounds):
 def test_empty_pairing_shapes():
     co = extract_coincidences(EDGE_STREAMS["empty"], window_ns=5.0)
     assert co.pair_k.shape == co.pair_l.shape == co.dtau_ns.shape == (0,)
-    assert co.counts.total() == 0 and co.n_unmatched == 0
+    assert co.counts.values.sum() == 0 and co.n_unmatched == 0
 
 
 # -- window edges at late ticks ----------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from mmi_lab import (CoherenceModel, calibrate_gaussian_jitter,
                      coincidence_classical, coincidence_quantum, hom_profile,
-                     joint_density, random_unitary, similarity, sin2_envelope)
+                     joint_density, random_unitary, sin2_envelope)
 from mmi_lab.core import pair_index
 from mmi_lab.temporal import integrated_visibility
 
@@ -11,7 +11,8 @@ from mmi_lab.temporal import integrated_visibility
 class TestEnvelope:
     def test_peak_at_midpoint(self):
         env = sin2_envelope(300.0, 1.0)
-        peak = env.times[np.argmax(env.intensity())]
+        times = (np.arange(env.amplitudes.size) + 0.5) * env.dt
+        peak = times[np.argmax(env.intensity())]
         assert abs(peak - 150.0) <= 1.0
 
     def test_normalisation(self):
@@ -103,7 +104,7 @@ class TestJointDensity:
     def test_total_integral_unitary(self, splitter, envelope):
         jd = joint_density(splitter, 0, 1, envelope, envelope,
                            CoherenceModel.gaussian(0.0128), t_max=300.0)
-        assert jd.total_integral() == pytest.approx(1.0, abs=1e-9)
+        assert jd.integrate().values.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestHomProfile:
@@ -134,71 +135,3 @@ class TestHomProfile:
     def test_unbracketed_target_rejected(self, envelope):
         with pytest.raises(ValueError, match="not reached"):
             calibrate_gaussian_jitter(envelope, 1e-4)
-
-    def test_bandwidth_diagnostic_scale(self, envelope):
-        # narrowband photons: implied relative-detuning FWHM of a few MHz
-        coh = calibrate_gaussian_jitter(envelope, 0.708)
-        assert 1.0 < coh.bandwidth_fwhm_mhz() < 10.0
-
-
-@pytest.fixture(scope="module")
-def calibrated_density(chip, envelope):
-    coh = calibrate_gaussian_jitter(envelope, 0.708)
-    return joint_density(chip, 0, 1, envelope, envelope, coh, t_max=300.0)
-
-
-class TestWindowedDistribution:
-    def test_full_window_equals_integrated(self, calibrated_density):
-        full = calibrated_density.integrate().normalized()
-        win = calibrated_density.windowed(half_window=299.0)
-        assert np.allclose(win.values, full.values, atol=1e-12)
-
-    def test_perfect_coherence_matches_quantum_pattern(self, chip, envelope):
-        jd = joint_density(chip, 0, 1, envelope, envelope,
-                           CoherenceModel.perfect(), t_max=300.0)
-        win = jd.windowed(half_window=25.0)
-        q = coincidence_quantum(chip, 0, 1, renormalized=True)
-        assert similarity(win.values, q.values) == pytest.approx(1.0, abs=1e-6)
-
-    def test_similarity_to_quantum_decays_toward_classical(self, chip,
-                                                           calibrated_density):
-        q = coincidence_quantum(chip, 0, 1).values
-        c = coincidence_classical(chip, 0, 1).values
-        centers = np.arange(0.0, 160.0, 10.0)
-        s_q = []
-        crossed = None
-        for center in centers:
-            win = calibrated_density.windowed(half_window=25.0, center=center)
-            s_q.append(similarity(win.values, q))
-            if crossed is None and similarity(win.values, c) > s_q[-1]:
-                crossed = center
-        # monotone decay toward the distinguishable prediction
-        assert np.all(np.diff(s_q) <= 1e-12)
-        # the crossover happens beyond ~90 ns
-        assert crossed is not None and crossed >= 90.0
-
-    def test_window_beyond_grid_warns(self, calibrated_density):
-        with pytest.warns(UserWarning):
-            win = calibrated_density.windowed(half_window=25.0, center=290.0)
-        assert win.total() == pytest.approx(1.0)
-
-    def test_invalid_window(self, calibrated_density):
-        with pytest.raises(ValueError):
-            calibrated_density.windowed(half_window=0.0)
-
-
-class TestCsvExports:
-    def test_joint_density_csv(self, splitter):
-        env = sin2_envelope(300.0, 5.0)
-        jd = joint_density(splitter, 0, 1, env, env, CoherenceModel.perfect(),
-                           t_max=300.0)
-        text = jd.to_csv((0, 0))
-        lines = text.splitlines()
-        assert lines[0] == "t1_ns,t2_ns,density_per_ns2"
-        assert len(lines) == 1 + jd.t.size ** 2
-
-    def test_hom_profile_csv(self, envelope):
-        prof = hom_profile(envelope, envelope, CoherenceModel.incoherent())
-        lines = prof.to_csv().splitlines()
-        assert lines[0] == "dtau_ns,parallel_per_ns,orthogonal_per_ns"
-        assert len(lines) == 1 + prof.dtau.size
