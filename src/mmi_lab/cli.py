@@ -110,6 +110,9 @@ def cmd_simulate(args) -> int:
         "n_emitted": truth.n_emitted,
         "delivered_pairs": truth.delivered_pairs,
         "detected_pairs": truth.detected_pairs,
+        "n_kept": truth.n_kept,
+        "n_dark": truth.n_dark,
+        "n_outside": truth.n_outside,
         "n_suppressed": truth.n_suppressed,
         "expected_pair_rate_hz": expected_pair_rate(cfg.source, layout),
     }

@@ -11,19 +11,22 @@ single photons.  Detection applies the loss chain, timing jitter,
 per-channel dead time and dark counts, and quantises to converter ticks.
 
 All randomness comes from one seeded generator consumed in a fixed
-order, so identical seeds give bit-identical streams.
+order, so identical seeds give bit-identical streams.  The pair sampler
+(the normalised CDF of the joint detection density) is built once per
+configuration and cached, so repeated runs only draw from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .matrix import TransferMatrix, balanced_splitter, measured_chip_matrix
 from .tagstream import TimeTagStream
-from .temporal import (CoherenceModel, JointDensity, Wavepacket,
-                       calibrate_gaussian_jitter, joint_density, sin2_envelope)
+from .temporal import (CoherenceModel, Wavepacket, calibrate_gaussian_jitter,
+                       joint_density, sin2_envelope)
 
 _TRANSIT_CHUNK = 4096
 
@@ -174,6 +177,11 @@ class TruthRecord:
 
     ``pre_deadtime`` is the stream the detectors would have recorded with
     zero recovery time (identical thinning, jitter and dark counts).
+
+    The funnel from photons to tags: ``n_kept`` photons survive the
+    detection chain, ``n_dark`` dark counts join them, ``n_outside`` of
+    those fall outside ``[0, wall)`` and ``n_suppressed`` fall in a dead
+    time, so ``n_kept + n_dark - n_outside - n_suppressed`` tags remain.
     """
 
     pre_deadtime: TimeTagStream
@@ -181,21 +189,53 @@ class TruthRecord:
     delivered_pairs: int
     detected_pairs: int
     n_suppressed: int
+    n_kept: int
+    n_dark: int
+    n_outside: int
 
 
-def _sample_pairs(jd: JointDensity, rng: np.random.Generator, size: int):
-    """Inverse-CDF draw of (output k, output l, t1, t2) for ``size`` pairs
-    from the discretised joint detection density."""
-    flat = jd.densities.ravel()
+def _pair_sampler(matrix: TransferMatrix, i: int, j: int, envelope: Wavepacket,
+                  coherence: CoherenceModel):
+    """The cached pair sampler of pair inputs (i, j): see :func:`_pair_cdf`."""
+    m = matrix.elements
+    return _pair_cdf(m.tobytes(), m.shape, i, j, envelope, coherence)
+
+
+@lru_cache(maxsize=4)
+def _pair_cdf(elements: bytes, matrix_shape: tuple, i: int, j: int,
+              envelope: Wavepacket, coherence: CoherenceModel):
+    """``(cdf, shape, n_modes, dt)``: the read-only normalised CDF of the
+    joint detection density over (mode pair, t1 cell, t2 cell), the shape
+    of that grid, the number of modes and the cell width."""
+    # the matrix was validated when it was first built
+    matrix = TransferMatrix(np.frombuffer(elements, dtype=complex).reshape(matrix_shape),
+                            amplitude_tol=np.inf)
+    flat = joint_density(matrix, i, j, envelope, envelope, coherence,
+                         t_max=envelope.duration).densities
+    shape = flat.shape
+    flat = flat.ravel()
     total = flat.sum()
     if total <= 0:
         raise ConfigError("joint density vanishes; cannot sample pairs")
-    cdf = np.cumsum(flat) / total
-    pair, c1, c2 = np.unravel_index(np.searchsorted(cdf, rng.random(size)),
-                                    jd.densities.shape)
-    k, l = np.triu_indices(jd.n_modes)  # the mode_pairs order of the rows
-    t1 = (c1 + rng.random(size)) * jd.dt
-    t2 = (c2 + rng.random(size)) * jd.dt
+    cdf = np.cumsum(flat)
+    cdf /= total
+    cdf.setflags(write=False)
+    return cdf, shape, matrix.n_modes, envelope.dt
+
+
+def _sample_pairs(sampler, rng: np.random.Generator, size: int):
+    """Inverse-CDF draw of (output k, output l, t1, t2) for ``size`` pairs
+    from a :func:`_pair_sampler`."""
+    cdf, shape, n_modes, dt = sampler
+    u = rng.random(size)
+    # sorted keys search faster; each index is the same
+    order = np.argsort(u)
+    cell = np.empty(size, dtype=np.intp)
+    cell[order] = np.searchsorted(cdf, u[order])
+    pair, c1, c2 = np.unravel_index(cell, shape)
+    k, l = np.triu_indices(n_modes)  # the mode_pairs order of the rows
+    t1 = (c1 + rng.random(size)) * dt
+    t2 = (c2 + rng.random(size)) * dt
     return k[pair], l[pair], t1, t2
 
 
@@ -215,23 +255,21 @@ def _emit_photons(source: SourceConfig, n_transits: int, transit_intervals,
         b = min(a + _TRANSIT_CHUNK, n_transits)
         block = b - a
         u = rng.random((block, n_att))
-        photons = np.zeros((block, n_att), dtype=np.int8)
-        photons[u < source.emission_prob] = 1
-        photons[u < source.two_photon_prob] = 2
+        # two_photon_prob <= emission_prob, so the sum is 0, 1 or 2
+        photons = (u < source.emission_prob).view(np.int8) + (u < source.two_photon_prob)
         # a spontaneous-decay branch replaces the emission and silences the
         # rest of the transit
         dark = (photons > 0) & (rng.random((block, n_att)) < source.dark_state_prob)
         has_dark = dark.any(axis=1)
         first_dark = np.where(has_dark, dark.argmax(axis=1), n_att)
-        cols = np.arange(n_att)[None, :]
-        photons[cols >= first_dark[:, None]] = 0
+        photons *= np.arange(n_att)[None, :] < first_dark[:, None]
         phase = rng.integers(0, 2, size=block)
-        pol = (cols + phase[:, None]) % 2
-        rows, att = np.nonzero(photons)
-        reps = photons[rows, att]
+        slots = np.flatnonzero(photons > 0)  # numpy finds bools faster
+        reps = photons.ravel()[slots]
+        rows, att = np.divmod(slots, n_att)
         rows = np.repeat(rows, reps)
         att = np.repeat(att, reps)
-        pols = pol[rows, att]
+        pols = (att + phase[rows]) & 1
         # a double emission flips the spin twice: the second photon carries
         # the opposite polarisation, so the routing splits the pair
         if np.any(reps == 2):
@@ -251,13 +289,12 @@ def _route_singles(matrix: TransferMatrix, inputs: np.ndarray,
     """Independent single-photon propagation, renormalised per input row."""
     m = np.abs(matrix.elements) ** 2
     out = np.empty(inputs.size, dtype=np.int64)
-    for i in np.unique(inputs):
-        sel = inputs == i
+    for i in np.flatnonzero(np.bincount(inputs)):  # the input modes in use, in order
+        sel = np.flatnonzero(inputs == i)
         row = m[i, :]
         if row.sum() <= 0:
             raise ConfigError(f"input mode {i} has zero transmission")
-        out[sel] = np.searchsorted(np.cumsum(row / row.sum()),
-                                   rng.random(int(sel.sum())))
+        out[sel] = np.searchsorted(np.cumsum(row / row.sum()), rng.random(sel.size))
     return out
 
 
@@ -299,8 +336,9 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         order = np.argsort(arrival, kind="stable")
         arrival, input_idx, t_arr = arrival[order], input_idx[order], t_emit[order]
 
-        _, start, counts = np.unique(arrival, return_index=True, return_counts=True)
-        pair_first = start[(counts == 2)]
+        # arrival is sorted: runs of equal arrival start where it changes
+        start = np.flatnonzero(np.diff(arrival, prepend=-1))
+        pair_first = start[np.diff(start, append=arrival.size) == 2]
         pair_first = pair_first[input_idx[pair_first] != input_idx[pair_first + 1]]
         delivered_pairs = int(pair_first.size)
         pair_id = np.full(arrival.size, -1, dtype=np.int64)
@@ -313,10 +351,9 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         groups = [is_pair, ~is_pair]
         if delivered_pairs and layout.polarization == "parallel":
             # indistinguishable pairs: joint draw over output pair and times
-            jd = joint_density(matrix, layout.input_delayed, layout.input_direct,
-                               envelope, envelope, source.coherence(),
-                               t_max=envelope.duration)
-            k, l, t1, t2 = _sample_pairs(jd, rng, delivered_pairs)
+            sampler = _pair_sampler(matrix, layout.input_delayed, layout.input_direct,
+                                    envelope, source.coherence())
+            k, l, t1, t2 = _sample_pairs(sampler, rng, delivered_pairs)
             base = arrival[pair_first].astype(float) * duty
             chans += [k, l]
             times += [base + t1, base + t2]
@@ -330,8 +367,10 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         channel, t_ns, pair_id = (np.concatenate(x) for x in (chans, times, pids))
 
     # -- detection chain -------------------------------------------------
-    kept = rng.random(channel.size) < source.detection_chain_prob()
+    # index arrays gather faster than a random boolean mask
+    kept = np.flatnonzero(rng.random(channel.size) < source.detection_chain_prob())
     channel, t_ns, pair_id = channel[kept], t_ns[kept], pair_id[kept]
+    n_kept = int(channel.size)
     per_pair = np.bincount(pair_id[pair_id >= 0], minlength=delivered_pairs)
     detected_pairs = int(np.sum(per_pair == 2))
     if detectors.jitter_sd_ps > 0 and t_ns.size:
@@ -346,13 +385,15 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     t_ns = np.concatenate([t_ns] + dark_t)
 
     inside = (t_ns >= 0) & (t_ns < wall_ns)
+    n_dark = int(channel.size) - n_kept
+    n_outside = int(channel.size - np.count_nonzero(inside))
     channel, t_ns = channel[inside], t_ns[inside]
     ticks = np.round(t_ns / detectors.tick_ns).astype(np.int64)
     order = np.lexsort((channel, ticks))
     channel, ticks = channel[order], ticks[order]
 
     dead_ticks = int(round(detectors.dead_time_ns / detectors.tick_ns))
-    keep = _apply_dead_time(channel, ticks, n_det, dead_ticks)
+    keep = _apply_dead_time(channel, ticks, dead_ticks)
     stream = TimeTagStream(channel[keep].astype(np.uint8),
                            ticks[keep].astype(np.uint64),
                            n_channels=n_det, tick_fs=detectors.tick_fs)
@@ -366,23 +407,41 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         delivered_pairs=delivered_pairs,
         detected_pairs=detected_pairs,
         n_suppressed=int(np.sum(~keep)),
+        n_kept=n_kept,
+        n_dark=n_dark,
+        n_outside=n_outside,
     )
     return stream, truth
 
 
-def _apply_dead_time(channel: np.ndarray, ticks: np.ndarray, n_channels: int,
-                     dead_ticks: int) -> np.ndarray:
+def _apply_dead_time(channel: np.ndarray, ticks: np.ndarray, dead_ticks: int) -> np.ndarray:
+    """Keep mask of tags in time order (ticks non-negative, channels below
+    256): a tag within ``dead_ticks`` of the last kept tag on its channel
+    is dropped.
+
+    A tag at least ``dead_ticks`` after the previous tag on its channel is
+    kept whatever became of that one, and so is each channel's first tag.
+    Only the runs of closer tags need the tag-by-tag rule, starting from
+    the kept tag just before the run; the run's first tag always falls.
+    """
     keep = np.ones(channel.size, dtype=bool)
-    if dead_ticks <= 0:
+    if dead_ticks <= 0 or channel.size == 0:
         return keep
-    last = [-dead_ticks - 1] * n_channels
-    ch_list = channel.tolist()
-    tk_list = ticks.tolist()
-    for idx, (ch, t) in enumerate(zip(ch_list, tk_list)):
-        if t - last[ch] < dead_ticks:
-            keep[idx] = False
-        else:
-            last[ch] = t
+    order = np.argsort(channel.astype(np.uint8), kind="stable")  # a radix sort
+    t, ch = ticks[order], channel[order]
+    close = np.zeros(t.size, dtype=bool)
+    close[1:] = (np.diff(t) < dead_ticks) & (ch[1:] == ch[:-1])
+    edges = np.diff(close.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    kept = ~close
+    long = ends - starts > 1
+    for a, b in zip(starts[long].tolist(), ends[long].tolist()):
+        last = int(t[a - 1])
+        for n, tick in enumerate(t[a + 1:b].tolist(), a + 1):
+            if tick - last >= dead_ticks:
+                kept[n] = True
+                last = tick
+    keep[order] = kept
     return keep
 
 

@@ -145,6 +145,7 @@ def analyze_mmi(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dic
         "seed": seed,
         "input_pair": [i + 1, j + 1],
         "n_coincidences": len(co),
+        "n_unmatched": co.n_unmatched,
         "counts": co.counts.as_dict(),
         "corrected_counts": corr.corrected.as_dict(),
         "missed_same_detector": corr.missed,

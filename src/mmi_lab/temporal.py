@@ -12,16 +12,22 @@ difference exposes the gradual loss of indistinguishability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .core import CoincidenceDistribution, _check_input_pair, mode_pairs, pair_index
 from .matrix import TransferMatrix, balanced_splitter
 
+_CDF_BINS = 2 ** 16  # a power of two: u * _CDF_BINS and the bin edges are exact
+
 
 @dataclass(frozen=True)
 class Wavepacket:
-    """Temporal amplitude envelope on a uniform grid of cell centres."""
+    """Temporal amplitude envelope on a uniform grid of cell centres.
+
+    Equal and hashable by value, so it can key a cache.
+    """
 
     duration: float
     dt: float
@@ -35,6 +41,15 @@ class Wavepacket:
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
+    def _key(self):
+        return self.duration, self.dt, self.amplitudes.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, Wavepacket) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -47,16 +62,34 @@ class Wavepacket:
         out[inside] = self.amplitudes[idx[inside]]
         return out
 
-    def sample_times(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw detection times from the |amplitude|^2 intensity profile."""
-        pdf = self.intensity() * self.dt
-        cdf = np.cumsum(pdf)
+    @cached_property
+    def _intensity_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """The intensity CDF over the cells, and for each bin edge ``b /
+        _CDF_BINS`` of [0, 1] the number of CDF values below it."""
+        cdf = np.cumsum(self.intensity() * self.dt)
         cdf /= cdf[-1]
+        below = np.searchsorted(cdf, np.arange(_CDF_BINS + 1) / _CDF_BINS)
+        for a in (cdf, below):
+            a.setflags(write=False)
+        return cdf, below
+
+    def sample_times(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw detection times from the |amplitude|^2 intensity profile.
+
+        Inverse-CDF sampling: a draw in a bin of [0, 1) that holds no CDF
+        value takes its cell from the bin table, which is what a search of
+        the CDF gives; only the draws in the other bins search it.
+        """
+        cdf, below = self._intensity_cdf
         u = rng.random(size)
-        cell = np.searchsorted(cdf, u)
+        b = (u * _CDF_BINS).astype(np.intp)
+        cell = below[b]
+        split = np.flatnonzero(cell != below[b + 1])
+        cell[split] = np.searchsorted(cdf, u[split])
         return (cell + rng.random(size)) * self.dt
 
 
+@lru_cache(maxsize=8, typed=True)
 def sin2_envelope(duration: float, dt: float = 1.0) -> Wavepacket:
     """Normalised sin^2-intensity envelope: amplitude sin(pi t / T) on [0, T]."""
     if not 0 < dt <= duration / 50:

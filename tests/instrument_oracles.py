@@ -2,10 +2,13 @@
 
 ``JointDensity`` with its dict of per-pair arrays, the dict-building
 ``joint_density``, ``_PairSampler`` (which concatenates that dict again on
-every run), ``_emit_photons`` and ``simulate_run`` with its three routing
-branches are kept verbatim as oracles for ``mmi_lab.temporal`` and
-``mmi_lab.instrument``: the same seed must give bit-identical streams and
-truth records, and the stacked density array the same numbers.
+every run), ``sample_times`` (which rebuilds the envelope's CDF on every
+call), ``_emit_photons``, the tag-by-tag ``_apply_dead_time`` loop and
+``simulate_run`` with its three routing branches are kept verbatim as
+oracles for ``mmi_lab.temporal`` and ``mmi_lab.instrument``: the same seed
+must give bit-identical streams and truth records, and the stacked density
+array the same numbers.  ``simulate_run`` also counts the funnel fields
+the truth record gained later.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ import numpy as np
 
 from mmi_lab.core import CoincidenceDistribution, _check_input_pair, mode_pairs
 from mmi_lab.instrument import (_TRANSIT_CHUNK, ConfigError, DetectorConfig, Layout,
-                                SourceConfig, TruthRecord, _apply_dead_time,
-                                _route_singles)
+                                SourceConfig, TruthRecord, _route_singles)
 from mmi_lab.matrix import TransferMatrix
 from mmi_lab.tagstream import TimeTagStream
 from mmi_lab.temporal import CoherenceModel, Wavepacket
@@ -140,6 +142,32 @@ class _PairSampler:
         return self.pair_k[pair_idx], self.pair_l[pair_idx], t1, t2
 
 
+def sample_times(envelope: Wavepacket, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw detection times from the |amplitude|^2 intensity profile."""
+    pdf = envelope.intensity() * envelope.dt
+    cdf = np.cumsum(pdf)
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    cell = np.searchsorted(cdf, u)
+    return (cell + rng.random(size)) * envelope.dt
+
+
+def _apply_dead_time(channel: np.ndarray, ticks: np.ndarray, n_channels: int,
+                     dead_ticks: int) -> np.ndarray:
+    keep = np.ones(channel.size, dtype=bool)
+    if dead_ticks <= 0:
+        return keep
+    last = [-dead_ticks - 1] * n_channels
+    ch_list = channel.tolist()
+    tk_list = ticks.tolist()
+    for idx, (ch, t) in enumerate(zip(ch_list, tk_list)):
+        if t - last[ch] < dead_ticks:
+            keep[idx] = False
+        else:
+            last[ch] = t
+    return keep
+
+
 def _emit_photons(source: SourceConfig, n_transits: int, transit_intervals,
                   rng: np.random.Generator, envelope: Wavepacket):
     """Vectorised emission phase.
@@ -179,7 +207,7 @@ def _emit_photons(source: SourceConfig, n_transits: int, transit_intervals,
             pols = np.where(second, 1 - pols, pols)
         out_interval.append(transit_intervals[a + rows] + att)
         out_pol.append(pols)
-        out_t.append(envelope.sample_times(rng, rows.size))
+        out_t.append(sample_times(envelope, rng, rows.size))
     if not out_interval:
         empty = np.array([], dtype=np.int64)
         return empty, empty.astype(np.int8), np.array([], dtype=float)
@@ -272,6 +300,7 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     # -- detection chain -------------------------------------------------
     kept = rng.random(channel.size) < source.detection_chain_prob()
     channel, t_ns, pair_id = channel[kept], t_ns[kept], pair_id[kept]
+    n_kept = channel.size
     if delivered_pairs:
         surviving = pair_id[pair_id >= 0]
         per_pair = np.bincount(surviving, minlength=delivered_pairs)
@@ -290,6 +319,8 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     t_ns = np.concatenate([t_ns] + dark_t)
 
     inside = (t_ns >= 0) & (t_ns < wall_ns)
+    n_dark = inside.size - n_kept
+    n_outside = int(np.sum(~inside))
     channel, t_ns = channel[inside], t_ns[inside]
     ticks = np.round(t_ns / detectors.tick_ns).astype(np.int64)
     order = np.lexsort((channel, ticks))
@@ -310,5 +341,8 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         delivered_pairs=delivered_pairs,
         detected_pairs=detected_pairs,
         n_suppressed=int(np.sum(~keep)),
+        n_kept=n_kept,
+        n_dark=n_dark,
+        n_outside=n_outside,
     )
     return stream, truth

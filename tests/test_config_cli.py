@@ -203,6 +203,8 @@ class TestSimulateCommand:
         stream, pre = TimeTagStream.from_file(out), TimeTagStream.from_file(truth)
         manifest = json.loads((out.parent / "s.ttag.manifest.json").read_text())
         assert len(pre) - manifest["n_suppressed"] == len(stream) == manifest["n_tags"]
+        assert (manifest["n_kept"] + manifest["n_dark"] - manifest["n_outside"]
+                - manifest["n_suppressed"] == manifest["n_tags"])
 
     def test_truth_out_under_a_file_is_config_error(self, tmp_path, capsys, monkeypatch):
         def simulation(*args, **kwargs):
@@ -302,6 +304,8 @@ mc_trials = 50000
                               140000.0, seed=77)
         report, _ = analyze_mmi(stream, cfg)
         assert report["n_coincidences"] >= 10_000
+        # every tag is either in a coincidence or unmatched
+        assert 2 * report["n_coincidences"] + report["n_unmatched"] == len(stream)
         assert report["similarity_corrected"]["vs_quantum"]["raw"] >= 0.99
         assert report["visibility_fit"]["v_star"] >= 0.95
 

@@ -129,6 +129,23 @@ class TestStreamInvariants:
         assert truth.detected_pairs <= truth.delivered_pairs
         assert truth.n_emitted >= truth.delivered_pairs * 2
 
+    @pytest.mark.parametrize("layout", [Layout.hbt(), Layout.hom(), Layout.mmi()],
+                             ids=["hbt", "hom", "mmi"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["20ks", "dense-1ms"])
+    def test_funnel_accounts_for_every_tag(self, layout, dense, default_detectors):
+        # dense transits in 1 ms leave many photons beyond the wall
+        source, seconds = ((SourceConfig(atom_transit_rate=2e4), 1e-3) if dense
+                           else (SourceConfig(), 20_000.0))
+        stream, truth = simulate_run(source, layout, default_detectors, seconds,
+                                     seed=10, with_truth=True)
+        assert (truth.n_kept + truth.n_dark - truth.n_outside - truth.n_suppressed
+                == len(stream) > 0)
+        assert truth.n_kept <= truth.n_emitted
+        if dense:
+            assert truth.n_outside > 0
+        else:
+            assert min(truth.n_kept, truth.n_dark, truth.n_suppressed) > 0
+
 
 class TestPairRate:
     def test_zero_emission_rate(self, mmi_layout):

@@ -4,20 +4,26 @@
 Every comparison is exact: the same seed must give byte-identical streams,
 byte-identical zero-dead-time streams and equal truth counts, and the
 density array must reproduce every number of the dict of per-pair arrays.
+The oracles rebuild the pair sampler on every run, so they also check the
+cached one.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from instrument_oracles import _apply_dead_time as oracle_apply_dead_time
 from instrument_oracles import _PairSampler
 from instrument_oracles import joint_density as oracle_joint_density
+from instrument_oracles import sample_times as oracle_sample_times
 from instrument_oracles import simulate_run as oracle_simulate_run
 
-from mmi_lab import (CoherenceModel, DetectorConfig, Layout, SourceConfig, balanced_splitter,
-                     joint_density, measured_chip_matrix, mode_pairs, random_unitary,
-                     simulate_run)
-from mmi_lab.instrument import _sample_pairs
+from mmi_lab import (CoherenceModel, DetectorConfig, Layout, SourceConfig, Wavepacket,
+                     balanced_splitter, joint_density, measured_chip_matrix, mode_pairs,
+                     random_unitary, simulate_run, sin2_envelope)
+from mmi_lab.instrument import _apply_dead_time, _pair_cdf, _pair_sampler, _sample_pairs
 
 CONSTANT = SourceConfig(coherence_jitter_sd=0.0)
 
@@ -30,7 +36,8 @@ def check_run(source, layout, seconds, seed, detectors=DetectorConfig()):
                                                with_truth=True)
     assert got.to_bytes() == want.to_bytes()
     assert truth.pre_deadtime.to_bytes() == want_truth.pre_deadtime.to_bytes()
-    for name in ("n_emitted", "delivered_pairs", "detected_pairs", "n_suppressed"):
+    for name in ("n_emitted", "delivered_pairs", "detected_pairs", "n_suppressed",
+                 "n_kept", "n_dark", "n_outside"):
         assert getattr(truth, name) == getattr(want_truth, name), name
     assert simulate_run(source, layout, detectors, seconds, seed).to_bytes() == got.to_bytes()
     return truth
@@ -94,6 +101,86 @@ def test_single_delivered_pair(polarization):
     assert truth.delivered_pairs == 1 and truth.n_emitted == 10
 
 
+@pytest.mark.parametrize("dead_time_ns", [0.0, 50.0, 400.0, 5_000.0])
+def test_dead_times_match_oracle(dead_time_ns):
+    truth = check_run(SourceConfig(), Layout.mmi(), 20_000.0, seed=42,
+                      detectors=DetectorConfig(dead_time_ns=dead_time_ns))
+    assert (truth.n_suppressed > 0) == (dead_time_ns > 0)
+
+
+def test_pair_sampler_cache_serves_interleaved_configurations(chip):
+    # a key collision or a stale entry would hand a run another
+    # configuration's sampler and change its stream
+    _pair_cdf.cache_clear()
+    calibrated = SourceConfig()
+    runs = [(calibrated, Layout.mmi(chip)),
+            (calibrated, Layout.mmi(chip, input_delayed=2, input_direct=3)),
+            (CONSTANT, Layout.mmi(chip)),
+            (calibrated, Layout.hom()),
+            (calibrated, Layout.mmi(chip))]
+    for seed, (source, layout) in enumerate(runs, 900):
+        assert check_run(source, layout, 5_000.0, seed).delivered_pairs > 0
+    info = _pair_cdf.cache_info()
+    # check_run simulates each configuration twice; only the last one was cached
+    assert (info.misses, info.hits, info.currsize) == (4, 6, 4)
+
+
+def test_cached_samplers_are_read_only(chip, envelope):
+    cdf = _pair_sampler(chip, 0, 1, envelope, CoherenceModel.perfect())[0]
+    for arr in (cdf, *envelope._intensity_cdf):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def _gapped_envelope():
+    # zero-intensity cells give runs of equal CDF values
+    amp = np.zeros(400)
+    amp[50:150] = amp[300:320] = 1.0
+    amp[200] = 1e-6
+    return Wavepacket(400.0, 1.0, amp / np.sqrt(np.sum(amp ** 2)))
+
+
+@pytest.mark.parametrize("envelope", [sin2_envelope(300.0), sin2_envelope(37.0, 0.25),
+                                      _gapped_envelope()], ids=["300ns", "37ns", "gapped"])
+@pytest.mark.parametrize("size", [0, 1, 200_000])
+def test_sample_times_matches_oracle(envelope, size):
+    got = envelope.sample_times(np.random.default_rng(size), size)
+    want = oracle_sample_times(envelope, np.random.default_rng(size), size)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def dead_time_cases(draw):
+    """Tags in simulator order (ticks, then channel) and a dead time.
+
+    Gaps of zero put equal ticks on one channel or several, runs of small
+    gaps make bursts, and the gaps straddle the 617-tick dead time.
+    """
+    n_channels = draw(st.integers(1, 4))
+    gap = st.one_of(st.sampled_from([0, 1, 616, 617, 618]), st.integers(0, 40),
+                    st.integers(0, 1300))
+    gaps = draw(st.lists(gap, max_size=120))
+    ticks = draw(st.integers(0, 10**6)) + np.cumsum(np.array(gaps, dtype=np.int64))
+    channel = np.array(draw(st.lists(st.integers(0, n_channels - 1), min_size=len(gaps),
+                                     max_size=len(gaps))), dtype=np.int64)
+    order = np.lexsort((channel, ticks))
+    span = int(np.ptp(ticks)) if ticks.size else 0
+    dead = draw(st.sampled_from([0, 1, 617, span + 1]))
+    return channel[order], ticks[order], dead
+
+
+@settings(max_examples=400, deadline=None)
+@given(dead_time_cases())
+@example((np.array([], np.int64), np.array([], np.int64), 617))
+@example((np.array([3], np.int64), np.array([0], np.int64), 1))
+@example((np.zeros(50, np.int64), np.arange(50, dtype=np.int64) * 300, 617))
+def test_dead_time_matches_loop(case):
+    channel, ticks, dead = case
+    got = _apply_dead_time(channel, ticks, dead)
+    assert got.dtype == bool
+    assert np.array_equal(got, oracle_apply_dead_time(channel, ticks, 4, dead))
+
+
 def test_no_detection_and_no_dead_time():
     detectors = DetectorConfig(dead_time_ns=0.0, jitter_sd_ps=0.0)
     truth = check_run(SourceConfig(overall_efficiency=0.0), Layout.mmi(), 5_000.0, seed=6,
@@ -104,8 +191,8 @@ def test_no_detection_and_no_dead_time():
 def test_sample_pairs_matches_pair_sampler(envelope, chip):
     coherence = CoherenceModel.gaussian(0.0128)
     sampler = _PairSampler(chip, 1, 3, envelope, coherence)
-    jd = joint_density(chip, 1, 3, envelope, envelope, coherence, t_max=envelope.duration)
-    got = _sample_pairs(jd, np.random.default_rng(11), 200_000)
+    got = _sample_pairs(_pair_sampler(chip, 1, 3, envelope, coherence),
+                        np.random.default_rng(11), 200_000)
     want = sampler.sample(np.random.default_rng(11), 200_000)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)

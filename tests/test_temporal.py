@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmi_lab import (CoherenceModel, calibrate_gaussian_jitter,
+from mmi_lab import (CoherenceModel, Wavepacket, calibrate_gaussian_jitter,
                      coincidence_classical, coincidence_quantum, hom_profile,
                      joint_density, random_unitary, sin2_envelope)
 from mmi_lab.core import pair_index
@@ -28,6 +28,13 @@ class TestEnvelope:
         assert lags[0] == pytest.approx(-299.0)
         assert lags[-1] == pytest.approx(299.0)
         assert abs(lags[np.argmax(auto)]) <= 1.0
+
+    def test_equal_and_hashable_by_value(self):
+        env = sin2_envelope(300.0, 1.0)
+        twin = Wavepacket(300.0, 1.0, env.amplitudes.copy())
+        assert twin == env and hash(twin) == hash(env) and twin is not env
+        assert env != sin2_envelope(300.0, 0.5) and env != env.amplitudes
+        assert len({env, twin, sin2_envelope(300.0, 1.0)}) == 1
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
