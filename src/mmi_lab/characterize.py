@@ -38,19 +38,20 @@ class FringeDataset:
 
     def __post_init__(self):
         g = np.asarray(self.phase_grid, dtype=float)
-        if g.size < 8:
-            raise CharacterizationError("need at least 8 phase samples per fringe")
-        if np.any(np.diff(g) <= 0) or g[0] < 0 or g[-1] >= 2 * np.pi:
-            raise CharacterizationError("phase grid must be strictly increasing within [0, 2pi)")
+        if g.ndim != 1 or g.size < 8:
+            raise CharacterizationError("need a 1-D grid of at least 8 phase samples per fringe")
+        # written so that NaN and inf fail each comparison
+        if not (np.all(np.diff(g) > 0) and 0 <= g[0] and g[-1] < 2 * np.pi):
+            raise CharacterizationError("phase_grid must be strictly increasing within [0, 2pi)")
         t = np.asarray(self.transmissions, dtype=float)
-        if t.shape != (self.n_modes, self.n_modes) or np.any(t < 0):
-            raise CharacterizationError("transmissions must be a non-negative n x n table")
+        if t.shape != (self.n_modes, self.n_modes) or not np.all((0 <= t) & (t < np.inf)):
+            raise CharacterizationError("transmissions must be a finite non-negative n x n table")
         for pair, powers in self.fringes.items():
             p = np.asarray(powers, dtype=float)
             if p.shape != (g.size, self.n_modes):
                 raise CharacterizationError(f"fringe block {pair} has shape {p.shape}")
-            if np.any(p < 0):
-                raise CharacterizationError(f"negative powers in fringe block {pair}")
+            if not np.all((0 <= p) & (p < np.inf)):
+                raise CharacterizationError(f"fringes {pair} must be finite and non-negative")
         self.phase_grid = g
         self.transmissions = t
 
@@ -73,7 +74,7 @@ class FringeDataset:
             n_modes = int(d["n_modes"])
             phase_grid = np.asarray(d["phase_grid"], dtype=float)
             transmissions = np.asarray(d["transmissions"], dtype=float)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise CharacterizationError(f"malformed fringe-dataset JSON: {exc}") from exc
         return cls(n_modes=n_modes, phase_grid=phase_grid,
                    transmissions=transmissions, fringes=fringes)
@@ -90,11 +91,12 @@ class FringeDataset:
 
 
 def simulate_fringes(matrix: TransferMatrix, noise_sd: float = 0.0,
-                     phase_grid=None, rng: np.random.Generator | None = None) -> FringeDataset:
+                     rng: np.random.Generator | None = None) -> FringeDataset:
     """Forward model of the characterisation measurement.
 
     The probe drives inputs (0, i) with equal amplitudes and relative
-    phase phi, so the power at output k is |M[0,k] + e^{i phi} M[i,k]|^2.
+    phase phi, on 16 even steps of [0, 2pi), so the power at output k is
+    |M[0,k] + e^{i phi} M[i,k]|^2.
     ``noise_sd`` adds multiplicative Gaussian noise to every power sample.
     Every input i > 0 is probed against input 0, which is what the
     reconstruction needs.
@@ -102,15 +104,14 @@ def simulate_fringes(matrix: TransferMatrix, noise_sd: float = 0.0,
     if not np.isfinite(noise_sd) or noise_sd < 0:
         raise ValueError(f"noise_sd must be non-negative and finite, got {noise_sd}")
     n = matrix.n_modes
-    if phase_grid is None:
-        phase_grid = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    phase_grid = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     if rng is None:
         rng = np.random.default_rng()
     m = matrix.elements
     trans = np.abs(m) ** 2
     fringes = {}
     for i in range(1, n):
-        probe = m[0, :][None, :] + np.exp(1j * np.asarray(phase_grid))[:, None] * m[i, :][None, :]
+        probe = m[0, :][None, :] + np.exp(1j * phase_grid)[:, None] * m[i, :][None, :]
         powers = np.abs(probe) ** 2
         if noise_sd > 0:
             powers = powers * (1.0 + noise_sd * rng.standard_normal(powers.shape))
@@ -118,7 +119,7 @@ def simulate_fringes(matrix: TransferMatrix, noise_sd: float = 0.0,
         fringes[(0, i)] = powers
     if noise_sd > 0:
         trans = np.clip(trans * (1.0 + noise_sd * rng.standard_normal(trans.shape)), 0.0, None)
-    return FringeDataset(n_modes=n, phase_grid=np.asarray(phase_grid, dtype=float),
+    return FringeDataset(n_modes=n, phase_grid=phase_grid,
                          transmissions=trans, fringes=fringes)
 
 

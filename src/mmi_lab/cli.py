@@ -41,9 +41,7 @@ ANALYSES = {"g2": analyze_g2, "hom": analyze_hom, "mmi": analyze_mmi,
 
 
 def _load_config(path: str | None) -> cfgmod.ExperimentConfig:
-    if path is None:
-        return cfgmod.default_config()
-    return cfgmod.load(path)
+    return cfgmod.default_config() if path is None else cfgmod.load(path)
 
 
 def _json(payload: dict) -> str:

@@ -1,12 +1,14 @@
 """Experiment configuration files.
 
 INI-style documents with sections [source], [detectors], [layout],
-[matrix] and [analysis].  Unknown sections or keys are rejected so typos
-cannot silently fall back to defaults; every number must be finite and
-every [analysis] duration (``*_ns``) positive.  Mode indices in config files are
-1-based (matching how interferometer ports are labelled); the library
-converts to 0-based indices internally.  Every stochastic step derives
-its seed deterministically from ``analysis.master_seed``.
+[matrix] and [analysis]; a key left out keeps its dataclass default, so
+``default_config()`` is ``ExperimentConfig()``.  Unknown sections or keys
+are rejected so typos cannot silently fall back to defaults; every number
+must be finite and every [analysis] duration (``*_ns``) positive.  Mode
+indices in config files are 1-based (matching how interferometer ports
+are labelled); the library converts to 0-based indices internally.
+Every stochastic step derives its seed deterministically from
+``analysis.master_seed``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from importlib import resources
 
 from .core import ModeIndexError
 from .instrument import ConfigError, DetectorConfig, Layout, SourceConfig
@@ -120,13 +121,7 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-_SECTION_TYPES = {
-    "source": SourceConfig,
-    "detectors": DetectorConfig,
-    "layout": LayoutSpec,
-    "matrix": MatrixSpec,
-    "analysis": AnalysisConfig,
-}
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(ExperimentConfig)}
 
 
 def _convert(raw: str, default):
@@ -177,10 +172,5 @@ def load(path) -> ExperimentConfig:
         return loads(fh.read())
 
 
-def default_profile_text() -> str:
-    """The bundled default experiment profile."""
-    return resources.files("mmi_lab.data").joinpath("default.cfg").read_text()
-
-
 def default_config() -> ExperimentConfig:
-    return loads(default_profile_text())
+    return ExperimentConfig()

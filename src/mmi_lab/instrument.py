@@ -74,14 +74,19 @@ class SourceConfig:
                 raise ConfigError(f"{name} must be a probability, got {p}")
         if self.two_photon_prob > self.emission_prob:
             raise ConfigError("two_photon_prob cannot exceed emission_prob")
-        if self.duty_cycle_ns <= self.pulse_length_ns:
-            raise ConfigError("duty cycle must exceed the pulse length")
+        # the envelope has 1 ns cells and needs at least 50
+        if not 50 <= self.pulse_length_ns < self.duty_cycle_ns:
+            raise ConfigError("pulse_length_ns must be at least 50 and below duty_cycle_ns")
         if self.pulses_per_transit < 1:
             raise ConfigError("need at least one pulse per transit")
         if self.atom_transit_rate < 0:
             raise ConfigError("transit rate must be non-negative")
         if self.emission_prob > 0 and self.overall_efficiency > self.emission_prob:
             raise ConfigError("overall_efficiency cannot exceed emission_prob")
+        if self.coherence_jitter_sd is not None and self.coherence_jitter_sd < 0:
+            raise ConfigError("coherence_jitter_sd must be non-negative")
+        if not 0 < self.hom_visibility_target < 1:
+            raise ConfigError("hom_visibility_target must be in (0, 1)")
 
     def detection_chain_prob(self) -> float:
         """Per emitted photon: probability it survives to a recorded tag."""
@@ -109,6 +114,8 @@ class DetectorConfig:
     def __post_init__(self):
         if self.dead_time_ns < 0 or self.jitter_sd_ps < 0 or self.dark_rate_per_hour < 0:
             raise ConfigError("detector parameters must be non-negative")
+        if not 0 < self.tick_fs < 2 ** 64:
+            raise ConfigError(f"tick_fs must be in [1, 2**64) (a header u64), got {self.tick_fs}")
 
     @property
     def tick_ns(self) -> float:
@@ -163,12 +170,8 @@ class Layout:
                    polarization=polarization)
 
     @classmethod
-    def mmi(cls, matrix: TransferMatrix | None = None, input_delayed: int = 0,
-            input_direct: int = 1, polarization: str = "parallel") -> "Layout":
-        return cls(kind="mmi",
-                   interference_matrix=matrix or measured_chip_matrix(),
-                   input_delayed=input_delayed, input_direct=input_direct,
-                   polarization=polarization)
+    def mmi(cls) -> "Layout":
+        return cls(kind="mmi")
 
 
 @dataclass(frozen=True)
@@ -194,23 +197,15 @@ class TruthRecord:
     n_outside: int
 
 
-def _pair_sampler(matrix: TransferMatrix, i: int, j: int, envelope: Wavepacket,
-                  coherence: CoherenceModel):
-    """The cached pair sampler of pair inputs (i, j): see :func:`_pair_cdf`."""
-    m = matrix.elements
-    return _pair_cdf(m.tobytes(), m.shape, i, j, envelope, coherence)
-
-
 @lru_cache(maxsize=4)
-def _pair_cdf(elements: bytes, matrix_shape: tuple, i: int, j: int,
-              envelope: Wavepacket, coherence: CoherenceModel):
-    """``(cdf, shape, n_modes, dt)``: the read-only normalised CDF of the
-    joint detection density over (mode pair, t1 cell, t2 cell), the shape
-    of that grid, the number of modes and the cell width."""
-    # the matrix was validated when it was first built
-    matrix = TransferMatrix(np.frombuffer(elements, dtype=complex).reshape(matrix_shape),
-                            amplitude_tol=np.inf)
-    flat = joint_density(matrix, i, j, envelope, envelope, coherence,
+def _pair_sampler(source: SourceConfig, layout: Layout):
+    """``(cdf, shape, n_modes, dt)``: the read-only normalised CDF of the joint
+    detection density of ``layout``'s pairs over (mode pair, t1 cell, t2 cell),
+    the shape of that grid, the number of modes and the cell width.  Cached,
+    so the coherence calibration and the density run once per configuration."""
+    envelope = source.envelope()
+    flat = joint_density(layout.interference_matrix, layout.input_delayed,
+                         layout.input_direct, envelope, envelope, source.coherence(),
                          t_max=envelope.duration).densities
     shape = flat.shape
     flat = flat.ravel()
@@ -220,7 +215,7 @@ def _pair_cdf(elements: bytes, matrix_shape: tuple, i: int, j: int,
     cdf = np.cumsum(flat)
     cdf /= total
     cdf.setflags(write=False)
-    return cdf, shape, matrix.n_modes, envelope.dt
+    return cdf, shape, layout.interference_matrix.n_modes, envelope.dt
 
 
 def _sample_pairs(sampler, rng: np.random.Generator, size: int):
@@ -351,9 +346,8 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         groups = [is_pair, ~is_pair]
         if delivered_pairs and layout.polarization == "parallel":
             # indistinguishable pairs: joint draw over output pair and times
-            sampler = _pair_sampler(matrix, layout.input_delayed, layout.input_direct,
-                                    envelope, source.coherence())
-            k, l, t1, t2 = _sample_pairs(sampler, rng, delivered_pairs)
+            k, l, t1, t2 = _sample_pairs(_pair_sampler(source, layout), rng,
+                                         delivered_pairs)
             base = arrival[pair_first].astype(float) * duty
             chans += [k, l]
             times += [base + t1, base + t2]

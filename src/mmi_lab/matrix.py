@@ -10,7 +10,7 @@ a matrix is from unitarity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -30,11 +30,11 @@ class TransferMatrix:
     """Complex amplitude map from input modes (rows) to output modes (columns).
 
     Amplitudes are normalised transmissions, so every ``|M[i, k]|`` must lie
-    within ``1 + amplitude_tol``.
+    within ``1 + amplitude_tol``.  Equal and hashable by shape and elements.
     """
 
     elements: np.ndarray
-    amplitude_tol: float = field(default=1e-6, compare=False)
+    amplitude_tol: float = 1e-6
 
     def __post_init__(self):
         m = np.asarray(self.elements, dtype=complex)
@@ -49,6 +49,15 @@ class TransferMatrix:
                               "transmissions must be normalised")
         m.setflags(write=False)
         object.__setattr__(self, "elements", m)
+
+    def _key(self):
+        return self.elements.shape, self.elements.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, TransferMatrix) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_modes(self) -> int:
@@ -78,8 +87,8 @@ class TransferMatrix:
             ],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TransferMatrix":
@@ -87,20 +96,16 @@ class TransferMatrix:
             n = int(d["n_modes"])
             rows = d["elements"]
             m = np.array([[complex(c["re"], c["im"]) for c in row] for row in rows])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MatrixError(f"malformed transfer-matrix JSON: {exc}") from exc
         if m.shape != (n, n):
             raise MatrixError(f"elements shape {m.shape} inconsistent with n_modes={n}")
         return cls(m)
 
     @classmethod
-    def from_json(cls, text: str) -> "TransferMatrix":
-        return cls.from_json_dict(json.loads(text))
-
-    @classmethod
     def from_file(cls, path) -> "TransferMatrix":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            return cls.from_json_dict(json.load(fh))
 
     def write_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -121,13 +126,13 @@ def random_unitary(n_modes: int, rng: np.random.Generator) -> TransferMatrix:
     return TransferMatrix(q)
 
 
-def builtin_matrix(name: str = CHIP_4X4_V1) -> TransferMatrix:
+def builtin_matrix(name: str) -> TransferMatrix:
     """Load a matrix bundled with the package (measured chip data)."""
     try:
         text = resources.files("mmi_lab.data").joinpath(f"{name}.json").read_text()
     except FileNotFoundError as exc:
         raise MatrixError(f"no builtin matrix named {name!r}") from exc
-    return TransferMatrix.from_json(text)
+    return TransferMatrix.from_json_dict(json.loads(text))
 
 
 def measured_chip_matrix() -> TransferMatrix:

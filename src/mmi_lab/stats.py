@@ -58,17 +58,13 @@ def _similarity_rows(draws: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.nan_to_num(s, nan=0.0)
 
 
-def hpd_interval(samples, mass: float = 0.68) -> tuple[float, float]:
-    """Shortest contiguous interval containing at least ``mass`` of the samples."""
+def hpd_interval(samples) -> tuple[float, float]:
+    """Shortest contiguous interval containing at least 68% of the samples."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n == 0:
         raise ValueError("empty sample set")
-    if not 0 < mass <= 1:
-        raise ValueError("mass must be in (0, 1]")
-    m = int(np.ceil(mass * n))
-    if m >= n:
-        return float(x[0]), float(x[-1])
+    m = int(np.ceil(0.68 * n))
     widths = x[m - 1:] - x[:n - m + 1]
     i = int(np.argmin(widths))
     return float(x[i]), float(x[i + m - 1])
@@ -280,8 +276,6 @@ def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
     dtau = np.abs(np.asarray(dtau_ns, dtype=float))
     if dtau.size == 0:
         raise ValueError("no coincidence events supplied")
-    if not isinstance(pair_labels, np.ndarray):
-        pair_labels = list(pair_labels)  # accepts an iterator such as zip(k, l)
     pairs = np.asarray(pair_labels, dtype=int)
     if pairs.shape != (dtau.size, 2):
         raise ValueError(f"expected {dtau.size} detector pairs, got shape {pairs.shape}")

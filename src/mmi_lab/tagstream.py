@@ -73,8 +73,8 @@ class TimeTagStream:
         if ch.shape != tk.shape or ch.ndim != 1:
             raise ValueError("channels and ticks must be matching 1-D arrays")
         if ch.size and int(ch.max()) >= self.n_channels:
-            raise ValueError(f"channel {int(ch.max())} outside the "
-                             f"{self.n_channels}-channel map")
+            raise StreamFormatError(f"channel {int(ch.max())} outside the "
+                                    f"{self.n_channels}-channel map")
         if np.any(tk[1:] < tk[:-1]):
             pos = int(np.argmax(tk[1:] < tk[:-1])) + 1
             raise StreamFormatError(f"non-monotonic timestamps at record {pos}")

@@ -22,12 +22,9 @@ from .matrix import TransferMatrix, balanced_splitter
 _CDF_BINS = 2 ** 16  # a power of two: u * _CDF_BINS and the bin edges are exact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Wavepacket:
-    """Temporal amplitude envelope on a uniform grid of cell centres.
-
-    Equal and hashable by value, so it can key a cache.
-    """
+    """Temporal amplitude envelope on a uniform grid of cell centres."""
 
     duration: float
     dt: float
@@ -40,15 +37,6 @@ class Wavepacket:
             raise ValueError(f"wavepacket intensity integrates to {norm}, expected 1")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
-
-    def _key(self):
-        return self.duration, self.dt, self.amplitudes.tobytes()
-
-    def __eq__(self, other):
-        return isinstance(other, Wavepacket) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -161,15 +149,12 @@ class JointDensity:
         """Integrate each pair density over both times (raw table)."""
         return CoincidenceDistribution(self.n_modes, self.densities.sum(axis=(1, 2)) * self.dt ** 2)
 
-    def dtau_marginal(self, pair: tuple[int, int] | None = None):
-        """Marginal density over the detection time difference t2 - t1.
-
-        Sums the named pair (or all pairs) along anti-diagonals; returns
-        (dtau grid, density per ns).
-        """
+    def dtau_marginal(self, pair: tuple[int, int]):
+        """Marginal density of output pair ``pair`` over the detection time
+        difference t2 - t1 (anti-diagonal sums); returns (dtau grid, density
+        per ns)."""
         nt = self.t.size
-        mat = (self.densities.sum(axis=0) if pair is None
-               else self.densities[pair_index(min(pair), max(pair), self.n_modes)])
+        mat = self.densities[pair_index(min(pair), max(pair), self.n_modes)]
         i1, i2 = np.meshgrid(np.arange(nt), np.arange(nt), indexing="ij")
         offsets = (i2 - i1).ravel() + nt - 1
         marg = np.bincount(offsets, weights=mat.ravel(), minlength=2 * nt - 1) * self.dt
@@ -180,7 +165,6 @@ class JointDensity:
 def joint_density(matrix: TransferMatrix, i: int, j: int,
                   env_i: Wavepacket, env_j: Wavepacket,
                   coherence: CoherenceModel,
-                  delay_offset: float = 0.0,
                   t_max: float | None = None) -> JointDensity:
     """Joint detection-time density for pair inputs (i, j).
 
@@ -191,20 +175,21 @@ def joint_density(matrix: TransferMatrix, i: int, j: int,
                + 2 kappa(t2 - t1) Re( M_ik M_jl conj(M_il M_jk)
                    zeta_i(t1) zeta_j(t2) conj(zeta_j(t1) zeta_i(t2)) ) ] / (1 + delta_kl)
 
-    ``delay_offset`` shifts the second photon's envelope by a relative
-    arrival delay.  With perfect coherence and matched envelopes the
-    integrated table equals the indistinguishable closed form; with
-    kappa = 0 it equals the distinguishable one.
+    Both envelopes start at t = 0: the routing delay makes the photons of
+    a pair arrive together.  The grid covers [0, ``t_max``), by default
+    twice the longer envelope.  With perfect coherence and matched
+    envelopes the integrated table equals the indistinguishable closed
+    form; with kappa = 0 it equals the distinguishable one.
     """
     _check_input_pair(matrix.n_modes, i, j)
     if env_i.dt != env_j.dt:
         raise ValueError("envelope grids must share the same step")
     dt = env_i.dt
     if t_max is None:
-        t_max = 2.0 * max(env_i.duration, env_j.duration + max(delay_offset, 0.0))
+        t_max = 2.0 * max(env_i.duration, env_j.duration)
     t = (np.arange(int(round(t_max / dt))) + 0.5) * dt
     zi = env_i.amplitude_at(t)
-    zj = env_j.amplitude_at(t - delay_offset)
+    zj = env_j.amplitude_at(t)
     ii = np.abs(zi) ** 2
     ij = np.abs(zj) ** 2
     u = zi * np.conj(zj)
@@ -254,12 +239,12 @@ class HomProfile:
 
 
 def hom_profile(env_1: Wavepacket, env_2: Wavepacket,
-                coherence: CoherenceModel,
-                delay_offset: float = 0.0) -> HomProfile:
-    """Balanced-splitter cross-coincidence profile and visibility."""
+                coherence: CoherenceModel) -> HomProfile:
+    """Balanced-splitter cross-coincidence profile and visibility of two
+    photons that arrive together (see :func:`joint_density`)."""
     bs = balanced_splitter()
-    par = joint_density(bs, 0, 1, env_1, env_2, coherence, delay_offset)
-    orth = joint_density(bs, 0, 1, env_1, env_2, CoherenceModel.incoherent(), delay_offset)
+    par = joint_density(bs, 0, 1, env_1, env_2, coherence)
+    orth = joint_density(bs, 0, 1, env_1, env_2, CoherenceModel.incoherent())
     dtau, p_par = par.dtau_marginal((0, 1))
     _, p_orth = orth.dtau_marginal((0, 1))
     total_orth = p_orth.sum()
@@ -280,7 +265,7 @@ def integrated_visibility(envelope: Wavepacket, coherence: CoherenceModel) -> fl
 
 
 def calibrate_gaussian_jitter(envelope: Wavepacket,
-                              target_visibility: float = 0.708) -> CoherenceModel:
+                              target_visibility: float) -> CoherenceModel:
     """Find the jitter level that reproduces a target integrated visibility.
 
     Bisects ``jitter_sd`` in [1e-6, 500 / duration] to adjacent floats.  The

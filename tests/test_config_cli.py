@@ -172,6 +172,24 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x.ttag")])
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        "[detectors]\ntick_fs = 0\n",
+        "[detectors]\ntick_fs = -5\n",
+        f"[detectors]\ntick_fs = {2 ** 64}\n",
+        "[source]\ncoherence_jitter_sd = -1\n",
+        "[source]\nhom_visibility_target = 1.5\n",
+        "[source]\npulse_length_ns = 1\n",
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, text):
+        section, key = text.split("\n")[:2]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--seconds", "1000",
+                     "--out", str(tmp_path / "x.ttag")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid {section} section: ")
+        assert key.split(" = ")[0] in err
+
     @pytest.mark.parametrize("layout, code", [("hom_splitter", 0), ("mmi", 3)])
     def test_matrix_source_read_only_by_mmi(self, tmp_path, layout, code):
         # hom_splitter always uses the balanced splitter
@@ -613,6 +631,22 @@ class TestCharacterizeCommand:
         assert main(["characterize", "--fringes", str(fpath),
                      "--out", str(tmp_path / "o")]) == 3
         assert "malformed fringe-dataset JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["phase_grid", "transmissions", "fringes"])
+    def test_non_finite_fringe_data_is_data_error(self, tmp_path, capsys, chip, field):
+        doc = simulate_fringes(chip).to_json_dict()
+        if field == "phase_grid":
+            doc["phase_grid"][4] = float("nan")
+        elif field == "transmissions":
+            doc["transmissions"][1][2] = float("nan")
+        else:
+            doc["fringes"]["1,2"][3][1] = float("inf")
+        fpath = tmp_path / "fringes.json"
+        fpath.write_text(json.dumps(doc))  # NaN and Infinity, as json.load reads them
+        assert main(["characterize", "--fringes", str(fpath),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and field in err
 
     def test_requires_input(self, tmp_path):
         assert main(["characterize", "--out", str(tmp_path / "z")]) == 3

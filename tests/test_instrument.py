@@ -45,9 +45,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             Layout(kind="ring")
         with pytest.raises(ConfigError):
-            Layout.mmi(input_delayed=2, input_direct=2)
+            Layout(input_delayed=2, input_direct=2)
         with pytest.raises(ConfigError):
             Layout(kind="mmi", polarization="circular")
+
+    def test_layouts_equal_and_hashable_by_value(self):
+        assert Layout.mmi() == Layout.mmi() and hash(Layout.mmi()) == hash(Layout.mmi())
+        assert Layout.hbt() == Layout.hbt() and hash(Layout.hbt()) == hash(Layout.hbt())
+        assert Layout.mmi() != Layout(polarization="orthogonal")
+        assert Layout.mmi() != Layout(input_delayed=2)
 
     @pytest.mark.parametrize("seconds", [float("inf"), float("nan"), 0.0, -1.0])
     def test_run_length_positive_and_finite(self, default_source, default_detectors,
@@ -200,7 +206,7 @@ class TestStatisticalCalibration:
     def test_orthogonal_polarization_gives_classical_counts(
             self, default_source, default_detectors, chip):
         from mmi_lab import coincidence_classical, extract_coincidences, similarity
-        layout = Layout.mmi(polarization="orthogonal")
+        layout = Layout(polarization="orthogonal")
         stream = simulate_run(default_source, layout, default_detectors,
                               120000.0, seed=12)
         co = extract_coincidences(stream, window_ns=300.0)

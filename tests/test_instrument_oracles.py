@@ -9,6 +9,7 @@ cached one.
 """
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from instrument_oracles import sample_times as oracle_sample_times
 from instrument_oracles import simulate_run as oracle_simulate_run
 
 from mmi_lab import (CoherenceModel, DetectorConfig, Layout, SourceConfig, Wavepacket,
-                     balanced_splitter, joint_density, measured_chip_matrix, mode_pairs,
-                     random_unitary, simulate_run, sin2_envelope)
-from mmi_lab.instrument import _apply_dead_time, _pair_cdf, _pair_sampler, _sample_pairs
+                     balanced_splitter, config, instrument, joint_density,
+                     measured_chip_matrix, mode_pairs, random_unitary, simulate_run,
+                     sin2_envelope)
+from mmi_lab.instrument import _apply_dead_time, _pair_sampler, _sample_pairs
 
 CONSTANT = SourceConfig(coherence_jitter_sd=0.0)
 
@@ -45,9 +47,9 @@ def check_run(source, layout, seconds, seed, detectors=DetectorConfig()):
 
 @pytest.mark.parametrize("layout", [
     Layout.mmi(),
-    Layout.mmi(polarization="orthogonal"),
-    Layout.mmi(input_delayed=2, input_direct=3),
-    Layout.mmi(input_delayed=3, input_direct=0, polarization="orthogonal"),
+    Layout(polarization="orthogonal"),
+    Layout(input_delayed=2, input_direct=3),
+    Layout(input_delayed=3, input_direct=0, polarization="orthogonal"),
     Layout.hom("parallel"),
     Layout.hom("orthogonal"),
     Layout.hbt(),
@@ -87,7 +89,7 @@ def test_zero_delivered_pairs(polarization):
     # pairs need two transits in adjacent duty cycles
     source = SourceConfig(pulses_per_transit=1, routing_error_prob=0.0,
                           two_photon_prob=0.0)
-    truth = check_run(source, Layout.mmi(polarization=polarization), 5_000.0, seed=5)
+    truth = check_run(source, Layout(polarization=polarization), 5_000.0, seed=5)
     assert truth.n_emitted > 0 and truth.delivered_pairs == 0
 
 
@@ -97,7 +99,7 @@ def test_single_delivered_pair(polarization):
     source = SourceConfig(emission_prob=1.0, two_photon_prob=0.0, dark_state_prob=0.0,
                           routing_error_prob=0.0, pulses_per_transit=2,
                           overall_efficiency=1.0)
-    truth = check_run(source, Layout.mmi(polarization=polarization), 10.0, seed=68)
+    truth = check_run(source, Layout(polarization=polarization), 10.0, seed=68)
     assert truth.delivered_pairs == 1 and truth.n_emitted == 10
 
 
@@ -111,22 +113,38 @@ def test_dead_times_match_oracle(dead_time_ns):
 def test_pair_sampler_cache_serves_interleaved_configurations(chip):
     # a key collision or a stale entry would hand a run another
     # configuration's sampler and change its stream
-    _pair_cdf.cache_clear()
+    _pair_sampler.cache_clear()
     calibrated = SourceConfig()
-    runs = [(calibrated, Layout.mmi(chip)),
-            (calibrated, Layout.mmi(chip, input_delayed=2, input_direct=3)),
-            (CONSTANT, Layout.mmi(chip)),
+    runs = [(calibrated, Layout(interference_matrix=chip)),
+            (calibrated, Layout(interference_matrix=chip, input_delayed=2, input_direct=3)),
+            (CONSTANT, Layout(interference_matrix=chip)),
             (calibrated, Layout.hom()),
-            (calibrated, Layout.mmi(chip))]
+            (calibrated, Layout(interference_matrix=chip))]
     for seed, (source, layout) in enumerate(runs, 900):
         assert check_run(source, layout, 5_000.0, seed).delivered_pairs > 0
-    info = _pair_cdf.cache_info()
+    info = _pair_sampler.cache_info()
     # check_run simulates each configuration twice; only the last one was cached
     assert (info.misses, info.hits, info.currsize) == (4, 6, 4)
 
 
-def test_cached_samplers_are_read_only(chip, envelope):
-    cdf = _pair_sampler(chip, 0, 1, envelope, CoherenceModel.perfect())[0]
+def test_equal_configurations_share_one_sampler(monkeypatch):
+    # the coherence calibration and the joint density depend only on the
+    # configuration: two runs of the default profile compute each once
+    calls = Counter()
+    for name in ("joint_density", "calibrate_gaussian_jitter"):
+        def counted(*args, _fn=getattr(instrument, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(instrument, name, counted)
+    _pair_sampler.cache_clear()
+    for seed in (1, 2):
+        cfg = config.default_config()
+        simulate_run(cfg.source, cfg.build_layout(), cfg.detectors, 5_000.0, seed)
+    assert calls == {"joint_density": 1, "calibrate_gaussian_jitter": 1}
+
+
+def test_cached_samplers_are_read_only(envelope):
+    cdf = _pair_sampler(CONSTANT, Layout.mmi())[0]
     for arr in (cdf, *envelope._intensity_cdf):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -189,33 +207,34 @@ def test_no_detection_and_no_dead_time():
 
 
 def test_sample_pairs_matches_pair_sampler(envelope, chip):
-    coherence = CoherenceModel.gaussian(0.0128)
-    sampler = _PairSampler(chip, 1, 3, envelope, coherence)
-    got = _sample_pairs(_pair_sampler(chip, 1, 3, envelope, coherence),
-                        np.random.default_rng(11), 200_000)
+    source = SourceConfig(coherence_jitter_sd=0.0128)
+    sampler = _PairSampler(chip, 1, 3, envelope, source.coherence())
+    layout = Layout(interference_matrix=chip, input_delayed=1, input_direct=3)
+    got = _sample_pairs(_pair_sampler(source, layout), np.random.default_rng(11), 200_000)
     want = sampler.sample(np.random.default_rng(11), 200_000)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("case", ["chip", "chip-delayed", "splitter", "random6", "incoherent"])
+@pytest.mark.parametrize("case", ["chip", "chip-inputs-4-2", "splitter", "random6",
+                                  "incoherent"])
 def test_stacked_density_equals_dict_form(case, chip, envelope):
-    matrix, i, j, coherence, delay = {
-        "chip": (chip, 0, 1, CoherenceModel.gaussian(0.0128), 0.0),
-        "chip-delayed": (chip, 3, 1, CoherenceModel.gaussian(0.02), 37.5),
+    matrix, i, j, coherence = {
+        "chip": (chip, 0, 1, CoherenceModel.gaussian(0.0128)),
+        "chip-inputs-4-2": (chip, 3, 1, CoherenceModel.gaussian(0.02)),
         # float dust below zero in the cross pair: the clip must match
-        "splitter": (balanced_splitter(), 0, 1, CoherenceModel.perfect(), 10.3),
+        "splitter": (balanced_splitter(), 0, 1, CoherenceModel.perfect()),
         "random6": (random_unitary(6, np.random.default_rng(8)), 4, 2,
-                    CoherenceModel.gaussian(0.005), 12.0),
-        "incoherent": (measured_chip_matrix(), 2, 0, CoherenceModel.incoherent(), 0.0),
+                    CoherenceModel.gaussian(0.005)),
+        "incoherent": (measured_chip_matrix(), 2, 0, CoherenceModel.incoherent()),
     }[case]
-    args = (matrix, i, j, envelope, envelope, coherence, delay)
+    args = (matrix, i, j, envelope, envelope, coherence)
     got, want = joint_density(*args, t_max=360.0), oracle_joint_density(*args, t_max=360.0)
     pairs = mode_pairs(matrix.n_modes)
     assert isinstance(got.densities, np.ndarray) and got.densities.dtype == np.float64
     assert np.array_equal(got.t, want.t) and got.dt == want.dt
     assert np.array_equal(got.densities, np.stack([want.densities[p] for p in pairs]))
     assert np.array_equal(got.integrate().values, want.integrate().values)
-    for pair in [None, pairs[0], pairs[-1], (1, 0), (matrix.n_modes - 1, 0)]:
+    for pair in [pairs[0], pairs[-1], (1, 0), (matrix.n_modes - 1, 0)]:
         for a, b in zip(got.dtau_marginal(pair), want.dtau_marginal(pair)):
             assert np.array_equal(a, b)

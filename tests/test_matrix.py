@@ -58,7 +58,14 @@ def test_json_round_trip(chip, tmp_path):
 
 def test_from_json_rejects_malformed():
     with pytest.raises(MatrixError):
-        TransferMatrix.from_json('{"n_modes": 2, "elements": [[{"re": 1}]]}')
+        TransferMatrix.from_json_dict(json.loads('{"n_modes": 2, "elements": [[{"re": 1}]]}'))
+
+
+def test_equal_and_hashable_by_elements(chip):
+    twin = TransferMatrix(chip.elements.copy(), amplitude_tol=0.5)
+    assert twin == chip and hash(twin) == hash(chip) and twin is not chip
+    assert chip != TransferMatrix(chip.elements.T) and chip != chip.elements
+    assert len({chip, twin, builtin_matrix("chip_4x4_v1")}) == 1
 
 
 def test_builtin_unknown_name():

@@ -60,18 +60,18 @@ class TestSimilarity:
 class TestHpdInterval:
     def test_symmetric_unimodal(self, rng):
         x = rng.normal(0.5, 0.05, 100_000)
-        lo, hi = hpd_interval(x, 0.68)
+        lo, hi = hpd_interval(x)
         assert (lo + hi) / 2 == pytest.approx(0.5, abs=0.002)
         assert hi - lo == pytest.approx(2 * 0.05, abs=0.005)
 
     def test_point_mass(self):
-        lo, hi = hpd_interval(np.full(1000, 0.42), 0.68)
+        lo, hi = hpd_interval(np.full(1000, 0.42))
         assert lo == hi == 0.42
 
     def test_matches_exhaustive_scan(self, rng):
         # skewed, multimodal-ish sample against the O(n^2) oracle
         x = np.concatenate([rng.beta(8, 2, 1500), rng.beta(2, 6, 500)])
-        lo, hi = hpd_interval(x, 0.68)
+        lo, hi = hpd_interval(x)
         xs = np.sort(x)
         n = len(xs)
         m = int(np.ceil(0.68 * n))
@@ -85,7 +85,7 @@ class TestHpdInterval:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            hpd_interval([], 0.68)
+            hpd_interval([])
 
 
 class TestPoissonResampling:

@@ -161,7 +161,6 @@ def shared_draw_oracle(dtau, pairs, tq, tc, **kwargs):
     ``vs_quantum`` is the oracle's own; the oracle run with the theories
     swapped judges the classical theory at that same seed.
     """
-    pairs = list(pairs)
     quantum = oracle_similarity_vs_dt(dtau, pairs, tq, tc, **kwargs)
     swapped = oracle_similarity_vs_dt(dtau, pairs, tc, tq, **kwargs)
     return [(center, n, vs_q, vs_c)
@@ -180,14 +179,6 @@ class TestPairLabels:
         as_array = np.array(pairs, dtype=int)
         assert windows(similarity_vs_dt(dtau, as_array, theory, theory[::-1], **kwargs)) == want
 
-    def test_accepts_an_iterator_of_pairs(self):
-        dtau = [1.0, 2.0, 3.0, 4.0]
-        k, l = [0, 1, 2, 3], [1, 2, 3, 3]
-        theory = np.arange(1.0, 7.0)
-        kwargs = dict(trials=500, seed=7, min_events=1)
-        want = shared_draw_oracle(dtau, zip(k, l), theory, theory[::-1], **kwargs)
-        assert windows(similarity_vs_dt(dtau, zip(k, l), theory, theory[::-1], **kwargs)) == want
-
     @pytest.mark.parametrize("pairs", [np.zeros((4, 3), dtype=int), [0, 1, 1, 2, 2, 3, 0, 3],
                                        [(0, 1)] * 3, [(0, 1)] * 5])
     def test_rejects_misshaped_pairs(self, pairs):
@@ -203,7 +194,7 @@ class TestPairLabels:
         c = coincidence_classical(chip, 0, 1).cross_only().values
         got = similarity_vs_dt(co.dtau_ns, np.column_stack((co.pair_k, co.pair_l)), q, c,
                                trials=5000, seed=3)
-        want = shared_draw_oracle(co.dtau_ns, zip(co.pair_k.tolist(), co.pair_l.tolist()),
+        want = shared_draw_oracle(co.dtau_ns, list(zip(co.pair_k.tolist(), co.pair_l.tolist())),
                                   q, c, trials=5000, seed=3)
         assert len(want) >= 5
         assert windows(got) == want

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mmi_lab import (CoherenceModel, Wavepacket, calibrate_gaussian_jitter,
+from mmi_lab import (CoherenceModel, calibrate_gaussian_jitter,
                      coincidence_classical, coincidence_quantum, hom_profile,
                      joint_density, random_unitary, sin2_envelope)
-from mmi_lab.core import pair_index
+from mmi_lab.core import mode_pairs, pair_index
 from mmi_lab.temporal import integrated_visibility
 
 
@@ -28,13 +28,6 @@ class TestEnvelope:
         assert lags[0] == pytest.approx(-299.0)
         assert lags[-1] == pytest.approx(299.0)
         assert abs(lags[np.argmax(auto)]) <= 1.0
-
-    def test_equal_and_hashable_by_value(self):
-        env = sin2_envelope(300.0, 1.0)
-        twin = Wavepacket(300.0, 1.0, env.amplitudes.copy())
-        assert twin == env and hash(twin) == hash(env) and twin is not env
-        assert env != sin2_envelope(300.0, 0.5) and env != env.amplitudes
-        assert len({env, twin, sin2_envelope(300.0, 1.0)}) == 1
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -88,25 +81,20 @@ class TestJointDensity:
 
     def test_densities_nonnegative_random_matrices(self, envelope, rng):
         coh = CoherenceModel.gaussian(0.01)
-        for _ in range(3):
+        for i, j in [(0, 2), (3, 1), (2, 0)]:
             u = random_unitary(4, rng)
-            jd = joint_density(u, 0, 2, envelope, envelope, coh,
-                               delay_offset=rng.uniform(0, 50), t_max=400.0)
+            jd = joint_density(u, i, j, envelope, envelope, coh, t_max=400.0)
             for dens in jd.densities:
                 assert dens.min() >= 0.0
 
     def test_dtau_marginal_symmetry(self, chip, envelope):
         coh = CoherenceModel.gaussian(0.0128)
         jd = joint_density(chip, 0, 1, envelope, envelope, coh, t_max=300.0)
-        dtau, marg = jd.dtau_marginal()
-        assert np.allclose(marg, marg[::-1], atol=1e-12)
-
-    def test_delay_offset_shifts_overlap(self, splitter, envelope):
-        # a full-duration offset removes the temporal overlap: no dip
-        jd = joint_density(splitter, 0, 1, envelope, envelope,
-                           CoherenceModel.perfect(), delay_offset=300.0)
-        c = coincidence_classical(splitter, 0, 1, renormalized=False)
-        assert np.abs(jd.integrate().values - c.values).max() <= 1e-6
+        # identical envelopes: every pair's density is symmetric in t1, t2
+        for pair in mode_pairs(4):
+            dtau, marg = jd.dtau_marginal(pair)
+            assert np.allclose(dtau, -dtau[::-1])
+            assert np.allclose(marg, marg[::-1], atol=1e-12)
 
     def test_total_integral_unitary(self, splitter, envelope):
         jd = joint_density(splitter, 0, 1, envelope, envelope,
