@@ -37,6 +37,8 @@ class FringeDataset:
     fringes: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n_modes < 2:
+            raise CharacterizationError(f"n_modes must be at least 2, got {self.n_modes}")
         g = np.asarray(self.phase_grid, dtype=float)
         if g.ndim != 1 or g.size < 8:
             raise CharacterizationError("need a 1-D grid of at least 8 phase samples per fringe")

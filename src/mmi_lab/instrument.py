@@ -100,8 +100,10 @@ class SourceConfig:
     def coherence(self) -> CoherenceModel:
         if self.coherence_jitter_sd is not None:
             return CoherenceModel.gaussian(self.coherence_jitter_sd)
-        return calibrate_gaussian_jitter(self.envelope(),
-                                         self.hom_visibility_target)
+        try:
+            return calibrate_gaussian_jitter(self.envelope(), self.hom_visibility_target)
+        except ValueError as exc:
+            raise ConfigError(f"[source] hom_visibility_target: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -234,62 +236,67 @@ def _sample_pairs(sampler, rng: np.random.Generator, size: int):
     return k[pair], l[pair], t1, t2
 
 
-def _emit_photons(source: SourceConfig, n_transits: int, transit_intervals,
+def _emit_photons(source: SourceConfig, transit_intervals: np.ndarray,
                   rng: np.random.Generator, envelope: Wavepacket):
-    """Vectorised emission phase.
+    """Vectorised emission phase, ``_TRANSIT_CHUNK`` transits at a time.
 
-    Returns flat arrays (global attempt interval, polarisation parity,
+    Returns flat arrays (global attempt interval, int8 polarisation parity,
     emission time within the interval); parity 0 is the delayed
     polarisation.
     """
-    n_att = source.pulses_per_transit
-    out_interval = [np.array([], dtype=np.int64)]
-    out_pol = [np.array([], dtype=np.int8)]
-    out_t = [np.array([], dtype=float)]
-    for a in range(0, n_transits, _TRANSIT_CHUNK):
-        b = min(a + _TRANSIT_CHUNK, n_transits)
-        block = b - a
-        u = rng.random((block, n_att))
-        # two_photon_prob <= emission_prob, so the sum is 0, 1 or 2
-        photons = (u < source.emission_prob).view(np.int8) + (u < source.two_photon_prob)
-        # a spontaneous-decay branch replaces the emission and silences the
-        # rest of the transit
-        dark = (photons > 0) & (rng.random((block, n_att)) < source.dark_state_prob)
-        has_dark = dark.any(axis=1)
-        first_dark = np.where(has_dark, dark.argmax(axis=1), n_att)
-        photons *= np.arange(n_att)[None, :] < first_dark[:, None]
-        phase = rng.integers(0, 2, size=block)
-        slots = np.flatnonzero(photons > 0)  # numpy finds bools faster
-        reps = photons.ravel()[slots]
-        rows, att = np.divmod(slots, n_att)
-        rows = np.repeat(rows, reps)
-        att = np.repeat(att, reps)
-        pols = (att + phase[rows]) & 1
-        # a double emission flips the spin twice: the second photon carries
-        # the opposite polarisation, so the routing splits the pair
-        if np.any(reps == 2):
-            second = np.zeros(rows.size, dtype=bool)
-            second[np.cumsum(reps)[reps == 2] - 1] = True
-            pols = np.where(second, 1 - pols, pols)
-        out_interval.append(transit_intervals[a + rows] + att)
-        out_pol.append(pols)
-        out_t.append(envelope.sample_times(rng, rows.size))
-    return (np.concatenate(out_interval),
-            np.concatenate(out_pol).astype(np.int8),
-            np.concatenate(out_t))
+    columns = ([np.array([], dtype=np.int64)], [np.array([], dtype=np.int8)],
+               [np.array([], dtype=float)])
+    for a in range(0, transit_intervals.size, _TRANSIT_CHUNK):
+        chunk = _emit_chunk(source, transit_intervals[a:a + _TRANSIT_CHUNK], rng, envelope)
+        for parts, part in zip(columns, chunk):
+            parts.append(part)
+    joined = []
+    for parts in columns:  # each column's parts are freed once it is joined
+        joined.append(np.concatenate(parts))
+        parts.clear()
+    return tuple(joined)
+
+
+def _emit_chunk(source: SourceConfig, transit_intervals: np.ndarray,
+                rng: np.random.Generator, envelope: Wavepacket):
+    """:func:`_emit_photons` for one chunk of transits."""
+    block, n_att = transit_intervals.size, source.pulses_per_transit
+    u = rng.random((block, n_att))
+    # two_photon_prob <= emission_prob, so the sum is 0, 1 or 2
+    photons = (u < source.emission_prob).view(np.int8) + (u < source.two_photon_prob)
+    del u
+    # a spontaneous-decay branch replaces the emission and silences the
+    # rest of the transit
+    dark = (photons > 0) & (rng.random((block, n_att)) < source.dark_state_prob)
+    has_dark = dark.any(axis=1)
+    first_dark = np.where(has_dark, dark.argmax(axis=1), n_att)
+    photons *= np.arange(n_att)[None, :] < first_dark[:, None]
+    phase = rng.integers(0, 2, size=block)
+    slots = np.flatnonzero(photons > 0)  # numpy finds bools faster
+    reps = photons.ravel()[slots]
+    rows, att = np.divmod(slots, n_att)
+    rows = np.repeat(rows, reps)
+    att = np.repeat(att, reps)
+    pols = ((att + phase[rows]) & 1).astype(np.int8)
+    # a double emission flips the spin twice: the second photon carries
+    # the opposite polarisation, so the routing splits the pair
+    pols[np.cumsum(reps)[reps == 2] - 1] ^= 1
+    return (transit_intervals[rows] + att, pols,
+            envelope.sample_times(rng, rows.size))
 
 
 def _route_singles(matrix: TransferMatrix, inputs: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Independent single-photon propagation, renormalised per input row."""
     m = np.abs(matrix.elements) ** 2
-    out = np.empty(inputs.size, dtype=np.int64)
+    out = np.empty(inputs.size, dtype=np.uint8)
     for i in np.flatnonzero(np.bincount(inputs)):  # the input modes in use, in order
-        sel = np.flatnonzero(inputs == i)
+        sel = inputs == i
         row = m[i, :]
         if row.sum() <= 0:
             raise ConfigError(f"input mode {i} has zero transmission")
-        out[sel] = np.searchsorted(np.cumsum(row / row.sum()), rng.random(sel.size))
+        out[sel] = np.searchsorted(np.cumsum(row / row.sum()),
+                                   rng.random(np.count_nonzero(sel)))
     return out
 
 
@@ -298,81 +305,105 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     """Produce a deterministic time-tag stream for the configured chain.
 
     Returns the stream, or ``(stream, TruthRecord)`` when ``with_truth``
-    is set.
+    is set.  Each phase deletes the arrays the next one does not need, so
+    the run holds a few per-photon arrays at a time.
     """
     if not np.isfinite(wall_time_s) or wall_time_s <= 0:
         raise ConfigError(f"wall time must be positive and finite, got {wall_time_s}")
+    # built before any draw, so a configuration that cannot sample pairs fails
+    # whether or not the run delivers one
+    sampler = (_pair_sampler(source, layout)
+               if layout.kind != "hbt" and layout.polarization == "parallel" else None)
     rng = np.random.default_rng(seed)
     duty = source.duty_cycle_ns
     wall_ns = wall_time_s * 1e9
     n_intervals = int(wall_ns // duty)
-    envelope = source.envelope()
 
     # -- transits and raw emissions ------------------------------------
     n_transits = int(rng.poisson(source.atom_transit_rate * wall_time_s))
     transit_intervals = np.sort(rng.integers(0, max(n_intervals, 1),
                                              size=n_transits)).astype(np.int64)
-    g_interval, pol, t_emit = _emit_photons(source, n_transits,
-                                            transit_intervals, rng, envelope)
+    g_interval, pol, t_emit = _emit_photons(source, transit_intervals, rng,
+                                            source.envelope())
     n_emitted = int(g_interval.size)
 
     # -- routing and interference ---------------------------------------
+    # Photons leave in routed order: the pair photons first (pair_of holds
+    # their pair ids), then every other photon.
     delivered_pairs = 0
     if layout.kind == "hbt":
-        channel = rng.integers(0, 2, size=n_emitted)
-        t_ns = g_interval.astype(float) * duty + t_emit
-        pair_id = np.full(n_emitted, -1, dtype=np.int64)
+        channel = rng.integers(0, 2, size=n_emitted).astype(np.uint8)
+        t_ns = g_interval * duty
+        t_ns += t_emit
+        del g_interval, pol, t_emit
+        pair_of = np.array([], dtype=np.intp)
     else:
-        matrix = layout.interference_matrix
-        err = rng.random(n_emitted) < source.routing_error_prob
-        eff_pol = np.where(err, 1 - pol, pol)  # wrong path flips delay and input
-        input_idx = np.where(eff_pol == 0, layout.input_delayed, layout.input_direct)
-        arrival = g_interval + (eff_pol == 0).astype(np.int64)
+        # the wrong path flips delay and input: a photon is delayed when its
+        # parity (0 = delayed) equals its routing error
+        delayed = pol == (rng.random(n_emitted) < source.routing_error_prob)
+        del pol
+        arrival = g_interval  # in place: a delayed photon arrives one cycle later
+        arrival += delayed
+        times = arrival * duty
+        times += t_emit
+        del g_interval, t_emit
         order = np.argsort(arrival, kind="stable")
-        arrival, input_idx, t_arr = arrival[order], input_idx[order], t_emit[order]
+        arrival.sort()  # the values of arrival[order], without a copy
+        delayed = delayed[order]
 
-        # arrival is sorted: runs of equal arrival start where it changes
-        start = np.flatnonzero(np.diff(arrival, prepend=-1))
-        pair_first = start[np.diff(start, append=arrival.size) == 2]
-        pair_first = pair_first[input_idx[pair_first] != input_idx[pair_first + 1]]
+        # a pair is a run of exactly two equal arrivals at different inputs
+        starts = np.ones(n_emitted + 1, dtype=bool)
+        np.not_equal(arrival[1:], arrival[:-1], out=starts[1:n_emitted])
+        pair_first = np.flatnonzero(starts[:-2] & ~starts[1:-1] & starts[2:]
+                                    & (delayed[:-1] != delayed[1:]))
+        del starts
         delivered_pairs = int(pair_first.size)
-        pair_id = np.full(arrival.size, -1, dtype=np.int64)
-        pair_id[pair_first] = pair_id[pair_first + 1] = np.arange(delivered_pairs)
-        is_pair = pair_id >= 0
+        base = arrival[pair_first] * duty
+        del arrival
+        times = times[order]
+        del order
+        is_pair = np.zeros(n_emitted, dtype=bool)
+        is_pair[pair_first] = is_pair[pair_first + 1] = True
+        del pair_first
+        inputs = np.full(n_emitted, layout.input_direct, dtype=np.uint8)
+        inputs[delayed] = layout.input_delayed
+        del delayed
 
-        # photons route one by one, pairs first: distinguishable pairs keep
-        # their pair id, and at least one group always runs
-        chans, times, pids = [], [], []
-        groups = [is_pair, ~is_pair]
-        if delivered_pairs and layout.polarization == "parallel":
-            # indistinguishable pairs: joint draw over output pair and times
-            k, l, t1, t2 = _sample_pairs(_pair_sampler(source, layout), rng,
-                                         delivered_pairs)
-            base = arrival[pair_first].astype(float) * duty
-            chans += [k, l]
-            times += [base + t1, base + t2]
-            pids += [pair_id[pair_first]] * 2
-            groups = [~is_pair]
-        for sel in groups:
-            chans.append(_route_singles(matrix, input_idx[sel], rng))
-            times.append(arrival[sel].astype(float) * duty + t_arr[sel])
-            pids.append(pair_id[sel])
-        # rebinding pair_id to routed order frees the arrival-order array
-        channel, t_ns, pair_id = (np.concatenate(x) for x in (chans, times, pids))
+        # pairs route first: indistinguishable ones by a joint draw over output
+        # pair and times, the others photon by photon keeping their pair id
+        matrix = layout.interference_matrix
+        two = 2 * delivered_pairs
+        channel = np.empty(n_emitted, dtype=np.uint8)
+        if delivered_pairs and sampler is not None:
+            k, l, t1, t2 = _sample_pairs(sampler, rng, delivered_pairs)
+            channel[:two] = np.concatenate((k, l))
+            pair_times = np.concatenate((base + t1, base + t2))
+            pair_of = np.tile(np.arange(delivered_pairs), 2)
+            del k, l, t1, t2
+        else:
+            channel[:two] = _route_singles(matrix, inputs[is_pair], rng)
+            pair_times = times[is_pair]
+            pair_of = np.repeat(np.arange(delivered_pairs), 2)
+        single = ~is_pair
+        del is_pair, base
+        channel[two:] = _route_singles(matrix, inputs[single], rng)
+        del inputs
+        t_ns = np.concatenate((pair_times, times[single]))
+        del pair_times, times, single
 
     # -- detection chain -------------------------------------------------
     # index arrays gather faster than a random boolean mask
     kept = np.flatnonzero(rng.random(channel.size) < source.detection_chain_prob())
-    channel, t_ns, pair_id = channel[kept], t_ns[kept], pair_id[kept]
+    channel, t_ns = channel[kept], t_ns[kept]
     n_kept = int(channel.size)
-    per_pair = np.bincount(pair_id[pair_id >= 0], minlength=delivered_pairs)
+    per_pair = np.bincount(pair_of[kept[kept < pair_of.size]], minlength=delivered_pairs)
     detected_pairs = int(np.sum(per_pair == 2))
     if detectors.jitter_sd_ps > 0 and t_ns.size:
-        t_ns = t_ns + rng.normal(0.0, detectors.jitter_sd_ps * 1e-3, t_ns.size)
+        t_ns += rng.normal(0.0, detectors.jitter_sd_ps * 1e-3, t_ns.size)
 
     n_det = layout.n_detectors
     dark_mean = detectors.dark_rate_per_hour * wall_time_s / 3600.0
-    dark_ch = [np.full(int(rng.poisson(dark_mean)), ch, dtype=np.int64)
+    dark_ch = [np.full(int(rng.poisson(dark_mean)), ch, dtype=np.uint8)
                for ch in range(n_det)]
     dark_t = [rng.random(c.size) * wall_ns for c in dark_ch]
     channel = np.concatenate([channel] + dark_ch)
@@ -388,15 +419,13 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
 
     dead_ticks = int(round(detectors.dead_time_ns / detectors.tick_ns))
     keep = _apply_dead_time(channel, ticks, dead_ticks)
-    stream = TimeTagStream(channel[keep].astype(np.uint8),
-                           ticks[keep].astype(np.uint64),
-                           n_channels=n_det, tick_fs=detectors.tick_fs)
+    stream = TimeTagStream(channel[keep], ticks[keep], n_channels=n_det,
+                           tick_fs=detectors.tick_fs)
     if not with_truth:
         return stream
     truth = TruthRecord(
-        pre_deadtime=TimeTagStream(channel.astype(np.uint8),
-                                   ticks.astype(np.uint64),
-                                   n_channels=n_det, tick_fs=detectors.tick_fs),
+        pre_deadtime=TimeTagStream(channel, ticks, n_channels=n_det,
+                                   tick_fs=detectors.tick_fs),
         n_emitted=n_emitted,
         delivered_pairs=delivered_pairs,
         detected_pairs=detected_pairs,

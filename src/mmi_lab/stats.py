@@ -14,6 +14,14 @@ resampled once and every theory sees the same draws (common random
 numbers), so each theory's result carries the one seed of those draws.
 Random-distribution baselines give the context for how discriminating a
 given similarity level actually is.
+
+Resampling runs in two units.  A *chunk* (``_CHUNK`` trials) is the unit of
+seeding and of work: its generator derives from (seed, chunk index), so
+chunks may run on any thread in any order with the same result.  A *block*
+(``_BLOCK`` trials) is the unit of memory: inside a chunk the Poisson
+trials are drawn and judged a block at a time from the chunk's generator,
+which fills them in C order, so the values are those of one draw for the
+whole chunk while the temporaries are a block's.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ import numpy as np
 from .core import cross_pair_index
 
 MODE_BIN_WIDTH = 0.001  # 0.1 percentage points
-_CHUNK = 1 << 17
+_CHUNK = 1 << 17  # trials per seeded generator
+_BLOCK = 1 << 14  # trials per Poisson draw within a chunk
 
 
 def similarity(p, q):
@@ -50,12 +59,19 @@ def similarity(p, q):
 
 # Kept apart from similarity(): its square-roots-first form would move the
 # frozen Monte-Carlo realisations of acceptance criteria 7 and 8 by ulps.
-def _similarity_rows(draws: np.ndarray, q: np.ndarray) -> np.ndarray:
-    num = np.sqrt(draws * q).sum(axis=1)
-    den = np.sqrt(draws.sum(axis=1) * q.sum(axis=-1))
-    with np.errstate(invalid="ignore"):
-        s = num / den
-    return np.nan_to_num(s, nan=0.0)
+def _similarity_rows(draws: np.ndarray, theories, out: np.ndarray) -> None:
+    """Write into ``out[k]`` the similarity of each row of ``draws`` to
+    ``theories[k]``, a vector or an array with one row per draw.  The row
+    sums are taken once and one product buffer serves every theory."""
+    sums = draws.sum(axis=1)
+    prod = np.empty_like(draws)
+    for row, q in zip(out, theories):
+        np.multiply(draws, q, out=prod)
+        np.sqrt(prod, out=prod)
+        prod.sum(axis=1, out=row)
+        with np.errstate(invalid="ignore"):
+            np.divide(row, np.sqrt(sums * q.sum(axis=-1)), out=row)
+        np.nan_to_num(row, copy=False, nan=0.0)
 
 
 def hpd_interval(samples) -> tuple[float, float]:
@@ -199,9 +215,12 @@ def poisson_mc_similarity(counts, theory, trials: int = 1_000_000, seed: int = 0
     raws = [similarity(counts, q) for q in rows]
 
     def chunk(rng, out):
-        draws = rng.poisson(lam=counts, size=(out.shape[1], counts.size)).astype(float)
-        for row, q in zip(out, rows):
-            row[:] = _similarity_rows(draws, q)
+        # one draw per block: numpy fills draws in C order, so the blocks
+        # take the same values as one draw for the whole chunk
+        for a in range(0, out.shape[1], _BLOCK):
+            block = out[:, a:a + _BLOCK]
+            draws = rng.poisson(lam=counts, size=(block.shape[1], counts.size))
+            _similarity_rows(draws.astype(float), rows, block)
 
     samples = _run_chunks(trials, seed, chunk, rows=len(rows))
     results = [_summarize(s, trials, seed, raw, keep_samples)
@@ -229,7 +248,7 @@ def random_baseline(theory=None, dims: int = 6, trials: int = 1_000_000, seed: i
         size = out.shape[1]
         draws = rng.exponential(size=(size, dims))
         other = rng.exponential(size=(size, dims)) if th is None else th
-        out[0] = _similarity_rows(draws, other)
+        _similarity_rows(draws, [other], out)
 
     samples = _run_chunks(trials, seed, chunk)[0]
     return _summarize(samples, trials, seed, None, keep_samples)

@@ -98,11 +98,17 @@ class TimeTagStream:
 
     # -- binary format ---------------------------------------------------
 
-    def to_bytes(self) -> bytes:
+    def _header(self) -> bytes:
+        return struct.pack(_HEADER, MAGIC, VERSION, self.n_channels, self.tick_fs)
+
+    def _records(self) -> np.ndarray:
         rec = np.zeros(len(self), dtype=_RECORD)
         rec["tick"] = self.ticks
         rec["channel"] = self.channels
-        return struct.pack(_HEADER, MAGIC, VERSION, self.n_channels, self.tick_fs) + rec.tobytes()
+        return rec
+
+    def to_bytes(self) -> bytes:
+        return self._header() + self._records().tobytes()
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "TimeTagStream":
@@ -115,7 +121,7 @@ class TimeTagStream:
             raise StreamFormatError(f"unsupported format version {version}")
         if tick_fs == 0:
             raise StreamFormatError("tick size of 0 fs in the header")
-        body = payload[16:]
+        body = memoryview(payload)[16:]  # a view: the records are not copied
         if len(body) % _RECORD.itemsize:
             raise StreamFormatError(f"truncated record at byte {16 + len(body) - len(body) % _RECORD.itemsize}")
         rec = np.frombuffer(body, dtype=_RECORD)
@@ -123,7 +129,8 @@ class TimeTagStream:
 
     def write_file(self, path) -> None:
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.write(self._header())
+            fh.write(self._records())  # the record buffer itself, not a bytes copy
 
     @classmethod
     def from_file(cls, path) -> "TimeTagStream":

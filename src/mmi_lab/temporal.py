@@ -279,7 +279,9 @@ def calibrate_gaussian_jitter(envelope: Wavepacket,
 
     lo, hi = 1e-6, 500.0 / envelope.duration
     if gap(lo) < 0 or gap(hi) > 0:
-        raise ValueError(f"target visibility {target_visibility} not reached in [{lo}, {hi}]")
+        v_min, v_max = gap(hi) + target_visibility, gap(lo) + target_visibility
+        raise ValueError(f"target visibility {target_visibility} not reached: jitter_sd "
+                         f"in [{lo}, {hi}] gives {v_min:.4g} to {v_max:.10g}")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
     return CoherenceModel.gaussian(mid)

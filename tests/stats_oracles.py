@@ -1,4 +1,5 @@
-"""Reference implementations of the similarity, mode and pair-labelling code.
+"""Reference implementations of the similarity, mode, pair-labelling and
+resampling code.
 
 These are the original loops and inline formulas that the single
 implementations in ``mmi_lab.stats`` and ``mmi_lab.core`` replaced, kept
@@ -74,3 +75,22 @@ def oracle_mode(samples, bin_width=MODE_BIN_WIDTH):
                                  bins=int(round(1.0 / bin_width)), range=(0.0, 1.0))
     i = int(np.argmax(counts))
     return float(0.5 * (edges[i] + edges[i + 1]))
+
+
+def _similarity_rows(draws: np.ndarray, q: np.ndarray) -> np.ndarray:
+    num = np.sqrt(draws * q).sum(axis=1)
+    den = np.sqrt(draws.sum(axis=1) * q.sum(axis=-1))
+    with np.errstate(invalid="ignore"):
+        s = num / den
+    return np.nan_to_num(s, nan=0.0)
+
+
+def oracle_poisson_chunk(counts, rows):
+    """``poisson_mc_similarity``'s chunk function before the row blocks: one
+    Poisson draw for the whole chunk, judged against each row of ``rows``."""
+    def chunk(rng, out):
+        draws = rng.poisson(lam=counts, size=(out.shape[1], counts.size)).astype(float)
+        for row, q in zip(out, rows):
+            row[:] = _similarity_rows(draws, q)
+
+    return chunk

@@ -190,6 +190,20 @@ class TestSimulateCommand:
         assert err.startswith(f"config error: invalid {section} section: ")
         assert key.split(" = ")[0] in err
 
+    @pytest.mark.parametrize("layout", ["mmi", "hom_splitter"])
+    def test_unreachable_visibility_target_is_config_error(self, tmp_path, capsys, layout):
+        # inside (0, 1) but below the jitter bracket's reach; 10 s deliver no
+        # pair, so only a check before the first pair can see it
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("[source]\nhom_visibility_target = 0.001\n")
+        out = tmp_path / "x.ttag"
+        assert main(["simulate", "--config", str(cfg), "--layout", layout,
+                     "--seconds", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [source] hom_visibility_target: ")
+        assert "gives 0.007532 to" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("layout, code", [("hom_splitter", 0), ("mmi", 3)])
     def test_matrix_source_read_only_by_mmi(self, tmp_path, layout, code):
         # hom_splitter always uses the balanced splitter
@@ -602,6 +616,18 @@ class TestCharacterizeCommand:
                      "--out", str(out)]) == 0
         rebuilt = json.loads((out / "reconstructed_matrix.json").read_text())
         assert rebuilt["n_modes"] == 4
+
+    @pytest.mark.parametrize("n_modes", [1, 0])
+    def test_too_few_modes_is_data_error(self, tmp_path, capsys, n_modes):
+        fpath = tmp_path / "fringes.json"
+        fpath.write_text(json.dumps({
+            "schema": "fringe-dataset/1", "n_modes": n_modes,
+            "phase_grid": (np.arange(8) * 0.5).tolist(),
+            "transmissions": [[1.0] * n_modes] * n_modes, "fringes": {}}))
+        assert main(["characterize", "--fringes", str(fpath),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (f"data error: n_modes must be at least 2, "
+                                           f"got {n_modes}\n")
 
     def test_fringes_against_matrix(self, tmp_path, chip):
         fpath, mpath = tmp_path / "fringes.json", tmp_path / "chip.json"

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from stats_oracles import (oracle_fit_visibility, oracle_mode, oracle_rand_vs_rand_chunk,
-                           oracle_similarity_vs_dt)
+from stats_oracles import (oracle_fit_visibility, oracle_mode, oracle_poisson_chunk,
+                           oracle_rand_vs_rand_chunk, oracle_similarity_vs_dt)
 
 from mmi_lab import (CoincidenceDistribution, TransferMatrix, coincidence_classical,
                      coincidence_quantum, extract_coincidences, fit_visibility,
                      poisson_mc_similarity, random_baseline, random_unitary, similarity,
                      similarity_vs_dt, simulate_run)
-from mmi_lab.stats import MODE_BIN_WIDTH, _run_chunks
+from mmi_lab.stats import _BLOCK, _CHUNK, MODE_BIN_WIDTH, _run_chunks
 
 
 def _tables(measured_values, n, cross_only):
@@ -119,6 +119,34 @@ class TestSimilarityRows:
             out[0] = oracle_rand_vs_rand_chunk(rng, out.shape[1], dims)
 
         assert np.array_equal(got.samples, _run_chunks(trials, seed, chunk)[0])
+
+
+class TestPoissonRowBlocks:
+    """The row-blocked resampler against one draw per seeded chunk."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("trials", [1, _BLOCK - 1, _BLOCK + 1, _CHUNK + 3])
+    @pytest.mark.parametrize("two_d", [False, True], ids=["1-D", "2-D"])
+    def test_matches_unblocked_chunks(self, chip, monkeypatch, threads, trials, two_d):
+        monkeypatch.setenv("MMI_LAB_THREADS", threads)
+        q = coincidence_quantum(chip, 0, 1).values
+        c = coincidence_classical(chip, 0, 1).values
+        counts = np.round(400 * q)
+        counts[3] = 0.0  # a channel that always draws 0
+        theory = np.stack((q, c, 0.5 * (q + c))) if two_d else q
+        got = poisson_mc_similarity(counts, theory, trials, seed=31, keep_samples=True)
+        rows = np.atleast_2d(theory)
+        want = _run_chunks(trials, 31, oracle_poisson_chunk(counts, rows), rows=len(rows))
+        for res, samples in zip(got if two_d else [got], want):
+            assert np.array_equal(res.samples, samples)
+
+    def test_all_zero_draws(self, monkeypatch):
+        # mean 1e-3: most draws are all zero, where the similarity is 0
+        counts = np.array([1e-3, 1e-3])
+        got = poisson_mc_similarity(counts, [1.0, 2.0], _BLOCK + 5, seed=2, keep_samples=True)
+        want = _run_chunks(_BLOCK + 5, 2, oracle_poisson_chunk(counts, [np.array([1.0, 2.0])]))
+        assert np.array_equal(got.samples, want[0])
+        assert np.count_nonzero(got.samples == 0.0) > _BLOCK // 2
 
 
 class TestModeFromHistogram:

@@ -67,6 +67,18 @@ class TestBinaryFormat:
         assert np.array_equal(back.channels, stream.channels)
         assert back.ticks.dtype == np.uint64 and back.channels.dtype == np.uint8
         assert (back.n_channels, back.tick_fs) == (4, DEFAULT_TICK_FS)
+        # the file is the header and the record buffer, byte for byte
+        assert (tmp_path / "s.ttag").read_bytes() == stream.to_bytes()
+        empty = TimeTagStream(np.array([], np.uint8), np.array([], np.uint64), 2, tick_fs=7)
+        empty.write_file(tmp_path / "e.ttag")
+        assert (tmp_path / "e.ttag").read_bytes() == empty.to_bytes()
+
+    def test_parses_any_bytes_like_payload(self):
+        stream = TimeTagStream(np.array([1, 0], np.uint8), np.array([4, 9], np.uint64), 2)
+        payload = stream.to_bytes()
+        for view in (bytearray(payload), memoryview(payload)):
+            back = TimeTagStream.from_bytes(view)
+            assert back.to_bytes() == payload
 
     def test_bad_magic(self):
         with pytest.raises(StreamFormatError, match="magic"):
