@@ -78,6 +78,12 @@ def _write(outdir: Path, files: dict[str, str]) -> None:
 # -- simulate ----------------------------------------------------------------
 
 
+def _check_seed(seed: int | None) -> None:
+    # a generator seed; analyze --seed only feeds a hash and may be negative
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if args.layout:
@@ -86,6 +92,7 @@ def cmd_simulate(args) -> int:
         cfg = replace(cfg, layout=replace(cfg.layout, polarization=args.polarization))
     if not math.isfinite(args.seconds) or args.seconds <= 0:
         raise ConfigError(f"--seconds must be positive and finite, got {args.seconds}")
+    _check_seed(args.seed)
     out = _outfile("--out", args.out)
     truth_out = _outfile("--truth-out", args.truth_out) if args.truth_out else None
     seed = args.seed if args.seed is not None else cfg.seed_for("simulate")
@@ -162,6 +169,7 @@ def cmd_characterize(args) -> int:
         raise ConfigError(f"--noise-sd must be non-negative and finite, got {args.noise_sd}")
     if args.repeat < 1:
         raise ConfigError(f"--repeat must be at least 1, got {args.repeat}")
+    _check_seed(args.seed)
     data = truth = None
     if args.simulate:
         truth = (TransferMatrix.from_file(args.matrix) if args.matrix

@@ -315,12 +315,17 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     sampler = (_pair_sampler(source, layout)
                if layout.kind != "hbt" and layout.polarization == "parallel" else None)
     rng = np.random.default_rng(seed)
+
+    # -- transits and raw emissions ------------------------------------
+    try:
+        n_transits = int(rng.poisson(source.atom_transit_rate * wall_time_s))
+    except ValueError:  # numpy's "lam value too large"
+        raise ConfigError(
+            f"{source.atom_transit_rate * wall_time_s:g} expected transits are too many to "
+            "draw: lower --seconds or [source] atom_transit_rate") from None
     duty = source.duty_cycle_ns
     wall_ns = wall_time_s * 1e9
     n_intervals = int(wall_ns // duty)
-
-    # -- transits and raw emissions ------------------------------------
-    n_transits = int(rng.poisson(source.atom_transit_rate * wall_time_s))
     transit_intervals = np.sort(rng.integers(0, max(n_intervals, 1),
                                              size=n_transits)).astype(np.int64)
     g_interval, pol, t_emit = _emit_photons(source, transit_intervals, rng,

@@ -164,7 +164,8 @@ def analyze_mmi(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dic
               q[(k, l)], c[(k, l)], r[(k, l)]) for k, l in co.counts.pairs]),
         "mmi_coincidences.csv": csv_text(
             ["dtau_ns", "pair"],
-            [(dt, f"{k + 1},{l + 1}") for dt, k, l in zip(co.dtau_ns, co.pair_k, co.pair_l)]),
+            [(dt, f"{k + 1},{l + 1}") for dt, k, l
+             in zip(co.dtau_ns.tolist(), co.pair_k.tolist(), co.pair_l.tolist())]),
         **{f"similarity_{name}.csv": res.histogram_csv() for name, res in mc.items()},
     }
     return report, tables

@@ -22,6 +22,14 @@ chunks may run on any thread in any order with the same result.  A *block*
 trials are drawn and judged a block at a time from the chunk's generator,
 which fills them in C order, so the values are those of one draw for the
 whole chunk while the temporaries are a block's.
+
+A block is judged cell-major: its draws are copied once into an array with
+one row per cell and one column per trial, so every multiply, square root
+and sum runs over whole rows.  numpy is slow to reduce the short axis of a
+trial-major block; the row sums are written out instead, in numpy's own
+pairwise order (``_pairwise_sum``), so every sample keeps the bits of a
+trial-major ``sum(axis=1)``.  ``rng.poisson`` holds the GIL, so the threads
+of the chunk pool overlap only this judging, never the draws.
 """
 
 from __future__ import annotations
@@ -57,20 +65,54 @@ def similarity(p, q):
     return float(s) if q.ndim == 1 else s
 
 
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum the rows of ``a`` into ``a[0]`` in place and return that row.
+
+    Each column gets the bits that numpy's ``sum`` gives for a contiguous
+    run of its values, so a cell-major block sums as its trial-major rows
+    did.  numpy sums such a run pairwise: sequentially below 8 values; up
+    to 128 values in eight interleaved accumulators, combined as
+    ``((0+1)+(2+3))+((4+5)+(6+7))`` before the tail; above that, as two
+    halves split at ``n // 2`` rounded down to a multiple of 8.
+    """
+    n = a.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(a[:half])
+        total += _pairwise_sum(a[half:])
+        return total
+    head = 1
+    if n >= 8:
+        head = n - n % 8
+        for i in range(8, head, 8):
+            a[:8] += a[i:i + 8]
+        a[0:8:2] += a[1:8:2]
+        a[0:8:4] += a[2:8:4]
+        a[0] += a[4]
+    for i in range(head, n):
+        a[0] += a[i]
+    return a[0]
+
+
 # Kept apart from similarity(): its square-roots-first form would move the
 # frozen Monte-Carlo realisations of acceptance criteria 7 and 8 by ulps.
-def _similarity_rows(draws: np.ndarray, theories, out: np.ndarray) -> None:
-    """Write into ``out[k]`` the similarity of each row of ``draws`` to
-    ``theories[k]``, a vector or an array with one row per draw.  The row
-    sums are taken once and one product buffer serves every theory."""
-    sums = draws.sum(axis=1)
-    prod = np.empty_like(draws)
+def _similarity_rows(draws: np.ndarray, theories, out: np.ndarray,
+                     prod: np.ndarray) -> None:
+    """Write into ``out[k]`` the similarity of each trial to ``theories[k]``.
+
+    ``draws`` is cell-major, one row per cell and one column per trial, and
+    is summed in place last; a theory is a vector or a cell-major array with
+    one column per trial; ``prod`` is scratch of the shape of ``draws``.
+    """
     for row, q in zip(out, theories):
-        np.multiply(draws, q, out=prod)
+        np.multiply(draws, q[:, None] if q.ndim == 1 else q, out=prod)
         np.sqrt(prod, out=prod)
-        prod.sum(axis=1, out=row)
+        row[:] = _pairwise_sum(prod)
+    sums = _pairwise_sum(draws)
+    for row, q in zip(out, theories):
+        q_sum = q.sum() if q.ndim == 1 else _pairwise_sum(q.copy())
         with np.errstate(invalid="ignore"):
-            np.divide(row, np.sqrt(sums * q.sum(axis=-1)), out=row)
+            np.divide(row, np.sqrt(sums * q_sum), out=row)
         np.nan_to_num(row, copy=False, nan=0.0)
 
 
@@ -217,10 +259,14 @@ def poisson_mc_similarity(counts, theory, trials: int = 1_000_000, seed: int = 0
     def chunk(rng, out):
         # one draw per block: numpy fills draws in C order, so the blocks
         # take the same values as one draw for the whole chunk
+        cells = np.empty((counts.size, min(_BLOCK, out.shape[1])))
+        prod = np.empty_like(cells)
         for a in range(0, out.shape[1], _BLOCK):
             block = out[:, a:a + _BLOCK]
-            draws = rng.poisson(lam=counts, size=(block.shape[1], counts.size))
-            _similarity_rows(draws.astype(float), rows, block)
+            b = block.shape[1]
+            draws = rng.poisson(lam=counts, size=(b, counts.size))
+            np.copyto(cells[:, :b], draws.T, casting="unsafe")
+            _similarity_rows(cells[:, :b], rows, block, prod[:, :b])
 
     samples = _run_chunks(trials, seed, chunk, rows=len(rows))
     results = [_summarize(s, trials, seed, raw, keep_samples)
@@ -246,9 +292,9 @@ def random_baseline(theory=None, dims: int = 6, trials: int = 1_000_000, seed: i
 
     def chunk(rng, out):
         size = out.shape[1]
-        draws = rng.exponential(size=(size, dims))
-        other = rng.exponential(size=(size, dims)) if th is None else th
-        _similarity_rows(draws, [other], out)
+        draws = np.ascontiguousarray(rng.exponential(size=(size, dims)).T)
+        other = rng.exponential(size=(size, dims)).T if th is None else th
+        _similarity_rows(draws, [other], out, np.empty_like(draws))
 
     samples = _run_chunks(trials, seed, chunk)[0]
     return _summarize(samples, trials, seed, None, keep_samples)

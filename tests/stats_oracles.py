@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from mmi_lab.core import coincidence_classical, coincidence_quantum
-from mmi_lab.stats import MODE_BIN_WIDTH, poisson_mc_similarity, similarity
+from mmi_lab.stats import _BLOCK, MODE_BIN_WIDTH, poisson_mc_similarity, similarity
 
 
 def oracle_fit_visibility(measured, matrix, i, j, grid_step=0.001):
@@ -92,5 +92,43 @@ def oracle_poisson_chunk(counts, rows):
         draws = rng.poisson(lam=counts, size=(out.shape[1], counts.size)).astype(float)
         for row, q in zip(out, rows):
             row[:] = _similarity_rows(draws, q)
+
+    return chunk
+
+
+def oracle_similarity_rows(draws: np.ndarray, theories, out: np.ndarray) -> None:
+    """``stats._similarity_rows`` before the cell-major blocks: trial-major
+    ``draws`` summed along each row by numpy."""
+    sums = draws.sum(axis=1)
+    prod = np.empty_like(draws)
+    for row, q in zip(out, theories):
+        np.multiply(draws, q, out=prod)
+        np.sqrt(prod, out=prod)
+        prod.sum(axis=1, out=row)
+        with np.errstate(invalid="ignore"):
+            np.divide(row, np.sqrt(sums * q.sum(axis=-1)), out=row)
+        np.nan_to_num(row, copy=False, nan=0.0)
+
+
+def oracle_poisson_block_chunk(counts, rows):
+    """``poisson_mc_similarity``'s chunk function before the cell-major
+    blocks: each trial-major block cast to float and judged by
+    :func:`oracle_similarity_rows`."""
+    def chunk(rng, out):
+        for a in range(0, out.shape[1], _BLOCK):
+            block = out[:, a:a + _BLOCK]
+            draws = rng.poisson(lam=counts, size=(block.shape[1], counts.size))
+            oracle_similarity_rows(draws.astype(float), rows, block)
+
+    return chunk
+
+
+def oracle_random_baseline_chunk(th, dims):
+    """``random_baseline``'s chunk function before the cell-major blocks."""
+    def chunk(rng, out):
+        size = out.shape[1]
+        draws = rng.exponential(size=(size, dims))
+        other = rng.exponential(size=(size, dims)) if th is None else th
+        oracle_similarity_rows(draws, [other], out)
 
     return chunk

@@ -221,6 +221,18 @@ class TestSimulateCommand:
                                            f"and finite, got {float(seconds)}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("seconds, rate", [("1e30", None), ("10", "1e300")])
+    def test_undrawable_transit_count_is_config_error(self, tmp_path, capsys, seconds, rate):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(f"[source]\natom_transit_rate = {rate}\n" if rate else "")
+        out = tmp_path / "x.ttag"
+        assert main(["simulate", "--config", str(cfg), "--seconds", seconds,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "too many to draw" in err
+        assert "--seconds" in err and "[source] atom_transit_rate" in err
+        assert not out.exists()
+
     def test_out_under_a_file_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -541,6 +553,8 @@ def test_directory_as_file_flag(tmp_path, monkeypatch, capsys, argv, code, flag)
     (["characterize", "--simulate", "--noise-sd", "0.01", "--repeat", "-3"],
      "--repeat must be at least 1, got -3"),
     (["characterize", "--simulate", "--repeat", "0"], "--repeat must be at least 1, got 0"),
+    (["characterize", "--simulate", "--seed", "-1"], "--seed must be non-negative, got -1"),
+    (["simulate", "--seconds", "10", "--seed", "-1"], "--seed must be non-negative, got -1"),
     (["predict", "--visibility", "2"], "--visibility must be in [0, 1], got 2.0"),
     (["predict", "--visibility", "nan"], "--visibility must be in [0, 1], got nan"),
     (["predict", "--visibility", "-0.5"], "--visibility must be in [0, 1], got -0.5"),
