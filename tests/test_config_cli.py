@@ -553,11 +553,11 @@ def test_directory_as_file_flag(tmp_path, monkeypatch, capsys, argv, code, flag)
     (["characterize", "--simulate", "--noise-sd", "0.01", "--repeat", "-3"],
      "--repeat must be at least 1, got -3"),
     (["characterize", "--simulate", "--repeat", "0"], "--repeat must be at least 1, got 0"),
-    (["characterize", "--simulate", "--seed", "-1"], "--seed must be non-negative, got -1"),
-    (["simulate", "--seconds", "10", "--seed", "-1"], "--seed must be non-negative, got -1"),
     (["predict", "--visibility", "2"], "--visibility must be in [0, 1], got 2.0"),
     (["predict", "--visibility", "nan"], "--visibility must be in [0, 1], got nan"),
     (["predict", "--visibility", "-0.5"], "--visibility must be in [0, 1], got -0.5"),
+    (["characterize", "--simulate", "--seed", "-1"], "--seed must be non-negative, got -1"),
+    (["simulate", "--seconds", "10", "--seed", "-1"], "--seed must be non-negative, got -1"),
 ])
 def test_bad_numeric_flag_is_config_error(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
