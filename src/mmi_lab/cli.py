@@ -28,6 +28,7 @@ from .instrument import ConfigError, expected_pair_rate, simulate_run
 from .matrix import MatrixError, TransferMatrix, measured_chip_matrix
 from .pipeline import (DataError, ModeIndexError, analyze_g2, analyze_hom,
                        analyze_mmi, analyze_timeresolved, characterize, predict)
+from .stats import max_threads
 # extract_coincidences is bound here only because bench/test_bench_tracer.py
 # checks that the tracer patches the copy a front-end module imports.
 from .tagstream import StreamFormatError, TimeTagStream, extract_coincidences  # noqa: F401
@@ -274,6 +275,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        max_threads()  # a malformed MMI_LAB_THREADS fails before any work
         return args.func(args)
     except (ConfigError, MatrixError, ModeIndexError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

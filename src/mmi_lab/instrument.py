@@ -325,6 +325,10 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
             "draw: lower --seconds or [source] atom_transit_rate") from None
     duty = source.duty_cycle_ns
     wall_ns = wall_time_s * 1e9
+    if wall_ns / detectors.tick_ns >= 2.0 ** 63:
+        raise ConfigError(
+            f"--seconds {wall_time_s:g} runs past the last int64 tick of the stream "
+            f"({2.0 ** 63 * detectors.tick_ns * 1e-9:.4g} s at {detectors.tick_fs} fs per tick)")
     n_intervals = int(wall_ns // duty)
     transit_intervals = np.sort(rng.integers(0, max(n_intervals, 1),
                                              size=n_transits)).astype(np.int64)
@@ -408,8 +412,13 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
 
     n_det = layout.n_detectors
     dark_mean = detectors.dark_rate_per_hour * wall_time_s / 3600.0
-    dark_ch = [np.full(int(rng.poisson(dark_mean)), ch, dtype=np.uint8)
-               for ch in range(n_det)]
+    try:
+        dark_ch = [np.full(int(rng.poisson(dark_mean)), ch, dtype=np.uint8)
+                   for ch in range(n_det)]
+    except ValueError:  # numpy's "lam value too large"
+        raise ConfigError(
+            f"{dark_mean:g} expected dark counts per detector are too many to draw: "
+            "lower [detectors] dark_rate_per_hour or --seconds") from None
     dark_t = [rng.random(c.size) * wall_ns for c in dark_ch]
     channel = np.concatenate([channel] + dark_ch)
     t_ns = np.concatenate([t_ns] + dark_t)

@@ -28,8 +28,9 @@ one row per cell and one column per trial, so every multiply, square root
 and sum runs over whole rows.  numpy is slow to reduce the short axis of a
 trial-major block; the row sums are written out instead, in numpy's own
 pairwise order (``_pairwise_sum``), so every sample keeps the bits of a
-trial-major ``sum(axis=1)``.  ``rng.poisson`` holds the GIL, so the threads
-of the chunk pool overlap only this judging, never the draws.
+trial-major ``sum(axis=1)``.  ``rng.poisson`` releases the GIL, so the
+threads of the chunk pool overlap the draws as well as the judging.  Each
+result is then summarised from one sort of its samples, on the same pool.
 """
 
 from __future__ import annotations
@@ -42,10 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import cross_pair_index
+from .instrument import ConfigError
 
 MODE_BIN_WIDTH = 0.001  # 0.1 percentage points
 _CHUNK = 1 << 17  # trials per seeded generator
 _BLOCK = 1 << 14  # trials per Poisson draw within a chunk
+_EDGES = np.linspace(0.0, 1.0, int(round(1.0 / MODE_BIN_WIDTH)) + 1)  # histogram bins
 
 
 def similarity(p, q):
@@ -113,27 +116,32 @@ def _similarity_rows(draws: np.ndarray, theories, out: np.ndarray,
         q_sum = q.sum() if q.ndim == 1 else _pairwise_sum(q.copy())
         with np.errstate(invalid="ignore"):
             np.divide(row, np.sqrt(sums * q_sum), out=row)
-        np.nan_to_num(row, copy=False, nan=0.0)
+        row[np.isnan(row)] = 0.0  # 0/0, from an all-zero draw or theory
 
 
-def hpd_interval(samples) -> tuple[float, float]:
-    """Shortest contiguous interval containing at least 68% of the samples."""
-    x = np.sort(np.asarray(samples, dtype=float))
+def _hpd_window(x: np.ndarray) -> tuple[float, float]:
+    """Shortest window of the sorted samples ``x`` that holds 68% of them."""
     n = x.size
-    if n == 0:
-        raise ValueError("empty sample set")
-    m = int(np.ceil(0.68 * n))
+    m = (68 * n + 99) // 100  # the fewest samples that are 68% or more
     widths = x[m - 1:] - x[:n - m + 1]
     i = int(np.argmin(widths))
     return float(x[i]), float(x[i + m - 1])
 
 
+def hpd_interval(samples) -> tuple[float, float]:
+    """Shortest contiguous interval containing at least 68% of the samples."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    if x.size == 0:
+        raise ValueError("empty sample set")
+    return _hpd_window(x)
+
+
 def max_threads() -> int:
     """Worker cap from the MMI_LAB_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("MMI_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
+    value = os.environ.get("MMI_LAB_THREADS", "1")
+    if not (value.isascii() and value.isdigit() and int(value) > 0):
+        raise ConfigError(f"MMI_LAB_THREADS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -207,6 +215,8 @@ def _run_chunks(trials: int, seed: int, chunk_fn, rows: int = 1) -> np.ndarray:
     Each chunk's generator is derived from (seed, chunk index), so results
     are bit-identical no matter how many threads execute the chunks.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     out = np.empty((rows, trials))
 
     def one(idx):
@@ -219,13 +229,20 @@ def _run_chunks(trials: int, seed: int, chunk_fn, rows: int = 1) -> np.ndarray:
 
 def _summarize(samples: np.ndarray, trials: int, seed: int, raw: float | None,
                keep_samples: bool) -> SimilarityResult:
-    histogram, edges = np.histogram(np.clip(samples, 0.0, 1.0),
-                                    bins=int(round(1.0 / MODE_BIN_WIDTH)), range=(0.0, 1.0))
+    """Histogram, mode, HPD68 and mean of one result's samples, read from one
+    sorted array: a sorted copy when the samples are kept (they stay in trial
+    order), else ``samples`` itself, sorted in place."""
+    mean = float(samples.mean())  # before the sort: the sum follows trial order
+    x = samples.copy() if keep_samples else samples
+    x.sort()
+    # bin b holds _EDGES[b] <= x < _EDGES[b + 1], the first bin everything
+    # below and the last everything above: np.histogram of the clipped samples
+    histogram = np.diff(np.searchsorted(x, _EDGES[1:-1]), prepend=0, append=x.size)
     b = int(np.argmax(histogram))
     return SimilarityResult(
-        mode=float(0.5 * (edges[b] + edges[b + 1])),
-        hpd68=hpd_interval(samples),
-        mean=float(samples.mean()),
+        mode=float(0.5 * (_EDGES[b] + _EDGES[b + 1])),
+        hpd68=_hpd_window(x),
+        mean=mean,
         histogram=histogram,
         n_trials=trials,
         seed=seed,
@@ -269,8 +286,8 @@ def poisson_mc_similarity(counts, theory, trials: int = 1_000_000, seed: int = 0
             _similarity_rows(cells[:, :b], rows, block, prod[:, :b])
 
     samples = _run_chunks(trials, seed, chunk, rows=len(rows))
-    results = [_summarize(s, trials, seed, raw, keep_samples)
-               for s, raw in zip(samples, raws)]
+    results = _ordered_map(lambda k: _summarize(samples[k], trials, seed, raws[k], keep_samples),
+                           range(len(rows)))
     return results if theory.ndim == 2 else results[0]
 
 

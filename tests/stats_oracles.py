@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from mmi_lab.core import coincidence_classical, coincidence_quantum
-from mmi_lab.stats import _BLOCK, MODE_BIN_WIDTH, poisson_mc_similarity, similarity
+from mmi_lab.stats import (_BLOCK, MODE_BIN_WIDTH, SimilarityResult, poisson_mc_similarity,
+                           similarity)
 
 
 def oracle_fit_visibility(measured, matrix, i, j, grid_step=0.001):
@@ -132,3 +133,35 @@ def oracle_random_baseline_chunk(th, dims):
         oracle_similarity_rows(draws, [other], out)
 
     return chunk
+
+
+def oracle_hpd_interval(samples) -> tuple[float, float]:
+    """``stats.hpd_interval`` before it shared the window with the summary:
+    its own sort and the rounded-up float 68% count."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    if n == 0:
+        raise ValueError("empty sample set")
+    m = int(np.ceil(0.68 * n))
+    widths = x[m - 1:] - x[:n - m + 1]
+    i = int(np.argmin(widths))
+    return float(x[i]), float(x[i + m - 1])
+
+
+def oracle_summarize(samples: np.ndarray, trials: int, seed: int, raw: float | None,
+                     keep_samples: bool) -> SimilarityResult:
+    """``stats._summarize`` before the one in-place sort: ``np.histogram`` of
+    the clipped samples and a second sort for the HPD interval."""
+    histogram, edges = np.histogram(np.clip(samples, 0.0, 1.0),
+                                    bins=int(round(1.0 / MODE_BIN_WIDTH)), range=(0.0, 1.0))
+    b = int(np.argmax(histogram))
+    return SimilarityResult(
+        mode=float(0.5 * (edges[b] + edges[b + 1])),
+        hpd68=oracle_hpd_interval(samples),
+        mean=float(samples.mean()),
+        histogram=histogram,
+        n_trials=trials,
+        seed=seed,
+        raw=raw,
+        samples=samples if keep_samples else None,
+    )

@@ -16,6 +16,10 @@ array kernels must match them bit for bit at any u64 tick.
 (the per-tag buffer loop for ``lo > 0``) are the two pairing kernels that
 ``mmi_lab.tagstream._pair_greedy`` replaced, kept verbatim; they work on
 raw tick arrays with bounds in ticks.
+
+``oracle_pedestal`` is ``deadtime_correction``'s dark-count floor as it was
+taken before ``mmi_lab.tagstream._pedestal``: ``np.median`` of the lowest
+quarter of the folded profile.
 """
 
 from __future__ import annotations
@@ -213,3 +217,7 @@ def _pair_offset(ticks: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.nd
         else:
             buf.append((t, j))
     return np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
+
+
+def oracle_pedestal(profile):
+    return np.median(np.sort(profile)[:max(1, profile.size // 4)])

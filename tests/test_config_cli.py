@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mmi_lab
-from mmi_lab import TimeTagStream, config, pipeline, simulate_fringes, simulate_run
+from mmi_lab import TimeTagStream, config, pipeline, simulate_fringes, simulate_run, stats
 from mmi_lab.cli import main
 from mmi_lab.core import ModeIndexError
 from mmi_lab.instrument import ConfigError
@@ -233,6 +233,45 @@ class TestSimulateCommand:
         assert "--seconds" in err and "[source] atom_transit_rate" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seconds, cfg_text", [
+        ("1e20", "[source]\natom_transit_rate = 0\n"),
+        ("1e30", "[source]\natom_transit_rate = 0\n"),
+        ("1e300", "[source]\natom_transit_rate = 0\n"),
+        ("1e18", ""),
+        ("7.48e8", "[source]\natom_transit_rate = 0\n[detectors]\ndark_rate_per_hour = 0\n"),
+    ], ids=["no-transits-1e20", "no-transits-1e30", "no-transits-1e300", "default-1e18",
+            "no-events-7.48e8"])
+    def test_run_past_the_last_tick_is_config_error(self, tmp_path, capsys, seconds, cfg_text):
+        # the last 81 ps tick that fits int64 is at about 7.47e8 s
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / "x.ttag"
+        assert main(["simulate", "--config", str(cfg), "--seconds", seconds,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --seconds {float(seconds):g} runs past the last int64 tick "
+            "of the stream (7.471e+08 s at 81000 fs per tick)\n")
+        assert not out.exists()
+
+    def test_run_up_to_the_last_tick(self, tmp_path):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("[source]\natom_transit_rate = 0\n[detectors]\ndark_rate_per_hour = 0\n")
+        out = tmp_path / "x.ttag"
+        assert main(["simulate", "--config", str(cfg), "--seconds", "7.47e8",
+                     "--out", str(out)]) == 0
+        assert len(TimeTagStream.from_file(out)) == 0
+
+    def test_undrawable_dark_count_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("[detectors]\ndark_rate_per_hour = 1e20\n")
+        out = tmp_path / "x.ttag"
+        assert main(["simulate", "--config", str(cfg), "--seconds", "1000",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: 2.77778e+19 expected dark counts")
+        assert "[detectors] dark_rate_per_hour" in err
+        assert not out.exists()
+
     def test_out_under_a_file_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -375,6 +414,25 @@ mc_trials = 50000
         assert report["similarity_corrected"]["vs_quantum"]["n_trials"] == 2000
         assert report["missed_clamped"] is False
         assert report["deadtime_fit_scale"] > 0
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", "", " 2", "²"])
+    def test_malformed_thread_count_is_config_error(self, run_dir, tmp_path, capsys,
+                                                     monkeypatch, value):
+        monkeypatch.setenv("MMI_LAB_THREADS", value)
+        out = tmp_path / "o"
+        assert main(["analyze", "mmi", "--stream", str(run_dir / "mmi.ttag"),
+                     "--trials", "10000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: MMI_LAB_THREADS must be a "
+                                           f"positive integer, got {value!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, threads", [(None, 1), ("1", 1), ("2", 2), ("16", 16)])
+    def test_thread_count(self, monkeypatch, value, threads):
+        if value is None:
+            monkeypatch.delenv("MMI_LAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MMI_LAB_THREADS", value)
+        assert stats.max_threads() == threads
 
     @pytest.mark.parametrize("kind", ["g2", "mmi"])
     def test_csv_format_prints_scalars(self, run_dir, capsys, kind):
@@ -604,6 +662,24 @@ def test_cli_runs_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=120, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_analyze_mmi_never_imports_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, about 30 ms of analyze mmi
+    stream = tmp_path / "s.ttag"
+    assert main(["simulate", "--seconds", "2000", "--seed", "3", "--out", str(stream)]) == 0
+    src = Path(mmi_lab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mmi_lab.cli\n"
+            f"assert mmi_lab.cli.main(['analyze', 'mmi', '--stream', {str(stream)!r}, "
+            f"'--trials', '2000', '--out', {str(tmp_path / 'a')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    report = json.loads((tmp_path / "a" / "mmi_report.json").read_text())
+    assert report["n_coincidences"] > 0 and "missed_sigma" in report
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 class TestCharacterizeCommand:

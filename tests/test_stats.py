@@ -87,6 +87,20 @@ class TestHpdInterval:
         with pytest.raises(ValueError):
             hpd_interval([])
 
+    def test_resampling_needs_a_trial(self):
+        with pytest.raises(ValueError, match="at least one trial, got 0"):
+            poisson_mc_similarity([3.0, 4.0], [1.0, 1.0], trials=0)
+        with pytest.raises(ValueError, match="at least one trial, got 0"):
+            random_baseline(None, trials=0)
+
+    def test_holds_the_fewest_samples_that_are_68_percent(self):
+        # evenly spaced: every window of m samples is m - 1 wide, so the first
+        # wins; ceil(0.68 * n) in floats takes one too many at 75, 3000, 10000
+        for n in [*range(1, 2001), 3_000, 10_000]:
+            lo, hi = hpd_interval(np.arange(n, dtype=float))
+            m = int(hi - lo) + 1
+            assert lo == 0.0 and 100 * m >= 68 * n > 100 * (m - 1), n
+
 
 class TestPoissonResampling:
     def test_concentration_for_large_counts(self, chip):

@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from stats_oracles import (oracle_fit_visibility, oracle_mode, oracle_poisson_block_chunk,
-                           oracle_poisson_chunk, oracle_rand_vs_rand_chunk,
-                           oracle_random_baseline_chunk, oracle_similarity_vs_dt)
+from stats_oracles import (oracle_fit_visibility, oracle_hpd_interval, oracle_mode,
+                           oracle_poisson_block_chunk, oracle_poisson_chunk,
+                           oracle_rand_vs_rand_chunk, oracle_random_baseline_chunk,
+                           oracle_similarity_vs_dt, oracle_summarize)
 
 from mmi_lab import (CoincidenceDistribution, TransferMatrix, coincidence_classical,
                      coincidence_quantum, extract_coincidences, fit_visibility,
                      poisson_mc_similarity, random_baseline, random_unitary, similarity,
                      similarity_vs_dt, simulate_run)
-from mmi_lab.stats import _BLOCK, _CHUNK, MODE_BIN_WIDTH, _pairwise_sum, _run_chunks
+from mmi_lab.stats import (_BLOCK, _CHUNK, _EDGES, MODE_BIN_WIDTH, _pairwise_sum, _run_chunks,
+                           _summarize, hpd_interval)
 
 
 def _tables(measured_values, n, cross_only):
@@ -219,6 +221,102 @@ class TestModeFromHistogram:
         q = coincidence_quantum(chip, 0, 1).values
         self.check(random_baseline(q, trials=50_000, seed=4))
         self.check(random_baseline(None, dims=3, trials=50_000, seed=5))
+
+
+def same_summary(got, want):
+    assert got.mode == want.mode
+    assert got.hpd68 == want.hpd68
+    assert got.mean == want.mean
+    assert got.histogram.dtype == want.histogram.dtype
+    assert np.array_equal(got.histogram, want.histogram)
+    assert (got.n_trials, got.seed, got.raw) == (want.n_trials, want.seed, want.raw)
+
+
+def old_count_agrees(n):
+    """The replaced float count ``ceil(0.68 n)`` equals the exact one at n."""
+    return int(np.ceil(0.68 * n)) == (68 * n + 99) // 100
+
+
+# every bin edge, as np.linspace and as k / 1000 (which differ for some k),
+# the floats either side of each, and values below 0, at 1 and above
+EDGE_VALUES = np.concatenate((_EDGES, np.arange(1001) / 1000, np.nextafter(_EDGES, -1.0),
+                              np.nextafter(_EDGES, 2.0), [-0.5, -1e-300, -0.0, 1.0, 1.0, 1.5]))
+
+
+class TestOneSortSummary:
+    """The summary read from one sorted array against ``np.histogram`` of the
+    clipped samples and a second sort (``oracle_summarize``), at trial counts
+    where the replaced and the exact 68% counts agree."""
+
+    def check(self, x, keep):
+        assert old_count_agrees(x.size)
+        want = oracle_summarize(x.copy(), x.size, 5, 0.25, keep)
+        samples = x.copy()
+        got = _summarize(samples, x.size, 5, 0.25, keep)
+        same_summary(got, want)
+        if keep:  # kept samples stay in trial order
+            assert got.samples is samples and same_bits(samples, x)
+        else:
+            assert got.samples is None
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_edges_below_zero_and_above_one(self, rng, keep):
+        fill = rng.uniform(-0.1, 1.1, 8000 - EDGE_VALUES.size)
+        self.check(rng.permutation(np.concatenate((EDGE_VALUES, fill))), keep)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_ties(self, rng, keep):
+        self.check(rng.permutation(np.repeat(rng.random(40).round(2), 100)), keep)
+        self.check(np.full(4000, 0.42), keep)
+        self.check(np.repeat([0.25, 0.75], 500), keep)  # two equal modes: the first wins
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("value", [0.3, 0.0, 1.0, -0.2, 1.2, 0.001])
+    def test_one_sample(self, keep, value):
+        self.check(np.array([value]), keep)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_VALUES.tolist()),
+                              st.floats(-0.5, 1.5)), min_size=1, max_size=400),
+           st.booleans())
+    def test_any_samples(self, values, keep):
+        x = np.array(values)
+        if old_count_agrees(x.size):
+            self.check(x, keep)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_poisson_results(self, chip, monkeypatch, threads):
+        # 3 results summarised on the pool; small counts spread the samples
+        monkeypatch.setenv("MMI_LAB_THREADS", threads)
+        q = coincidence_quantum(chip, 0, 1).cross_only().values
+        c = coincidence_classical(chip, 0, 1).cross_only().values
+        theories = np.stack((q, c, np.ones(6)))
+        counts = np.round(200 * q / q.sum())
+        trials = _CHUNK + 1000
+        assert old_count_agrees(trials)
+        kept = poisson_mc_similarity(counts, theories, trials, seed=12, keep_samples=True)
+        dropped = poisson_mc_similarity(counts, theories, trials, seed=12)
+        draws = _run_chunks(trials, 12, oracle_poisson_block_chunk(counts, theories), rows=3)
+        for k, d, w in zip(kept, dropped, draws):
+            assert same_bits(k.samples, w) and d.samples is None
+            want = oracle_summarize(w, trials, 12, k.raw, False)
+            same_summary(k, want)
+            same_summary(d, want)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_random_baseline(self, chip, keep):
+        q = coincidence_quantum(chip, 0, 1).values
+        got = random_baseline(q, trials=20_001, seed=6, keep_samples=keep)
+        want = _run_chunks(20_001, 6, oracle_random_baseline_chunk(q, q.size))[0]
+        same_summary(got, oracle_summarize(want, 20_001, 6, None, False))
+        assert same_bits(got.samples, want) if keep else got.samples is None
+
+    def test_hpd_interval(self, rng):
+        for n in (1, 2, 100, 2000, 4001):
+            x = rng.normal(size=n)
+            assert old_count_agrees(n) and hpd_interval(x) == oracle_hpd_interval(x)
+        with pytest.raises(ValueError, match="empty"):
+            hpd_interval([])
 
 
 @st.composite

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from tagstream_oracles import (_pair_neighbours, _pair_offset, int_oracle_cross_correlate,
                                int_oracle_extract_coincidences, int_oracle_fold_counts,
                                oracle_cross_correlate, oracle_extract_coincidences,
-                               oracle_same_detector_counts)
+                               oracle_pedestal, oracle_same_detector_counts)
 
 from mmi_lab import (Layout, TimeTagStream, cross_correlate, extract_coincidences,
                      simulate_run, sliding_histogram)
-from mmi_lab.tagstream import DEFAULT_TICK_FS, _pair_greedy
+from mmi_lab.tagstream import DEFAULT_TICK_FS, _pair_greedy, _pedestal
 
 UNIT_TICK_FS = 1_000_000  # 1 ns ticks: times, windows and offsets are exact
 # start ticks of 81 ps streams near 380 ks (the headline run), near 1e6 s
@@ -324,3 +324,16 @@ def test_simulated_hbt_matches_loop(hbt_stream):
     assert hist.total_pairs() > 1000
     check_pairing(hbt_stream, 300.0)
     check_pairing(hbt_stream, 300.0, time_offset_ns=664.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 5).map(float),
+                          st.floats(0.0, 1e6, allow_subnormal=False)), min_size=1, max_size=60))
+@example([3.0])
+@example([0.0, 2.0, 1.0, 5.0, 4.0, 4.0, 9.0, 7.0])  # a quarter of 2: the mean of both
+@example([0.0, 2.0, 1.0, 5.0, 4.0, 4.0, 9.0, 7.0, 8.0, 6.0, 3.0, 2.0])  # of 3: the middle
+def test_pedestal_is_numpys_median(profile):
+    profile = np.array(profile)
+    got, want = _pedestal(profile), oracle_pedestal(profile)
+    assert type(got) is type(want) is np.float64
+    assert got.view(np.int64) == want.view(np.int64)
