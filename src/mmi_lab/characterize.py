@@ -5,6 +5,12 @@ offsets between interference fringes recorded at each output while the
 relative phase of an equal-amplitude two-input probe is swept.  The
 reconstructed matrix is gauge-fixed so that its first row and first
 column are real and non-negative.
+
+Trials are batched: :func:`simulate_trials` stacks the noisy datasets of
+many seeded trials and :func:`reconstruct_trials` fits every fringe of
+every trial in one array pass, with one least-squares design per phase
+grid.  A trial's result does not depend on the batch it is in, and
+:func:`reconstruct_matrix` is the batch of one.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import TransferMatrix, gauge_fix
+from .matrix import TransferMatrix, _gauge_fixed
 
 
 class CharacterizationError(ValueError):
@@ -92,6 +98,17 @@ class FringeDataset:
             return cls.from_json_dict(json.load(fh))
 
 
+def _clean_powers(m: np.ndarray, phase_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Noise-free fringe blocks, shape (n-1, n_phases, n), with block i-1
+    for probe inputs (0, i), and direct transmissions, shape (n, n)."""
+    probe = m[0] + np.exp(1j * phase_grid)[:, None] * m[1:, None, :]
+    return np.abs(probe) ** 2, np.abs(m) ** 2
+
+
+def _with_noise(powers: np.ndarray, noise_sd: float, normal: np.ndarray) -> np.ndarray:
+    return np.clip(powers * (1.0 + noise_sd * normal), 0.0, None)
+
+
 def simulate_fringes(matrix: TransferMatrix, noise_sd: float = 0.0,
                      rng: np.random.Generator | None = None) -> FringeDataset:
     """Forward model of the characterisation measurement.
@@ -99,44 +116,52 @@ def simulate_fringes(matrix: TransferMatrix, noise_sd: float = 0.0,
     The probe drives inputs (0, i) with equal amplitudes and relative
     phase phi, on 16 even steps of [0, 2pi), so the power at output k is
     |M[0,k] + e^{i phi} M[i,k]|^2.
-    ``noise_sd`` adds multiplicative Gaussian noise to every power sample.
+    ``noise_sd`` adds multiplicative Gaussian noise to every power sample,
+    drawn for the fringe blocks in input order, then for the transmissions.
     Every input i > 0 is probed against input 0, which is what the
     reconstruction needs.
     """
+    grid, trans, blocks = simulate_trials(matrix, noise_sd, [rng])
+    return FringeDataset(n_modes=matrix.n_modes, phase_grid=grid, transmissions=trans[0],
+                         fringes={(0, i): b for i, b in enumerate(blocks[0], start=1)})
+
+
+def simulate_trials(matrix: TransferMatrix, noise_sd: float, rngs) -> tuple[np.ndarray, ...]:
+    """:func:`simulate_fringes` once per generator in ``rngs`` (a seed, a
+    Generator or None each), stacked: the phase grid, the transmissions
+    (trials, n, n) and the fringe blocks (trials, n-1, n_phases, n).  Each
+    trial draws from its own generator exactly what :func:`simulate_fringes`
+    draws."""
     if not np.isfinite(noise_sd) or noise_sd < 0:
         raise ValueError(f"noise_sd must be non-negative and finite, got {noise_sd}")
-    n = matrix.n_modes
-    phase_grid = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-    if rng is None:
-        rng = np.random.default_rng()
-    m = matrix.elements
-    trans = np.abs(m) ** 2
-    fringes = {}
-    for i in range(1, n):
-        probe = m[0, :][None, :] + np.exp(1j * phase_grid)[:, None] * m[i, :][None, :]
-        powers = np.abs(probe) ** 2
-        if noise_sd > 0:
-            powers = powers * (1.0 + noise_sd * rng.standard_normal(powers.shape))
-            powers = np.clip(powers, 0.0, None)
-        fringes[(0, i)] = powers
-    if noise_sd > 0:
-        trans = np.clip(trans * (1.0 + noise_sd * rng.standard_normal(trans.shape)), 0.0, None)
-    return FringeDataset(n_modes=n, phase_grid=phase_grid,
-                         transmissions=trans, fringes=fringes)
+    grid = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    powers, trans = _clean_powers(matrix.elements, grid)
+    if noise_sd == 0:
+        return grid, np.stack([trans] * len(rngs)), np.stack([powers] * len(rngs))
+    z_powers = np.empty((len(rngs),) + powers.shape)
+    z_trans = np.empty((len(rngs),) + trans.shape)
+    for t, rng in enumerate(rngs):
+        rng = np.random.default_rng(rng)
+        rng.standard_normal(out=z_powers[t])
+        rng.standard_normal(out=z_trans[t])
+    return grid, _with_noise(trans, noise_sd, z_trans), _with_noise(powers, noise_sd, z_powers)
 
 
-def _fit_fringe(phases: np.ndarray, powers: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares cosine fit P = c0 + B cos(phi + theta).
+def _fit_fringe(phases: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Least-squares cosine fit P = c0 + B cos(phi + theta) of every column
+    of ``powers``: axis 0 runs over ``phases``, any trailing axes over the
+    columns.  The design matrix is built once and its pseudo-inverse
+    applied to all columns.
 
-    Returns (theta, contrast B, residual rms).
+    Returns (theta, contrast B, residual rms), each of the columns' shape.
     """
     design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
-    coef, *_ = np.linalg.lstsq(design, powers, rcond=None)
-    c0, c1, c2 = coef
-    theta = float(np.arctan2(-c2, c1))
-    contrast = float(np.hypot(c1, c2))
-    resid = powers - design @ coef
-    return theta, contrast, float(np.sqrt(np.mean(resid ** 2)))
+    # phases last and contiguous: every column's sums are then numpy's
+    # pairwise sum of one row, whatever the batch around it
+    p = np.ascontiguousarray(np.moveaxis(np.asarray(powers, dtype=float), 0, -1))
+    c0, c1, c2 = ((p * w).sum(axis=-1) for w in np.linalg.pinv(design))
+    resid = p - (c0[..., None] + c1[..., None] * design[:, 1] + c2[..., None] * design[:, 2])
+    return np.arctan2(-c2, c1), np.hypot(c1, c2), np.sqrt(np.mean(resid ** 2, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -146,42 +171,43 @@ class ReconstructionResult:
 
 
 def reconstruct_matrix(data: FringeDataset) -> ReconstructionResult:
-    """Rebuild the gauge-fixed transfer matrix from fringe data.
-
-    Element magnitudes are sqrt(direct transmissions).  The fringe offset
-    at output k for probe inputs (0, i) measures arg M[i,k] - arg M[0,k];
-    referencing those offsets to output 0 cancels the per-input phase
-    freedom, which is exactly the first-row/first-column-real gauge.
-    Elements whose fringe contrast is indistinguishable from the noise
-    floor keep phase 0 and are flagged.
-    """
+    """Rebuild the gauge-fixed transfer matrix from fringe data: the batch
+    of one trial of :func:`reconstruct_trials`."""
     n = data.n_modes
     for i in range(1, n):
         if (0, i) not in data.fringes:
             raise CharacterizationError(f"dataset must probe inputs (1, {i + 1}); "
                                         f"missing fringe block")
-    amps = np.sqrt(data.transmissions)
-    offsets = np.zeros((n, n))
-    flags = np.zeros((n, n), dtype=bool)
-    for i in range(1, n):
-        powers = data.fringes[(0, i)]
-        for k in range(n):
-            theta, contrast, resid = _fit_fringe(data.phase_grid, powers[:, k])
-            scale = float(np.mean(powers[:, k]))
-            floor = 3.0 * resid + 1e-9 * max(scale, 1e-30)
-            if contrast <= floor:
-                flags[i, k] = True
-            else:
-                offsets[i, k] = theta
-    phases = np.zeros((n, n))
-    for i in range(1, n):
-        for k in range(1, n):
-            if flags[i, k] or flags[i, 0]:
-                flags[i, k] = True
-            else:
-                phases[i, k] = offsets[i, k] - offsets[i, 0]
-    raw = amps * np.exp(1j * phases)
+    blocks = np.stack([data.fringes[(0, i)] for i in range(1, n)])
+    elements, flags = reconstruct_trials(data.phase_grid, data.transmissions[None], blocks[None])
     # amplitudes may exceed 1 slightly under measurement noise; tolerate it
-    tol = max(1e-6, float(np.abs(raw).max()) - 1.0 + 1e-6)
-    rebuilt = gauge_fix(TransferMatrix(raw, amplitude_tol=tol))
-    return ReconstructionResult(matrix=rebuilt, phase_indeterminate=flags)
+    tol = max(1e-6, float(np.abs(elements[0]).max()) - 1.0 + 1e-6)
+    return ReconstructionResult(matrix=TransferMatrix(elements[0], amplitude_tol=tol),
+                                phase_indeterminate=flags[0])
+
+
+def reconstruct_trials(phase_grid: np.ndarray, transmissions: np.ndarray,
+                       fringes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rebuild a batch of gauge-fixed transfer matrices in one array pass.
+
+    ``transmissions`` has shape (trials, n, n) and ``fringes`` (trials,
+    n-1, n_phases, n), block i-1 for probe inputs (0, i).  Element
+    magnitudes are sqrt(direct transmissions).  The fringe offset at
+    output k for probe inputs (0, i) measures arg M[i,k] - arg M[0,k];
+    referencing those offsets to output 0 cancels the per-input phase
+    freedom, which is exactly the first-row/first-column-real gauge.
+    Elements whose fringe contrast is indistinguishable from the noise
+    floor keep phase 0 and are flagged, and so is every element of a row
+    whose output-0 fringe is flagged.  Returns the complex elements and
+    the flags, both (trials, n, n); a trial's result does not depend on
+    the other trials in the batch.
+    """
+    theta, contrast, resid = _fit_fringe(phase_grid, np.moveaxis(fringes, -2, 0))
+    scale = np.mean(fringes, axis=-2)
+    weak = contrast <= 3.0 * resid + 1e-9 * np.maximum(scale, 1e-30)
+    flags = np.zeros(transmissions.shape, dtype=bool)
+    flags[:, 1:] = weak
+    flags[:, 1:, 1:] |= weak[:, :, :1]
+    phases = np.zeros(transmissions.shape)
+    phases[:, 1:, 1:] = np.where(flags[:, 1:, 1:], 0.0, theta[:, :, 1:] - theta[:, :, :1])
+    return _gauge_fixed(np.sqrt(transmissions) * np.exp(1j * phases)), flags

@@ -171,6 +171,14 @@ def cmd_characterize(args) -> int:
     if args.repeat < 1:
         raise ConfigError(f"--repeat must be at least 1, got {args.repeat}")
     _check_seed(args.seed)
+    # flags that only a simulated run reads must not be silently ignored
+    if args.simulate and args.fringes:
+        raise ConfigError("--fringes cannot be combined with --simulate")
+    if not args.simulate:
+        if args.repeat > 1:
+            raise ConfigError(f"--repeat {args.repeat} needs --simulate")
+        if args.noise_sd > 0:
+            raise ConfigError(f"--noise-sd {args.noise_sd:g} needs --simulate")
     data = truth = None
     if args.simulate:
         truth = (TransferMatrix.from_file(args.matrix) if args.matrix

@@ -415,11 +415,11 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     try:
         dark_ch = [np.full(int(rng.poisson(dark_mean)), ch, dtype=np.uint8)
                    for ch in range(n_det)]
-    except ValueError:  # numpy's "lam value too large"
+        dark_t = [rng.random(c.size) * wall_ns for c in dark_ch]
+    except (ValueError, MemoryError):  # numpy's "lam value too large", or no room
         raise ConfigError(
             f"{dark_mean:g} expected dark counts per detector are too many to draw: "
             "lower [detectors] dark_rate_per_hour or --seconds") from None
-    dark_t = [rng.random(c.size) * wall_ns for c in dark_ch]
     channel = np.concatenate([channel] + dark_ch)
     t_ns = np.concatenate([t_ns] + dark_t)
 

@@ -148,14 +148,17 @@ def gauge_fix(matrix: TransferMatrix) -> TransferMatrix:
     entries with zero magnitude in the first row/column leave the
     corresponding phase untouched.
     """
-    m = matrix.elements.copy()
-    col = m[:, 0]
-    in_phase = np.where(np.abs(col) > 0, np.exp(-1j * np.angle(col)), 1.0)
-    m = in_phase[:, None] * m
-    row = m[0, :]
-    out_phase = np.where(np.abs(row) > 0, np.exp(-1j * np.angle(row)), 1.0)
-    m = m * out_phase[None, :]
+    return TransferMatrix(_gauge_fixed(matrix.elements), amplitude_tol=matrix.amplitude_tol)
+
+
+def _gauge_fixed(m: np.ndarray) -> np.ndarray:
+    """:func:`gauge_fix` of every matrix stacked along the leading axes of
+    the complex array ``m`` (shape ``(..., n, n)``), as a new array."""
+    col = m[..., :, :1]
+    m = np.where(np.abs(col) > 0, np.exp(-1j * np.angle(col)), 1.0) * m
+    row = m[..., :1, :]
+    m = m * np.where(np.abs(row) > 0, np.exp(-1j * np.angle(row)), 1.0)
     # scrub numerical dust on the gauge-fixed entries
-    m[0, :] = np.abs(m[0, :])
-    m[:, 0] = np.abs(m[:, 0])
-    return TransferMatrix(m, amplitude_tol=matrix.amplitude_tol)
+    m[..., 0, :] = np.abs(m[..., 0, :])
+    m[..., :, 0] = np.abs(m[..., :, 0])
+    return m

@@ -408,12 +408,28 @@ class DeadtimeCorrectionResult:
     clamped: bool
 
 
+def median_sorted(s: np.ndarray) -> np.float64:
+    """``np.median`` of the ascending array ``s``, bit for bit: the mean of
+    its middle one or two values, without the ``numpy.ma`` import that
+    ``np.median`` costs on its first call."""
+    return s[(s.size - 1) // 2:s.size // 2 + 1].mean()
+
+
+def quantile_sorted(s: np.ndarray, q: float) -> np.float64:
+    """``np.quantile(s, q)`` (linear method) of the ascending array ``s``,
+    bit for bit: numpy's virtual index ``(n - 1) q``, its clamped neighbours
+    and its lerp, which counts down from the upper neighbour when the weight
+    is 0.5 or more."""
+    v = (s.size - 1) * q
+    lo, hi = (-1, -1) if v >= s.size - 1 else (int(v), int(v) + 1)
+    t = v - lo
+    a, b = s[lo], s[hi]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def _pedestal(profile: np.ndarray) -> np.float64:
-    """Median of the lowest quarter of ``profile``: the mean of its middle one
-    or two values, the float ``np.median`` returns, without the ``numpy.ma``
-    import that ``np.median`` costs on its first call."""
-    quarter = np.sort(profile)[:max(1, profile.size // 4)]
-    return quarter[(quarter.size - 1) // 2:quarter.size // 2 + 1].mean()
+    """Median of the lowest quarter of ``profile``."""
+    return median_sorted(np.sort(profile)[:max(1, profile.size // 4)])
 
 
 def deadtime_correction(dtau_ns, intensity: SlidingProfile, tau_r_ns: float,

@@ -272,6 +272,19 @@ class TestSimulateCommand:
         assert "[detectors] dark_rate_per_hour" in err
         assert not out.exists()
 
+    def test_unallocatable_dark_count_is_config_error(self, tmp_path, capsys):
+        # 2.8e16 dark counts per detector draw, but their 24.7 PiB channel
+        # array fails to allocate at once
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("[detectors]\ndark_rate_per_hour = 1e17\n")
+        out = tmp_path / "x.ttag"
+        assert main(["simulate", "--config", str(cfg), "--seconds", "1000",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: 2.77778e+16 expected dark counts")
+        assert "[detectors] dark_rate_per_hour" in err and "--seconds" in err
+        assert not out.exists()
+
     def test_out_under_a_file_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -682,7 +695,39 @@ def test_analyze_mmi_never_imports_numpy_ma(tmp_path):
     assert out.stdout.splitlines()[-1] == "False"
 
 
+def test_characterize_never_imports_numpy_ma(tmp_path):
+    # np.median and np.quantile import numpy.ma on their first call
+    src = Path(mmi_lab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mmi_lab.cli\n"
+            "assert mmi_lab.cli.main(['characterize', '--simulate', '--noise-sd', '0.01', "
+            f"'--repeat', '5', '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    report = json.loads((tmp_path / "c" / "characterize_report.json").read_text())
+    assert report["repeat_trials"] == 5 and report["deviation_p90"] > 0
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 class TestCharacterizeCommand:
+    @pytest.mark.parametrize("flags, message", [
+        (["--fringes", "f.json", "--repeat", "50"], "--repeat 50 needs --simulate"),
+        (["--fringes", "f.json", "--noise-sd", "0.3"], "--noise-sd 0.3 needs --simulate"),
+        (["--repeat", "2"], "--repeat 2 needs --simulate"),
+        (["--noise-sd", "0.01"], "--noise-sd 0.01 needs --simulate"),
+        (["--simulate", "--fringes", "f.json"], "--fringes cannot be combined with --simulate"),
+    ], ids=["fringes-repeat", "fringes-noise", "repeat", "noise", "fringes-simulate"])
+    def test_flags_that_would_do_nothing_are_config_errors(self, tmp_path, capsys, chip,
+                                                           flags, message):
+        simulate_fringes(chip).write_file(tmp_path / "f.json")
+        flags = [str(tmp_path / f) if f == "f.json" else f for f in flags]
+        out = tmp_path / "o"
+        assert main(["characterize", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_simulated_round_trip(self, tmp_path):
         out = tmp_path / "char"
         assert main(["characterize", "--simulate", "--out", str(out)]) == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mmi_lab import (CoincidenceDistribution, TimeTagStream, cross_correlate,
                      deadtime_correction, extract_coincidences, g2_zero,
                      sliding_histogram)
-from mmi_lab.tagstream import DEFAULT_TICK_FS, StreamFormatError
+from mmi_lab.tagstream import DEFAULT_TICK_FS, StreamFormatError, median_sorted, quantile_sorted
 
 TICK_NS = 0.081
 
@@ -401,3 +401,31 @@ class TestDeadtimeCorrection:
         assert added[3] == pytest.approx(0.25 * res.missed, rel=1e-9)
         true_missing = (dt_all <= 50.0).sum()
         assert res.missed == pytest.approx(true_missing, rel=0.15)
+
+
+class TestSortedOrderStatistics:
+    """``median_sorted`` and ``quantile_sorted`` against ``np.median`` and
+    ``np.quantile`` (linear method), bit for bit."""
+
+    @staticmethod
+    def check(values, q):
+        s = np.sort(values)
+        for got, want in ((median_sorted(s), np.median(values)),
+                          (quantile_sorted(s, q), np.quantile(values, q))):
+            assert type(got) is type(want) is np.float64
+            assert got.view(np.int64) == want.view(np.int64), (got, want)
+
+    def test_every_size_up_to_2000_with_ties(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 2001):
+            levels = rng.integers(1, n + 1)  # 1 level: all tied; n levels: few ties
+            values = rng.integers(0, levels, n) * 0.1 + rng.standard_normal(levels)[0]
+            self.check(values, 0.9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300).map(lambda x: x + 0.0), min_size=1, max_size=40),
+           st.one_of(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0)))
+    def test_any_finite_values_and_quantile(self, values, q):
+        # x + 0.0 turns -0.0 into 0.0: np.quantile partitions instead of
+        # sorting, so which of two tied zeros it returns is not defined
+        self.check(np.array(values * 2 if len(values) % 3 == 0 else values), q)
