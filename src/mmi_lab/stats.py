@@ -24,13 +24,14 @@ which fills them in C order, so the values are those of one draw for the
 whole chunk while the temporaries are a block's.
 
 A block is judged cell-major: its draws are copied once into an array with
-one row per cell and one column per trial, so every multiply, square root
-and sum runs over whole rows.  numpy is slow to reduce the short axis of a
-trial-major block; the row sums are written out instead, in numpy's own
-pairwise order (``_pairwise_sum``), so every sample keeps the bits of a
-trial-major ``sum(axis=1)``.  ``rng.poisson`` releases the GIL, so the
-threads of the chunk pool overlap the draws as well as the judging.  Each
-result is then summarised from one sort of its samples, on the same pool.
+one row per cell and one column per trial, so every square root, multiply
+and sum runs over whole rows.  One kernel (``_judge``) judges every
+similarity, ``similarity()`` included, in one defined order: square roots
+first, then every sum over cells adds the cells in order, so a trial's
+similarity has the same bits whether it is judged alone or in a block.
+``rng.poisson`` releases the GIL, so the threads of the chunk pool overlap
+the draws as well as the judging.  Each result is then summarised from one
+sort of its samples, on the same pool.
 """
 
 from __future__ import annotations
@@ -51,72 +52,62 @@ _BLOCK = 1 << 14  # trials per Poisson draw within a chunk
 _EDGES = np.linspace(0.0, 1.0, int(round(1.0 / MODE_BIN_WIDTH)) + 1)  # histogram bins
 
 
+def _distribution(x, ndims=(1,)) -> np.ndarray:
+    """``x`` as a float array checked as a similarity argument: ``ndims``
+    dimensions, finite non-negative entries and a positive sum in every
+    vector."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in ndims:
+        raise ValueError(f"shape mismatch: {x.shape} is not {' or '.join(f'{n}-D' for n in ndims)}")
+    if not ((0 <= x) & (x < np.inf)).all():  # nan fails both
+        raise ValueError("similarity arguments must be finite and non-negative")
+    if (x.sum(axis=-1) <= 0).any():
+        raise ValueError("similarity arguments must have positive sums")
+    return x
+
+
 def similarity(p, q):
     """Normalised classical fidelity between two non-negative vectors, or
     between ``p`` and each row of an ``(m, n)`` array ``q``."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.ndim != 1 or q.ndim not in (1, 2) or q.shape[-1] != p.size:
+    p, q = _distribution(p), _distribution(q, ndims=(1, 2))
+    if q.shape[-1] != p.size:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if np.any(p < 0) or np.any(q < 0):
-        raise ValueError("similarity arguments must be non-negative")
-    sp, sq = p.sum(), q.sum(axis=-1)
-    if sp <= 0 or np.any(sq <= 0):
-        raise ValueError("similarity arguments must have positive sums")
-    # square roots first: the plain product can underflow for tiny sums
-    s = (np.sqrt(p) * np.sqrt(q)).sum(axis=-1) / (np.sqrt(sp) * np.sqrt(sq))
-    return float(s) if q.ndim == 1 else s
+    s = np.empty((1, q.size // p.size))
+    # p, copied for the kernel to overwrite, as one column per row of q
+    _judge(p[:, None].copy(), [q.reshape(-1, p.size).T], s)
+    return float(s[0, 0]) if q.ndim == 1 else s[0]
 
 
-def _pairwise_sum(a: np.ndarray) -> np.ndarray:
-    """Sum the rows of ``a`` into ``a[0]`` in place and return that row.
+def _cell_sum(a: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` added in order, so that a column's sum has the same
+    bits however many columns ``a`` has.  A running sum is one call but walks
+    the columns one by one, so a wide ``a`` is added row by row instead."""
+    if a.shape[1] <= 64:
+        return np.add.accumulate(a)[-1]
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
 
-    Each column gets the bits that numpy's ``sum`` gives for a contiguous
-    run of its values, so a cell-major block sums as its trial-major rows
-    did.  numpy sums such a run pairwise: sequentially below 8 values; up
-    to 128 values in eight interleaved accumulators, combined as
-    ``((0+1)+(2+3))+((4+5)+(6+7))`` before the tail; above that, as two
-    halves split at ``n // 2`` rounded down to a multiple of 8.
+
+def _judge(draws: np.ndarray, theories, out: np.ndarray) -> None:
+    """Write into ``out[k]`` the similarity of each column of ``draws`` to
+    ``theories[k]``: the one similarity kernel.
+
+    Arrays are cell-major, one row per cell and one column per trial; a
+    theory has one column for every trial or one column per trial.  Square
+    roots come first, since a plain product can underflow for tiny sums, and
+    every sum over cells adds the rows in order.  A zero numerator gives 0,
+    so 0/0, from an all-zero column, is 0.  ``draws`` is overwritten with
+    its square roots.
     """
-    n = a.shape[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise_sum(a[:half])
-        total += _pairwise_sum(a[half:])
-        return total
-    head = 1
-    if n >= 8:
-        head = n - n % 8
-        for i in range(8, head, 8):
-            a[:8] += a[i:i + 8]
-        a[0:8:2] += a[1:8:2]
-        a[0:8:4] += a[2:8:4]
-        a[0] += a[4]
-    for i in range(head, n):
-        a[0] += a[i]
-    return a[0]
-
-
-# Kept apart from similarity(): its square-roots-first form would move the
-# frozen Monte-Carlo realisations of acceptance criteria 7 and 8 by ulps.
-def _similarity_rows(draws: np.ndarray, theories, out: np.ndarray,
-                     prod: np.ndarray) -> None:
-    """Write into ``out[k]`` the similarity of each trial to ``theories[k]``.
-
-    ``draws`` is cell-major, one row per cell and one column per trial, and
-    is summed in place last; a theory is a vector or a cell-major array with
-    one column per trial; ``prod`` is scratch of the shape of ``draws``.
-    """
+    norms = np.sqrt(_cell_sum(draws))
+    roots = np.sqrt(draws, out=draws)
+    prod = np.empty(np.broadcast(draws, theories[0]).shape)
     for row, q in zip(out, theories):
-        np.multiply(draws, q[:, None] if q.ndim == 1 else q, out=prod)
-        np.sqrt(prod, out=prod)
-        row[:] = _pairwise_sum(prod)
-    sums = _pairwise_sum(draws)
-    for row, q in zip(out, theories):
-        q_sum = q.sum() if q.ndim == 1 else _pairwise_sum(q.copy())
-        with np.errstate(invalid="ignore"):
-            np.divide(row, np.sqrt(sums * q_sum), out=row)
-        row[np.isnan(row)] = 0.0  # 0/0, from an all-zero draw or theory
+        num = _cell_sum(np.multiply(roots, np.sqrt(q), out=prod))
+        row[:] = 0.0
+        np.divide(num, norms * np.sqrt(_cell_sum(q)), out=row, where=num > 0)
 
 
 def _hpd_window(x: np.ndarray) -> tuple[float, float]:
@@ -277,13 +268,12 @@ def poisson_mc_similarity(counts, theory, trials: int = 1_000_000, seed: int = 0
         # one draw per block: numpy fills draws in C order, so the blocks
         # take the same values as one draw for the whole chunk
         cells = np.empty((counts.size, min(_BLOCK, out.shape[1])))
-        prod = np.empty_like(cells)
         for a in range(0, out.shape[1], _BLOCK):
             block = out[:, a:a + _BLOCK]
             b = block.shape[1]
             draws = rng.poisson(lam=counts, size=(b, counts.size))
             np.copyto(cells[:, :b], draws.T, casting="unsafe")
-            _similarity_rows(cells[:, :b], rows, block, prod[:, :b])
+            _judge(cells[:, :b], rows[:, :, None], block)
 
     samples = _run_chunks(trials, seed, chunk, rows=len(rows))
     results = _ordered_map(lambda k: _summarize(samples[k], trials, seed, raws[k], keep_samples),
@@ -301,17 +291,17 @@ def random_baseline(theory=None, dims: int = 6, trials: int = 1_000_000, seed: i
     i.i.d. unit-exponential entries (the similarity is scale invariant, so
     no explicit normalisation is needed).
     """
+    if theory is not None:
+        theory = _distribution(theory)
+        dims = theory.size
     if dims < 2:
         raise ValueError("need at least 2 dimensions")
-    th = None if theory is None else np.asarray(theory, dtype=float)
-    if th is not None and th.size != dims:
-        dims = th.size
 
     def chunk(rng, out):
         size = out.shape[1]
         draws = np.ascontiguousarray(rng.exponential(size=(size, dims)).T)
-        other = rng.exponential(size=(size, dims)).T if th is None else th
-        _similarity_rows(draws, [other], out, np.empty_like(draws))
+        other = rng.exponential(size=(size, dims)).T if theory is None else theory[:, None]
+        _judge(draws, [other], out)
 
     samples = _run_chunks(trials, seed, chunk)[0]
     return _summarize(samples, trials, seed, None, keep_samples)

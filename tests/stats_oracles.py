@@ -4,6 +4,9 @@ resampling code.
 These are the original loops and inline formulas that the single
 implementations in ``mmi_lab.stats`` and ``mmi_lab.core`` replaced, kept
 verbatim as oracles: both must give bit-identical output on the same input.
+The Monte-Carlo judge's oracle is ``similarity()`` itself, applied trial by
+trial to regenerated draws; the cell-major kernel that the one similarity
+kernel replaced is kept verbatim to bound how far the two differ.
 """
 
 from __future__ import annotations
@@ -61,15 +64,6 @@ def oracle_similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classic
     return out
 
 
-def oracle_rand_vs_rand_chunk(rng, size, dims):
-    """One chunk of ``random_baseline(None)`` with its inline formula."""
-    draws = rng.exponential(size=(size, dims))
-    other = rng.exponential(size=(size, dims))
-    num = np.sqrt(draws * other).sum(axis=1)
-    den = np.sqrt(draws.sum(axis=1) * other.sum(axis=1))
-    return num / den
-
-
 def oracle_mode(samples, bin_width=MODE_BIN_WIDTH):
     """Centre of the densest bin of a second, separately built histogram."""
     counts, edges = np.histogram(np.clip(samples, 0.0, 1.0),
@@ -78,59 +72,46 @@ def oracle_mode(samples, bin_width=MODE_BIN_WIDTH):
     return float(0.5 * (edges[i] + edges[i + 1]))
 
 
-def _similarity_rows(draws: np.ndarray, q: np.ndarray) -> np.ndarray:
-    num = np.sqrt(draws * q).sum(axis=1)
-    den = np.sqrt(draws.sum(axis=1) * q.sum(axis=-1))
-    with np.errstate(invalid="ignore"):
-        s = num / den
-    return np.nan_to_num(s, nan=0.0)
+def picked_trials(size: int, every: bool) -> np.ndarray:
+    """The trials of a chunk of ``size`` that the oracles judge: the first
+    and last trial of every block, so both sides of every block and chunk
+    boundary, and with ``every`` each trial of the first block as well."""
+    starts = np.arange(0, size, _BLOCK)
+    ends = np.minimum(starts + _BLOCK, size) - 1
+    first_block = np.arange(min(_BLOCK, size) if every else 0)
+    return np.unique(np.concatenate((starts, ends, first_block)))
 
 
-def oracle_poisson_chunk(counts, rows):
-    """``poisson_mc_similarity``'s chunk function before the row blocks: one
-    Poisson draw for the whole chunk, judged against each row of ``rows``."""
+def judge_trials(draws: np.ndarray, theories, out: np.ndarray, picks) -> None:
+    """Write into ``out[k, t]``, for each trial ``t`` in ``picks``, the
+    ``similarity()`` of the trial-major draw ``draws[t]`` to ``theories[k]``
+    (a vector, or one vector per trial), and 0 for an all-zero draw; every
+    other entry of ``out`` is nan."""
+    out[:] = np.nan
+    for t in picks:
+        for row, q in zip(out, theories):
+            row[t] = similarity(draws[t], q if q.ndim == 1 else q[t]) if draws[t].sum() > 0 else 0.0
+
+
+def oracle_poisson_chunk(counts, rows, every=False):
+    """``poisson_mc_similarity``'s chunk function as one Poisson draw for the
+    whole chunk, judged against each row of ``rows`` by
+    :func:`judge_trials` at the :func:`picked_trials`."""
     def chunk(rng, out):
-        draws = rng.poisson(lam=counts, size=(out.shape[1], counts.size)).astype(float)
-        for row, q in zip(out, rows):
-            row[:] = _similarity_rows(draws, q)
+        draws = rng.poisson(lam=counts, size=(out.shape[1], counts.size))
+        judge_trials(draws, rows, out, picked_trials(out.shape[1], every))
 
     return chunk
 
 
-def oracle_similarity_rows(draws: np.ndarray, theories, out: np.ndarray) -> None:
-    """``stats._similarity_rows`` before the cell-major blocks: trial-major
-    ``draws`` summed along each row by numpy."""
-    sums = draws.sum(axis=1)
-    prod = np.empty_like(draws)
-    for row, q in zip(out, theories):
-        np.multiply(draws, q, out=prod)
-        np.sqrt(prod, out=prod)
-        prod.sum(axis=1, out=row)
-        with np.errstate(invalid="ignore"):
-            np.divide(row, np.sqrt(sums * q.sum(axis=-1)), out=row)
-        np.nan_to_num(row, copy=False, nan=0.0)
-
-
-def oracle_poisson_block_chunk(counts, rows):
-    """``poisson_mc_similarity``'s chunk function before the cell-major
-    blocks: each trial-major block cast to float and judged by
-    :func:`oracle_similarity_rows`."""
-    def chunk(rng, out):
-        for a in range(0, out.shape[1], _BLOCK):
-            block = out[:, a:a + _BLOCK]
-            draws = rng.poisson(lam=counts, size=(block.shape[1], counts.size))
-            oracle_similarity_rows(draws.astype(float), rows, block)
-
-    return chunk
-
-
-def oracle_random_baseline_chunk(th, dims):
-    """``random_baseline``'s chunk function before the cell-major blocks."""
+def oracle_random_baseline_chunk(th, dims, every=False):
+    """``random_baseline``'s chunk function with its draws judged by
+    :func:`judge_trials` at the :func:`picked_trials`."""
     def chunk(rng, out):
         size = out.shape[1]
         draws = rng.exponential(size=(size, dims))
         other = rng.exponential(size=(size, dims)) if th is None else th
-        oracle_similarity_rows(draws, [other], out)
+        judge_trials(draws, [other], out, picked_trials(size, every))
 
     return chunk
 
@@ -165,3 +146,54 @@ def oracle_summarize(samples: np.ndarray, trials: int, seed: int, raw: float | N
         raw=raw,
         samples=samples if keep_samples else None,
     )
+
+
+# The cell-major judging kernel that the one similarity kernel replaced,
+# with numpy's pairwise summation order written out.
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum the rows of ``a`` into ``a[0]`` in place and return that row.
+
+    Each column gets the bits that numpy's ``sum`` gives for a contiguous
+    run of its values, so a cell-major block sums as its trial-major rows
+    did.  numpy sums such a run pairwise: sequentially below 8 values; up
+    to 128 values in eight interleaved accumulators, combined as
+    ``((0+1)+(2+3))+((4+5)+(6+7))`` before the tail; above that, as two
+    halves split at ``n // 2`` rounded down to a multiple of 8.
+    """
+    n = a.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(a[:half])
+        total += _pairwise_sum(a[half:])
+        return total
+    head = 1
+    if n >= 8:
+        head = n - n % 8
+        for i in range(8, head, 8):
+            a[:8] += a[i:i + 8]
+        a[0:8:2] += a[1:8:2]
+        a[0:8:4] += a[2:8:4]
+        a[0] += a[4]
+    for i in range(head, n):
+        a[0] += a[i]
+    return a[0]
+
+
+def _similarity_rows(draws: np.ndarray, theories, out: np.ndarray,
+                     prod: np.ndarray) -> None:
+    """Write into ``out[k]`` the similarity of each trial to ``theories[k]``.
+
+    ``draws`` is cell-major, one row per cell and one column per trial, and
+    is summed in place last; a theory is a vector or a cell-major array with
+    one column per trial; ``prod`` is scratch of the shape of ``draws``.
+    """
+    for row, q in zip(out, theories):
+        np.multiply(draws, q[:, None] if q.ndim == 1 else q, out=prod)
+        np.sqrt(prod, out=prod)
+        row[:] = _pairwise_sum(prod)
+    sums = _pairwise_sum(draws)
+    for row, q in zip(out, theories):
+        q_sum = q.sum() if q.ndim == 1 else _pairwise_sum(q.copy())
+        with np.errstate(invalid="ignore"):
+            np.divide(row, np.sqrt(sums * q_sum), out=row)
+        row[np.isnan(row)] = 0.0  # 0/0, from an all-zero draw or theory

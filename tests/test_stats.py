@@ -55,6 +55,11 @@ class TestSimilarity:
             similarity([1.0, -0.5], [1.0, 1.0])
         with pytest.raises(ValueError):
             similarity([1.0, 1.0], [1.0, 1.0, 1.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                similarity([bad, 1.0], [1.0, 1.0])
+            with pytest.raises(ValueError, match="finite"):
+                similarity([1.0, 1.0], [[1.0, 1.0], [1.0, bad]])
 
 
 class TestHpdInterval:
@@ -284,6 +289,23 @@ class TestRandomBaseline:
     def test_dims_validation(self):
         with pytest.raises(ValueError):
             random_baseline(None, dims=1, trials=1000, seed=0)
+
+    # the theory is checked as similarity() checks its arguments
+    def test_negative_theory_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            random_baseline([-1.0, 1.0, 1.0], trials=1000, seed=0)
+
+    def test_one_entry_theory_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 dimensions"):
+            random_baseline([1.0], trials=1000, seed=0)
+
+    def test_two_dimensional_theory_rejected(self):
+        with pytest.raises(ValueError, match="is not 1-D"):
+            random_baseline(np.ones((2, 3)), trials=1000, seed=0)
+
+    def test_zero_sum_theory_rejected(self):
+        with pytest.raises(ValueError, match="positive sums"):
+            random_baseline([0.0, 0.0, 0.0], trials=1000, seed=0)
 
 
 class TestExceedance:
