@@ -24,11 +24,10 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .characterize import CharacterizationError, FringeDataset
-from .instrument import ConfigError, expected_pair_rate, simulate_run
+from .instrument import ConfigError, expected_pair_rate, max_threads, simulate_run
 from .matrix import MatrixError, TransferMatrix, measured_chip_matrix
 from .pipeline import (DataError, ModeIndexError, analyze_g2, analyze_hom,
                        analyze_mmi, analyze_timeresolved, characterize, predict)
-from .stats import max_threads
 # extract_coincidences is bound here only because bench/test_bench_tracer.py
 # checks that the tracer patches the copy a front-end module imports.
 from .tagstream import StreamFormatError, TimeTagStream, extract_coincidences  # noqa: F401
@@ -113,6 +112,8 @@ def cmd_simulate(args) -> int:
         "polarization": layout.polarization,
         "n_tags": len(stream),
         "counts_per_channel": stream.counts_per_channel().tolist(),
+        "n_transits": truth.n_transits,
+        "n_blocks": truth.n_blocks,
         "n_emitted": truth.n_emitted,
         "delivered_pairs": truth.delivered_pairs,
         "detected_pairs": truth.detected_pairs,

@@ -10,14 +10,23 @@ joint detection density, everything else propagates as independent
 single photons.  Detection applies the loss chain, timing jitter,
 per-channel dead time and dark counts, and quantises to converter ticks.
 
-All randomness comes from one seeded generator consumed in a fixed
-order, so identical seeds give bit-identical streams.  The pair sampler
-(the normalised CDF of the joint detection density) is built once per
-configuration and cached, so repeated runs only draw from it.
+Runs are simulated in blocks of whole atom transits.  One root generator,
+``default_rng(seed)``, draws the transit count, the sorted transit intervals
+and the dark counts.  The transits are then split where one starts more
+than a train after the one before it, so no two blocks share an arrival
+interval and no pair spans two blocks; block ``b`` draws the rest of its
+photons' history from ``SeedSequence(seed, spawn_key=(b,))`` in a fixed
+order.  Blocks run on up to MMI_LAB_THREADS threads, and identical seeds give
+bit-identical streams at any thread count.  The pair sampler (the normalised
+CDF of the joint detection density) is built once per configuration and
+cached, so repeated runs only draw from it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,11 +37,43 @@ from .tagstream import TimeTagStream
 from .temporal import (CoherenceModel, Wavepacket, calibrate_gaussian_jitter,
                        joint_density, sin2_envelope)
 
-_TRANSIT_CHUNK = 4096
+_TRANSIT_CHUNK = 4096  # transits per emission chunk
+_BLOCK_TRANSITS = 2048  # transits a simulated block reaches before it may end
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent simulation configuration."""
+
+
+def max_threads() -> int:
+    """Worker cap from the MMI_LAB_THREADS environment variable (default 1)."""
+    value = os.environ.get("MMI_LAB_THREADS", "1")
+    if not (value.isascii() and value.isdigit() and int(value) > 0):
+        raise ConfigError(f"MMI_LAB_THREADS must be a positive integer, got {value!r}")
+    return int(value)
+
+
+_worker = threading.local()
+
+
+def _ordered_map(fn, items) -> list:
+    """``[fn(x) for x in items]`` on up to ``max_threads()`` threads.
+
+    Results keep the order of ``items``.  A call from inside a worker runs
+    serially, so there is never a pool inside a pool and never more than
+    MMI_LAB_THREADS threads at work.
+    """
+    items = list(items)
+    workers = min(max_threads(), len(items))
+    if workers < 2 or getattr(_worker, "busy", False):
+        return [fn(x) for x in items]
+
+    def work(x):
+        _worker.busy = True
+        return fn(x)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, items))
 
 
 @dataclass(frozen=True)
@@ -187,6 +228,8 @@ class TruthRecord:
     detection chain, ``n_dark`` dark counts join them, ``n_outside`` of
     those fall outside ``[0, wall)`` and ``n_suppressed`` fall in a dead
     time, so ``n_kept + n_dark - n_outside - n_suppressed`` tags remain.
+    The photons came from ``n_transits`` atom transits, simulated in
+    ``n_blocks`` blocks.
     """
 
     pre_deadtime: TimeTagStream
@@ -197,6 +240,8 @@ class TruthRecord:
     n_kept: int
     n_dark: int
     n_outside: int
+    n_transits: int
+    n_blocks: int
 
 
 @lru_cache(maxsize=4)
@@ -210,12 +255,10 @@ def _pair_sampler(source: SourceConfig, layout: Layout):
                          layout.input_direct, envelope, envelope, source.coherence(),
                          t_max=envelope.duration).densities
     shape = flat.shape
-    flat = flat.ravel()
-    total = flat.sum()
-    if total <= 0:
+    cdf = np.cumsum(flat.ravel())
+    if cdf[-1] <= 0:
         raise ConfigError("joint density vanishes; cannot sample pairs")
-    cdf = np.cumsum(flat)
-    cdf /= total
+    cdf /= cdf[-1]  # ends at exactly 1, so every draw in [0, 1) finds a cell
     cdf.setflags(write=False)
     return cdf, shape, layout.interference_matrix.n_modes, envelope.dt
 
@@ -292,48 +335,45 @@ def _route_singles(matrix: TransferMatrix, inputs: np.ndarray,
     out = np.empty(inputs.size, dtype=np.uint8)
     for i in np.flatnonzero(np.bincount(inputs)):  # the input modes in use, in order
         sel = inputs == i
-        row = m[i, :]
-        if row.sum() <= 0:
+        cdf = np.cumsum(m[i, :])
+        if cdf[-1] <= 0:
             raise ConfigError(f"input mode {i} has zero transmission")
-        out[sel] = np.searchsorted(np.cumsum(row / row.sum()),
-                                   rng.random(np.count_nonzero(sel)))
+        cdf /= cdf[-1]  # ends at exactly 1, like the pair sampler's
+        out[sel] = np.searchsorted(cdf, rng.random(np.count_nonzero(sel)))
     return out
 
 
-def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig,
-                 wall_time_s: float, seed: int, with_truth: bool = False):
-    """Produce a deterministic time-tag stream for the configured chain.
+def _block_bounds(transit_intervals: np.ndarray, pulses: int,
+                  target: int = _BLOCK_TRANSITS) -> list[int]:
+    """Block ``b`` holds the sorted transits ``bounds[b]:bounds[b + 1]``.
 
-    Returns the stream, or ``(stream, TruthRecord)`` when ``with_truth``
-    is set.  Each phase deletes the arrays the next one does not need, so
-    the run holds a few per-photon arrays at a time.
+    A block ends before the first transit, ``target`` or more transits into
+    it, that starts more than ``pulses`` intervals after the transit before
+    it.  A train of ``pulses`` attempts arrives, delay included, over
+    ``pulses + 1`` intervals, so no two blocks share an arrival interval.
+    No transits give no block.
     """
-    if not np.isfinite(wall_time_s) or wall_time_s <= 0:
-        raise ConfigError(f"wall time must be positive and finite, got {wall_time_s}")
-    # built before any draw, so a configuration that cannot sample pairs fails
-    # whether or not the run delivers one
-    sampler = (_pair_sampler(source, layout)
-               if layout.kind != "hbt" and layout.polarization == "parallel" else None)
-    rng = np.random.default_rng(seed)
+    cuts = np.flatnonzero(np.diff(transit_intervals) > pulses) + 1
+    bounds = [0]
+    while (i := int(np.searchsorted(cuts, bounds[-1] + target))) < cuts.size:
+        bounds.append(int(cuts[i]))
+    if transit_intervals.size:
+        bounds.append(int(transit_intervals.size))
+    return bounds
 
-    # -- transits and raw emissions ------------------------------------
-    try:
-        n_transits = int(rng.poisson(source.atom_transit_rate * wall_time_s))
-    except ValueError:  # numpy's "lam value too large"
-        raise ConfigError(
-            f"{source.atom_transit_rate * wall_time_s:g} expected transits are too many to "
-            "draw: lower --seconds or [source] atom_transit_rate") from None
+
+def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorConfig,
+                    transit_intervals: np.ndarray, rng: np.random.Generator,
+                    sampler, envelope: Wavepacket):
+    """Emission, routing, pair sampling, the detection chain and jitter of one
+    block's transits, drawn from ``rng`` in that order.
+
+    Returns the surviving photons' channels and times (ns) and the block's
+    counts of emitted photons, delivered pairs and detected pairs.  Each
+    phase deletes the arrays the next one does not need.
+    """
     duty = source.duty_cycle_ns
-    wall_ns = wall_time_s * 1e9
-    if wall_ns / detectors.tick_ns >= 2.0 ** 63:
-        raise ConfigError(
-            f"--seconds {wall_time_s:g} runs past the last int64 tick of the stream "
-            f"({2.0 ** 63 * detectors.tick_ns * 1e-9:.4g} s at {detectors.tick_fs} fs per tick)")
-    n_intervals = int(wall_ns // duty)
-    transit_intervals = np.sort(rng.integers(0, max(n_intervals, 1),
-                                             size=n_transits)).astype(np.int64)
-    g_interval, pol, t_emit = _emit_photons(source, transit_intervals, rng,
-                                            source.envelope())
+    g_interval, pol, t_emit = _emit_photons(source, transit_intervals, rng, envelope)
     n_emitted = int(g_interval.size)
 
     # -- routing and interference ---------------------------------------
@@ -404,12 +444,53 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     # index arrays gather faster than a random boolean mask
     kept = np.flatnonzero(rng.random(channel.size) < source.detection_chain_prob())
     channel, t_ns = channel[kept], t_ns[kept]
-    n_kept = int(channel.size)
     per_pair = np.bincount(pair_of[kept[kept < pair_of.size]], minlength=delivered_pairs)
     detected_pairs = int(np.sum(per_pair == 2))
     if detectors.jitter_sd_ps > 0 and t_ns.size:
         t_ns += rng.normal(0.0, detectors.jitter_sd_ps * 1e-3, t_ns.size)
+    return channel, t_ns, n_emitted, delivered_pairs, detected_pairs
 
+
+def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig,
+                 wall_time_s: float, seed: int, with_truth: bool = False):
+    """Produce a deterministic time-tag stream for the configured chain.
+
+    Returns the stream, or ``(stream, TruthRecord)`` when ``with_truth``
+    is set.  ``default_rng(seed)`` draws the transit count, the sorted
+    transit intervals and the dark counts; each block of transits
+    (:func:`_block_bounds`) is simulated from
+    ``SeedSequence(seed, spawn_key=(b,))`` by :func:`_simulate_block`, on up
+    to MMI_LAB_THREADS threads.  The blocks' surviving photons, joined in
+    block order, and the dark counts then pass the window, tick conversion,
+    time order and dead time.  So only the survivors are held for the whole
+    run, every other per-photon array is one block's per thread, and the
+    stream is a pure function of the configuration, seed and run length.
+    """
+    if not np.isfinite(wall_time_s) or wall_time_s <= 0:
+        raise ConfigError(f"wall time must be positive and finite, got {wall_time_s}")
+    # built before any draw, so a configuration that cannot sample pairs fails
+    # whether or not the run delivers one; the blocks share these tables
+    sampler = (_pair_sampler(source, layout)
+               if layout.kind != "hbt" and layout.polarization == "parallel" else None)
+    envelope = source.envelope()
+    envelope._intensity_cdf  # a cached property: built here, before the blocks share it
+    rng = np.random.default_rng(seed)
+
+    # -- root draws: transits and dark counts ------------------------------
+    try:
+        n_transits = int(rng.poisson(source.atom_transit_rate * wall_time_s))
+    except ValueError:  # numpy's "lam value too large"
+        raise ConfigError(
+            f"{source.atom_transit_rate * wall_time_s:g} expected transits are too many to "
+            "draw: lower --seconds or [source] atom_transit_rate") from None
+    wall_ns = wall_time_s * 1e9
+    if wall_ns / detectors.tick_ns >= 2.0 ** 63:
+        raise ConfigError(
+            f"--seconds {wall_time_s:g} runs past the last int64 tick of the stream "
+            f"({2.0 ** 63 * detectors.tick_ns * 1e-9:.4g} s at {detectors.tick_fs} fs per tick)")
+    n_intervals = int(wall_ns // source.duty_cycle_ns)
+    transit_intervals = np.sort(rng.integers(0, max(n_intervals, 1),
+                                             size=n_transits)).astype(np.int64)
     n_det = layout.n_detectors
     dark_mean = detectors.dark_rate_per_hour * wall_time_s / 3600.0
     try:
@@ -420,16 +501,36 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         raise ConfigError(
             f"{dark_mean:g} expected dark counts per detector are too many to draw: "
             "lower [detectors] dark_rate_per_hour or --seconds") from None
-    channel = np.concatenate([channel] + dark_ch)
-    t_ns = np.concatenate([t_ns] + dark_t)
+
+    # -- blocks of whole transits ----------------------------------------
+    bounds = _block_bounds(transit_intervals, source.pulses_per_transit)
+
+    def block(b):
+        block_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        return _simulate_block(source, layout, detectors,
+                               transit_intervals[bounds[b]:bounds[b + 1]],
+                               block_rng, sampler, envelope)
+
+    blocks = _ordered_map(block, range(len(bounds) - 1))
+    del transit_intervals
+    channel = np.concatenate([b[0] for b in blocks] + dark_ch)
+    t_ns = np.concatenate([b[1] for b in blocks] + dark_t)
+    n_emitted, delivered_pairs, detected_pairs = (sum(b[i] for b in blocks)
+                                                  for i in (2, 3, 4))
+    n_dark = sum(c.size for c in dark_ch)
+    del blocks, dark_ch, dark_t
 
     inside = (t_ns >= 0) & (t_ns < wall_ns)
-    n_dark = int(channel.size) - n_kept
+    n_kept = int(channel.size) - n_dark
     n_outside = int(channel.size - np.count_nonzero(inside))
     channel, t_ns = channel[inside], t_ns[inside]
-    ticks = np.round(t_ns / detectors.tick_ns).astype(np.int64)
+    del inside
+    t_ns /= detectors.tick_ns  # in place: the tick count, then rounded
+    ticks = np.round(t_ns, out=t_ns).astype(np.int64)
+    del t_ns
     order = np.lexsort((channel, ticks))
     channel, ticks = channel[order], ticks[order]
+    del order
 
     dead_ticks = int(round(detectors.dead_time_ns / detectors.tick_ns))
     keep = _apply_dead_time(channel, ticks, dead_ticks)
@@ -447,6 +548,8 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         n_kept=n_kept,
         n_dark=n_dark,
         n_outside=n_outside,
+        n_transits=n_transits,
+        n_blocks=len(bounds) - 1,
     )
     return stream, truth
 

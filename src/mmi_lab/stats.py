@@ -36,15 +36,14 @@ sort of its samples, on the same pool.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import cross_pair_index
-from .instrument import ConfigError
+# the chunk pool lives with the simulator, whose blocks run on it too;
+# max_threads stays importable from here
+from .instrument import _ordered_map, max_threads  # noqa: F401
 
 MODE_BIN_WIDTH = 0.001  # 0.1 percentage points
 _CHUNK = 1 << 17  # trials per seeded generator
@@ -127,14 +126,6 @@ def hpd_interval(samples) -> tuple[float, float]:
     return _hpd_window(x)
 
 
-def max_threads() -> int:
-    """Worker cap from the MMI_LAB_THREADS environment variable (default 1)."""
-    value = os.environ.get("MMI_LAB_THREADS", "1")
-    if not (value.isascii() and value.isdigit() and int(value) > 0):
-        raise ConfigError(f"MMI_LAB_THREADS must be a positive integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SimilarityResult:
     """Most-likely similarity with credible interval from resampling.
@@ -174,29 +165,6 @@ class SimilarityResult:
                 center = (b + 0.5) * MODE_BIN_WIDTH
                 lines.append(f"{center:.4f},{int(count)}")
         return "\n".join(lines) + "\n"
-
-
-_worker = threading.local()
-
-
-def _ordered_map(fn, items) -> list:
-    """``[fn(x) for x in items]`` on up to ``max_threads()`` threads.
-
-    Results keep the order of ``items``.  A call from inside a worker runs
-    serially, so there is never a pool inside a pool and never more than
-    MMI_LAB_THREADS threads at work.
-    """
-    items = list(items)
-    workers = min(max_threads(), len(items))
-    if workers < 2 or getattr(_worker, "busy", False):
-        return [fn(x) for x in items]
-
-    def work(x):
-        _worker.busy = True
-        return fn(x)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, items))
 
 
 def _run_chunks(trials: int, seed: int, chunk_fn, rows: int = 1) -> np.ndarray:

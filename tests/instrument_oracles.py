@@ -5,24 +5,33 @@
 every run), ``sample_times`` (which rebuilds the envelope's CDF on every
 call), ``_emit_photons``, the tag-by-tag ``_apply_dead_time`` loop and
 ``simulate_run`` with its three routing branches are kept verbatim as
-oracles for ``mmi_lab.temporal`` and ``mmi_lab.instrument``: the same seed
-must give bit-identical streams and truth records, and the stacked density
-array the same numbers.  ``simulate_run`` also counts the funnel fields
-the truth record gained later.
+oracles for ``mmi_lab.temporal`` and ``mmi_lab.instrument``.  The stacked
+density array must give the same numbers.  ``simulate_run`` also counts the
+funnel fields the truth record gained later; it draws the whole run from one
+generator, so the block-seeded simulator matches it in distribution only.
+
+``simulate_block`` is the single-generator simulator's phases from emission
+through jitter, verbatim, as a function of the transit intervals and the
+generator, with its pair sampler (``_pair_sampler``, normalised by the sum
+of the density) and ``_route_singles`` (normalised per row before the
+running sum).  Each block of the block-seeded simulator must equal it bit
+for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from mmi_lab.core import CoincidenceDistribution, _check_input_pair, mode_pairs
 from mmi_lab.instrument import (_TRANSIT_CHUNK, ConfigError, DetectorConfig, Layout,
-                                SourceConfig, TruthRecord, _route_singles)
+                                SourceConfig, TruthRecord, _sample_pairs)
 from mmi_lab.matrix import TransferMatrix
 from mmi_lab.tagstream import TimeTagStream
 from mmi_lab.temporal import CoherenceModel, Wavepacket
+from mmi_lab.temporal import joint_density as stacked_joint_density
 
 
 @dataclass(frozen=True)
@@ -344,5 +353,134 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
         n_kept=n_kept,
         n_dark=n_dark,
         n_outside=n_outside,
+        n_transits=n_transits,
+        n_blocks=1,  # one generator draws the whole run
     )
     return stream, truth
+
+
+def _route_singles(matrix: TransferMatrix, inputs: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Independent single-photon propagation, renormalised per input row."""
+    m = np.abs(matrix.elements) ** 2
+    out = np.empty(inputs.size, dtype=np.uint8)
+    for i in np.flatnonzero(np.bincount(inputs)):  # the input modes in use, in order
+        sel = inputs == i
+        row = m[i, :]
+        if row.sum() <= 0:
+            raise ConfigError(f"input mode {i} has zero transmission")
+        out[sel] = np.searchsorted(np.cumsum(row / row.sum()),
+                                   rng.random(np.count_nonzero(sel)))
+    return out
+
+
+@lru_cache(maxsize=4)
+def _pair_sampler(source: SourceConfig, layout: Layout):
+    """``(cdf, shape, n_modes, dt)``: the read-only normalised CDF of the joint
+    detection density of ``layout``'s pairs over (mode pair, t1 cell, t2 cell),
+    the shape of that grid, the number of modes and the cell width.  Cached,
+    so the coherence calibration and the density run once per configuration."""
+    envelope = source.envelope()
+    flat = stacked_joint_density(layout.interference_matrix, layout.input_delayed,
+                                 layout.input_direct, envelope, envelope, source.coherence(),
+                                 t_max=envelope.duration).densities
+    shape = flat.shape
+    flat = flat.ravel()
+    total = flat.sum()
+    if total <= 0:
+        raise ConfigError("joint density vanishes; cannot sample pairs")
+    cdf = np.cumsum(flat)
+    cdf /= total
+    cdf.setflags(write=False)
+    return cdf, shape, layout.interference_matrix.n_modes, envelope.dt
+
+
+def simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorConfig,
+                   transit_intervals: np.ndarray, rng: np.random.Generator):
+    """The single-generator ``simulate_run`` from emission through jitter.
+
+    Returns the surviving photons' channels and times (ns) and the counts
+    of emitted photons, delivered pairs and detected pairs.  The emission
+    call takes this module's ``_emit_photons``, which returns the same
+    arrays as the chunked one.
+    """
+    sampler = (_pair_sampler(source, layout)
+               if layout.kind != "hbt" and layout.polarization == "parallel" else None)
+    duty = source.duty_cycle_ns
+    g_interval, pol, t_emit = _emit_photons(source, transit_intervals.size, transit_intervals,
+                                            rng, source.envelope())
+    n_emitted = int(g_interval.size)
+
+    # -- routing and interference ---------------------------------------
+    # Photons leave in routed order: the pair photons first (pair_of holds
+    # their pair ids), then every other photon.
+    delivered_pairs = 0
+    if layout.kind == "hbt":
+        channel = rng.integers(0, 2, size=n_emitted).astype(np.uint8)
+        t_ns = g_interval * duty
+        t_ns += t_emit
+        del g_interval, pol, t_emit
+        pair_of = np.array([], dtype=np.intp)
+    else:
+        # the wrong path flips delay and input: a photon is delayed when its
+        # parity (0 = delayed) equals its routing error
+        delayed = pol == (rng.random(n_emitted) < source.routing_error_prob)
+        del pol
+        arrival = g_interval  # in place: a delayed photon arrives one cycle later
+        arrival += delayed
+        times = arrival * duty
+        times += t_emit
+        del g_interval, t_emit
+        order = np.argsort(arrival, kind="stable")
+        arrival.sort()  # the values of arrival[order], without a copy
+        delayed = delayed[order]
+
+        # a pair is a run of exactly two equal arrivals at different inputs
+        starts = np.ones(n_emitted + 1, dtype=bool)
+        np.not_equal(arrival[1:], arrival[:-1], out=starts[1:n_emitted])
+        pair_first = np.flatnonzero(starts[:-2] & ~starts[1:-1] & starts[2:]
+                                    & (delayed[:-1] != delayed[1:]))
+        del starts
+        delivered_pairs = int(pair_first.size)
+        base = arrival[pair_first] * duty
+        del arrival
+        times = times[order]
+        del order
+        is_pair = np.zeros(n_emitted, dtype=bool)
+        is_pair[pair_first] = is_pair[pair_first + 1] = True
+        del pair_first
+        inputs = np.full(n_emitted, layout.input_direct, dtype=np.uint8)
+        inputs[delayed] = layout.input_delayed
+        del delayed
+
+        # pairs route first: indistinguishable ones by a joint draw over output
+        # pair and times, the others photon by photon keeping their pair id
+        matrix = layout.interference_matrix
+        two = 2 * delivered_pairs
+        channel = np.empty(n_emitted, dtype=np.uint8)
+        if delivered_pairs and sampler is not None:
+            k, l, t1, t2 = _sample_pairs(sampler, rng, delivered_pairs)
+            channel[:two] = np.concatenate((k, l))
+            pair_times = np.concatenate((base + t1, base + t2))
+            pair_of = np.tile(np.arange(delivered_pairs), 2)
+            del k, l, t1, t2
+        else:
+            channel[:two] = _route_singles(matrix, inputs[is_pair], rng)
+            pair_times = times[is_pair]
+            pair_of = np.repeat(np.arange(delivered_pairs), 2)
+        single = ~is_pair
+        del is_pair, base
+        channel[two:] = _route_singles(matrix, inputs[single], rng)
+        del inputs
+        t_ns = np.concatenate((pair_times, times[single]))
+        del pair_times, times, single
+
+    # -- detection chain -------------------------------------------------
+    # index arrays gather faster than a random boolean mask
+    kept = np.flatnonzero(rng.random(channel.size) < source.detection_chain_prob())
+    channel, t_ns = channel[kept], t_ns[kept]
+    per_pair = np.bincount(pair_of[kept[kept < pair_of.size]], minlength=delivered_pairs)
+    detected_pairs = int(np.sum(per_pair == 2))
+    if detectors.jitter_sd_ps > 0 and t_ns.size:
+        t_ns += rng.normal(0.0, detectors.jitter_sd_ps * 1e-3, t_ns.size)
+    return channel, t_ns, n_emitted, delivered_pairs, detected_pairs

@@ -462,12 +462,14 @@ mc_trials = 50000
         assert lines[0] == f"schema,{kind}-report/1"
 
     def test_clamped_deficit_is_reported_not_warned(self):
-        # a 1000 s run holds 28 coincidences: the fitted tail expects fewer
-        # inside the dead time than were measured, so the deficit is clamped
+        # a 1000 s run holds about 30 coincidences, and some runs' fitted tail
+        # expects fewer inside the dead time than were measured, so the
+        # deficit is clamped.  The stream is that of the smallest seed >= 2
+        # whose 1000 s run clamps: seed 17, with 27 coincidences
         cfg = config.default_config()
         cfg = dataclasses.replace(cfg, analysis=dataclasses.replace(cfg.analysis,
                                                                     mc_trials=1000))
-        stream = simulate_run(cfg.source, cfg.build_layout(), cfg.detectors, 1000.0, seed=2)
+        stream = simulate_run(cfg.source, cfg.build_layout(), cfg.detectors, 1000.0, seed=17)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report, _ = pipeline.analyze_mmi(stream, cfg)

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmi_lab import (DetectorConfig, Layout, SourceConfig, cross_correlate,
                      expected_pair_rate, g2_zero, simulate_run)
-from mmi_lab.instrument import ConfigError
+from mmi_lab.instrument import _BLOCK_TRANSITS, ConfigError, _block_bounds
 
 
 def enumerate_perfect_pairs(n_attempts: int) -> float:
@@ -80,6 +82,69 @@ class TestDeterminism:
         assert a.to_bytes() != b.to_bytes()
 
 
+@st.composite
+def transit_starts(draw):
+    """Sorted transit intervals, a train length and a block target: gaps of
+    the train length and one more straddle the edge rule."""
+    pulses = draw(st.integers(1, 12))
+    gap = st.one_of(st.sampled_from([0, pulses, pulses + 1]), st.integers(0, 3 * pulses))
+    gaps = draw(st.lists(gap, max_size=200))
+    start = draw(st.integers(0, 10**6))
+    return start + np.cumsum(np.array(gaps, dtype=np.int64)), pulses, draw(st.integers(1, 40))
+
+
+class TestBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(transit_starts())
+    @example((np.array([], np.int64), 100, 2048))
+    @example((np.array([5], np.int64), 100, 1))
+    @example((np.arange(0, 10_000, 101, dtype=np.int64), 100, 1))
+    def test_edges_fall_only_between_trains(self, case):
+        intervals, pulses, target = case
+        bounds = _block_bounds(intervals, pulses, target)
+        # every transit in exactly one block, in order
+        assert bounds[0] == 0 and bounds[-1] == intervals.size
+        assert all(a < b for a, b in zip(bounds[:-1], bounds[1:]))
+        # a block starts only after a gap longer than a train
+        allowed = np.flatnonzero(np.diff(intervals) > pulses) + 1
+        assert set(bounds[1:-1]) <= set(allowed.tolist())
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            later = allowed[allowed >= a + target]
+            if k < len(bounds) - 2:
+                # every block but the last reaches the target and ends at the
+                # first allowed edge from there
+                assert b - a >= target and b == later[0]
+            else:
+                assert later.size == 0
+
+    def test_transit_count_is_the_root_draw(self, default_source, default_detectors,
+                                            mmi_layout):
+        seconds, seed = 40_000.0, 21
+        _, truth = simulate_run(default_source, mmi_layout, default_detectors, seconds,
+                                seed, with_truth=True)
+        rng = np.random.default_rng(seed)
+        assert truth.n_transits == rng.poisson(default_source.atom_transit_rate * seconds)
+        # 8,078 transits about 5 s apart: three blocks of just over the target
+        n_intervals = int(seconds * 1e9 // default_source.duty_cycle_ns)
+        intervals = np.sort(rng.integers(0, n_intervals, truth.n_transits))
+        bounds = _block_bounds(intervals, default_source.pulses_per_transit)
+        assert truth.n_blocks == len(bounds) - 1 == truth.n_transits // _BLOCK_TRANSITS + 1
+
+    @pytest.mark.parametrize("layout", [Layout.mmi(), Layout.hom("orthogonal"), Layout.hbt()],
+                             ids=["mmi", "hom-orthogonal", "hbt"])
+    def test_streams_do_not_depend_on_thread_count(self, default_source, default_detectors,
+                                                   layout, monkeypatch):
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MMI_LAB_THREADS", threads)
+            stream, truth = simulate_run(default_source, layout, default_detectors,
+                                         30_000.0, seed=33, with_truth=True)
+            runs.append((stream.to_bytes(), truth.pre_deadtime.to_bytes(),
+                         {k: v for k, v in vars(truth).items() if k != "pre_deadtime"}))
+        assert runs[0][2]["n_blocks"] >= 2
+        assert runs[0] == runs[1] == runs[2]
+
+
 class TestTrivialLimits:
     def test_no_emission_no_darks_empty(self, default_detectors, mmi_layout):
         src = SourceConfig(emission_prob=0.0, two_photon_prob=0.0,
@@ -141,15 +206,20 @@ class TestStreamInvariants:
                              ids=["hbt", "hom", "mmi"])
     @pytest.mark.parametrize("dense", [False, True], ids=["20ks", "dense-1ms"])
     def test_funnel_accounts_for_every_tag(self, layout, dense, default_detectors):
-        # dense transits in 1 ms leave many photons beyond the wall
-        source, seconds = ((SourceConfig(atom_transit_rate=2e4), 1e-3) if dense
-                           else (SourceConfig(), 20_000.0))
+        # dense transits in 1 ms (1,506 duty cycles) of trains of 2,000
+        # pulses: a perfect source's photons all survive, and every transit's
+        # last attempts come after the wall, so any transit puts tags beyond it
+        source, seconds = ((SourceConfig(atom_transit_rate=2e4, pulses_per_transit=2000,
+                                         emission_prob=1.0, two_photon_prob=0.0,
+                                         dark_state_prob=0.0, overall_efficiency=1.0), 1e-3)
+                           if dense else (SourceConfig(), 20_000.0))
         stream, truth = simulate_run(source, layout, default_detectors, seconds,
                                      seed=10, with_truth=True)
         assert (truth.n_kept + truth.n_dark - truth.n_outside - truth.n_suppressed
                 == len(stream) > 0)
         assert truth.n_kept <= truth.n_emitted
         if dense:
+            assert truth.n_transits > 0 and truth.n_kept == truth.n_emitted
             assert truth.n_outside > 0
         else:
             assert min(truth.n_kept, truth.n_dark, truth.n_suppressed) > 0
@@ -234,30 +304,38 @@ class TestStatisticalCalibration:
 
 
 class TestMemory:
-    """The simulator holds a few per-photon arrays at a time.
+    """The simulator's memory follows its output, not its length.
 
-    The traced peak of a 100 ks run is about 30 bytes per emitted photon for
-    every layout (the last emission chunk and the joined emission arrays);
-    keeping every phase's arrays alive to the end of the run took 120 (mmi,
-    hom) and 58 (hbt).
+    A block's per-photon arrays die with the block, so the traced peak is
+    the last phase's per-tag arrays plus a block's temporaries per thread:
+    about 12 bytes per emitted photon at 100 ks and 1,000 ks on one thread,
+    and up to 21 at 100 ks on two, where two blocks are alive at once.  The
+    single-generator simulator peaked at 30 (100 ks) and 29 (1,000 ks); keeping
+    every phase's arrays alive to the end of the run took 120 (mmi, hom) and
+    58 (hbt).
     """
+
+    PEAK_BYTES_PER_PHOTON = 24.0
 
     @pytest.mark.parametrize("layout", [Layout.mmi(), Layout.hom("orthogonal"), Layout.hbt()],
                              ids=["mmi-parallel", "hom-orthogonal", "hbt"])
     def test_peak_bytes_per_emitted_photon(self, default_source, default_detectors, layout):
         # a short run first builds the cached pair sampler and envelope tables
         simulate_run(default_source, layout, default_detectors, 10.0, seed=1)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            stream, truth = simulate_run(default_source, layout, default_detectors,
-                                         100_000.0, seed=1, with_truth=True)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
+        for seconds in (100_000.0, 1_000_000.0):
+            started = not tracemalloc.is_tracing()
             if started:
-                tracemalloc.stop()
-        assert truth.n_emitted > 250_000
-        assert peak / truth.n_emitted < 40.0
+                tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                stream, truth = simulate_run(default_source, layout, default_detectors,
+                                             seconds, seed=1, with_truth=True)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                n_emitted = truth.n_emitted
+                del stream, truth
+            finally:
+                if started:
+                    tracemalloc.stop()
+            assert n_emitted > 2.5 * seconds
+            assert peak / n_emitted < self.PEAK_BYTES_PER_PHOTON, seconds

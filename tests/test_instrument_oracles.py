@@ -1,11 +1,14 @@
 """The simulator and the stacked joint density against the original code
 (``instrument_oracles``).
 
-Every comparison is exact: the same seed must give byte-identical streams,
-byte-identical zero-dead-time streams and equal truth counts, and the
-density array must reproduce every number of the dict of per-pair arrays.
-The oracles rebuild the pair sampler on every run, so they also check the
-cached one.
+Every block of a run must equal the single-generator simulator's phases
+(``simulate_block``) bit for bit, and the run must equal their composition
+(``composed_run``): byte-identical streams and zero-dead-time streams and
+equal truth counts.  The density array must reproduce every number of the
+dict of per-pair arrays.  The oracle keeps its own pair sampler, so the
+cached one is checked too.  Against the whole-run ``simulate_run`` oracle,
+which draws every photon from one generator, only the funnel means can
+agree.
 """
 
 import warnings
@@ -19,27 +22,96 @@ from instrument_oracles import _apply_dead_time as oracle_apply_dead_time
 from instrument_oracles import _PairSampler
 from instrument_oracles import joint_density as oracle_joint_density
 from instrument_oracles import sample_times as oracle_sample_times
+from instrument_oracles import simulate_block as oracle_simulate_block
 from instrument_oracles import simulate_run as oracle_simulate_run
 
-from mmi_lab import (CoherenceModel, DetectorConfig, Layout, SourceConfig, Wavepacket,
-                     balanced_splitter, config, instrument, joint_density,
+from mmi_lab import (CoherenceModel, DetectorConfig, Layout, SourceConfig, TimeTagStream,
+                     Wavepacket, balanced_splitter, config, instrument, joint_density,
                      measured_chip_matrix, mode_pairs, random_unitary, simulate_run,
                      sin2_envelope)
-from mmi_lab.instrument import _apply_dead_time, _pair_sampler, _sample_pairs
+from mmi_lab.instrument import (_TRANSIT_CHUNK, _apply_dead_time, _block_bounds,
+                                _pair_sampler, _route_singles, _sample_pairs,
+                                _simulate_block)
 
 CONSTANT = SourceConfig(coherence_jitter_sd=0.0)
+TRUTH_FIELDS = ("n_emitted", "delivered_pairs", "detected_pairs", "n_suppressed",
+                "n_kept", "n_dark", "n_outside", "n_transits", "n_blocks")
+
+
+def block_seed(seed, b):
+    return np.random.SeedSequence(seed, spawn_key=(b,))
+
+
+def composed_run(source, layout, detectors, seconds, seed):
+    """``(stream, truth, blocks)`` of a run put together from its parts: the
+    root generator's transits, the block edges, the oracle blocks, the root
+    generator's dark counts and the tag-by-tag dead time.  ``blocks`` holds
+    each block's transit intervals."""
+    rng = np.random.default_rng(seed)
+    n_transits = int(rng.poisson(source.atom_transit_rate * seconds))
+    wall_ns = seconds * 1e9
+    n_intervals = int(wall_ns // source.duty_cycle_ns)
+    transit_intervals = np.sort(rng.integers(0, max(n_intervals, 1),
+                                             size=n_transits)).astype(np.int64)
+    n_det = layout.n_detectors
+    dark_mean = detectors.dark_rate_per_hour * seconds / 3600.0
+    dark_ch = [np.full(int(rng.poisson(dark_mean)), ch, dtype=np.uint8)
+               for ch in range(n_det)]
+    dark_t = [rng.random(c.size) * wall_ns for c in dark_ch]
+    bounds = _block_bounds(transit_intervals, source.pulses_per_transit)
+    blocks = [transit_intervals[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    outs = [oracle_simulate_block(source, layout, detectors, intervals,
+                                  np.random.default_rng(block_seed(seed, b)))
+            for b, intervals in enumerate(blocks)]
+    channel = np.concatenate([o[0] for o in outs] + dark_ch)
+    t_ns = np.concatenate([o[1] for o in outs] + dark_t)
+    inside = (t_ns >= 0) & (t_ns < wall_ns)
+    channel, t_ns = channel[inside], t_ns[inside]
+    ticks = np.round(t_ns / detectors.tick_ns).astype(np.int64)
+    order = np.lexsort((channel, ticks))
+    channel, ticks = channel[order], ticks[order]
+    dead_ticks = int(round(detectors.dead_time_ns / detectors.tick_ns))
+    keep = oracle_apply_dead_time(channel, ticks, n_det, dead_ticks)
+    truth = instrument.TruthRecord(
+        pre_deadtime=TimeTagStream(channel, ticks, n_channels=n_det, tick_fs=detectors.tick_fs),
+        n_emitted=sum(o[2] for o in outs),
+        delivered_pairs=sum(o[3] for o in outs),
+        detected_pairs=sum(o[4] for o in outs),
+        n_suppressed=int(np.sum(~keep)),
+        n_kept=sum(o[0].size for o in outs),
+        n_dark=sum(c.size for c in dark_ch),
+        n_outside=int(inside.size - np.count_nonzero(inside)),
+        n_transits=n_transits,
+        n_blocks=len(blocks))
+    stream = TimeTagStream(channel[keep], ticks[keep], n_channels=n_det,
+                           tick_fs=detectors.tick_fs)
+    return stream, truth, blocks
+
+
+def check_block(source, layout, detectors, transit_intervals, rng_seed):
+    """``_simulate_block`` against the oracle block from one seed."""
+    sampler = (_pair_sampler(source, layout)
+               if layout.kind != "hbt" and layout.polarization == "parallel" else None)
+    got = _simulate_block(source, layout, detectors, transit_intervals,
+                          np.random.default_rng(rng_seed), sampler, source.envelope())
+    want = oracle_simulate_block(source, layout, detectors, transit_intervals,
+                                 np.random.default_rng(rng_seed))
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got[2:] == want[2:]
+    return got
 
 
 def check_run(source, layout, seconds, seed, detectors=DetectorConfig()):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, truth = simulate_run(source, layout, detectors, seconds, seed, with_truth=True)
-        want, want_truth = oracle_simulate_run(source, layout, detectors, seconds, seed,
-                                               with_truth=True)
+        want, want_truth, blocks = composed_run(source, layout, detectors, seconds, seed)
+        for b, intervals in enumerate(blocks):
+            check_block(source, layout, detectors, intervals, block_seed(seed, b))
     assert got.to_bytes() == want.to_bytes()
     assert truth.pre_deadtime.to_bytes() == want_truth.pre_deadtime.to_bytes()
-    for name in ("n_emitted", "delivered_pairs", "detected_pairs", "n_suppressed",
-                 "n_kept", "n_dark", "n_outside"):
+    for name in TRUTH_FIELDS:
         assert getattr(truth, name) == getattr(want_truth, name), name
     assert simulate_run(source, layout, detectors, seconds, seed).to_bytes() == got.to_bytes()
     return truth
@@ -95,12 +167,69 @@ def test_zero_delivered_pairs(polarization):
 
 @pytest.mark.parametrize("polarization", ["parallel", "orthogonal"])
 def test_single_delivered_pair(polarization):
-    # every transit emits two photons; one of its two phases pairs them
+    # three pulses of a perfect source: whatever the phase, the middle photon
+    # pairs with one neighbour, so a transit delivers exactly one pair
     source = SourceConfig(emission_prob=1.0, two_photon_prob=0.0, dark_state_prob=0.0,
-                          routing_error_prob=0.0, pulses_per_transit=2,
+                          routing_error_prob=0.0, pulses_per_transit=3,
                           overall_efficiency=1.0)
-    truth = check_run(source, Layout(polarization=polarization), 10.0, seed=68)
-    assert truth.delivered_pairs == 1 and truth.n_emitted == 10
+    layout = Layout(polarization=polarization)
+    got = check_block(source, layout, DetectorConfig(), np.array([68], dtype=np.int64), 68)
+    assert got[2:4] == (3, 1)
+    truth = check_run(source, layout, 10.0, seed=68)
+    assert truth.delivered_pairs == truth.n_transits == truth.n_emitted / 3
+
+
+def test_block_larger_than_an_emission_chunk():
+    # 6,000 transits in 20 ms are about 5 duty cycles apart: no gap is longer
+    # than a train, so the run is one block of more than one emission chunk
+    truth = check_run(SourceConfig(atom_transit_rate=3e5), Layout.mmi(), 0.02, seed=12)
+    assert truth.n_blocks == 1 and truth.n_transits > _TRANSIT_CHUNK
+
+
+FUNNEL = ("n_emitted", "delivered_pairs", "detected_pairs", "n_kept", "n_dark",
+          "n_suppressed")
+FUNNEL_RUNS = 16
+FUNNEL_Z = 4.0  # standard errors of the difference of two independent means
+
+
+def test_funnel_means_match_the_single_generator_oracle():
+    # blocks draw from other streams than the whole-run generator, so single
+    # runs differ; over FUNNEL_RUNS seeded 10 ks runs on each side, every
+    # funnel mean must agree with the oracle's within FUNNEL_Z standard errors
+    args = (SourceConfig(), Layout.mmi(), DetectorConfig(), 10_000.0)
+    new, old = (np.array([[getattr(truth, name) for name in FUNNEL]
+                          for truth in (run(*args, seed, with_truth=True)[1]
+                                        for seed in range(FUNNEL_RUNS))], dtype=float)
+                for run in (simulate_run, oracle_simulate_run))
+    se = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / FUNNEL_RUNS)
+    for name, a, b, e in zip(FUNNEL, new.mean(axis=0), old.mean(axis=0), se):
+        assert abs(a - b) <= FUNNEL_Z * e, (name, a, b, e)
+
+
+class AlmostOne:
+    """A generator stub whose every uniform draw is the largest float below 1."""
+
+    def random(self, size=None):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_top_pair_draw_lands_in_the_last_cell_with_mass():
+    # the CDF ends at exactly 1: a draw just below it finds the last cell
+    # that has mass instead of running off the end of the grid
+    sampler = cdf, shape, n_modes, dt = _pair_sampler(SourceConfig(), Layout.mmi())
+    assert cdf[-1] == 1.0
+    pair, c1, c2 = np.unravel_index(np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)[-1], shape)
+    k, l, t1, t2 = _sample_pairs(sampler, AlmostOne(), 3)
+    u = np.nextafter(1.0, 0.0)
+    rows, cols = np.triu_indices(n_modes)
+    assert np.array_equal(k, [rows[pair]] * 3) and np.array_equal(l, [cols[pair]] * 3)
+    assert np.array_equal(t1, [(c1 + u) * dt] * 3) and np.array_equal(t2, [(c2 + u) * dt] * 3)
+
+
+def test_top_single_draw_lands_in_the_last_output_with_mass(chip):
+    inputs = np.full(3, 1, dtype=np.uint8)  # the chip's input 2
+    last = np.flatnonzero(np.abs(chip.elements[1]) > 0)[-1]
+    assert np.array_equal(_route_singles(chip, inputs, AlmostOne()), [last] * 3)
 
 
 @pytest.mark.parametrize("dead_time_ns", [0.0, 50.0, 400.0, 5_000.0])
@@ -123,8 +252,9 @@ def test_pair_sampler_cache_serves_interleaved_configurations(chip):
     for seed, (source, layout) in enumerate(runs, 900):
         assert check_run(source, layout, 5_000.0, seed).delivered_pairs > 0
     info = _pair_sampler.cache_info()
-    # check_run simulates each configuration twice; only the last one was cached
-    assert (info.misses, info.hits, info.currsize) == (4, 6, 4)
+    # check_run simulates each configuration twice and checks its one block
+    # with the cached sampler; only the last configuration was cached before
+    assert (info.misses, info.hits, info.currsize) == (4, 11, 4)
 
 
 def test_equal_configurations_share_one_sampler(monkeypatch):
