@@ -319,7 +319,7 @@ def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
     pairs = np.asarray(pair_labels, dtype=int)
     if pairs.shape != (dtau.size, 2):
         raise ValueError(f"expected {dtau.size} detector pairs, got shape {pairs.shape}")
-    k, l = np.sort(pairs, axis=1).T
+    k, l = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
     # -1 for same-detector and out-of-range pairs
     labels = np.where((0 <= k) & (k < l) & (l < n_modes),
                       cross_pair_index(k, l, n_modes), -1)

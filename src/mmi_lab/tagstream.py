@@ -2,10 +2,16 @@
 
 Detection events are (channel, tick) records with an 81 ps tick.  A
 stream is loaded into memory whole.  Pairing cuts the ticks at gaps no
-pair can span and loops in Python only over runs of 3 or more tags; the
-count tables are array code.  The cross-correlator is array code that
-works through the stream in chunks, so its temporaries grow with the chunk
-size and the correlation range rather than the stream length.
+pair can span; it pairs the 2-tag runs at once and walks the longer runs
+all together in array code, one run position per step (at most 9 steps
+on the 380 ks headline stream), so no Python loop runs per tag.  The
+simulator's dead-time rule (``instrument._apply_dead_time``) keeps its
+per-tag loop over runs of close tags: an exact array version of that walk
+measured slower on a 30 ks stream (0.34 against 0.23 ms) and no faster at
+380 ks (3.6 against 3.8 ms) on a 2-core host.  The cross-correlator is
+array code that works through the stream in chunks, so its temporaries
+grow with the chunk size and the correlation range rather than the stream
+length.
 
 Every window and bin decision is exact integer arithmetic on the u64
 ticks.  A bound in ns becomes whole femtoseconds, ``_fs(ns) = round(ns *
@@ -31,7 +37,6 @@ The CSV alternative is ``channel,tick`` rows with a header line.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,26 +348,56 @@ def _pair_greedy(ticks: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.nd
     """Greedy pairing with separations in [lo, hi] ticks: the oldest
     unmatched tag still within ``hi`` pairs first.  A gap wider than ``hi``
     expires every buffered tag, so each run between such gaps pairs alone:
-    a 2-tag run when its gap is at least ``lo``, a longer run through the
-    buffer loop.  Pairs are ordered by their second tag."""
+    a 2-tag run when its gap is at least ``lo``, the longer runs together,
+    one run position per step, longest first so the open runs are a
+    prefix.  Pairs are ordered by their second tag.
+
+    A run's buffer is a queue of the tags it kept, ``queue[base + k]`` its
+    k-th (a free slot holds ``t.size``): ``n`` kept, the first ``head``
+    gone.  With ``kept[i]`` the number kept before tag ``i``, a step drops
+    every front more than ``hi`` back by moving ``head`` to
+    ``kept[reach[i]]``; the front then pairs if it lies before ``lim[i]``,
+    at least ``lo`` back, and otherwise the tag is kept.
+    """
     edges = np.concatenate(([0], np.flatnonzero(np.diff(ticks) > hi) + 1, [ticks.size]))
     sizes = np.diff(edges)
-    two = edges[:-1][sizes == 2]
+    runs = np.flatnonzero(sizes > 1)
+    lens = sizes[runs]
+    two = edges[runs[lens == 2]]
     two = two[ticks[two + 1] - ticks[two] >= lo]
-    rest = np.flatnonzero(np.repeat(sizes > 2, sizes))
-    buf: deque[tuple[int, int]] = deque()
-    first, second = [], []
-    for j, t in zip(rest.tolist(), ticks[rest].tolist()):
-        while buf and t - buf[0][0] > hi:
-            buf.popleft()
-        if buf and t - buf[0][0] >= lo:
-            first.append(buf.popleft()[1])
-            second.append(j)
-        else:
-            buf.append((t, j))
-    first = np.concatenate((two, np.array(first, dtype=np.intp)))
-    second = np.concatenate((two + 1, np.array(second, dtype=np.intp)))
-    order = np.argsort(second)
+    runs, lens = runs[lens > 2], lens[lens > 2]
+    base = np.cumsum(lens) - lens
+    rest = np.arange(lens.sum()) + np.repeat(edges[runs] - base, lens)
+    t = ticks[rest]
+
+    def back(d: int) -> np.ndarray:
+        """Each tag's first run-mate at most ``d >= 0`` ticks before it."""
+        return np.searchsorted(t, t - np.minimum(t, min(d, (1 << 64) - 1)))
+
+    reach = back(hi)
+    lim = back(lo - 1) if lo > 0 else np.arange(1, t.size + 1)  # lo <= 0: all earlier
+    mate = np.empty(t.size, dtype=np.intp)
+    queue = np.full(t.size, t.size)  # never below lim, so a free slot never pairs
+    kept = np.empty(t.size, dtype=np.intp)
+    longest = np.argsort(-lens, kind="stable")
+    lens, base = lens[longest], base[longest]
+    head = np.zeros(lens.size, dtype=np.intp)
+    n = np.zeros(lens.size, dtype=np.intp)
+    n_open = np.searchsorted(-lens, -np.arange(lens.max(initial=0)))
+    for p, m in enumerate(n_open.tolist()):
+        b = base[:m]
+        i = b + p
+        kept[i] = n[:m]
+        h = np.maximum(head[:m], kept[reach[i]])
+        mate[i] = front = queue[b + h]
+        pair = front < lim[i]
+        head[:m] = h + pair
+        queue[b + n[:m]] = np.where(pair, t.size, i)
+        n[:m] += ~pair
+    second = np.flatnonzero(mate < lim)
+    first = np.concatenate((two, rest[mate[second]]))
+    second = np.concatenate((two + 1, rest[second]))
+    order = np.argsort(second, kind="stable")  # two sorted runs: a linear merge
     return first[order], second[order]
 
 
@@ -384,7 +419,8 @@ def extract_coincidences(stream: TimeTagStream, window_ns: float,
     lo = -(-(offset_fs - window_fs) // stream.tick_fs)
     hi = (offset_fs + window_fs) // stream.tick_fs
     first, second = _pair_greedy(stream.ticks, lo, hi)
-    pair_k, pair_l = np.sort(stream.channels[np.stack((first, second))].astype(int), axis=0)
+    ch_a, ch_b = stream.channels[first].astype(int), stream.channels[second].astype(int)
+    pair_k, pair_l = np.minimum(ch_a, ch_b), np.maximum(ch_a, ch_b)
     n = stream.n_channels
     vals = np.bincount(pair_index(pair_k, pair_l, n), minlength=n * (n + 1) // 2)
     return CoincidenceSet(

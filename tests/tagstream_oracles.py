@@ -15,7 +15,10 @@ array kernels must match them bit for bit at any u64 tick.
 ``_pair_neighbours`` (the closed form for ``lo <= 0``) and ``_pair_offset``
 (the per-tag buffer loop for ``lo > 0``) are the two pairing kernels that
 ``mmi_lab.tagstream._pair_greedy`` replaced, kept verbatim; they work on
-raw tick arrays with bounds in ticks.
+raw tick arrays with bounds in ticks.  ``_pair_greedy_loop`` is the
+``_pair_greedy`` that followed them, kept verbatim under a new name: it
+pairs 2-tag runs in array code and loops per tag over the longer runs,
+which the kernel now walks all together, one run position at a time.
 
 ``oracle_pedestal`` is ``deadtime_correction``'s dark-count floor as it was
 taken before ``mmi_lab.tagstream._pedestal``: ``np.median`` of the lowest
@@ -217,6 +220,33 @@ def _pair_offset(ticks: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.nd
         else:
             buf.append((t, j))
     return np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
+
+
+def _pair_greedy_loop(ticks: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pairing with separations in [lo, hi] ticks: the oldest
+    unmatched tag still within ``hi`` pairs first.  A gap wider than ``hi``
+    expires every buffered tag, so each run between such gaps pairs alone:
+    a 2-tag run when its gap is at least ``lo``, a longer run through the
+    buffer loop.  Pairs are ordered by their second tag."""
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(ticks) > hi) + 1, [ticks.size]))
+    sizes = np.diff(edges)
+    two = edges[:-1][sizes == 2]
+    two = two[ticks[two + 1] - ticks[two] >= lo]
+    rest = np.flatnonzero(np.repeat(sizes > 2, sizes))
+    buf: deque[tuple[int, int]] = deque()
+    first, second = [], []
+    for j, t in zip(rest.tolist(), ticks[rest].tolist()):
+        while buf and t - buf[0][0] > hi:
+            buf.popleft()
+        if buf and t - buf[0][0] >= lo:
+            first.append(buf.popleft()[1])
+            second.append(j)
+        else:
+            buf.append((t, j))
+    first = np.concatenate((two, np.array(first, dtype=np.intp)))
+    second = np.concatenate((two + 1, np.array(second, dtype=np.intp)))
+    order = np.argsort(second)
+    return first[order], second[order]
 
 
 def oracle_pedestal(profile):

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from tagstream_oracles import (_pair_neighbours, _pair_offset, int_oracle_cross_correlate,
-                               int_oracle_extract_coincidences, int_oracle_fold_counts,
-                               oracle_cross_correlate, oracle_extract_coincidences,
-                               oracle_pedestal, oracle_same_detector_counts)
+from tagstream_oracles import (_pair_greedy_loop, _pair_neighbours, _pair_offset,
+                               int_oracle_cross_correlate, int_oracle_extract_coincidences,
+                               int_oracle_fold_counts, oracle_cross_correlate,
+                               oracle_extract_coincidences, oracle_pedestal,
+                               oracle_same_detector_counts)
 
-from mmi_lab import (Layout, TimeTagStream, cross_correlate, extract_coincidences,
-                     simulate_run, sliding_histogram)
+from mmi_lab import (DetectorConfig, Layout, SourceConfig, TimeTagStream, cross_correlate,
+                     extract_coincidences, simulate_run, sliding_histogram)
 from mmi_lab.tagstream import DEFAULT_TICK_FS, _pair_greedy, _pedestal
 
 UNIT_TICK_FS = 1_000_000  # 1 ns ticks: times, windows and offsets are exact
@@ -215,14 +216,26 @@ PAIRING_BOUNDS = {"offset": lambda w, o: (o - w, o + w),
 @example(_same_channel([U64_TOP - 9, U64_TOP - 8, U64_TOP - 4, U64_TOP], 2, 5), "offset")
 @example(_same_channel([0, 1, 2, 10, 11, 12, 13, 14, 30, 31, 32, 33, 34, 35], 2),
          "zero offset")
+# bounds [3, 5]: a 12-tag run whose three fronts 0, 1, 2 are kept, then 0
+# and 1 expire at 7, which pairs with 2
+@example(_same_channel([0, 1, 2, 7, 8, 9, 10, 11, 12, 13, 14, 18], 1, 4), "offset")
+# bounds [3, 5]: 4 pairs with 0 and empties the buffer, which 5 and 6 refill
+@example(_same_channel([0, 4, 5, 6, 9, 10, 11], 1, 4), "offset")
+# bounds [4, 3]: a 10-tag run in which nothing pairs and every front expires
+@example(_same_channel(list(range(10)), 2, 3), "sub-tick window")
+# bounds [3, 5] at the top of the u64 range, with a front expiring there
+@example(_same_channel([U64_TOP - 12, U64_TOP - 11, U64_TOP - 10, U64_TOP - 6, U64_TOP - 5,
+                        U64_TOP - 2, U64_TOP], 1, 4), "offset")
 def test_pair_greedy_matches_the_kernels_it_replaced(case, bounds):
     stream, window, offset = case
     lo, hi = PAIRING_BOUNDS[bounds](round(window / stream.tick_ns),
                                     round(offset / stream.tick_ns))
     got = _pair_greedy(stream.ticks, lo, hi)
-    want = _pair_neighbours(stream.ticks, hi) if lo <= 0 else _pair_offset(stream.ticks, lo, hi)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for want in (_pair_neighbours(stream.ticks, hi) if lo <= 0
+                 else _pair_offset(stream.ticks, lo, hi),
+                 _pair_greedy_loop(stream.ticks, lo, hi)):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_empty_pairing_shapes():
@@ -317,6 +330,28 @@ def test_simulated_mmi_subset_pairing_matches_loop(mmi_stream):
 @pytest.mark.parametrize("ch_a, ch_b", [(0, 1), (2, 2)])
 def test_simulated_mmi_correlation_matches_loop(mmi_stream, ch_a, ch_b):
     check_correlation(mmi_stream, ch_a, ch_b, 9 * 664.0, 20.0)
+
+
+@pytest.fixture(scope="module")
+def criterion_9_stream():
+    # the first of acceptance criterion 9's constant-coherence runs
+    return simulate_run(SourceConfig(coherence_jitter_sd=0.0), Layout.mmi(),
+                        DetectorConfig(), 30000.0, seed=40000)
+
+
+@pytest.mark.parametrize("offset", [0.0, 2 * 664.0])
+def test_criterion_9_pairing_matches_loop(criterion_9_stream, offset):
+    stream = criterion_9_stream
+    co = check_pairing(stream, 300.0, time_offset_ns=offset)
+    # the per-tag loop over the same tick bounds gives the same pairs
+    window_fs, offset_fs = round(300.0 * 1e6), round(offset * 1e6)
+    lo = -(-(offset_fs - window_fs) // stream.tick_fs)
+    hi = (offset_fs + window_fs) // stream.tick_fs
+    first, second = _pair_greedy_loop(stream.ticks, lo, hi)
+    assert len(co) == first.size > 500
+    chans = stream.channels[np.stack((first, second))].astype(int)
+    assert np.array_equal(co.pair_k, chans.min(axis=0))
+    assert np.array_equal(co.pair_l, chans.max(axis=0))
 
 
 def test_simulated_hbt_matches_loop(hbt_stream):
