@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import config as cfgmod
@@ -112,15 +112,7 @@ def cmd_simulate(args) -> int:
         "polarization": layout.polarization,
         "n_tags": len(stream),
         "counts_per_channel": stream.counts_per_channel().tolist(),
-        "n_transits": truth.n_transits,
-        "n_blocks": truth.n_blocks,
-        "n_emitted": truth.n_emitted,
-        "delivered_pairs": truth.delivered_pairs,
-        "detected_pairs": truth.detected_pairs,
-        "n_kept": truth.n_kept,
-        "n_dark": truth.n_dark,
-        "n_outside": truth.n_outside,
-        "n_suppressed": truth.n_suppressed,
+        **{f.name: getattr(truth, f.name) for f in fields(truth) if f.name != "pre_deadtime"},
         "expected_pair_rate_hz": expected_pair_rate(cfg.source, layout),
     }
     _write(out.parent, {out.name + ".manifest.json": _json(manifest) + "\n"})

@@ -37,7 +37,6 @@ from .tagstream import TimeTagStream
 from .temporal import (CoherenceModel, Wavepacket, calibrate_gaussian_jitter,
                        joint_density, sin2_envelope)
 
-_TRANSIT_CHUNK = 4096  # transits per emission chunk
 _BLOCK_TRANSITS = 2048  # transits a simulated block reaches before it may end
 
 
@@ -281,28 +280,12 @@ def _sample_pairs(sampler, rng: np.random.Generator, size: int):
 
 def _emit_photons(source: SourceConfig, transit_intervals: np.ndarray,
                   rng: np.random.Generator, envelope: Wavepacket):
-    """Vectorised emission phase, ``_TRANSIT_CHUNK`` transits at a time.
+    """Vectorised emission phase.
 
     Returns flat arrays (global attempt interval, int8 polarisation parity,
     emission time within the interval); parity 0 is the delayed
     polarisation.
     """
-    columns = ([np.array([], dtype=np.int64)], [np.array([], dtype=np.int8)],
-               [np.array([], dtype=float)])
-    for a in range(0, transit_intervals.size, _TRANSIT_CHUNK):
-        chunk = _emit_chunk(source, transit_intervals[a:a + _TRANSIT_CHUNK], rng, envelope)
-        for parts, part in zip(columns, chunk):
-            parts.append(part)
-    joined = []
-    for parts in columns:  # each column's parts are freed once it is joined
-        joined.append(np.concatenate(parts))
-        parts.clear()
-    return tuple(joined)
-
-
-def _emit_chunk(source: SourceConfig, transit_intervals: np.ndarray,
-                rng: np.random.Generator, envelope: Wavepacket):
-    """:func:`_emit_photons` for one chunk of transits."""
     block, n_att = transit_intervals.size, source.pulses_per_transit
     u = rng.random((block, n_att))
     # two_photon_prob <= emission_prob, so the sum is 0, 1 or 2

@@ -21,6 +21,7 @@ from .characterize import (FringeDataset, reconstruct_matrix, reconstruct_trials
 from .config import ExperimentConfig
 from .core import (ModeIndexError, _check_input_pair, coincidence_classical,
                    coincidence_mixture, coincidence_quantum, fit_visibility)
+from .instrument import ConfigError
 from .matrix import TransferMatrix, gauge_fix
 from .stats import poisson_mc_similarity, similarity, similarity_vs_dt
 from .tagstream import (TimeTagStream, cross_correlate, deadtime_correction,
@@ -255,7 +256,10 @@ def recovery_errors(truth: TransferMatrix, target: np.ndarray, noise_sd: float,
     """Largest element deviation from ``target`` of each of ``repeat``
     reconstructions of noisy fringes simulated from ``truth``, trial t
     drawing from generator seed ``seed + t``."""
-    errs = np.empty(repeat)
+    try:
+        errs = np.empty(repeat)
+    except (ValueError, MemoryError):  # numpy's "Maximum allowed dimension", or no room
+        raise ConfigError(f"--repeat {repeat} is too many trials to allocate") from None
     for start in range(0, repeat, TRIAL_BLOCK):
         seeds = range(seed + start, seed + min(start + TRIAL_BLOCK, repeat))
         elements, _ = reconstruct_trials(*simulate_trials(truth, noise_sd, seeds))

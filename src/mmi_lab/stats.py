@@ -41,9 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import cross_pair_index
-# the chunk pool lives with the simulator, whose blocks run on it too;
-# max_threads stays importable from here
-from .instrument import _ordered_map, max_threads  # noqa: F401
+# the chunk pool lives with the simulator, whose blocks run on it too
+from .instrument import ConfigError, _ordered_map
 
 MODE_BIN_WIDTH = 0.001  # 0.1 percentage points
 _CHUNK = 1 << 17  # trials per seeded generator
@@ -79,10 +78,7 @@ def similarity(p, q):
 
 def _cell_sum(a: np.ndarray) -> np.ndarray:
     """The rows of ``a`` added in order, so that a column's sum has the same
-    bits however many columns ``a`` has.  A running sum is one call but walks
-    the columns one by one, so a wide ``a`` is added row by row instead."""
-    if a.shape[1] <= 64:
-        return np.add.accumulate(a)[-1]
+    bits however many columns ``a`` has."""
     total = a[0].copy()
     for row in a[1:]:
         total += row
@@ -176,7 +172,11 @@ def _run_chunks(trials: int, seed: int, chunk_fn, rows: int = 1) -> np.ndarray:
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    out = np.empty((rows, trials))
+    try:
+        out = np.empty((rows, trials))
+    except (ValueError, MemoryError):  # numpy's "Maximum allowed dimension", or no room
+        raise ConfigError(f"{trials} Monte-Carlo trials are too many to allocate: "
+                          "lower --trials or [analysis] mc_trials") from None
 
     def one(idx):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))

@@ -144,11 +144,6 @@ class TimeTagStream:
 
     # -- CSV alternative ---------------------------------------------------
 
-    def to_csv(self) -> str:
-        lines = ["channel,tick"]
-        lines += [f"{int(c)},{int(t)}" for c, t in zip(self.channels, self.ticks)]
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_csv(cls, text: str, n_channels: int | None = None,
                  tick_fs: int = DEFAULT_TICK_FS) -> "TimeTagStream":

@@ -5,16 +5,20 @@
 every run), ``sample_times`` (which rebuilds the envelope's CDF on every
 call), ``_emit_photons``, the tag-by-tag ``_apply_dead_time`` loop and
 ``simulate_run`` with its three routing branches are kept verbatim as
-oracles for ``mmi_lab.temporal`` and ``mmi_lab.instrument``.  The stacked
+oracles for ``mmi_lab.temporal`` and ``mmi_lab.instrument``; only the
+emission chunk size, ``_TRANSIT_CHUNK`` (4,096 transits) in ``simulate_run``,
+became a parameter of ``_emit_photons``.  The stacked
 density array must give the same numbers.  ``simulate_run`` also counts the
 funnel fields the truth record gained later; it draws the whole run from one
 generator, so the block-seeded simulator matches it in distribution only.
 
 ``simulate_block`` is the single-generator simulator's phases from emission
-through jitter, verbatim, as a function of the transit intervals and the
-generator, with its pair sampler (``_pair_sampler``, normalised by the sum
-of the density) and ``_route_singles`` (normalised per row before the
-running sum).  Each block of the block-seeded simulator must equal it bit
+through jitter, verbatim, as a function of the transit intervals, the
+generator and the emission chunk size, with its pair sampler
+(``_pair_sampler``, normalised by the sum of the density) and
+``_route_singles`` (normalised per row before the running sum).  The
+block-seeded simulator emits each block's transits in one pass, so each of
+its blocks must equal ``simulate_block`` with a chunk of the whole block bit
 for bit.
 """
 
@@ -26,12 +30,14 @@ from functools import lru_cache
 import numpy as np
 
 from mmi_lab.core import CoincidenceDistribution, _check_input_pair, mode_pairs
-from mmi_lab.instrument import (_TRANSIT_CHUNK, ConfigError, DetectorConfig, Layout,
-                                SourceConfig, TruthRecord, _sample_pairs)
+from mmi_lab.instrument import (ConfigError, DetectorConfig, Layout, SourceConfig,
+                                TruthRecord, _sample_pairs)
 from mmi_lab.matrix import TransferMatrix
 from mmi_lab.tagstream import TimeTagStream
 from mmi_lab.temporal import CoherenceModel, Wavepacket
 from mmi_lab.temporal import joint_density as stacked_joint_density
+
+_TRANSIT_CHUNK = 4096  # transits per emission chunk of the single-generator simulator
 
 
 @dataclass(frozen=True)
@@ -178,8 +184,9 @@ def _apply_dead_time(channel: np.ndarray, ticks: np.ndarray, n_channels: int,
 
 
 def _emit_photons(source: SourceConfig, n_transits: int, transit_intervals,
-                  rng: np.random.Generator, envelope: Wavepacket):
-    """Vectorised emission phase.
+                  rng: np.random.Generator, envelope: Wavepacket,
+                  chunk: int = _TRANSIT_CHUNK):
+    """Vectorised emission phase, ``chunk`` transits at a time.
 
     Returns flat arrays (global attempt interval, polarisation parity,
     emission time within the interval); parity 0 is the delayed
@@ -187,8 +194,8 @@ def _emit_photons(source: SourceConfig, n_transits: int, transit_intervals,
     """
     n_att = source.pulses_per_transit
     out_interval, out_pol, out_t = [], [], []
-    for a in range(0, n_transits, _TRANSIT_CHUNK):
-        b = min(a + _TRANSIT_CHUNK, n_transits)
+    for a in range(0, n_transits, chunk):
+        b = min(a + chunk, n_transits)
         block = b - a
         u = rng.random((block, n_att))
         photons = np.zeros((block, n_att), dtype=np.int8)
@@ -396,19 +403,20 @@ def _pair_sampler(source: SourceConfig, layout: Layout):
 
 
 def simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorConfig,
-                   transit_intervals: np.ndarray, rng: np.random.Generator):
+                   transit_intervals: np.ndarray, rng: np.random.Generator, chunk: int):
     """The single-generator ``simulate_run`` from emission through jitter.
 
     Returns the surviving photons' channels and times (ns) and the counts
     of emitted photons, delivered pairs and detected pairs.  The emission
-    call takes this module's ``_emit_photons``, which returns the same
-    arrays as the chunked one.
+    call takes this module's ``_emit_photons``, ``chunk`` transits at a
+    time; a chunk of all the transits draws what the simulator's one
+    emission pass per block draws.
     """
     sampler = (_pair_sampler(source, layout)
                if layout.kind != "hbt" and layout.polarization == "parallel" else None)
     duty = source.duty_cycle_ns
     g_interval, pol, t_emit = _emit_photons(source, transit_intervals.size, transit_intervals,
-                                            rng, source.envelope())
+                                            rng, source.envelope(), chunk)
     n_emitted = int(g_interval.size)
 
     # -- routing and interference ---------------------------------------

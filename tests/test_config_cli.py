@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mmi_lab
-from mmi_lab import TimeTagStream, config, pipeline, simulate_fringes, simulate_run, stats
+from mmi_lab import TimeTagStream, config, instrument, pipeline, simulate_fringes, simulate_run
 from mmi_lab.cli import main
 from mmi_lab.core import ModeIndexError
 from mmi_lab.instrument import ConfigError
@@ -164,6 +164,21 @@ class TestSimulateCommand:
         man = json.loads((tmp_path / "r.ttag.manifest.json").read_text())
         expected = man["expected_pair_rate_hz"] * 40000.0
         assert abs(man["detected_pairs"] - expected) <= 3 * np.sqrt(expected)
+
+    def test_manifest_counters_match_the_truth_record(self, tmp_path):
+        out = tmp_path / "m.ttag"
+        assert main(["simulate", "--seconds", "20000", "--seed", "5", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "m.ttag.manifest.json").read_text())
+        cfg = config.default_config()
+        _, truth = simulate_run(cfg.source, cfg.build_layout(), cfg.detectors,
+                                wall_time_s=20000.0, seed=5, with_truth=True)
+        counters = ("n_transits", "n_blocks", "n_emitted", "delivered_pairs", "detected_pairs",
+                    "n_kept", "n_dark", "n_outside", "n_suppressed")
+        # a counter the truth record gains must reach the manifest too
+        assert {f.name for f in dataclasses.fields(truth)} == {"pre_deadtime", *counters}
+        assert {name: manifest[name] for name in counters} == {
+            name: getattr(truth, name) for name in counters}
+        assert truth.n_blocks > 1 and truth.delivered_pairs > 0
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -445,7 +460,7 @@ mc_trials = 50000
             monkeypatch.delenv("MMI_LAB_THREADS", raising=False)
         else:
             monkeypatch.setenv("MMI_LAB_THREADS", value)
-        assert stats.max_threads() == threads
+        assert instrument.max_threads() == threads
 
     @pytest.mark.parametrize("kind", ["g2", "mmi"])
     def test_csv_format_prints_scalars(self, run_dir, capsys, kind):
@@ -633,6 +648,33 @@ def test_directory_as_file_flag(tmp_path, monkeypatch, capsys, argv, code, flag)
     (["simulate", "--seconds", "10", "--seed", "-1"], "--seed must be non-negative, got -1"),
 ])
 def test_bad_numeric_flag_is_config_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+# every count needs more than 2**47 bytes (128 TiB), beyond any machine's memory
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "mmi", "--stream", "mmi.ttag", "--trials", "100000000000000"],
+     "100000000000000 Monte-Carlo trials are too many to allocate: "
+     "lower --trials or [analysis] mc_trials"),
+    (["analyze", "mmi", "--stream", "mmi.ttag", "--trials", "1" + "0" * 30],
+     "1" + "0" * 30 + " Monte-Carlo trials are too many to allocate: "
+     "lower --trials or [analysis] mc_trials"),
+    (["analyze", "timeresolved", "--stream", "mmi.ttag", "--config", "big.cfg"],
+     "10000000000000 Monte-Carlo trials are too many to allocate: "
+     "lower --trials or [analysis] mc_trials"),
+    (["characterize", "--simulate", "--repeat", "100000000000000"],
+     "--repeat 100000000000000 is too many trials to allocate"),
+    (["characterize", "--simulate", "--repeat", "100000000000000000000"],
+     "--repeat 100000000000000000000 is too many trials to allocate"),
+], ids=["trials", "trials-past-any-dimension", "mc_trials", "repeat",
+        "repeat-past-any-dimension"])
+def test_count_too_large_to_allocate_is_config_error(run_dir, tmp_path, capsys, argv, message):
+    (tmp_path / "big.cfg").write_text("[analysis]\nmc_trials = 100000000000000\n")
+    argv = [str(run_dir / a) if a.endswith(".ttag") else str(tmp_path / a)
+            if a.endswith(".cfg") else a for a in argv]
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"

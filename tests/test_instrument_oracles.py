@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from instrument_oracles import _TRANSIT_CHUNK
 from instrument_oracles import _apply_dead_time as oracle_apply_dead_time
 from instrument_oracles import _PairSampler
 from instrument_oracles import joint_density as oracle_joint_density
@@ -29,9 +30,8 @@ from mmi_lab import (CoherenceModel, DetectorConfig, Layout, SourceConfig, TimeT
                      Wavepacket, balanced_splitter, config, instrument, joint_density,
                      measured_chip_matrix, mode_pairs, random_unitary, simulate_run,
                      sin2_envelope)
-from mmi_lab.instrument import (_TRANSIT_CHUNK, _apply_dead_time, _block_bounds,
-                                _pair_sampler, _route_singles, _sample_pairs,
-                                _simulate_block)
+from mmi_lab.instrument import (_apply_dead_time, _block_bounds, _pair_sampler,
+                                _route_singles, _sample_pairs, _simulate_block)
 
 CONSTANT = SourceConfig(coherence_jitter_sd=0.0)
 TRUTH_FIELDS = ("n_emitted", "delivered_pairs", "detected_pairs", "n_suppressed",
@@ -61,7 +61,8 @@ def composed_run(source, layout, detectors, seconds, seed):
     bounds = _block_bounds(transit_intervals, source.pulses_per_transit)
     blocks = [transit_intervals[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     outs = [oracle_simulate_block(source, layout, detectors, intervals,
-                                  np.random.default_rng(block_seed(seed, b)))
+                                  np.random.default_rng(block_seed(seed, b)),
+                                  chunk=intervals.size)
             for b, intervals in enumerate(blocks)]
     channel = np.concatenate([o[0] for o in outs] + dark_ch)
     t_ns = np.concatenate([o[1] for o in outs] + dark_t)
@@ -95,7 +96,7 @@ def check_block(source, layout, detectors, transit_intervals, rng_seed):
     got = _simulate_block(source, layout, detectors, transit_intervals,
                           np.random.default_rng(rng_seed), sampler, source.envelope())
     want = oracle_simulate_block(source, layout, detectors, transit_intervals,
-                                 np.random.default_rng(rng_seed))
+                                 np.random.default_rng(rng_seed), chunk=transit_intervals.size)
     for a, b in zip(got[:2], want[:2]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert got[2:] == want[2:]
@@ -181,7 +182,8 @@ def test_single_delivered_pair(polarization):
 
 def test_block_larger_than_an_emission_chunk():
     # 6,000 transits in 20 ms are about 5 duty cycles apart: no gap is longer
-    # than a train, so the run is one block of more than one emission chunk
+    # than a train, so the run is one block of more than one of the
+    # single-generator simulator's emission chunks, emitted in one pass
     truth = check_run(SourceConfig(atom_transit_rate=3e5), Layout.mmi(), 0.02, seed=12)
     assert truth.n_blocks == 1 and truth.n_transits > _TRANSIT_CHUNK
 
