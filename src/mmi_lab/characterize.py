@@ -117,9 +117,9 @@ def simulate_fringes(matrix: TransferMatrix, noise_sd: float = 0.0,
     phase phi, on 16 even steps of [0, 2pi), so the power at output k is
     |M[0,k] + e^{i phi} M[i,k]|^2.
     ``noise_sd`` adds multiplicative Gaussian noise to every power sample,
-    drawn for the fringe blocks in input order, then for the transmissions.
-    Every input i > 0 is probed against input 0, which is what the
-    reconstruction needs.
+    drawn (at noise 0 too) for the fringe blocks in input order, then for
+    the transmissions.  Every input i > 0 is probed against input 0, which
+    is what the reconstruction needs.
     """
     grid, trans, blocks = simulate_trials(matrix, noise_sd, [rng])
     return FringeDataset(n_modes=matrix.n_modes, phase_grid=grid, transmissions=trans[0],
@@ -136,8 +136,6 @@ def simulate_trials(matrix: TransferMatrix, noise_sd: float, rngs) -> tuple[np.n
         raise ValueError(f"noise_sd must be non-negative and finite, got {noise_sd}")
     grid = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     powers, trans = _clean_powers(matrix.elements, grid)
-    if noise_sd == 0:
-        return grid, np.stack([trans] * len(rngs)), np.stack([powers] * len(rngs))
     z_powers = np.empty((len(rngs),) + powers.shape)
     z_trans = np.empty((len(rngs),) + trans.shape)
     for t, rng in enumerate(rngs):

@@ -477,9 +477,8 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     n_det = layout.n_detectors
     dark_mean = detectors.dark_rate_per_hour * wall_time_s / 3600.0
     try:
-        dark_ch = [np.full(int(rng.poisson(dark_mean)), ch, dtype=np.uint8)
-                   for ch in range(n_det)]
-        dark_t = [rng.random(c.size) * wall_ns for c in dark_ch]
+        dark_ch = np.repeat(np.arange(n_det, dtype=np.uint8), rng.poisson(dark_mean, n_det))
+        dark_t = rng.random(dark_ch.size) * wall_ns
     except (ValueError, MemoryError):  # numpy's "lam value too large", or no room
         raise ConfigError(
             f"{dark_mean:g} expected dark counts per detector are too many to draw: "
@@ -496,11 +495,11 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
 
     blocks = _ordered_map(block, range(len(bounds) - 1))
     del transit_intervals
-    channel = np.concatenate([b[0] for b in blocks] + dark_ch)
-    t_ns = np.concatenate([b[1] for b in blocks] + dark_t)
+    channel = np.concatenate([b[0] for b in blocks] + [dark_ch])
+    t_ns = np.concatenate([b[1] for b in blocks] + [dark_t])
     n_emitted, delivered_pairs, detected_pairs = (sum(b[i] for b in blocks)
                                                   for i in (2, 3, 4))
-    n_dark = sum(c.size for c in dark_ch)
+    n_dark = dark_ch.size
     del blocks, dark_ch, dark_t
 
     inside = (t_ns >= 0) & (t_ns < wall_ns)
@@ -547,9 +546,7 @@ def _apply_dead_time(channel: np.ndarray, ticks: np.ndarray, dead_ticks: int) ->
     Only the runs of closer tags need the tag-by-tag rule, starting from
     the kept tag just before the run; the run's first tag always falls.
     """
-    keep = np.ones(channel.size, dtype=bool)
-    if dead_ticks <= 0 or channel.size == 0:
-        return keep
+    keep = np.empty(channel.size, dtype=bool)
     order = np.argsort(channel.astype(np.uint8), kind="stable")  # a radix sort
     t, ch = ticks[order], channel[order]
     close = np.zeros(t.size, dtype=bool)

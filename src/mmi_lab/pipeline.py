@@ -24,7 +24,7 @@ from .core import (ModeIndexError, _check_input_pair, coincidence_classical,
 from .instrument import ConfigError
 from .matrix import TransferMatrix, gauge_fix
 from .stats import poisson_mc_similarity, similarity, similarity_vs_dt
-from .tagstream import (TimeTagStream, cross_correlate, deadtime_correction,
+from .tagstream import (TimeTagStream, _side_peaks, cross_correlate, deadtime_correction,
                         extract_coincidences, g2_zero, median_sorted, quantile_sorted,
                         sliding_histogram)
 
@@ -51,9 +51,18 @@ def analyze_g2(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dict
     an = cfg.analysis
     if stream.n_channels < 2:
         raise DataError("g2 analysis needs two detector channels")
-    hist = cross_correlate(stream, 0, 1, range_ns=an.correlation_range_ns,
-                           bin_width=an.correlation_bin_ns,
-                           pitch=an.correlation_pitch_ns)
+    try:
+        hist = cross_correlate(stream, 0, 1, range_ns=an.correlation_range_ns,
+                               bin_width=an.correlation_bin_ns,
+                               pitch=an.correlation_pitch_ns)
+    except ValueError as exc:  # channels 0 and 1 differ, so only the bins can fail
+        raise ConfigError(f"[analysis] correlation_pitch_ns = {an.correlation_pitch_ns:g} "
+                          f"and correlation_bin_ns = {an.correlation_bin_ns:g}: {exc}") from None
+    try:
+        _side_peaks(hist, cfg.source.duty_cycle_ns)
+    except ValueError as exc:
+        raise ConfigError(f"[analysis] correlation_range_ns = {an.correlation_range_ns:g} "
+                          f"at a {cfg.source.duty_cycle_ns:g} ns duty cycle: {exc}") from None
     res = g2_zero(hist, duty_cycle=cfg.source.duty_cycle_ns)
     report = {
         "schema": "g2-report/1",

@@ -48,6 +48,7 @@ MODE_BIN_WIDTH = 0.001  # 0.1 percentage points
 _CHUNK = 1 << 17  # trials per seeded generator
 _BLOCK = 1 << 14  # trials per Poisson draw within a chunk
 _EDGES = np.linspace(0.0, 1.0, int(round(1.0 / MODE_BIN_WIDTH)) + 1)  # histogram bins
+_CENTERS = 0.5 * (_EDGES[:-1] + _EDGES[1:])
 
 
 def _distribution(x, ndims=(1,)) -> np.ndarray:
@@ -156,9 +157,8 @@ class SimilarityResult:
     def histogram_csv(self) -> str:
         """Plot-ready ``similarity,count`` rows of the resampled histogram."""
         lines = ["similarity,count"]
-        for b, count in enumerate(self.histogram):
+        for center, count in zip(_CENTERS, self.histogram):
             if count:
-                center = (b + 0.5) * MODE_BIN_WIDTH
                 lines.append(f"{center:.4f},{int(count)}")
         return "\n".join(lines) + "\n"
 
@@ -199,7 +199,7 @@ def _summarize(samples: np.ndarray, trials: int, seed: int, raw: float | None,
     histogram = np.diff(np.searchsorted(x, _EDGES[1:-1]), prepend=0, append=x.size)
     b = int(np.argmax(histogram))
     return SimilarityResult(
-        mode=float(0.5 * (_EDGES[b] + _EDGES[b + 1])),
+        mode=float(_CENTERS[b]),
         hpd68=_hpd_window(x),
         mean=mean,
         histogram=histogram,
@@ -329,7 +329,11 @@ def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
     if tq.size != n_cross or tc.size != n_cross:
         raise ValueError("theories must be cross-detector vectors")
     theories = np.stack((tq, tc))
-    centers = np.arange(0.0, float(dtau.max()) + half_window, half_window / 2.5)
+    try:
+        centers = np.arange(0.0, float(dtau.max()) + half_window, half_window / 2.5)
+    except (ValueError, MemoryError):  # numpy's "Maximum allowed size", or no room
+        raise ConfigError(f"a half window of {half_window:g} ns gives too many windows to "
+                          "allocate: raise [analysis] half_window_ns") from None
     windows = []
     for w, center in enumerate(centers):
         lo = max(0.0, center - half_window)

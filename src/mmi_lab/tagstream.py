@@ -126,11 +126,12 @@ class TimeTagStream:
             raise StreamFormatError(f"unsupported format version {version}")
         if tick_fs == 0:
             raise StreamFormatError("tick size of 0 fs in the header")
-        body = memoryview(payload)[16:]  # a view: the records are not copied
+        body = memoryview(payload)[16:]  # a view, not a copy of the payload
         if len(body) % _RECORD.itemsize:
             raise StreamFormatError(f"truncated record at byte {16 + len(body) - len(body) % _RECORD.itemsize}")
         rec = np.frombuffer(body, dtype=_RECORD)
-        return cls(rec["channel"], rec["tick"], n_channels, tick_fs)
+        # aligned columns for the tick kernels; the payload is not kept
+        return cls(rec["channel"].copy(), rec["tick"].copy(), n_channels, tick_fs)
 
     def write_file(self, path) -> None:
         with open(path, "wb") as fh:
@@ -166,64 +167,19 @@ class TimeTagStream:
                    n_channels, tick_fs)
 
 
-# -- sliding histograms --------------------------------------------------
+# -- histograms --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SlidingProfile:
-    """Folded count-rate profile from overlapping bins (width >= pitch)."""
+class Histogram:
+    """Counts of folded tag times or of pair separations t_b - t_a:
+    ``fine_counts`` in the pitch bins between ``fine_edges``, ``counts``
+    their sliding sums over ``bin_width``, centred at ``centers``."""
 
-    centers: np.ndarray
-    counts: np.ndarray
-    bin_width: float
-    pitch: float
-    fine_counts: np.ndarray
-    fine_edges: np.ndarray
-
-
-def sliding_histogram(stream: TimeTagStream, fold_period: float,
-                      bin_width: float = 40.0, pitch: float = 4.0) -> SlidingProfile:
-    """Overlapping-bin count profile of detection times folded modulo
-    ``fold_period`` (circular windows), which is how pulse intensity
-    profiles are accumulated."""
-    period_fs, pitch_fs = _fs(fold_period), _fs(pitch)
-    if pitch_fs <= 0 or bin_width < pitch:
-        raise ValueError("need pitch >= 1 fs and bin_width >= pitch")
-    if period_fs <= 0:
-        raise ValueError("fold period must be positive")
-    step = stream.tick_fs % period_fs
-    if (period_fs - 1) * step >= 1 << 64:
-        raise ValueError(f"fold period {fold_period} ns too long for an exact u64 phase")
-    width = max(1, int(round(bin_width / pitch)))
-    n_fine = max(width, -(-period_fs // pitch_fs))
-    period = np.uint64(period_fs)
-    phase = stream.ticks % period * np.uint64(step) % period
-    fine = np.bincount((phase // np.uint64(pitch_fs)).astype(np.intp), minlength=n_fine)
-    circular = np.concatenate([fine, fine[:width - 1]]).astype(float)
-    counts = np.convolve(circular, np.ones(width), mode="valid")
-    centers = (np.arange(n_fine) + width / 2.0) * pitch % fold_period
-    order = np.argsort(centers)
-    return SlidingProfile(centers=centers[order], counts=counts[order],
-                          bin_width=bin_width, pitch=pitch, fine_counts=fine,
-                          fine_edges=np.arange(n_fine + 1) * pitch)
-
-
-# -- pair correlators ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CorrelationHistogram:
-    """Histogram of pairwise time differences t_b - t_a.
-
-    ``fine_counts`` are non-overlapping pitch-resolution bins; ``counts``
-    are the sliding (width ``bin_width``) sums used for display.
-    """
-
-    range_ns: float
-    bin_width: float
-    pitch: float
     fine_edges: np.ndarray
     fine_counts: np.ndarray
+    pitch: float
+    bin_width: float
     centers: np.ndarray
     counts: np.ndarray
 
@@ -231,11 +187,53 @@ class CorrelationHistogram:
         return int(self.fine_counts.sum())
 
 
+def _pitch_fs(pitch: float, bin_width: float) -> int:
+    """The histogram pitch in whole femtoseconds, checked against the bin."""
+    pitch_fs = _fs(pitch)
+    if pitch_fs <= 0 or bin_width < pitch:
+        raise ValueError("need pitch >= 1 fs and bin_width >= pitch")
+    return pitch_fs
+
+
+def _histogram(fine: np.ndarray, edges: np.ndarray, bin_width: float, pitch: float,
+               fold_period: float | None = None) -> Histogram:
+    """``fine``, the counts between ``edges``, with its sliding sums over
+    ``bin_width``: along the axis, or round the circle of ``fold_period``
+    (the first bins follow the last) with the centres sorted."""
+    width = round(bin_width / pitch)  # at least 1: bin_width >= pitch
+    ring = fine if fold_period is None else np.concatenate([fine, fine[:width - 1]])
+    counts = np.convolve(ring.astype(float), np.ones(width), mode="valid")
+    if fold_period is None:
+        return Histogram(edges, fine, pitch, bin_width,
+                         edges[:counts.size] + (width / 2.0) * pitch, counts)
+    centers = (np.arange(fine.size) + width / 2.0) * pitch % fold_period
+    order = np.argsort(centers)
+    return Histogram(edges, fine, pitch, bin_width, centers[order], counts[order])
+
+
+def sliding_histogram(stream: TimeTagStream, fold_period: float,
+                      bin_width: float = 40.0, pitch: float = 4.0) -> Histogram:
+    """Overlapping-bin count profile of detection times folded modulo
+    ``fold_period`` (circular windows), which is how pulse intensity
+    profiles are accumulated."""
+    period_fs, pitch_fs = _fs(fold_period), _pitch_fs(pitch, bin_width)
+    if period_fs <= 0:
+        raise ValueError("fold period must be positive")
+    step = stream.tick_fs % period_fs
+    if (period_fs - 1) * step >= 1 << 64:
+        raise ValueError(f"fold period {fold_period} ns too long for an exact u64 phase")
+    n_fine = max(round(bin_width / pitch), -(-period_fs // pitch_fs))
+    period = np.uint64(period_fs)
+    phase = stream.ticks % period * np.uint64(step) % period
+    fine = np.bincount((phase // np.uint64(pitch_fs)).astype(np.intp), minlength=n_fine)
+    return _histogram(fine, np.arange(n_fine + 1) * pitch, bin_width, pitch, fold_period)
+
+
 def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
                     range_ns: float, bin_width: float = 100.0,
-                    pitch: float = 20.0) -> CorrelationHistogram:
+                    pitch: float = 20.0) -> Histogram:
     """Histogram every pair of detections on the two distinct channels
-    with |t_b - t_a| inside the range.
+    with |t_b - t_a| inside the range, rounded up to whole pitches.
 
     Each tag's earlier partners, those at most the histogram span before
     it, are found with ``searchsorted`` on the ticks (Laurence, Fore &
@@ -244,9 +242,7 @@ def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
     """
     if ch_a == ch_b:
         raise ValueError(f"cross-correlation needs two channels, got {ch_a} twice")
-    pitch_fs = _fs(pitch)
-    if pitch_fs <= 0 or bin_width < pitch:
-        raise ValueError("need pitch >= 1 fs and bin_width >= pitch")
+    pitch_fs = _pitch_fs(pitch, bin_width)
     n_half = -(-_fs(range_ns) // pitch_fs)
     edges = (np.arange(2 * n_half + 1) - n_half) * pitch
     fine = np.zeros(2 * n_half, dtype=np.int64)
@@ -267,13 +263,7 @@ def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
         dt = np.where(chans[jj[cross]] == ch_b, dt[cross], -dt[cross])
         # a separation of exactly +span lands one past the last bin
         fine += np.bincount(dt // pitch_fs + n_half, minlength=fine.size + 1)[:fine.size]
-
-    width = max(1, int(round(bin_width / pitch)))
-    counts = np.convolve(fine.astype(float), np.ones(width), mode="valid")
-    centers = edges[:counts.size] + (width / 2.0) * pitch
-    return CorrelationHistogram(range_ns=range_ns, bin_width=bin_width, pitch=pitch,
-                                fine_edges=edges, fine_counts=fine,
-                                centers=centers, counts=counts)
+    return _histogram(fine, edges, bin_width, pitch)
 
 
 @dataclass(frozen=True)
@@ -284,7 +274,17 @@ class G2Result:
     extrapolated_uncorrelated: float
 
 
-def g2_zero(hist: CorrelationHistogram, duty_cycle: float) -> G2Result:
+def _side_peaks(hist: Histogram, duty_cycle: float) -> int:
+    """Side peaks per side whose windows, m duty cycles +/- half of one, lie
+    inside the histogram: (m + 1/2) duty <= span.  At least 5 must."""
+    n_peaks = int(np.floor(hist.fine_edges[-1] / duty_cycle - 0.5))
+    if n_peaks < 5:
+        raise ValueError(f"histogram range covers only {n_peaks} side peaks; "
+                         "need at least 5 per side")
+    return n_peaks
+
+
+def g2_zero(hist: Histogram, duty_cycle: float) -> G2Result:
     """Second-order correlation at zero delay from a peaked correlogram.
 
     Integrates each peak over a window of +/- half the duty cycle and
@@ -292,10 +292,7 @@ def g2_zero(hist: CorrelationHistogram, duty_cycle: float) -> G2Result:
     zero separation (linear fit against |peak index|, which removes the
     decay of the side peaks caused by finite emission sequences).
     """
-    n_peaks = int(np.floor(hist.range_ns / duty_cycle - 0.5))
-    if n_peaks < 5:
-        raise ValueError(f"histogram range covers only {n_peaks} side peaks; "
-                         "need at least 5 per side")
+    n_peaks = _side_peaks(hist, duty_cycle)
     centers = hist.fine_edges[:-1] + np.diff(hist.fine_edges) / 2.0
     peak_counts = {}
     for m in range(-n_peaks, n_peaks + 1):
@@ -463,7 +460,7 @@ def _pedestal(profile: np.ndarray) -> np.float64:
     return median_sorted(np.sort(profile)[:max(1, profile.size // 4)])
 
 
-def deadtime_correction(dtau_ns, intensity: SlidingProfile, tau_r_ns: float,
+def deadtime_correction(dtau_ns, intensity: Histogram, tau_r_ns: float,
                         reference_same, measured: CoincidenceDistribution,
                         max_dtau_ns: float) -> DeadtimeCorrectionResult:
     """Recover same-detector coincidences lost to detector recovery time.

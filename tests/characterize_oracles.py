@@ -7,13 +7,18 @@ array code in ``mmi_lab.characterize``, ``mmi_lab.matrix`` and
 ``mmi_lab.pipeline`` replaced, kept verbatim as oracles.  The gauge fix and
 the forward model must give the same bits; the reconstruction the same
 flags and elements within rounding.
+
+``simulate_trials`` is the batched forward model as it was with its
+noise-free branch, which stacked the clean arrays without drawing, kept
+verbatim: the general path must give the same bits at noise 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mmi_lab.characterize import CharacterizationError, FringeDataset, ReconstructionResult
+from mmi_lab.characterize import (CharacterizationError, FringeDataset, ReconstructionResult,
+                                  _clean_powers, _with_noise)
 from mmi_lab.matrix import TransferMatrix
 
 
@@ -109,3 +114,24 @@ def oracle_repeat_errors(truth: TransferMatrix, noise_sd: float, seed: int,
         rec = oracle_reconstruct_matrix(oracle_simulate_fringes(truth, noise_sd, rng=trial_rng))
         errs.append(float(np.abs(rec.matrix.elements - target).max()))
     return errs
+
+
+def simulate_trials(matrix: TransferMatrix, noise_sd: float, rngs) -> tuple[np.ndarray, ...]:
+    """:func:`simulate_fringes` once per generator in ``rngs`` (a seed, a
+    Generator or None each), stacked: the phase grid, the transmissions
+    (trials, n, n) and the fringe blocks (trials, n-1, n_phases, n).  Each
+    trial draws from its own generator exactly what :func:`simulate_fringes`
+    draws."""
+    if not np.isfinite(noise_sd) or noise_sd < 0:
+        raise ValueError(f"noise_sd must be non-negative and finite, got {noise_sd}")
+    grid = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    powers, trans = _clean_powers(matrix.elements, grid)
+    if noise_sd == 0:
+        return grid, np.stack([trans] * len(rngs)), np.stack([powers] * len(rngs))
+    z_powers = np.empty((len(rngs),) + powers.shape)
+    z_trans = np.empty((len(rngs),) + trans.shape)
+    for t, rng in enumerate(rngs):
+        rng = np.random.default_rng(rng)
+        rng.standard_normal(out=z_powers[t])
+        rng.standard_normal(out=z_trans[t])
+    return grid, _with_noise(trans, noise_sd, z_trans), _with_noise(powers, noise_sd, z_powers)

@@ -23,16 +23,23 @@ which the kernel now walks all together, one run position at a time.
 ``oracle_pedestal`` is ``deadtime_correction``'s dark-count floor as it was
 taken before ``mmi_lab.tagstream._pedestal``: ``np.median`` of the lowest
 quarter of the folded profile.
+
+``SlidingProfile``/``sliding_histogram`` and ``CorrelationHistogram``/
+``cross_correlate`` are the two result types and the two sliding-sum
+implementations that ``mmi_lab.tagstream.Histogram`` and its one
+``_histogram`` replaced, kept verbatim; the kernels must give the same
+bits in every field they share.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from mmi_lab.core import CoincidenceDistribution, mode_pairs
-from mmi_lab.tagstream import CoincidenceSet
+from mmi_lab.tagstream import _CHUNK_TAGS, CoincidenceSet, TimeTagStream
 
 
 def oracle_cross_correlate(stream, ch_a, ch_b, range_ns, pitch=20.0):
@@ -251,3 +258,107 @@ def _pair_greedy_loop(ticks: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, 
 
 def oracle_pedestal(profile):
     return np.median(np.sort(profile)[:max(1, profile.size // 4)])
+
+
+@dataclass(frozen=True)
+class SlidingProfile:
+    """Folded count-rate profile from overlapping bins (width >= pitch)."""
+
+    centers: np.ndarray
+    counts: np.ndarray
+    bin_width: float
+    pitch: float
+    fine_counts: np.ndarray
+    fine_edges: np.ndarray
+
+
+def sliding_histogram(stream: TimeTagStream, fold_period: float,
+                      bin_width: float = 40.0, pitch: float = 4.0) -> SlidingProfile:
+    """Overlapping-bin count profile of detection times folded modulo
+    ``fold_period`` (circular windows), which is how pulse intensity
+    profiles are accumulated."""
+    period_fs, pitch_fs = _fs(fold_period), _fs(pitch)
+    if pitch_fs <= 0 or bin_width < pitch:
+        raise ValueError("need pitch >= 1 fs and bin_width >= pitch")
+    if period_fs <= 0:
+        raise ValueError("fold period must be positive")
+    step = stream.tick_fs % period_fs
+    if (period_fs - 1) * step >= 1 << 64:
+        raise ValueError(f"fold period {fold_period} ns too long for an exact u64 phase")
+    width = max(1, int(round(bin_width / pitch)))
+    n_fine = max(width, -(-period_fs // pitch_fs))
+    period = np.uint64(period_fs)
+    phase = stream.ticks % period * np.uint64(step) % period
+    fine = np.bincount((phase // np.uint64(pitch_fs)).astype(np.intp), minlength=n_fine)
+    circular = np.concatenate([fine, fine[:width - 1]]).astype(float)
+    counts = np.convolve(circular, np.ones(width), mode="valid")
+    centers = (np.arange(n_fine) + width / 2.0) * pitch % fold_period
+    order = np.argsort(centers)
+    return SlidingProfile(centers=centers[order], counts=counts[order],
+                          bin_width=bin_width, pitch=pitch, fine_counts=fine,
+                          fine_edges=np.arange(n_fine + 1) * pitch)
+
+
+@dataclass(frozen=True)
+class CorrelationHistogram:
+    """Histogram of pairwise time differences t_b - t_a.
+
+    ``fine_counts`` are non-overlapping pitch-resolution bins; ``counts``
+    are the sliding (width ``bin_width``) sums used for display.
+    """
+
+    range_ns: float
+    bin_width: float
+    pitch: float
+    fine_edges: np.ndarray
+    fine_counts: np.ndarray
+    centers: np.ndarray
+    counts: np.ndarray
+
+    def total_pairs(self) -> int:
+        return int(self.fine_counts.sum())
+
+
+def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
+                    range_ns: float, bin_width: float = 100.0,
+                    pitch: float = 20.0) -> CorrelationHistogram:
+    """Histogram every pair of detections on the two distinct channels
+    with |t_b - t_a| inside the range.
+
+    Each tag's earlier partners, those at most the histogram span before
+    it, are found with ``searchsorted`` on the ticks (Laurence, Fore &
+    Huser, Opt. Lett. 31, 829 (2006)).  Tags are processed in chunks of
+    ``_CHUNK_TAGS``.
+    """
+    if ch_a == ch_b:
+        raise ValueError(f"cross-correlation needs two channels, got {ch_a} twice")
+    pitch_fs = _fs(pitch)
+    if pitch_fs <= 0 or bin_width < pitch:
+        raise ValueError("need pitch >= 1 fs and bin_width >= pitch")
+    n_half = -(-_fs(range_ns) // pitch_fs)
+    edges = (np.arange(2 * n_half + 1) - n_half) * pitch
+    fine = np.zeros(2 * n_half, dtype=np.int64)
+
+    sub = stream.select([ch_a, ch_b])
+    t = sub.ticks
+    chans = sub.channels
+    span = n_half * pitch_fs // sub.tick_fs
+    for r0 in range(0, t.size, _CHUNK_TAGS):
+        rows = np.arange(r0, min(r0 + _CHUNK_TAGS, t.size))
+        # the earliest partner tick, clamped at 0 instead of wrapping
+        first = np.searchsorted(t, t[rows] - np.minimum(t[rows], span))
+        m = rows - first
+        jj = np.repeat(rows, m)
+        ii = np.arange(jj.size) + np.repeat(first - (np.cumsum(m) - m), m)
+        dt = (t[jj] - t[ii]).astype(np.int64) * sub.tick_fs
+        cross = chans[ii] != chans[jj]
+        dt = np.where(chans[jj[cross]] == ch_b, dt[cross], -dt[cross])
+        # a separation of exactly +span lands one past the last bin
+        fine += np.bincount(dt // pitch_fs + n_half, minlength=fine.size + 1)[:fine.size]
+
+    width = max(1, int(round(bin_width / pitch)))
+    counts = np.convolve(fine.astype(float), np.ones(width), mode="valid")
+    centers = edges[:counts.size] + (width / 2.0) * pitch
+    return CorrelationHistogram(range_ns=range_ns, bin_width=bin_width, pitch=pitch,
+                                fine_edges=edges, fine_counts=fine,
+                                centers=centers, counts=counts)

@@ -14,6 +14,7 @@ import pytest
 from characterize_oracles import (oracle_fit_fringe, oracle_gauge_fix,
                                   oracle_reconstruct_matrix, oracle_repeat_errors,
                                   oracle_simulate_fringes)
+from characterize_oracles import simulate_trials as parent_simulate_trials
 
 from mmi_lab import (FringeDataset, TransferMatrix, gauge_fix, measured_chip_matrix,
                      random_unitary)
@@ -69,6 +70,17 @@ def test_forward_model_and_reconstruction(name, matrix, noise_sd):
         assert_same_dataset(data, oracle_simulate_fringes(matrix, noise_sd,
                                                           np.random.default_rng(seed)))
         assert_reconstructions_agree(data)
+
+
+@pytest.mark.parametrize("name, matrix", MATRICES, ids=[c[0] for c in MATRICES])
+def test_noise_free_trials_match_the_parent(name, matrix):
+    # the general path, which draws the noise and scales it by 0, gives the
+    # bits the parent's noise-free branch stacked without drawing
+    seeds = range(5, 9)
+    got = simulate_trials(matrix, 0.0, seeds)
+    want = parent_simulate_trials(matrix, 0.0, seeds)
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_identity_flags_match(identity4):

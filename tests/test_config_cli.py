@@ -681,6 +681,34 @@ def test_count_too_large_to_allocate_is_config_error(run_dir, tmp_path, capsys, 
     assert not out.exists()
 
 
+# values `analyze g2` cannot bin, and a half window whose window grid needs
+# more than 2**47 bytes: 1e-12 ns steps over the largest |dtau| of 300 ns
+@pytest.mark.parametrize("argv, profile, message", [
+    (["analyze", "g2", "--stream", "hbt.ttag"], "correlation_bin_ns = 10",
+     "[analysis] correlation_pitch_ns = 20 and correlation_bin_ns = 10: "
+     "need pitch >= 1 fs and bin_width >= pitch"),
+    (["analyze", "g2", "--stream", "hbt.ttag"],
+     "correlation_pitch_ns = 1e-7\ncorrelation_bin_ns = 1e-7",
+     "[analysis] correlation_pitch_ns = 1e-07 and correlation_bin_ns = 1e-07: "
+     "need pitch >= 1 fs and bin_width >= pitch"),
+    (["analyze", "g2", "--stream", "hbt.ttag"], "correlation_range_ns = 1000",
+     "[analysis] correlation_range_ns = 1000 at a 664 ns duty cycle: "
+     "histogram range covers only 1 side peaks; need at least 5 per side"),
+    (["analyze", "timeresolved", "--stream", "mmi.ttag"], "half_window_ns = 1e-12",
+     "a half window of 1e-12 ns gives too many windows to allocate: "
+     "raise [analysis] half_window_ns"),
+], ids=["bin-below-pitch", "pitch-below-1fs", "range-1-side-peak", "half-window"])
+def test_analysis_value_the_run_cannot_use_is_config_error(run_dir, tmp_path, capsys,
+                                                           argv, profile, message):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"[analysis]\n{profile}\n")
+    out = tmp_path / "o"
+    argv = [str(run_dir / a) if a.endswith(".ttag") else a for a in argv]
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 class TestMalformedStreams:
     @pytest.mark.parametrize("row", ["300,200", "1,-5"])
     def test_csv_row_out_of_range(self, tmp_path, capsys, row):

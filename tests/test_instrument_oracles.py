@@ -322,6 +322,8 @@ def dead_time_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(dead_time_cases())
 @example((np.array([], np.int64), np.array([], np.int64), 617))
+@example((np.array([], np.int64), np.array([], np.int64), 0))
+@example((np.zeros(4, np.int64), np.array([0, 0, 1, 5], np.int64), 0))
 @example((np.array([3], np.int64), np.array([0], np.int64), 1))
 @example((np.zeros(50, np.int64), np.arange(50, dtype=np.int64) * 300, 617))
 def test_dead_time_matches_loop(case):

@@ -103,6 +103,17 @@ class TestBinaryFormat:
         with pytest.raises(StreamFormatError, match="record 1"):
             TimeTagStream.from_bytes(swapped)
 
+    def test_columns_are_aligned_copies(self):
+        # the tick kernels get contiguous, aligned columns, not strided views
+        # into the 12-byte records, and the payload is not kept alive
+        payload = TimeTagStream(np.array([1, 0, 3], np.uint8),
+                                np.array([5, 9, 9], np.uint64), 4).to_bytes()
+        stream = TimeTagStream.from_bytes(payload)
+        for column in (stream.ticks, stream.channels):
+            assert column.flags.c_contiguous and column.flags.aligned and column.flags.owndata
+            assert not np.shares_memory(column, np.frombuffer(payload, np.uint8))
+        assert stream.ticks.tolist() == [5, 9, 9] and stream.channels.tolist() == [1, 0, 3]
+
     def test_zero_tick_size_rejected(self):
         payload = TimeTagStream(np.array([1], np.uint8), np.array([5], np.uint64), 4,
                                 tick_fs=0).to_bytes()
@@ -286,6 +297,23 @@ class TestG2Zero:
         res = g2_zero(hist, duty_cycle=664.0)
         assert res.g2_zero == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("range_ns, n_peaks", [(3631.0, 4), (3641.0, 5), (3652.0, 5)])
+    def test_peak_count_follows_the_histogram_span(self, range_ns, n_peaks):
+        # peak m counts when its window, m duty cycles +/- half of one, lies
+        # inside the histogram, whose span is the range rounded up to whole
+        # 20 ns pitches: 3641 ns spans 3660 >= 5.5 * 664 = 3652, so peak 5
+        # counts although the range stops 11 ns short of its window's edge
+        stream = make_stream(np.arange(40) * 664.0 + 100.0, np.arange(40) % 2, n_channels=2)
+        hist = cross_correlate(stream, 0, 1, range_ns=range_ns, bin_width=100.0, pitch=20.0)
+        if n_peaks < 5:
+            with pytest.raises(ValueError, match="covers only 4 side peaks"):
+                g2_zero(hist, duty_cycle=664.0)
+        else:
+            res = g2_zero(hist, duty_cycle=664.0)
+            assert sorted(res.side_peak_counts) == list(range(-n_peaks, n_peaks + 1))
+            # 35 pairs five cycles apart: 18 with channel 0 first, 17 with 1 first
+            assert (res.side_peak_counts[5], res.side_peak_counts[-5]) == (18.0, 17.0)
+
     def test_range_must_cover_side_peaks(self):
         stream = make_stream([0.0, 10.0], [0, 1], n_channels=2)
         hist = cross_correlate(stream, 0, 1, range_ns=2 * 664.0,
@@ -345,10 +373,9 @@ class TestDeadtimeCorrection:
         # synthetic sin^2-shaped folded intensity profile
         t = (np.arange(83) + 0.5) * 8.0
         counts = np.where(t < 300.0, np.sin(np.pi * t / 300.0) ** 2, 0.0) * 1000
-        from mmi_lab.tagstream import SlidingProfile
-        return SlidingProfile(centers=t, counts=counts, bin_width=8.0,
-                              pitch=8.0,
-                              fine_counts=counts, fine_edges=np.arange(84) * 8.0)
+        from mmi_lab.tagstream import Histogram
+        return Histogram(fine_edges=np.arange(84) * 8.0, fine_counts=counts, pitch=8.0,
+                         bin_width=8.0, centers=t, counts=counts)
 
     def test_zero_recovery_time_is_identity(self, rng):
         measured = CoincidenceDistribution(4, rng.integers(0, 50, 10).astype(float))

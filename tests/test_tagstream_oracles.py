@@ -14,6 +14,8 @@ from tagstream_oracles import (_pair_greedy_loop, _pair_neighbours, _pair_offset
                                int_oracle_fold_counts, oracle_cross_correlate,
                                oracle_extract_coincidences, oracle_pedestal,
                                oracle_same_detector_counts)
+from tagstream_oracles import cross_correlate as parent_cross_correlate
+from tagstream_oracles import sliding_histogram as parent_sliding_histogram
 
 from mmi_lab import (DetectorConfig, Layout, SourceConfig, TimeTagStream, cross_correlate,
                      extract_coincidences, simulate_run, sliding_histogram)
@@ -372,3 +374,51 @@ def test_pedestal_is_numpys_median(profile):
     got, want = _pedestal(profile), oracle_pedestal(profile)
     assert type(got) is type(want) is np.float64
     assert got.view(np.int64) == want.view(np.int64)
+
+
+# -- one histogram type --------------------------------------------------------
+
+# sliding widths in pitches: one pitch, whole and rounded multiples, and one
+# wider than some of the correlation ranges below
+WIDTHS = [1.0, 1.4, 2.0, 2.6, 5.0, 40.0]
+
+
+def assert_same_histogram(got, want):
+    """Every field the ``Histogram`` shares with the type it replaced, bit
+    for bit."""
+    for name in ("fine_edges", "fine_counts", "centers", "counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (got.pitch, got.bin_width) == (want.pitch, want.bin_width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tag_streams(starts=st.one_of(st.integers(0, 1000), late_starts)),
+       st.sampled_from([(0, 1), (1, 0), (1, 2)]), st.integers(1, 80),
+       st.sampled_from([1.0, 2.5, 3.0, 7.0]), st.sampled_from(WIDTHS))
+@example((_stream([], []), 1.0, 0.0), (0, 1), 9, 2.5, 2.0)  # empty; range not whole pitches
+def test_cross_correlate_matches_the_parent(case, channels, range_ticks, pitch, width):
+    stream, _, _ = case
+    args = (stream, *channels, range_ticks * stream.tick_ns, width * pitch, pitch)
+    assert_same_histogram(cross_correlate(*args), parent_cross_correlate(*args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tag_streams(starts=st.one_of(st.integers(0, 1000), late_starts)),
+       st.sampled_from([664.0, 100.0, 12.5, 7.5, 0.081 * 7]),
+       st.sampled_from([8.0, 4.0, 2.5, 0.5]), st.sampled_from(WIDTHS))
+# the wrap: 5 bins of 2.5 ns round a 7.5 ns circle, so centres fall together
+@example((_stream([0, 3, 4, 11], [0, 1, 2, 3]), 1.0, 0.0), 7.5, 2.5, 2.0)
+@example((_stream([], []), 1.0, 0.0), 664.0, 8.0, 5.0)
+def test_sliding_histogram_matches_the_parent(case, fold_period, pitch, width):
+    stream, _, _ = case
+    args = (stream, fold_period, width * pitch, pitch)
+    assert_same_histogram(sliding_histogram(*args), parent_sliding_histogram(*args))
+
+
+def test_simulated_histograms_match_the_parent(hbt_stream, mmi_stream):
+    args = (hbt_stream, 0, 1, 5976.0, 100.0, 20.0)  # the [analysis] defaults
+    assert_same_histogram(cross_correlate(*args), parent_cross_correlate(*args))
+    for bin_width, pitch in ((8.0, 8.0), (40.0, 4.0)):
+        args = (mmi_stream, 664.0, bin_width, pitch)
+        assert_same_histogram(sliding_histogram(*args), parent_sliding_histogram(*args))
