@@ -179,16 +179,19 @@ class TwoPhotonState:
 # -- coincidence distributions ------------------------------------------
 
 
-def _pair_table(matrix: TransferMatrix, i: int, j: int, quantum: bool) -> np.ndarray:
+def _pair_amplitudes(matrix: TransferMatrix, i: int, j: int) -> list[tuple]:
+    """``(a = M_ik M_jl, b = M_il M_jk, dup = 1 + delta_kl)`` for every
+    output pair {k, l}, in :func:`mode_pairs` order."""
     m = matrix.elements
-    vals = []
-    for k, l in mode_pairs(matrix.n_modes):
-        dup = 2.0 if k == l else 1.0
-        if quantum:
-            vals.append(abs(m[i, k] * m[j, l] + m[i, l] * m[j, k]) ** 2 / dup)
-        else:
-            vals.append((abs(m[i, k] * m[j, l]) ** 2 + abs(m[i, l] * m[j, k]) ** 2) / dup)
-    return np.array(vals)
+    return [(m[i, k] * m[j, l], m[i, l] * m[j, k], 2.0 if k == l else 1.0)
+            for k, l in mode_pairs(matrix.n_modes)]
+
+
+def _pair_table(matrix: TransferMatrix, i: int, j: int, quantum: bool) -> np.ndarray:
+    amps = _pair_amplitudes(matrix, i, j)
+    if quantum:
+        return np.array([abs(a + b) ** 2 / dup for a, b, dup in amps])
+    return np.array([(abs(a) ** 2 + abs(b) ** 2) / dup for a, b, dup in amps])
 
 
 def _as_distribution(n_modes: int, values: np.ndarray,
@@ -222,6 +225,17 @@ def coincidence_classical(matrix: TransferMatrix, i: int, j: int,
     return _as_distribution(matrix.n_modes, _pair_table(matrix, i, j, False), renormalized)
 
 
+def _mixture(matrix: TransferMatrix, i: int, j: int, visibility, renormalized: bool,
+             cross_only: bool = False) -> np.ndarray:
+    """``visibility * Q + (1 - visibility) * C`` for one visibility or a
+    column of them, each table renormalised first when ``renormalized`` is
+    set, over the cross-detector pairs only when ``cross_only`` is."""
+    q, c = (f(matrix, i, j, renormalized) for f in (coincidence_quantum, coincidence_classical))
+    if cross_only:
+        q, c = q.cross_only(), c.cross_only()
+    return visibility * q.values + (1.0 - visibility) * c.values
+
+
 def coincidence_mixture(matrix: TransferMatrix, i: int, j: int, visibility: float,
                         renormalized: bool = True) -> CoincidenceDistribution:
     """Two-photon-visibility-weighted mixture
@@ -229,9 +243,7 @@ def coincidence_mixture(matrix: TransferMatrix, i: int, j: int, visibility: floa
     first when ``renormalized`` is set)."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {visibility}")
-    q = coincidence_quantum(matrix, i, j, renormalized)
-    c = coincidence_classical(matrix, i, j, renormalized)
-    vals = visibility * q.values + (1.0 - visibility) * c.values
+    vals = _mixture(matrix, i, j, visibility, renormalized)
     return CoincidenceDistribution(matrix.n_modes, vals, renormalized=renormalized)
 
 
@@ -267,13 +279,10 @@ def renormalization_magnitude(matrix: TransferMatrix) -> float:
 
     Zero for a unitary matrix; about 1.9% for the measured chip.
     """
-    devs = []
     n = matrix.n_modes
-    for i in range(n):
-        for j in range(i + 1, n):
-            devs.append(abs(1.0 - _pair_table(matrix, i, j, True).sum()))
-            devs.append(abs(1.0 - _pair_table(matrix, i, j, False).sum()))
-    return float(np.mean(devs))
+    return float(np.mean([abs(1.0 - _pair_table(matrix, i, j, quantum).sum())
+                          for i in range(n) for j in range(i + 1, n)
+                          for quantum in (True, False)]))
 
 
 def fit_visibility(measured: CoincidenceDistribution, matrix: TransferMatrix,
@@ -289,11 +298,7 @@ def fit_visibility(measured: CoincidenceDistribution, matrix: TransferMatrix,
     counts = np.asarray(measured.values, dtype=float)
     if counts.sum() <= 0:
         raise ValueError("measured counts are empty")
-    q = coincidence_quantum(matrix, i, j, renormalized=True)
-    c = coincidence_classical(matrix, i, j, renormalized=True)
-    if measured.cross_detector_only:
-        q, c = q.cross_only(), c.cross_only()
     grid = np.arange(0.0, 1.0005, 0.001)[:, None]
-    s = similarity(counts, grid * q.values + (1.0 - grid) * c.values)
+    s = similarity(counts, _mixture(matrix, i, j, grid, True, measured.cross_detector_only))
     best = int(np.argmax(s))  # the first of tied maxima, as a strict > scan keeps
     return float(grid[best, 0]), float(s[best])

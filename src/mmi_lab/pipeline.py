@@ -19,8 +19,9 @@ import numpy as np
 from .characterize import (FringeDataset, reconstruct_matrix, reconstruct_trials,
                            simulate_fringes, simulate_trials)
 from .config import ExperimentConfig
-from .core import (ModeIndexError, _check_input_pair, coincidence_classical,
-                   coincidence_mixture, coincidence_quantum, fit_visibility)
+from .core import (DegenerateDistributionError, ModeIndexError, _check_input_pair,
+                   coincidence_classical, coincidence_mixture, coincidence_quantum,
+                   fit_visibility)
 from .instrument import ConfigError
 from .matrix import TransferMatrix, gauge_fix
 from .stats import poisson_mc_similarity, similarity, similarity_vs_dt
@@ -55,9 +56,10 @@ def analyze_g2(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dict
         hist = cross_correlate(stream, 0, 1, range_ns=an.correlation_range_ns,
                                bin_width=an.correlation_bin_ns,
                                pitch=an.correlation_pitch_ns)
-    except ValueError as exc:  # channels 0 and 1 differ, so only the bins can fail
-        raise ConfigError(f"[analysis] correlation_pitch_ns = {an.correlation_pitch_ns:g} "
-                          f"and correlation_bin_ns = {an.correlation_bin_ns:g}: {exc}") from None
+    except (ValueError, MemoryError) as exc:  # channels 0 and 1 differ: only the bins fail
+        raise ConfigError(f"[analysis] correlation_range_ns = {an.correlation_range_ns:g}, "
+                          f"correlation_pitch_ns = {an.correlation_pitch_ns:g} and "
+                          f"correlation_bin_ns = {an.correlation_bin_ns:g}: {exc}") from None
     try:
         _side_peaks(hist, cfg.source.duty_cycle_ns)
     except ValueError as exc:
@@ -80,6 +82,12 @@ def analyze_g2(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dict
 def analyze_hom(stream: TimeTagStream, reference: TimeTagStream,
                 cfg: ExperimentConfig) -> tuple[dict, dict]:
     an = cfg.analysis
+    try:
+        bins = np.arange(-an.coincidence_window_ns, an.coincidence_window_ns
+                         + an.display_pitch_ns, an.display_pitch_ns)
+    except (ValueError, MemoryError) as exc:  # numpy's "Maximum allowed size", or no room
+        raise ConfigError(f"[analysis] coincidence_window_ns = {an.coincidence_window_ns:g} "
+                          f"and display_pitch_ns = {an.display_pitch_ns:g}: {exc}") from None
     co = extract_coincidences(stream, window_ns=an.coincidence_window_ns)
     co_ref = extract_coincidences(reference, window_ns=an.coincidence_window_ns)
     n_cross = co.counts[(0, 1)]
@@ -98,8 +106,6 @@ def analyze_hom(stream: TimeTagStream, reference: TimeTagStream,
         "visibility_integrated": visibility,
         "visibility_within_23ns": (1.0 - n_cross_w / n_ref_w) if n_ref_w else None,
     }
-    bins = np.arange(-an.coincidence_window_ns, an.coincidence_window_ns
-                     + an.display_pitch_ns, an.display_pitch_ns)
     cross_hists = [np.histogram(d, bins=bins)[0].tolist() for d in cross_dtau]
     tables = {"hom_dtau.csv": csv_text(
         ["dtau_ns", "cross_parallel", "cross_reference"],
@@ -131,12 +137,20 @@ def analyze_mmi(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dic
             "not enough time-offset (distinguishable) coincidences to build "
             f"the same-detector reference; run long enough that events "
             f"{an.reference_offset_cycles} duty cycles apart are recorded")
-    profile = sliding_histogram(stream, bin_width=an.profile_pitch_ns,
-                                pitch=an.profile_pitch_ns,
-                                fold_period=cfg.source.duty_cycle_ns)
-    corr = deadtime_correction(co.dtau_ns, profile, cfg.detectors.dead_time_ns,
-                               ref_same, co.counts,
-                               max_dtau_ns=an.coincidence_window_ns)
+    try:
+        profile = sliding_histogram(stream, bin_width=an.profile_pitch_ns,
+                                    pitch=an.profile_pitch_ns,
+                                    fold_period=cfg.source.duty_cycle_ns)
+        corr = deadtime_correction(co.dtau_ns, profile, cfg.detectors.dead_time_ns,
+                                   ref_same, co.counts,
+                                   max_dtau_ns=an.coincidence_window_ns)
+    except DegenerateDistributionError:
+        raise  # a profile with nothing beyond the recovery time is data
+    except ValueError as exc:  # the reference is checked above, so only the bins can fail
+        raise ConfigError(f"[analysis] profile_pitch_ns = {an.profile_pitch_ns:g} and "
+                          f"coincidence_window_ns = {an.coincidence_window_ns:g}, [detectors] "
+                          f"dead_time_ns = {cfg.detectors.dead_time_ns:g}, [source] "
+                          f"duty_cycle_ns = {cfg.source.duty_cycle_ns:g}: {exc}") from None
 
     # visibility from cross-detector counts (immune to recovery-time losses)
     cross = co.counts.cross_only()

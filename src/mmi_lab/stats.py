@@ -333,7 +333,8 @@ def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
         centers = np.arange(0.0, float(dtau.max()) + half_window, half_window / 2.5)
     except (ValueError, MemoryError):  # numpy's "Maximum allowed size", or no room
         raise ConfigError(f"a half window of {half_window:g} ns gives too many windows to "
-                          "allocate: raise [analysis] half_window_ns") from None
+                          "allocate: raise [analysis] half_window_ns or lower "
+                          "coincidence_window_ns") from None
     windows = []
     for w, center in enumerate(centers):
         lo = max(0.0, center - half_window)

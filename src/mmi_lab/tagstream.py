@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoincidenceDistribution, pair_index
+from .core import CoincidenceDistribution, DegenerateDistributionError, pair_index
 
 MAGIC = b"TTAG"
 VERSION = 1
@@ -509,8 +509,12 @@ def deadtime_correction(dtau_ns, intensity: Histogram, tau_r_ns: float,
     left_edges = np.arange(n_use) * step
     inside = left_edges < tau_r_ns
     a_out, h_out = shape[~inside], hist[~inside].astype(float)
-    if a_out.size < 2 or np.all(a_out == 0):
-        raise ValueError("no usable bins beyond the recovery time")
+    if a_out.size < 2:
+        raise ValueError(f"{a_out.size} profile bins lie beyond the recovery time "
+                         "inside the window; the fit needs 2")
+    if np.all(a_out == 0):
+        raise DegenerateDistributionError("the intensity profile is empty beyond the "
+                                          "recovery time")
     scale = float(np.dot(a_out, h_out) / np.dot(a_out, a_out))
     resid = h_out - scale * a_out
     # Poisson noise concentrates in the large-amplitude bins that dominate

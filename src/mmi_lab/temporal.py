@@ -16,8 +16,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import CoincidenceDistribution, _check_input_pair, mode_pairs, pair_index
-from .matrix import TransferMatrix, balanced_splitter
+from .core import CoincidenceDistribution, _check_input_pair, _pair_amplitudes, mode_pairs
+from .matrix import TransferMatrix
 
 _CDF_BINS = 2 ** 16  # a power of two: u * _CDF_BINS and the bin edges are exact
 
@@ -149,23 +149,19 @@ class JointDensity:
         """Integrate each pair density over both times (raw table)."""
         return CoincidenceDistribution(self.n_modes, self.densities.sum(axis=(1, 2)) * self.dt ** 2)
 
-    def dtau_marginal(self, pair: tuple[int, int]):
-        """Marginal density of output pair ``pair`` over the detection time
-        difference t2 - t1 (anti-diagonal sums); returns (dtau grid, density
-        per ns)."""
-        nt = self.t.size
-        mat = self.densities[pair_index(min(pair), max(pair), self.n_modes)]
-        i1, i2 = np.meshgrid(np.arange(nt), np.arange(nt), indexing="ij")
-        offsets = (i2 - i1).ravel() + nt - 1
-        marg = np.bincount(offsets, weights=mat.ravel(), minlength=2 * nt - 1) * self.dt
-        dtau = np.arange(-(nt - 1), nt) * self.dt
-        return dtau, marg
+
+def _on_grid(env_1: Wavepacket, env_2: Wavepacket, t_max: float):
+    """Cell centres of [0, ``t_max``) on the envelopes' common step, and
+    both envelopes' amplitudes there."""
+    if env_1.dt != env_2.dt:
+        raise ValueError("envelope grids must share the same step")
+    t = (np.arange(int(round(t_max / env_1.dt))) + 0.5) * env_1.dt
+    return t, env_1.amplitude_at(t), env_2.amplitude_at(t)
 
 
 def joint_density(matrix: TransferMatrix, i: int, j: int,
                   env_i: Wavepacket, env_j: Wavepacket,
-                  coherence: CoherenceModel,
-                  t_max: float | None = None) -> JointDensity:
+                  coherence: CoherenceModel, t_max: float) -> JointDensity:
     """Joint detection-time density for pair inputs (i, j).
 
     For the first detection at output k (time t1) and the second at l (t2):
@@ -176,33 +172,22 @@ def joint_density(matrix: TransferMatrix, i: int, j: int,
                    zeta_i(t1) zeta_j(t2) conj(zeta_j(t1) zeta_i(t2)) ) ] / (1 + delta_kl)
 
     Both envelopes start at t = 0: the routing delay makes the photons of
-    a pair arrive together.  The grid covers [0, ``t_max``), by default
-    twice the longer envelope.  With perfect coherence and matched
-    envelopes the integrated table equals the indistinguishable closed
-    form; with kappa = 0 it equals the distinguishable one.
+    a pair arrive together.  The grid covers [0, ``t_max``).  With perfect
+    coherence and matched envelopes the integrated table equals the
+    indistinguishable closed form; with kappa = 0 it equals the
+    distinguishable one.
     """
     _check_input_pair(matrix.n_modes, i, j)
-    if env_i.dt != env_j.dt:
-        raise ValueError("envelope grids must share the same step")
-    dt = env_i.dt
-    if t_max is None:
-        t_max = 2.0 * max(env_i.duration, env_j.duration)
-    t = (np.arange(int(round(t_max / dt))) + 0.5) * dt
-    zi = env_i.amplitude_at(t)
-    zj = env_j.amplitude_at(t)
+    t, zi, zj = _on_grid(env_i, env_j, t_max)
     ii = np.abs(zi) ** 2
     ij = np.abs(zj) ** 2
     u = zi * np.conj(zj)
     cross = np.outer(u, np.conj(u))
     kap = coherence.kappa(np.subtract.outer(t, t).T)  # kappa(t2 - t1)
-    m = matrix.elements
     pairs = mode_pairs(matrix.n_modes)
     # pair by pair: broadcasting over all pairs multiplies the complex temporaries
     densities = np.empty((len(pairs), t.size, t.size))
-    for n, (k, l) in enumerate(pairs):
-        a = m[i, k] * m[j, l]
-        b = m[i, l] * m[j, k]
-        dup = 2.0 if k == l else 1.0
+    for n, (a, b, dup) in enumerate(_pair_amplitudes(matrix, i, j)):
         p = (abs(a) ** 2 * np.outer(ii, ij)
              + abs(b) ** 2 * np.outer(ij, ii)
              + 2.0 * kap * (a * np.conj(b) * cross).real) / dup
@@ -210,9 +195,9 @@ def joint_density(matrix: TransferMatrix, i: int, j: int,
         # anything beyond float dust indicates a broken kernel
         floor = p.min()
         if floor < -1e-9 * max(p.max(), 1.0):
-            raise AssertionError(f"negative joint density {floor} at pair ({k}, {l})")
+            raise AssertionError(f"negative joint density {floor} at pair {pairs[n]}")
         np.clip(p, 0.0, None, out=densities[n])
-    return JointDensity(n_modes=matrix.n_modes, t=t, dt=dt, densities=densities)
+    return JointDensity(n_modes=matrix.n_modes, t=t, dt=env_i.dt, densities=densities)
 
 
 @dataclass(frozen=True)
@@ -241,18 +226,22 @@ class HomProfile:
 def hom_profile(env_1: Wavepacket, env_2: Wavepacket,
                 coherence: CoherenceModel) -> HomProfile:
     """Balanced-splitter cross-coincidence profile and visibility of two
-    photons that arrive together (see :func:`joint_density`)."""
-    bs = balanced_splitter()
-    par = joint_density(bs, 0, 1, env_1, env_2, coherence)
-    orth = joint_density(bs, 0, 1, env_1, env_2, CoherenceModel.incoherent())
-    dtau, p_par = par.dtau_marginal((0, 1))
-    _, p_orth = orth.dtau_marginal((0, 1))
-    total_orth = p_orth.sum()
+    photons that arrive together, on a grid twice the longer envelope: the
+    cross density of :func:`joint_density` (|a|^2 = |b|^2 = -a conj(b) = 1/4)
+    summed along t2 - t1, i.e. correlations of the envelopes (Legero, Wilk,
+    Kuhn & Rempe, Appl. Phys. B 77, 797 (2003))."""
+    t, z1, z2 = _on_grid(env_1, env_2, 2.0 * max(env_1.duration, env_2.duration))
+    dt = env_1.dt
+    i1, i2, u = np.abs(z1) ** 2, np.abs(z2) ** 2, z1 * np.conj(z2)
+    dtau = np.arange(-(t.size - 1), t.size) * dt
+    orthogonal = (np.correlate(i2, i1, "full") + np.correlate(i1, i2, "full")) * dt / 4.0
+    parallel = np.clip(orthogonal - 0.5 * coherence.kappa(dtau)
+                       * np.correlate(u, u, "full").real * dt, 0.0, None)
+    total_orth = orthogonal.sum()
     if total_orth <= 0:
         raise ValueError("no cross coincidences in the distinguishable reference")
-    vis = float(1.0 - p_par.sum() / total_orth)
-    return HomProfile(dtau=dtau, parallel=p_par, orthogonal=p_orth,
-                      visibility_integrated=vis)
+    return HomProfile(dtau=dtau, parallel=parallel, orthogonal=orthogonal,
+                      visibility_integrated=float(1.0 - parallel.sum() / total_orth))
 
 
 def integrated_visibility(envelope: Wavepacket, coherence: CoherenceModel) -> float:

@@ -12,6 +12,12 @@ density array must give the same numbers.  ``simulate_run`` also counts the
 funnel fields the truth record gained later; it draws the whole run from one
 generator, so the block-seeded simulator matches it in distribution only.
 
+``hom_profile`` is the balanced-splitter profile as the anti-diagonal sums
+of two full 2-D joint densities, verbatim; the one-dimensional correlation
+in ``mmi_lab.temporal`` must agree with it to rounding.  The stacked
+density's anti-diagonal marginal, ``JointDensity.dtau_marginal`` of
+``mmi_lab.temporal``, is kept as ``stacked_dtau_marginal``.
+
 ``simulate_block`` is the single-generator simulator's phases from emission
 through jitter, verbatim, as a function of the transit intervals, the
 generator and the emission chunk size, with its pair sampler
@@ -29,12 +35,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from mmi_lab.core import CoincidenceDistribution, _check_input_pair, mode_pairs
+from mmi_lab.core import CoincidenceDistribution, _check_input_pair, mode_pairs, pair_index
 from mmi_lab.instrument import (ConfigError, DetectorConfig, Layout, SourceConfig,
                                 TruthRecord, _sample_pairs)
-from mmi_lab.matrix import TransferMatrix
+from mmi_lab.matrix import TransferMatrix, balanced_splitter
 from mmi_lab.tagstream import TimeTagStream
-from mmi_lab.temporal import CoherenceModel, Wavepacket
+from mmi_lab.temporal import CoherenceModel, HomProfile, Wavepacket
 from mmi_lab.temporal import joint_density as stacked_joint_density
 
 _TRANSIT_CHUNK = 4096  # transits per emission chunk of the single-generator simulator
@@ -126,6 +132,36 @@ def joint_density(matrix: TransferMatrix, i: int, j: int,
             raise AssertionError(f"negative joint density {floor} at pair ({k}, {l})")
         densities[(k, l)] = np.clip(p, 0.0, None)
     return JointDensity(n_modes=matrix.n_modes, t=t, dt=dt, densities=densities)
+
+
+def stacked_dtau_marginal(jd, pair: tuple[int, int]):
+    """Marginal density of output pair ``pair`` over the detection time
+    difference t2 - t1 (anti-diagonal sums); returns (dtau grid, density
+    per ns).  ``jd`` is a stacked ``mmi_lab.temporal.JointDensity``."""
+    nt = jd.t.size
+    mat = jd.densities[pair_index(min(pair), max(pair), jd.n_modes)]
+    i1, i2 = np.meshgrid(np.arange(nt), np.arange(nt), indexing="ij")
+    offsets = (i2 - i1).ravel() + nt - 1
+    marg = np.bincount(offsets, weights=mat.ravel(), minlength=2 * nt - 1) * jd.dt
+    dtau = np.arange(-(nt - 1), nt) * jd.dt
+    return dtau, marg
+
+
+def hom_profile(env_1: Wavepacket, env_2: Wavepacket,
+                coherence: CoherenceModel) -> HomProfile:
+    """Balanced-splitter cross-coincidence profile and visibility of two
+    photons that arrive together (see :func:`joint_density`)."""
+    bs = balanced_splitter()
+    par = joint_density(bs, 0, 1, env_1, env_2, coherence)
+    orth = joint_density(bs, 0, 1, env_1, env_2, CoherenceModel.incoherent())
+    dtau, p_par = par.dtau_marginal((0, 1))
+    _, p_orth = orth.dtau_marginal((0, 1))
+    total_orth = p_orth.sum()
+    if total_orth <= 0:
+        raise ValueError("no cross coincidences in the distinguishable reference")
+    vis = float(1.0 - p_par.sum() / total_orth)
+    return HomProfile(dtau=dtau, parallel=p_par, orthogonal=p_orth,
+                      visibility_integrated=vis)
 
 
 class _PairSampler:

@@ -685,19 +685,32 @@ def test_count_too_large_to_allocate_is_config_error(run_dir, tmp_path, capsys, 
 # more than 2**47 bytes: 1e-12 ns steps over the largest |dtau| of 300 ns
 @pytest.mark.parametrize("argv, profile, message", [
     (["analyze", "g2", "--stream", "hbt.ttag"], "correlation_bin_ns = 10",
-     "[analysis] correlation_pitch_ns = 20 and correlation_bin_ns = 10: "
-     "need pitch >= 1 fs and bin_width >= pitch"),
+     "[analysis] correlation_range_ns = 5976, correlation_pitch_ns = 20 and "
+     "correlation_bin_ns = 10: need pitch >= 1 fs and bin_width >= pitch"),
     (["analyze", "g2", "--stream", "hbt.ttag"],
      "correlation_pitch_ns = 1e-7\ncorrelation_bin_ns = 1e-7",
-     "[analysis] correlation_pitch_ns = 1e-07 and correlation_bin_ns = 1e-07: "
-     "need pitch >= 1 fs and bin_width >= pitch"),
+     "[analysis] correlation_range_ns = 5976, correlation_pitch_ns = 1e-07 and "
+     "correlation_bin_ns = 1e-07: need pitch >= 1 fs and bin_width >= pitch"),
     (["analyze", "g2", "--stream", "hbt.ttag"], "correlation_range_ns = 1000",
      "[analysis] correlation_range_ns = 1000 at a 664 ns duty cycle: "
      "histogram range covers only 1 side peaks; need at least 5 per side"),
     (["analyze", "timeresolved", "--stream", "mmi.ttag"], "half_window_ns = 1e-12",
      "a half window of 1e-12 ns gives too many windows to allocate: "
-     "raise [analysis] half_window_ns"),
-], ids=["bin-below-pitch", "pitch-below-1fs", "range-1-side-peak", "half-window"])
+     "raise [analysis] half_window_ns or lower coincidence_window_ns"),
+    (["analyze", "mmi", "--stream", "mmi.ttag"], "profile_pitch_ns = 1e-9",
+     "[analysis] profile_pitch_ns = 1e-09 and coincidence_window_ns = 300, "
+     "[detectors] dead_time_ns = 50, [source] duty_cycle_ns = 664: "
+     "need pitch >= 1 fs and bin_width >= pitch"),
+    (["analyze", "mmi", "--stream", "mmi.ttag"], "profile_pitch_ns = 400",
+     "[analysis] profile_pitch_ns = 400 and coincidence_window_ns = 300, "
+     "[detectors] dead_time_ns = 50, [source] duty_cycle_ns = 664: "
+     "0 profile bins lie beyond the recovery time inside the window; the fit needs 2"),
+    (["analyze", "mmi", "--stream", "mmi.ttag"], "coincidence_window_ns = 40",
+     "[analysis] profile_pitch_ns = 8 and coincidence_window_ns = 40, "
+     "[detectors] dead_time_ns = 50, [source] duty_cycle_ns = 664: "
+     "0 profile bins lie beyond the recovery time inside the window; the fit needs 2"),
+], ids=["bin-below-pitch", "pitch-below-1fs", "range-1-side-peak", "half-window",
+        "profile-pitch-below-1fs", "profile-pitch-past-window", "window-inside-dead-time"])
 def test_analysis_value_the_run_cannot_use_is_config_error(run_dir, tmp_path, capsys,
                                                            argv, profile, message):
     cfg = tmp_path / "a.cfg"
@@ -706,6 +719,33 @@ def test_analysis_value_the_run_cannot_use_is_config_error(run_dir, tmp_path, ca
     argv = [str(run_dir / a) if a.endswith(".ttag") else a for a in argv]
     assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+# bin grids numpy cannot allocate (over 2**47 bytes) or cannot even size
+@pytest.mark.parametrize("argv, profile, keys", [
+    (["analyze", "hom", "--stream", "hom_par.ttag", "--reference", "hom_orth.ttag"],
+     "display_pitch_ns = 1e-12",
+     "[analysis] coincidence_window_ns = 300 and display_pitch_ns = 1e-12: "),
+    (["analyze", "hom", "--stream", "hom_par.ttag", "--reference", "hom_orth.ttag"],
+     "coincidence_window_ns = 1e15",
+     "[analysis] coincidence_window_ns = 1e+15 and display_pitch_ns = 4: "),
+    (["analyze", "g2", "--stream", "hbt.ttag"], "correlation_range_ns = 1e15",
+     "[analysis] correlation_range_ns = 1e+15, correlation_pitch_ns = 20 and "
+     "correlation_bin_ns = 100: "),
+    (["analyze", "g2", "--stream", "hbt.ttag"], "correlation_range_ns = 1e300",
+     "[analysis] correlation_range_ns = 1e+300, correlation_pitch_ns = 20 and "
+     "correlation_bin_ns = 100: "),
+], ids=["hom-display-pitch", "hom-window", "g2-range", "g2-range-past-any-size"])
+def test_bin_grid_too_large_is_config_error(run_dir, tmp_path, capsys, argv, profile, keys):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"[analysis]\n{profile}\n")
+    out = tmp_path / "o"
+    argv = [str(run_dir / a) if a.endswith(".ttag") else a for a in argv]
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # the rest is numpy's own message: "Unable to allocate ..." or "Maximum allowed ..."
+    assert err.startswith(f"config error: {keys}") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -21,15 +21,17 @@ from hypothesis import strategies as st
 from instrument_oracles import _TRANSIT_CHUNK
 from instrument_oracles import _apply_dead_time as oracle_apply_dead_time
 from instrument_oracles import _PairSampler
+from instrument_oracles import hom_profile as oracle_hom_profile
 from instrument_oracles import joint_density as oracle_joint_density
 from instrument_oracles import sample_times as oracle_sample_times
 from instrument_oracles import simulate_block as oracle_simulate_block
 from instrument_oracles import simulate_run as oracle_simulate_run
+from instrument_oracles import stacked_dtau_marginal
 
 from mmi_lab import (CoherenceModel, DetectorConfig, Layout, SourceConfig, TimeTagStream,
-                     Wavepacket, balanced_splitter, config, instrument, joint_density,
-                     measured_chip_matrix, mode_pairs, random_unitary, simulate_run,
-                     sin2_envelope)
+                     Wavepacket, balanced_splitter, calibrate_gaussian_jitter, config,
+                     hom_profile, instrument, joint_density, measured_chip_matrix,
+                     mode_pairs, random_unitary, simulate_run, sin2_envelope)
 from mmi_lab.instrument import (_apply_dead_time, _block_bounds, _pair_sampler,
                                 _route_singles, _sample_pairs, _simulate_block)
 
@@ -370,5 +372,22 @@ def test_stacked_density_equals_dict_form(case, chip, envelope):
     assert np.array_equal(got.densities, np.stack([want.densities[p] for p in pairs]))
     assert np.array_equal(got.integrate().values, want.integrate().values)
     for pair in [pairs[0], pairs[-1], (1, 0), (matrix.n_modes - 1, 0)]:
-        for a, b in zip(got.dtau_marginal(pair), want.dtau_marginal(pair)):
+        for a, b in zip(stacked_dtau_marginal(got, pair), want.dtau_marginal(pair)):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("coherence", ["perfect", "incoherent", "calibrated", "gaussian"])
+@pytest.mark.parametrize("durations", [(300.0, 300.0), (300.0, 200.0)])
+def test_hom_profile_equals_2d_marginal(durations, coherence):
+    # the correlations sum the anti-diagonals in another order, and the
+    # splitter's 1/4 is exact where |1/sqrt(2)|^4 is not: equal to rounding
+    env_1, env_2 = (sin2_envelope(d, 1.0) for d in durations)
+    coh = {"perfect": CoherenceModel.perfect(), "incoherent": CoherenceModel.incoherent(),
+           "calibrated": calibrate_gaussian_jitter(env_1, 0.708),
+           "gaussian": CoherenceModel.gaussian(0.05)}[coherence]
+    got, want = hom_profile(env_1, env_2, coh), oracle_hom_profile(env_1, env_2, coh)
+    assert np.array_equal(got.dtau, want.dtau)
+    peak = want.orthogonal.max()
+    for a, b in ((got.parallel, want.parallel), (got.orthogonal, want.orthogonal)):
+        assert np.abs(a - b).max() <= 1e-14 * peak
+    assert abs(got.visibility_integrated - want.visibility_integrated) <= 1e-14

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from mmi_lab import (CoincidenceDistribution, TimeTagStream, cross_correlate,
                      deadtime_correction, extract_coincidences, g2_zero,
                      sliding_histogram)
+from mmi_lab.core import DegenerateDistributionError
 from mmi_lab.tagstream import DEFAULT_TICK_FS, StreamFormatError, median_sorted, quantile_sorted
 
 TICK_NS = 0.081
@@ -417,6 +419,19 @@ class TestDeadtimeCorrection:
         with pytest.raises(ValueError):
             deadtime_correction(rng.uniform(0, 300, 50), self._profile(), 50.0,
                                 np.zeros(4), measured, self.SPAN)
+
+    def test_bins_beyond_recovery_time(self, rng):
+        # fewer than two bins past the recovery time is a matter of the
+        # widths alone; a flat profile, all pedestal, is one of the data
+        measured = CoincidenceDistribution(4, np.ones(10))
+        with pytest.raises(ValueError, match="0 profile bins") as info:
+            deadtime_correction(rng.uniform(0, 300, 50), self._profile(), 50.0,
+                                np.ones(4), measured, max_dtau_ns=48.0)
+        assert not isinstance(info.value, DegenerateDistributionError)
+        flat = replace(self._profile(), fine_counts=np.full(83, 7.0))
+        with pytest.raises(DegenerateDistributionError, match="profile is empty"):
+            deadtime_correction(rng.uniform(0, 300, 50), flat, 50.0,
+                                np.ones(4), measured, self.SPAN)
 
     def test_missed_counts_distributed_like_reference(self, rng):
         # half the pair mass removed below 50 ns; reference all on channel 1
