@@ -45,6 +45,9 @@ class AnalysisConfig:
             value = getattr(self, f.name)
             if f.name.endswith("_ns") and not value > 0:
                 raise ConfigError(f"{f.name} must be positive, got {value}")
+        if not 1e-6 <= self.correlation_pitch_ns <= self.correlation_bin_ns:
+            raise ConfigError(f"correlation_pitch_ns = {self.correlation_pitch_ns:g} must be "
+                              f">= 1 fs and <= correlation_bin_ns = {self.correlation_bin_ns:g}")
         if self.mc_trials < 1000:
             raise ConfigError("mc_trials unreasonably small")
         if self.reference_offset_cycles < 1:

@@ -44,6 +44,15 @@ class ConfigError(ValueError):
     """Invalid or inconsistent simulation configuration."""
 
 
+MAX_ELEMENTS = 1 << 26  # per array a setting or flag sizes: 512 MiB of float64
+
+
+def check_size(elements: float, what: str) -> None:
+    """Raise ConfigError ``what`` unless ``elements`` <= MAX_ELEMENTS (NaN fails)."""
+    if not elements <= MAX_ELEMENTS:
+        raise ConfigError(what)
+
+
 def max_threads() -> int:
     """Worker cap from the MMI_LAB_THREADS environment variable (default 1)."""
     value = os.environ.get("MMI_LAB_THREADS", "1")
@@ -451,6 +460,18 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     """
     if not np.isfinite(wall_time_s) or wall_time_s <= 0:
         raise ConfigError(f"wall time must be positive and finite, got {wall_time_s}")
+    wall_ns = wall_time_s * 1e9
+    if wall_ns / detectors.tick_ns >= 2.0 ** 63:
+        raise ConfigError(
+            f"--seconds {wall_time_s:g} runs past the last int64 tick of the stream "
+            f"({2.0 ** 63 * detectors.tick_ns * 1e-9:.4g} s at {detectors.tick_fs} fs per tick)")
+    n_det = layout.n_detectors
+    transits = source.atom_transit_rate * wall_time_s
+    dark_mean = detectors.dark_rate_per_hour * wall_time_s / 3600.0
+    expected = (transits * (1 + source.pulses_per_transit * source.overall_efficiency)
+                + n_det * dark_mean)
+    check_size(expected, f"{expected:g} expected transits and tags are too many to allocate: "
+               "lower --seconds, [source] atom_transit_rate or [detectors] dark_rate_per_hour")
     # built before any draw, so a configuration that cannot sample pairs fails
     # whether or not the run delivers one; the blocks share these tables
     sampler = (_pair_sampler(source, layout)
@@ -460,29 +481,12 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     rng = np.random.default_rng(seed)
 
     # -- root draws: transits and dark counts ------------------------------
-    try:
-        n_transits = int(rng.poisson(source.atom_transit_rate * wall_time_s))
-    except ValueError:  # numpy's "lam value too large"
-        raise ConfigError(
-            f"{source.atom_transit_rate * wall_time_s:g} expected transits are too many to "
-            "draw: lower --seconds or [source] atom_transit_rate") from None
-    wall_ns = wall_time_s * 1e9
-    if wall_ns / detectors.tick_ns >= 2.0 ** 63:
-        raise ConfigError(
-            f"--seconds {wall_time_s:g} runs past the last int64 tick of the stream "
-            f"({2.0 ** 63 * detectors.tick_ns * 1e-9:.4g} s at {detectors.tick_fs} fs per tick)")
+    n_transits = int(rng.poisson(transits))
     n_intervals = int(wall_ns // source.duty_cycle_ns)
     transit_intervals = np.sort(rng.integers(0, max(n_intervals, 1),
                                              size=n_transits)).astype(np.int64)
-    n_det = layout.n_detectors
-    dark_mean = detectors.dark_rate_per_hour * wall_time_s / 3600.0
-    try:
-        dark_ch = np.repeat(np.arange(n_det, dtype=np.uint8), rng.poisson(dark_mean, n_det))
-        dark_t = rng.random(dark_ch.size) * wall_ns
-    except (ValueError, MemoryError):  # numpy's "lam value too large", or no room
-        raise ConfigError(
-            f"{dark_mean:g} expected dark counts per detector are too many to draw: "
-            "lower [detectors] dark_rate_per_hour or --seconds") from None
+    dark_ch = np.repeat(np.arange(n_det, dtype=np.uint8), rng.poisson(dark_mean, n_det))
+    dark_t = rng.random(dark_ch.size) * wall_ns
 
     # -- blocks of whole transits ----------------------------------------
     bounds = _block_bounds(transit_intervals, source.pulses_per_transit)

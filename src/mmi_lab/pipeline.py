@@ -22,7 +22,7 @@ from .config import ExperimentConfig
 from .core import (DegenerateDistributionError, ModeIndexError, _check_input_pair,
                    coincidence_classical, coincidence_mixture, coincidence_quantum,
                    fit_visibility)
-from .instrument import ConfigError
+from .instrument import ConfigError, check_size
 from .matrix import TransferMatrix, gauge_fix
 from .stats import poisson_mc_similarity, similarity, similarity_vs_dt
 from .tagstream import (TimeTagStream, _side_peaks, cross_correlate, deadtime_correction,
@@ -50,20 +50,17 @@ def csv_text(header: list[str], rows) -> str:
 
 def analyze_g2(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dict]:
     an = cfg.analysis
+    r, b, p = an.correlation_range_ns, an.correlation_bin_ns, an.correlation_pitch_ns
+    check_size(max(2 * r, b) / p,  # fine bins over +/- the range, a sliding sum a bin wide
+               f"[analysis] correlation_range_ns = {r:g}, correlation_bin_ns = {b:g} and "
+               f"correlation_pitch_ns = {p:g}: too many bins to allocate")
     if stream.n_channels < 2:
         raise DataError("g2 analysis needs two detector channels")
-    try:
-        hist = cross_correlate(stream, 0, 1, range_ns=an.correlation_range_ns,
-                               bin_width=an.correlation_bin_ns,
-                               pitch=an.correlation_pitch_ns)
-    except (ValueError, MemoryError) as exc:  # channels 0 and 1 differ: only the bins fail
-        raise ConfigError(f"[analysis] correlation_range_ns = {an.correlation_range_ns:g}, "
-                          f"correlation_pitch_ns = {an.correlation_pitch_ns:g} and "
-                          f"correlation_bin_ns = {an.correlation_bin_ns:g}: {exc}") from None
+    hist = cross_correlate(stream, 0, 1, range_ns=r, bin_width=b, pitch=p)
     try:
         _side_peaks(hist, cfg.source.duty_cycle_ns)
     except ValueError as exc:
-        raise ConfigError(f"[analysis] correlation_range_ns = {an.correlation_range_ns:g} "
+        raise ConfigError(f"[analysis] correlation_range_ns = {r:g} "
                           f"at a {cfg.source.duty_cycle_ns:g} ns duty cycle: {exc}") from None
     res = g2_zero(hist, duty_cycle=cfg.source.duty_cycle_ns)
     report = {
@@ -82,12 +79,11 @@ def analyze_g2(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dict
 def analyze_hom(stream: TimeTagStream, reference: TimeTagStream,
                 cfg: ExperimentConfig) -> tuple[dict, dict]:
     an = cfg.analysis
-    try:
-        bins = np.arange(-an.coincidence_window_ns, an.coincidence_window_ns
-                         + an.display_pitch_ns, an.display_pitch_ns)
-    except (ValueError, MemoryError) as exc:  # numpy's "Maximum allowed size", or no room
-        raise ConfigError(f"[analysis] coincidence_window_ns = {an.coincidence_window_ns:g} "
-                          f"and display_pitch_ns = {an.display_pitch_ns:g}: {exc}") from None
+    check_size(2 * an.coincidence_window_ns / an.display_pitch_ns,
+               f"[analysis] coincidence_window_ns = {an.coincidence_window_ns:g} and "
+               f"display_pitch_ns = {an.display_pitch_ns:g}: too many bins to allocate")
+    bins = np.arange(-an.coincidence_window_ns, an.coincidence_window_ns + an.display_pitch_ns,
+                     an.display_pitch_ns)
     co = extract_coincidences(stream, window_ns=an.coincidence_window_ns)
     co_ref = extract_coincidences(reference, window_ns=an.coincidence_window_ns)
     n_cross = co.counts[(0, 1)]
@@ -125,8 +121,15 @@ def _mmi_inputs(stream: TimeTagStream, cfg: ExperimentConfig):
     return matrix, pair, co
 
 
+_TOO_MANY = "{} Monte-Carlo trials are too many to allocate: lower --trials or [analysis] mc_trials"
+
+
 def analyze_mmi(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dict]:
     an = cfg.analysis
+    check_size(cfg.source.duty_cycle_ns / an.profile_pitch_ns,
+               f"[analysis] profile_pitch_ns = {an.profile_pitch_ns:g} and [source] "
+               f"duty_cycle_ns = {cfg.source.duty_cycle_ns:g}: too many bins to allocate")
+    check_size(3 * an.mc_trials, _TOO_MANY.format(an.mc_trials))  # a row per theory
     matrix, (i, j), co = _mmi_inputs(stream, cfg)
     offset = an.reference_offset_cycles * cfg.source.duty_cycle_ns
     ref = extract_coincidences(stream, window_ns=an.coincidence_window_ns,
@@ -199,14 +202,19 @@ def analyze_mmi(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dic
 
 def analyze_timeresolved(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dict]:
     an = cfg.analysis
+    trials = max(an.mc_trials // 10, 10_000)
+    check_size(2 * trials, _TOO_MANY.format(trials))  # a row per theory
+    # window centres step by half / 2.5 from 0 to the largest |dtau| (<= window) + half
+    check_size(2.5 * (an.coincidence_window_ns + an.half_window_ns) / an.half_window_ns,
+               f"a half window of {an.half_window_ns:g} ns gives too many windows to "
+               "allocate: raise [analysis] half_window_ns or lower coincidence_window_ns")
     matrix, (i, j), co = _mmi_inputs(stream, cfg)
     q = coincidence_quantum(matrix, i, j).cross_only()
     c = coincidence_classical(matrix, i, j).cross_only()
     seed = cfg.seed_for("analyze-timeresolved")
     rows = similarity_vs_dt(co.dtau_ns, np.column_stack((co.pair_k, co.pair_l)),
                             q.values, c.values, n_modes=matrix.n_modes,
-                            half_window=an.half_window_ns,
-                            trials=max(an.mc_trials // 10, 10_000), seed=seed,
+                            half_window=an.half_window_ns, trials=trials, seed=seed,
                             min_events=an.min_window_events)
     if not rows:
         raise DataError("no time windows had enough events")
@@ -248,6 +256,7 @@ def characterize(data: FringeDataset | None, truth: TransferMatrix | None,
     trials at a time.  A ``truth`` matrix adds the deviation of the
     reconstruction from it.
     """
+    check_size(repeat, f"--repeat {repeat} is too many trials to allocate")
     simulated = data is None
     if simulated:
         data = simulate_fringes(truth, noise_sd=noise_sd, rng=np.random.default_rng(seed))
@@ -279,10 +288,7 @@ def recovery_errors(truth: TransferMatrix, target: np.ndarray, noise_sd: float,
     """Largest element deviation from ``target`` of each of ``repeat``
     reconstructions of noisy fringes simulated from ``truth``, trial t
     drawing from generator seed ``seed + t``."""
-    try:
-        errs = np.empty(repeat)
-    except (ValueError, MemoryError):  # numpy's "Maximum allowed dimension", or no room
-        raise ConfigError(f"--repeat {repeat} is too many trials to allocate") from None
+    errs = np.empty(repeat)
     for start in range(0, repeat, TRIAL_BLOCK):
         seeds = range(seed + start, seed + min(start + TRIAL_BLOCK, repeat))
         elements, _ = reconstruct_trials(*simulate_trials(truth, noise_sd, seeds))

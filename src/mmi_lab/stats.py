@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import cross_pair_index
 # the chunk pool lives with the simulator, whose blocks run on it too
-from .instrument import ConfigError, _ordered_map
+from .instrument import _ordered_map
 
 MODE_BIN_WIDTH = 0.001  # 0.1 percentage points
 _CHUNK = 1 << 17  # trials per seeded generator
@@ -172,11 +172,7 @@ def _run_chunks(trials: int, seed: int, chunk_fn, rows: int = 1) -> np.ndarray:
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    try:
-        out = np.empty((rows, trials))
-    except (ValueError, MemoryError):  # numpy's "Maximum allowed dimension", or no room
-        raise ConfigError(f"{trials} Monte-Carlo trials are too many to allocate: "
-                          "lower --trials or [analysis] mc_trials") from None
+    out = np.empty((rows, trials))
 
     def one(idx):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
@@ -329,12 +325,7 @@ def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
     if tq.size != n_cross or tc.size != n_cross:
         raise ValueError("theories must be cross-detector vectors")
     theories = np.stack((tq, tc))
-    try:
-        centers = np.arange(0.0, float(dtau.max()) + half_window, half_window / 2.5)
-    except (ValueError, MemoryError):  # numpy's "Maximum allowed size", or no room
-        raise ConfigError(f"a half window of {half_window:g} ns gives too many windows to "
-                          "allocate: raise [analysis] half_window_ns or lower "
-                          "coincidence_window_ns") from None
+    centers = np.arange(0.0, float(dtau.max()) + half_window, half_window / 2.5)
     windows = []
     for w, center in enumerate(centers):
         lo = max(0.0, center - half_window)

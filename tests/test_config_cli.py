@@ -16,6 +16,9 @@ from mmi_lab.cli import main
 from mmi_lab.core import ModeIndexError
 from mmi_lab.instrument import ConfigError
 
+RUN_TOO_LARGE = ("expected transits and tags are too many to allocate: lower --seconds, "
+        "[source] atom_transit_rate or [detectors] dark_rate_per_hour")
+
 
 class TestConfigParsing:
     def test_default_profile_loads(self):
@@ -236,16 +239,34 @@ class TestSimulateCommand:
                                            f"and finite, got {float(seconds)}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("seconds, rate", [("1e30", None), ("10", "1e300")])
-    def test_undrawable_transit_count_is_config_error(self, tmp_path, capsys, seconds, rate):
+    # the tick check runs first, so 1e30 s on the default profile is past the
+    # last tick before its transits are counted
+    @pytest.mark.parametrize("seconds, rate, message", [
+        ("1e30", None, "--seconds 1e+30 runs past the last int64 tick of the stream "
+                       "(7.471e+08 s at 81000 fs per tick)"),
+        ("10", "1e300", f"1.04e+302 {RUN_TOO_LARGE}"),
+    ], ids=["1e30-None", "10-1e300"])
+    def test_undrawable_transit_count_is_config_error(self, tmp_path, capsys, seconds, rate,
+                                                      message):
         cfg = tmp_path / "r.cfg"
         cfg.write_text(f"[source]\natom_transit_rate = {rate}\n" if rate else "")
         out = tmp_path / "x.ttag"
         assert main(["simulate", "--config", str(cfg), "--seconds", seconds,
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "too many to draw" in err
-        assert "--seconds" in err and "[source] atom_transit_rate" in err
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_run_past_the_size_budget_exits_before_any_draw(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # 5e8 s fits the int64 ticks but expects about 1e9 transits and tags
+        def fail(*args, **kwargs):
+            raise AssertionError("the simulation drew")
+
+        monkeypatch.setattr(instrument, "_ordered_map", fail)
+        monkeypatch.setattr(instrument.np.random, "default_rng", fail)
+        out = tmp_path / "x.ttag"
+        assert main(["simulate", "--seconds", "5e8", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: 1.05667e+09 {RUN_TOO_LARGE}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("seconds, cfg_text", [
@@ -277,27 +298,23 @@ class TestSimulateCommand:
         assert len(TimeTagStream.from_file(out)) == 0
 
     def test_undrawable_dark_count_is_config_error(self, tmp_path, capsys):
+        # 2.8e19 dark counts per detector, past numpy's largest Poisson mean
         cfg = tmp_path / "d.cfg"
         cfg.write_text("[detectors]\ndark_rate_per_hour = 1e20\n")
         out = tmp_path / "x.ttag"
         assert main(["simulate", "--config", str(cfg), "--seconds", "1000",
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: 2.77778e+19 expected dark counts")
-        assert "[detectors] dark_rate_per_hour" in err
+        assert capsys.readouterr().err == f"config error: 1.11111e+20 {RUN_TOO_LARGE}\n"
         assert not out.exists()
 
     def test_unallocatable_dark_count_is_config_error(self, tmp_path, capsys):
-        # 2.8e16 dark counts per detector draw, but their 24.7 PiB channel
-        # array fails to allocate at once
+        # 2.8e16 dark counts per detector, which numpy can draw but not hold
         cfg = tmp_path / "d.cfg"
         cfg.write_text("[detectors]\ndark_rate_per_hour = 1e17\n")
         out = tmp_path / "x.ttag"
         assert main(["simulate", "--config", str(cfg), "--seconds", "1000",
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: 2.77778e+16 expected dark counts")
-        assert "[detectors] dark_rate_per_hour" in err and "--seconds" in err
+        assert capsys.readouterr().err == f"config error: 1.11111e+17 {RUN_TOO_LARGE}\n"
         assert not out.exists()
 
     def test_out_under_a_file_is_config_error(self, tmp_path, capsys):
@@ -654,7 +671,7 @@ def test_bad_numeric_flag_is_config_error(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-# every count needs more than 2**47 bytes (128 TiB), beyond any machine's memory
+# every count is past MAX_ELEMENTS, and the last two past any numpy array
 @pytest.mark.parametrize("argv, message", [
     (["analyze", "mmi", "--stream", "mmi.ttag", "--trials", "100000000000000"],
      "100000000000000 Monte-Carlo trials are too many to allocate: "
@@ -671,7 +688,13 @@ def test_bad_numeric_flag_is_config_error(tmp_path, capsys, argv, message):
      "--repeat 100000000000000000000 is too many trials to allocate"),
 ], ids=["trials", "trials-past-any-dimension", "mc_trials", "repeat",
         "repeat-past-any-dimension"])
-def test_count_too_large_to_allocate_is_config_error(run_dir, tmp_path, capsys, argv, message):
+def test_count_too_large_to_allocate_is_config_error(run_dir, tmp_path, capsys, monkeypatch,
+                                                    argv, message):
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for name in ("extract_coincidences", "simulate_fringes"):
+        monkeypatch.setattr(pipeline, name, kernel)
     (tmp_path / "big.cfg").write_text("[analysis]\nmc_trials = 100000000000000\n")
     argv = [str(run_dir / a) if a.endswith(".ttag") else str(tmp_path / a)
             if a.endswith(".cfg") else a for a in argv]
@@ -681,16 +704,20 @@ def test_count_too_large_to_allocate_is_config_error(run_dir, tmp_path, capsys, 
     assert not out.exists()
 
 
-# values `analyze g2` cannot bin, and a half window whose window grid needs
-# more than 2**47 bytes: 1e-12 ns steps over the largest |dtau| of 300 ns
+# values `analyze g2` cannot bin, and a half window whose window grid is past
+# MAX_ELEMENTS: 4e-13 ns steps over the 300 ns window
 @pytest.mark.parametrize("argv, profile, message", [
     (["analyze", "g2", "--stream", "hbt.ttag"], "correlation_bin_ns = 10",
-     "[analysis] correlation_range_ns = 5976, correlation_pitch_ns = 20 and "
-     "correlation_bin_ns = 10: need pitch >= 1 fs and bin_width >= pitch"),
+     "invalid [analysis] section: correlation_pitch_ns = 20 must be >= 1 fs and "
+     "<= correlation_bin_ns = 10"),
     (["analyze", "g2", "--stream", "hbt.ttag"],
      "correlation_pitch_ns = 1e-7\ncorrelation_bin_ns = 1e-7",
-     "[analysis] correlation_range_ns = 5976, correlation_pitch_ns = 1e-07 and "
-     "correlation_bin_ns = 1e-07: need pitch >= 1 fs and bin_width >= pitch"),
+     "invalid [analysis] section: correlation_pitch_ns = 1e-07 must be >= 1 fs and "
+     "<= correlation_bin_ns = 1e-07"),
+    (["analyze", "g2", "--stream", "hbt.ttag"],
+     "correlation_pitch_ns = 1e-7\ncorrelation_bin_ns = 1e-7\ncorrelation_range_ns = 1e-6",
+     "invalid [analysis] section: correlation_pitch_ns = 1e-07 must be >= 1 fs and "
+     "<= correlation_bin_ns = 1e-07"),
     (["analyze", "g2", "--stream", "hbt.ttag"], "correlation_range_ns = 1000",
      "[analysis] correlation_range_ns = 1000 at a 664 ns duty cycle: "
      "histogram range covers only 1 side peaks; need at least 5 per side"),
@@ -698,9 +725,8 @@ def test_count_too_large_to_allocate_is_config_error(run_dir, tmp_path, capsys, 
      "a half window of 1e-12 ns gives too many windows to allocate: "
      "raise [analysis] half_window_ns or lower coincidence_window_ns"),
     (["analyze", "mmi", "--stream", "mmi.ttag"], "profile_pitch_ns = 1e-9",
-     "[analysis] profile_pitch_ns = 1e-09 and coincidence_window_ns = 300, "
-     "[detectors] dead_time_ns = 50, [source] duty_cycle_ns = 664: "
-     "need pitch >= 1 fs and bin_width >= pitch"),
+     "[analysis] profile_pitch_ns = 1e-09 and [source] duty_cycle_ns = 664: "
+     "too many bins to allocate"),
     (["analyze", "mmi", "--stream", "mmi.ttag"], "profile_pitch_ns = 400",
      "[analysis] profile_pitch_ns = 400 and coincidence_window_ns = 300, "
      "[detectors] dead_time_ns = 50, [source] duty_cycle_ns = 664: "
@@ -709,7 +735,8 @@ def test_count_too_large_to_allocate_is_config_error(run_dir, tmp_path, capsys, 
      "[analysis] profile_pitch_ns = 8 and coincidence_window_ns = 40, "
      "[detectors] dead_time_ns = 50, [source] duty_cycle_ns = 664: "
      "0 profile bins lie beyond the recovery time inside the window; the fit needs 2"),
-], ids=["bin-below-pitch", "pitch-below-1fs", "range-1-side-peak", "half-window",
+], ids=["bin-below-pitch", "pitch-below-1fs", "pitch-below-1fs-small-range",
+        "range-1-side-peak", "half-window",
         "profile-pitch-below-1fs", "profile-pitch-past-window", "window-inside-dead-time"])
 def test_analysis_value_the_run_cannot_use_is_config_error(run_dir, tmp_path, capsys,
                                                            argv, profile, message):
@@ -722,30 +749,53 @@ def test_analysis_value_the_run_cannot_use_is_config_error(run_dir, tmp_path, ca
     assert not out.exists()
 
 
-# bin grids numpy cannot allocate (over 2**47 bytes) or cannot even size
-@pytest.mark.parametrize("argv, profile, keys", [
+# bin grids past MAX_ELEMENTS, from 6e8 bins (the 1 fs pitches, which numpy
+# might allocate and fill until the host runs out of memory) to past any
+# numpy array; the kernels fail if reached, so a regression never allocates
+@pytest.mark.parametrize("argv, profile, message", [
     (["analyze", "hom", "--stream", "hom_par.ttag", "--reference", "hom_orth.ttag"],
      "display_pitch_ns = 1e-12",
-     "[analysis] coincidence_window_ns = 300 and display_pitch_ns = 1e-12: "),
+     "[analysis] coincidence_window_ns = 300 and display_pitch_ns = 1e-12: "
+     "too many bins to allocate"),
     (["analyze", "hom", "--stream", "hom_par.ttag", "--reference", "hom_orth.ttag"],
      "coincidence_window_ns = 1e15",
-     "[analysis] coincidence_window_ns = 1e+15 and display_pitch_ns = 4: "),
+     "[analysis] coincidence_window_ns = 1e+15 and display_pitch_ns = 4: "
+     "too many bins to allocate"),
+    (["analyze", "hom", "--stream", "hom_par.ttag", "--reference", "hom_orth.ttag"],
+     "display_pitch_ns = 1e-6",
+     "[analysis] coincidence_window_ns = 300 and display_pitch_ns = 1e-06: "
+     "too many bins to allocate"),
     (["analyze", "g2", "--stream", "hbt.ttag"], "correlation_range_ns = 1e15",
-     "[analysis] correlation_range_ns = 1e+15, correlation_pitch_ns = 20 and "
-     "correlation_bin_ns = 100: "),
+     "[analysis] correlation_range_ns = 1e+15, correlation_bin_ns = 100 and "
+     "correlation_pitch_ns = 20: too many bins to allocate"),
     (["analyze", "g2", "--stream", "hbt.ttag"], "correlation_range_ns = 1e300",
-     "[analysis] correlation_range_ns = 1e+300, correlation_pitch_ns = 20 and "
-     "correlation_bin_ns = 100: "),
-], ids=["hom-display-pitch", "hom-window", "g2-range", "g2-range-past-any-size"])
-def test_bin_grid_too_large_is_config_error(run_dir, tmp_path, capsys, argv, profile, keys):
+     "[analysis] correlation_range_ns = 1e+300, correlation_bin_ns = 100 and "
+     "correlation_pitch_ns = 20: too many bins to allocate"),
+    (["analyze", "g2", "--stream", "hbt.ttag"], "correlation_bin_ns = 1e12",
+     "[analysis] correlation_range_ns = 5976, correlation_bin_ns = 1e+12 and "
+     "correlation_pitch_ns = 20: too many bins to allocate"),
+    (["analyze", "g2", "--stream", "hbt.ttag"],
+     "correlation_pitch_ns = 1e-5\ncorrelation_bin_ns = 1e-5",
+     "[analysis] correlation_range_ns = 5976, correlation_bin_ns = 1e-05 and "
+     "correlation_pitch_ns = 1e-05: too many bins to allocate"),
+    (["analyze", "mmi", "--stream", "mmi.ttag"], "profile_pitch_ns = 1e-6",
+     "[analysis] profile_pitch_ns = 1e-06 and [source] duty_cycle_ns = 664: "
+     "too many bins to allocate"),
+], ids=["hom-display-pitch", "hom-window", "hom-display-pitch-1fs", "g2-range",
+        "g2-range-past-any-size", "g2-bin-width", "g2-pitch-10fs", "mmi-profile-pitch-1fs"])
+def test_bin_grid_too_large_is_config_error(run_dir, tmp_path, capsys, monkeypatch,
+                                            argv, profile, message):
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for name in ("extract_coincidences", "cross_correlate", "sliding_histogram"):
+        monkeypatch.setattr(pipeline, name, kernel)
     cfg = tmp_path / "a.cfg"
     cfg.write_text(f"[analysis]\n{profile}\n")
     out = tmp_path / "o"
     argv = [str(run_dir / a) if a.endswith(".ttag") else a for a in argv]
     assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    # the rest is numpy's own message: "Unable to allocate ..." or "Maximum allowed ..."
-    assert err.startswith(f"config error: {keys}") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from mmi_lab import (DetectorConfig, Layout, SourceConfig, cross_correlate,
                      expected_pair_rate, g2_zero, simulate_run)
-from mmi_lab.instrument import _BLOCK_TRANSITS, ConfigError, _block_bounds
+from mmi_lab.instrument import (_BLOCK_TRANSITS, MAX_ELEMENTS, ConfigError, _block_bounds,
+                                check_size)
 
 
 def enumerate_perfect_pairs(n_attempts: int) -> float:
@@ -64,6 +65,13 @@ class TestConfigValidation:
                                             mmi_layout, seconds):
         with pytest.raises(ConfigError, match="wall time must be positive and finite"):
             simulate_run(default_source, mmi_layout, default_detectors, seconds, seed=1)
+
+    def test_size_budget(self):
+        assert MAX_ELEMENTS == 2 ** 26
+        check_size(MAX_ELEMENTS, "unused")
+        for elements in (MAX_ELEMENTS + 1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="^the array$"):
+                check_size(elements, "the array")
 
 
 class TestDeterminism:
