@@ -490,6 +490,10 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
 
     # -- blocks of whole transits ----------------------------------------
     bounds = _block_bounds(transit_intervals, source.pulses_per_transit)
+    # a block draws (transits, pulses_per_transit) emission attempts at once
+    attempts = float(np.diff(bounds).max(initial=0)) * source.pulses_per_transit
+    check_size(attempts, f"{attempts:g} emission attempts in one block of transits are too "
+               "many to allocate: lower [source] pulses_per_transit")
 
     def block(b):
         block_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))

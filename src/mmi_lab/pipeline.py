@@ -225,7 +225,7 @@ def analyze_timeresolved(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[
         "input_pair": [i + 1, j + 1],
         "half_window_ns": an.half_window_ns,
         "windows": [
-            {"center_ns": w.center, "n_events": w.n_events,
+            {"center_ns": w.center, "n_events": w.n_events, "spawn_key": [w.window],
              "vs_quantum": w.vs_quantum.to_json_dict(),
              "vs_classical": w.vs_classical.to_json_dict()} for w in rows
         ],

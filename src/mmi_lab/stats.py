@@ -29,24 +29,29 @@ and sum runs over whole rows.  One kernel (``_judge``) judges every
 similarity, ``similarity()`` included, in one defined order: square roots
 first, then every sum over cells adds the cells in order, so a trial's
 similarity has the same bits whether it is judged alone or in a block.
-``rng.poisson`` releases the GIL, so the threads of the chunk pool overlap
-the draws as well as the judging.  Each result is then summarised from one
-sort of its samples, on the same pool.
+The Poisson counts are drawn by inversion: one uniform per trial and cell,
+looked up in a per-call table of each cell's CDF through a guide table
+(Chen & Asau 1974), which gives the bits of ``np.searchsorted`` on the CDF
+in a few array passes.  Every pass is a numpy call that releases the GIL, so
+the threads of the chunk pool overlap the draws as well as the judging.
+Each result is then summarised from one sort of its samples, on the same
+pool.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import cross_pair_index
 # the chunk pool lives with the simulator, whose blocks run on it too
-from .instrument import _ordered_map
+from .instrument import MAX_ELEMENTS, _ordered_map
 
 MODE_BIN_WIDTH = 0.001  # 0.1 percentage points
 _CHUNK = 1 << 17  # trials per seeded generator
-_BLOCK = 1 << 14  # trials per Poisson draw within a chunk
+_BLOCK = 1 << 14  # trials drawn and judged at once within a chunk
 _EDGES = np.linspace(0.0, 1.0, int(round(1.0 / MODE_BIN_WIDTH)) + 1)  # histogram bins
 _CENTERS = 0.5 * (_EDGES[:-1] + _EDGES[1:])
 
@@ -86,7 +91,8 @@ def _cell_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _judge(draws: np.ndarray, theories, out: np.ndarray) -> None:
+def _judge(draws: np.ndarray, theories, out: np.ndarray,
+           prod: np.ndarray | None = None) -> None:
     """Write into ``out[k]`` the similarity of each column of ``draws`` to
     ``theories[k]``: the one similarity kernel.
 
@@ -95,11 +101,13 @@ def _judge(draws: np.ndarray, theories, out: np.ndarray) -> None:
     roots come first, since a plain product can underflow for tiny sums, and
     every sum over cells adds the rows in order.  A zero numerator gives 0,
     so 0/0, from an all-zero column, is 0.  ``draws`` is overwritten with
-    its square roots.
+    its square roots; ``prod``, scratch of the shape of ``draws`` and the
+    theories broadcast together, is allocated when not given.
     """
     norms = np.sqrt(_cell_sum(draws))
     roots = np.sqrt(draws, out=draws)
-    prod = np.empty(np.broadcast(draws, theories[0]).shape)
+    if prod is None:
+        prod = np.empty(np.broadcast(draws, theories[0]).shape)
     for row, q in zip(out, theories):
         num = _cell_sum(np.multiply(roots, np.sqrt(q), out=prod))
         row[:] = 0.0
@@ -163,19 +171,21 @@ class SimilarityResult:
         return "\n".join(lines) + "\n"
 
 
-def _run_chunks(trials: int, seed: int, chunk_fn, rows: int = 1) -> np.ndarray:
+def _run_chunks(trials: int, seed: int, chunk_fn, rows: int = 1,
+                spawn_key: tuple = ()) -> np.ndarray:
     """Fill a ``(rows, trials)`` array chunk by chunk: ``chunk_fn(rng, out)``
     writes one chunk's columns into the view ``out``.
 
-    Each chunk's generator is derived from (seed, chunk index), so results
-    are bit-identical no matter how many threads execute the chunks.
+    Chunk c's generator derives from ``SeedSequence(seed,
+    spawn_key=(*spawn_key, c))``, so results are bit-identical no matter how
+    many threads execute the chunks.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     out = np.empty((rows, trials))
 
     def one(idx):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*spawn_key, idx)))
         chunk_fn(rng, out[:, idx * _CHUNK:(idx + 1) * _CHUNK])
 
     _ordered_map(one, range(-(-trials // _CHUNK)))
@@ -206,18 +216,95 @@ def _summarize(samples: np.ndarray, trials: int, seed: int, raw: float | None,
     )
 
 
+@dataclass(frozen=True)
+class _PoissonTable:
+    """Inverse CDFs of Poisson(``counts[c]``), one per cell, for drawing counts
+    by inversion with a guide table (Chen & Asau, AIIE Trans. 6, 163 (1974)).
+
+    Cell c's CDF is ``cdf[edges[c]:edges[c + 1]]``: index i holds P(n <= i +
+    shift[c]) over the counts within ``lam +/- (12 sqrt(lam) + 20)``,
+    normalised by its last entry, which is then inf, so every uniform below 1
+    lies below some entry.  Its guide is the ``scale[c]`` entries of
+    ``guide`` from ``start[c]``, a power of two at least twice the CDF's
+    length, so that ``g / scale[c]`` is exact: entry g is the index into
+    ``cdf`` of the cell's first entry above ``g / scale[c]``, held as a float
+    so that the float scratch of :meth:`invert` can take it.
+    """
+
+    cdf: np.ndarray
+    guide: np.ndarray
+    scale: np.ndarray
+    start: np.ndarray
+    edges: np.ndarray
+    shift: np.ndarray
+
+    @classmethod
+    def build(cls, counts: np.ndarray) -> _PoissonTable:
+        spans = [(max(0, math.floor(lam - 12 * math.sqrt(lam) - 20)),
+                  math.ceil(lam + 12 * math.sqrt(lam) + 20)) for lam in counts.tolist()]
+        sizes = [1 << (2 * (hi - lo) + 1).bit_length() for lo, hi in spans]
+        if sum(sizes) > MAX_ELEMENTS:
+            raise ValueError(f"counts up to {counts.max():g} are too large to resample: "
+                             f"their inversion tables exceed {MAX_ELEMENTS} entries")
+        cdfs, guides, offset = [], [], 0
+        for lam, (lo, hi), size in zip(counts.tolist(), spans, sizes):
+            k = np.arange(lo, hi + 1, dtype=float)
+            mode = math.floor(lam) - lo
+            # the pmf relative to the mode's, by the recurrence p_k = p_{k-1} lam / k
+            below = np.cumprod(k[mode:0:-1] / lam)[::-1]
+            above = np.cumprod(lam / k[mode + 1:])
+            cdf = np.cumsum(np.concatenate((below, [1.0], above)))
+            cdf /= cdf[-1]
+            cdf[-1] = np.inf
+            guides.append(np.searchsorted(cdf, np.arange(size) / size, side="right") + offset)
+            cdfs.append(cdf)
+            offset += cdf.size
+        edges = np.cumsum([0] + [c.size for c in cdfs])
+        return cls(cdf=np.concatenate(cdfs), guide=np.concatenate(guides).astype(float),
+                   scale=np.array(sizes, dtype=float), start=np.cumsum([0] + sizes[:-1]),
+                   edges=edges, shift=np.array([lo for lo, _ in spans]) - edges[:-1])
+
+    def invert(self, u: np.ndarray, k: np.ndarray, x: np.ndarray, short: np.ndarray) -> None:
+        """Write into ``k`` the index into ``cdf`` of the first entry of each
+        uniform's cell's CDF above it: ``np.searchsorted`` of the uniform in
+        that CDF, ``side="right"``.
+
+        ``u`` has one row per trial and one column per cell; ``x`` and
+        ``short`` are scratch of its shape.  A uniform's guide entry is at or
+        left of its answer, so two steps right while the entry is not above
+        the uniform finish nearly every draw; the rest, in the tails that the
+        first and last guide entries span, are found by ``searchsorted``.
+        """
+        np.multiply(u, self.scale, out=k, casting="unsafe")  # truncated: the guide entry
+        k += self.start
+        # every index is in range; "clip" spares the copy of out that "raise" makes
+        np.take(self.guide, k, out=x, mode="clip")
+        np.copyto(k, x, casting="unsafe")
+        for _ in range(2):
+            np.take(self.cdf, k, out=x, mode="clip")
+            k += np.less_equal(x, u, out=short)
+        np.take(self.cdf, k, out=x, mode="clip")
+        trial, cell = np.nonzero(np.less_equal(x, u, out=short))
+        for c in np.flatnonzero(np.bincount(cell, minlength=u.shape[1])):
+            t = trial[cell == c]
+            lo, hi = self.edges[c], self.edges[c + 1]
+            k[t, c] = lo + np.searchsorted(self.cdf[lo:hi], u[t, c], side="right")
+
+
 def poisson_mc_similarity(counts, theory, trials: int = 1_000_000, seed: int = 0,
-                          keep_samples: bool = False
+                          keep_samples: bool = False, spawn_key: tuple = ()
                           ) -> SimilarityResult | list[SimilarityResult]:
     """Resample measured channel counts Poissonially and collect the
     similarity to ``theory`` for every trial.
 
     Each trial draws ``n_i ~ Poisson(N_i)`` independently, with the measured
-    count ``N_i`` as the most likely Poissonian mean.  ``theory`` may also
-    be an ``(m, n)`` array of m predictions: each trial's draw is then
-    shared, judged against every row, and one result per row comes back in
-    row order.  Every result's ``seed`` is the call's ``seed``, and row k's
-    result equals a call with ``theory[k]`` alone at that seed.
+    count ``N_i`` as the most likely Poissonian mean, by inverting one
+    uniform per trial and cell (:class:`_PoissonTable`); chunk c's uniforms
+    come from ``SeedSequence(seed, spawn_key=(*spawn_key, c))``.  ``theory``
+    may also be an ``(m, n)`` array of m predictions: each trial's draw is
+    then shared, judged against every row, and one result per row comes back
+    in row order.  Every result's ``seed`` is the call's ``seed``, and row
+    k's result equals a call with ``theory[k]`` alone at that seed.
     """
     counts = np.asarray(counts, dtype=float)
     theory = np.asarray(theory, dtype=float)
@@ -227,19 +314,27 @@ def poisson_mc_similarity(counts, theory, trials: int = 1_000_000, seed: int = 0
     if counts.sum() <= 0:
         raise ValueError("all-zero counts cannot be resampled")
     raws = [similarity(counts, q) for q in rows]
+    table = _PoissonTable.build(counts)
 
     def chunk(rng, out):
-        # one draw per block: numpy fills draws in C order, so the blocks
-        # take the same values as one draw for the whole chunk
-        cells = np.empty((counts.size, min(_BLOCK, out.shape[1])))
+        # one uniform per trial and cell, drawn a block at a time: numpy fills
+        # them in C order, so the blocks take the same values as one draw for
+        # the whole chunk.  Three block buffers, allocated once per chunk,
+        # serve every step: the uniforms, then the judge's products; the CDF
+        # values, then the cell-major counts; and the CDF indices.
+        shape = (min(_BLOCK, out.shape[1]), counts.size)
+        u, x, k = np.empty(shape), np.empty(shape), np.empty(shape, np.intp)
+        short = np.empty(shape, bool)
         for a in range(0, out.shape[1], _BLOCK):
             block = out[:, a:a + _BLOCK]
             b = block.shape[1]
-            draws = rng.poisson(lam=counts, size=(b, counts.size))
-            np.copyto(cells[:, :b], draws.T, casting="unsafe")
-            _judge(cells[:, :b], rows[:, :, None], block)
+            rng.random(out=u[:b])
+            table.invert(u[:b], k[:b], x[:b], short[:b])
+            cells = x[:b].reshape(-1, b)
+            np.add(k[:b].T, table.shift[:, None], out=cells, casting="unsafe")
+            _judge(cells, rows[:, :, None], block, prod=u[:b].reshape(-1, b))
 
-    samples = _run_chunks(trials, seed, chunk, rows=len(rows))
+    samples = _run_chunks(trials, seed, chunk, rows=len(rows), spawn_key=spawn_key)
     results = _ordered_map(lambda k: _summarize(samples[k], trials, seed, raws[k], keep_samples),
                            range(len(rows)))
     return results if theory.ndim == 2 else results[0]
@@ -293,6 +388,7 @@ class WindowedSimilarity:
     n_events: int
     vs_quantum: SimilarityResult
     vs_classical: SimilarityResult
+    window: int  # w, the centre's index on the window grid: its draws' spawn key is (w,)
 
 
 def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
@@ -306,8 +402,11 @@ def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
     difference, counts the events' detector pairs (``pair_labels``: pairs or
     an ``(m, 2)`` array) per cross channel inside each window, and resamples
     them against the interfering and non-interfering predictions, which
-    share each window's draws.  Windows with fewer than ``min_events``
-    events are omitted; the rest run on up to MMI_LAB_THREADS threads.
+    share each window's draws.  Window w (counted from the centre 0, omitted
+    windows included) resamples at ``seed`` with ``spawn_key=(w,)``, so its
+    chunk c draws from ``SeedSequence(seed, spawn_key=(w, c))``.  Windows
+    with fewer than ``min_events`` events are omitted; the rest run on up to
+    MMI_LAB_THREADS threads.
     """
     dtau = np.abs(np.asarray(dtau_ns, dtype=float))
     if dtau.size == 0:
@@ -338,8 +437,9 @@ def similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
 
     def judge(window):
         w, center, n, counts = window
-        vs_quantum, vs_classical = poisson_mc_similarity(counts, theories, trials, seed + 2 * w)
-        return WindowedSimilarity(center, n, vs_quantum, vs_classical)
+        vs_quantum, vs_classical = poisson_mc_similarity(counts, theories, trials, seed,
+                                                         spawn_key=(w,))
+        return WindowedSimilarity(center, n, vs_quantum, vs_classical, w)
 
-    # each window draws from its own seed, so the thread count cannot matter
+    # each window draws from its own generators, so the thread count cannot matter
     return _ordered_map(judge, windows)

@@ -219,6 +219,8 @@ def sliding_histogram(stream: TimeTagStream, fold_period: float,
     period_fs, pitch_fs = _fs(fold_period), _pitch_fs(pitch, bin_width)
     if period_fs <= 0:
         raise ValueError("fold period must be positive")
+    if pitch_fs >= 1 << 64:
+        raise ValueError(f"pitch {pitch:g} ns is past the u64 phase range")
     step = stream.tick_fs % period_fs
     if (period_fs - 1) * step >= 1 << 64:
         raise ValueError(f"fold period {fold_period} ns too long for an exact u64 phase")

@@ -6,7 +6,10 @@ implementations in ``mmi_lab.stats`` and ``mmi_lab.core`` replaced, kept
 verbatim as oracles: both must give bit-identical output on the same input.
 The Monte-Carlo judge's oracle is ``similarity()`` itself, applied trial by
 trial to regenerated draws; the cell-major kernel that the one similarity
-kernel replaced is kept verbatim to bound how far the two differ.
+kernel replaced is kept verbatim to bound how far the two differ.  The
+Poisson counts' oracle is plain inversion of the same uniforms by
+``np.searchsorted``; the ``rng.poisson`` chunk that inversion replaced is
+kept verbatim, to compare the two samplers' distributions.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from mmi_lab.core import coincidence_classical, coincidence_quantum
-from mmi_lab.stats import (_BLOCK, MODE_BIN_WIDTH, SimilarityResult, poisson_mc_similarity,
-                           similarity)
+from mmi_lab.stats import (_BLOCK, MODE_BIN_WIDTH, SimilarityResult, _judge, _PoissonTable,
+                           poisson_mc_similarity, similarity)
 
 
 def oracle_fit_visibility(measured, matrix, i, j, grid_step=0.001):
@@ -40,8 +43,10 @@ def oracle_fit_visibility(measured, matrix, i, j, grid_step=0.001):
 def oracle_similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classical,
                             n_modes=4, half_window=25.0, trials=100_000, seed=0,
                             min_events=5):
-    """``similarity_vs_dt`` labelling the pairs by dictionary lookup; returns
-    ``(center, n_events, vs_quantum, vs_classical)`` rows of JSON dicts."""
+    """``similarity_vs_dt`` labelling the pairs by dictionary lookup and
+    resampling each theory alone at ``seed`` with window w's spawn key
+    ``(w,)``; returns ``(center, n_events, vs_quantum, vs_classical)`` rows
+    of JSON dicts."""
     dtau = np.abs(np.asarray(dtau_ns, dtype=float))
     cross_pairs = [(k, l) for k in range(n_modes) for l in range(k + 1, n_modes)]
     index = {p: c for c, p in enumerate(cross_pairs)}
@@ -58,9 +63,9 @@ def oracle_similarity_vs_dt(dtau_ns, pair_labels, theory_quantum, theory_classic
         if n < min_events:
             continue
         counts = np.bincount(labels[sel], minlength=len(cross_pairs)).astype(float)
-        out.append((float(center), n,
-                    poisson_mc_similarity(counts, tq, trials, seed + 2 * w).to_json_dict(),
-                    poisson_mc_similarity(counts, tc, trials, seed + 2 * w + 1).to_json_dict()))
+        vs_q, vs_c = (poisson_mc_similarity(counts, t, trials, seed, spawn_key=(w,))
+                      for t in (tq, tc))
+        out.append((float(center), n, vs_q.to_json_dict(), vs_c.to_json_dict()))
     return out
 
 
@@ -93,13 +98,46 @@ def judge_trials(draws: np.ndarray, theories, out: np.ndarray, picks) -> None:
             row[t] = similarity(draws[t], q if q.ndim == 1 else q[t]) if draws[t].sum() > 0 else 0.0
 
 
+def oracle_poisson_draws(table, u):
+    """Poisson counts for the uniforms ``u`` (one row per trial, one column per
+    cell) by plain inversion: ``np.searchsorted`` in each cell's CDF of
+    ``table`` (a ``stats._PoissonTable``)."""
+    draws = np.empty(u.shape, dtype=np.int64)
+    for c in range(u.shape[1]):
+        lo, hi = table.edges[c], table.edges[c + 1]
+        draws[:, c] = (np.searchsorted(table.cdf[lo:hi], u[:, c], side="right")
+                       + lo + table.shift[c])
+    return draws
+
+
 def oracle_poisson_chunk(counts, rows, every=False):
-    """``poisson_mc_similarity``'s chunk function as one Poisson draw for the
-    whole chunk, judged against each row of ``rows`` by
-    :func:`judge_trials` at the :func:`picked_trials`."""
+    """``poisson_mc_similarity``'s chunk function as one draw of uniforms for
+    the whole chunk, inverted by :func:`oracle_poisson_draws` and judged
+    against each row of ``rows`` by :func:`judge_trials` at the
+    :func:`picked_trials`."""
+    table = _PoissonTable.build(np.asarray(counts, dtype=float))
+
     def chunk(rng, out):
-        draws = rng.poisson(lam=counts, size=(out.shape[1], counts.size))
+        draws = oracle_poisson_draws(table, rng.random((out.shape[1], len(counts))))
         judge_trials(draws, rows, out, picked_trials(out.shape[1], every))
+
+    return chunk
+
+
+def replaced_poisson_chunk(counts, rows):
+    """``poisson_mc_similarity``'s chunk function before the counts were drawn
+    by inversion, verbatim: numpy's ``rng.poisson`` (transformed rejection,
+    Hoermann 1993, from a mean of 10 up) a block at a time."""
+    def chunk(rng, out):
+        # one draw per block: numpy fills draws in C order, so the blocks
+        # take the same values as one draw for the whole chunk
+        cells = np.empty((counts.size, min(_BLOCK, out.shape[1])))
+        for a in range(0, out.shape[1], _BLOCK):
+            block = out[:, a:a + _BLOCK]
+            b = block.shape[1]
+            draws = rng.poisson(lam=counts, size=(b, counts.size))
+            np.copyto(cells[:, :b], draws.T, casting="unsafe")
+            _judge(cells[:, :b], rows[:, :, None], block)
 
     return chunk
 

@@ -269,6 +269,29 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"config error: 1.05667e+09 {RUN_TOO_LARGE}\n"
         assert not out.exists()
 
+    def test_block_attempts_past_the_size_budget_exit_before_any_block_draws(
+            self, tmp_path, capsys, monkeypatch):
+        # 1,000 attempts per transit: a block of at least 2,048 transits draws
+        # more than 2,000,000 at once, past a budget lowered to 100,000 so that
+        # a regression cannot allocate much; the run's 8,000 or so expected
+        # transits and tags pass it
+        def fail(*args, **kwargs):
+            raise AssertionError("a block drew")
+
+        monkeypatch.setattr(instrument, "MAX_ELEMENTS", 100_000)
+        monkeypatch.setattr(instrument, "_simulate_block", fail)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[source]\npulses_per_transit = 1000\noverall_efficiency = 0.001\n")
+        out = tmp_path / "x.ttag"
+        assert main(["simulate", "--config", str(cfg), "--seconds", "20000",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.endswith(
+            " emission attempts in one block of transits are too many to allocate: "
+            "lower [source] pulses_per_transit\n")
+        assert float(err.split()[2]) >= 2048 * 1000
+        assert not out.exists()
+
     @pytest.mark.parametrize("seconds, cfg_text", [
         ("1e20", "[source]\natom_transit_rate = 0\n"),
         ("1e30", "[source]\natom_transit_rate = 0\n"),
@@ -448,6 +471,12 @@ mc_trials = 50000
         assert len(report["windows"]) >= 3
         first = report["windows"][0]
         assert first["vs_quantum"]["mode"] > first["vs_classical"]["mode"]
+        # every window's draws carry the report's seed and the window's own
+        # spawn key, its centre's index on the grid of half_window_ns / 2.5 steps
+        step = report["half_window_ns"] / 2.5
+        for w in report["windows"]:
+            assert w["spawn_key"] == [round(w["center_ns"] / step)]
+            assert w["vs_quantum"]["seed"] == w["vs_classical"]["seed"] == report["seed"]
 
     def test_trials_and_seed_overrides(self, run_dir):
         out = run_dir / "mmi_override"
@@ -735,9 +764,14 @@ def test_count_too_large_to_allocate_is_config_error(run_dir, tmp_path, capsys, 
      "[analysis] profile_pitch_ns = 8 and coincidence_window_ns = 40, "
      "[detectors] dead_time_ns = 50, [source] duty_cycle_ns = 664: "
      "0 profile bins lie beyond the recovery time inside the window; the fit needs 2"),
+    (["analyze", "mmi", "--stream", "mmi.ttag"], "profile_pitch_ns = 1e300",
+     "[analysis] profile_pitch_ns = 1e+300 and coincidence_window_ns = 300, "
+     "[detectors] dead_time_ns = 50, [source] duty_cycle_ns = 664: "
+     "pitch 1e+300 ns is past the u64 phase range"),
 ], ids=["bin-below-pitch", "pitch-below-1fs", "pitch-below-1fs-small-range",
         "range-1-side-peak", "half-window",
-        "profile-pitch-below-1fs", "profile-pitch-past-window", "window-inside-dead-time"])
+        "profile-pitch-below-1fs", "profile-pitch-past-window", "window-inside-dead-time",
+        "profile-pitch-past-u64"])
 def test_analysis_value_the_run_cannot_use_is_config_error(run_dir, tmp_path, capsys,
                                                            argv, profile, message):
     cfg = tmp_path / "a.cfg"

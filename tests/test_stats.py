@@ -242,7 +242,7 @@ class TestSharedDraws:
         assert len(serial) >= 5
         same_windows(serial, threaded)
 
-    def test_window_judges_both_theories_on_its_quantum_seed(self, chip, rng):
+    def test_window_judges_both_theories_on_its_own_spawn_key(self, chip, rng):
         dtau, labels, q, c = self._events(chip, rng, 500)
         rows = similarity_vs_dt(dtau, labels, q, c, trials=3000, seed=5)
         w = 2  # centres are 0, 10, 20 ns ...; every window here is dense
@@ -250,8 +250,11 @@ class TestSharedDraws:
         sel = (dtau <= 45.0) & (dtau >= 0.0)
         counts = np.bincount([cross_pair_index(*sorted(p), 4)
                               for p, keep in zip(labels, sel) if keep], minlength=6)
-        same_result(rows[w].vs_quantum, poisson_mc_similarity(counts, q, 3000, 5 + 2 * w))
-        same_result(rows[w].vs_classical, poisson_mc_similarity(counts, c, 3000, 5 + 2 * w))
+        # window w's chunk c draws from SeedSequence(seed, spawn_key=(w, c))
+        for got, theory in ((rows[w].vs_quantum, q), (rows[w].vs_classical, c)):
+            same_result(got, poisson_mc_similarity(counts, theory, 3000, 5, spawn_key=(w,)))
+        assert rows[w].window == w and rows[w].vs_quantum.seed == 5
+        assert poisson_mc_similarity(counts, q, 3000, 5).mean != rows[w].vs_quantum.mean
 
     def test_chunked_windows_build_one_pool(self, chip, rng, monkeypatch):
         dtau, labels, q, c = self._events(chip, rng, 400)

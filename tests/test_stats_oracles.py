@@ -7,20 +7,24 @@ applied trial by trial.  Only the replaced cell-major kernel is compared
 within a bound, in ulps.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from stats_oracles import (_similarity_rows, oracle_fit_visibility, oracle_hpd_interval,
-                           oracle_mode, oracle_poisson_chunk, oracle_random_baseline_chunk,
-                           oracle_similarity_vs_dt, oracle_summarize)
+                           oracle_mode, oracle_poisson_chunk, oracle_poisson_draws,
+                           oracle_random_baseline_chunk, oracle_similarity_vs_dt,
+                           oracle_summarize, replaced_poisson_chunk)
 
 from mmi_lab import (CoincidenceDistribution, TransferMatrix, coincidence_classical,
                      coincidence_quantum, extract_coincidences, fit_visibility,
                      poisson_mc_similarity, random_baseline, random_unitary, similarity,
                      similarity_vs_dt, simulate_run)
-from mmi_lab.stats import (_BLOCK, _CHUNK, _EDGES, MODE_BIN_WIDTH, _judge, _run_chunks,
-                           _summarize, hpd_interval)
+from mmi_lab.stats import (_BLOCK, _CHUNK, _EDGES, MODE_BIN_WIDTH, _judge, _PoissonTable,
+                           _run_chunks, _summarize, hpd_interval)
 
 
 def _tables(measured_values, n, cross_only):
@@ -164,6 +168,111 @@ class TestPoissonRowBlocks:
                                                                every=True))
         assert same_judged(got.samples, want[0])
         assert np.count_nonzero(want[0] == 0.0) > _BLOCK // 2
+
+
+def exact_poisson_cdf(lam: float, lo: int, hi: int) -> list[Fraction]:
+    """The Poisson(lam) CDF over the counts lo..hi, normalised by its last
+    entry, from the pmf recurrence p_k = p_(k-1) lam / k in exact rationals."""
+    lam = Fraction(lam)
+    p, total, cdf = Fraction(1), Fraction(0), []
+    for k in range(lo, hi + 1):
+        if k > lo:
+            p = p * lam / k
+        total += p
+        cdf.append(total)
+    return [c / total for c in cdf]
+
+
+def chi2_limit(df: int) -> float:
+    """The chi-square quantile at an upper tail of 1e-6 (z = 4.753), by the
+    Wilson-Hilferty approximation."""
+    a = 2.0 / (9.0 * df)
+    return df * (1.0 - a + 4.753 * math.sqrt(a)) ** 3
+
+
+def edge_uniforms(table, rng, n=64):
+    """Uniforms on and next to each cell's guide edges g / K and CDF values,
+    and 0, the smallest subnormal and the largest double below 1."""
+    cols = []
+    for c, size in enumerate(table.scale):
+        cdf = table.cdf[table.edges[c]:table.edges[c + 1] - 1]
+        edges = np.concatenate((rng.integers(0, size, n) / size, cdf[cdf < 1.0]))
+        u = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                            [0.0, 5e-324, 1.0 - 2.0 ** -53]))
+        cols.append(rng.choice(u[u < 1.0], 4 * n))
+    return np.stack(cols, axis=1)
+
+
+class TestGuidedInversion:
+    """The guided Poisson draw against plain inversion of the same uniforms,
+    its CDF against exact arithmetic, and its distribution against numpy's
+    ``rng.poisson``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1e6),
+                              st.sampled_from([0.0, 5e-324, 1e-3, 0.5, 9.999, 10.0, 284.73,
+                                               3663.0, 1e6])), min_size=1, max_size=5),
+           st.integers(0, 2 ** 32))
+    def test_guide_equals_searchsorted(self, counts, seed):
+        rng = np.random.default_rng(seed)
+        counts = np.asarray(counts, dtype=float)
+        table = _PoissonTable.build(counts)
+        u = np.concatenate((rng.random((2000, counts.size)), edge_uniforms(table, rng)))
+        k = np.empty(u.shape, np.intp)
+        table.invert(u, k, np.empty(u.shape), np.empty(u.shape, bool))
+        assert same_bits(k + table.shift, oracle_poisson_draws(table, u))
+        assert (k[:, counts == 0.0] + table.shift[counts == 0.0] == 0).all()  # a zero rate draws 0
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.5, 7.0, 284.73, 3663.0])
+    def test_cdf_matches_exact_recurrence(self, lam):
+        table = _PoissonTable.build(np.array([lam]))
+        lo = max(0, math.floor(lam - 12 * math.sqrt(lam) - 20))
+        hi = math.ceil(lam + 12 * math.sqrt(lam) + 20)
+        assert table.shift[0] == lo and table.cdf.size == hi - lo + 1
+        assert table.cdf[-1] == np.inf
+        want = np.array([float(c) for c in exact_poisson_cdf(lam, lo, hi)])
+        assert np.abs(table.cdf[:-1] - want[:-1]).max() <= 1e-13
+
+    def test_counts_past_the_table_budget_are_refused(self):
+        with pytest.raises(ValueError, match="too large to resample"):
+            poisson_mc_similarity([1e14, 5.0], [1.0, 1.0], trials=10)
+
+    def test_distribution_matches_rng_poisson(self):
+        # limits fixed before the first run: |z| < 5 for the means and
+        # variances, and the two-sample chi-square over about 20 equiprobable
+        # bins below its 1e-6 upper quantile
+        lams = np.array([0.3, 3.7, 9.5, 10.0, 40.0, 254.0, 284.73, 3663.0])
+        n = 200_000
+        table = _PoissonTable.build(lams)
+        guided = oracle_poisson_draws(table, np.random.default_rng(1).random((n, lams.size)))
+        numpy = np.random.default_rng(2).poisson(lams, size=(n, lams.size))
+        for c, lam in enumerate(lams):
+            a, b = guided[:, c], numpy[:, c]
+            assert abs(a.mean() - b.mean()) < 5 * math.sqrt(2 * lam / n)
+            assert abs(a.var() - b.var()) < 5 * math.sqrt(2 * (lam + 2 * lam ** 2) / n)
+            cdf = table.cdf[table.edges[c]:table.edges[c + 1]]
+            edges = np.unique(np.searchsorted(cdf, np.arange(1, 20) / 20, side="right"))
+            edges = edges + table.shift[c] + table.edges[c]
+            ca = np.bincount(np.searchsorted(edges, a, side="right"), minlength=edges.size + 1)
+            cb = np.bincount(np.searchsorted(edges, b, side="right"), minlength=edges.size + 1)
+            keep = ca + cb > 0
+            chi2 = float((((ca - cb) ** 2)[keep] / (ca + cb)[keep]).sum())
+            assert chi2 < chi2_limit(max(int(keep.sum()) - 1, 1))
+
+    def test_similarities_match_the_replaced_sampler(self, chip):
+        # the headline's scale of counts; both samplers' similarity means and
+        # spreads agree within 5 standard errors
+        q = coincidence_quantum(chip, 0, 1).values
+        counts = np.round(4000 * q / q.sum())
+        rows = np.stack((q, coincidence_classical(chip, 0, 1).values))
+        trials = 100_000
+        new = [r.samples for r in poisson_mc_similarity(counts, rows, trials, seed=8,
+                                                        keep_samples=True)]
+        old = _run_chunks(trials, 8, replaced_poisson_chunk(counts, rows), rows=2)
+        for a, b in zip(new, old):
+            se = math.sqrt((a.var() + b.var()) / trials)
+            assert abs(a.mean() - b.mean()) < 5 * se
+            assert abs(a.std() - b.std()) < 5 * se
 
 
 # The most ulps by which the one kernel and the cell-major kernel it replaced
@@ -367,19 +476,6 @@ def windows(rows):
              w.vs_classical.to_json_dict()) for w in rows]
 
 
-def shared_draw_oracle(dtau, pairs, tq, tc, **kwargs):
-    """The oracle's windows with ``vs_classical`` drawn at the quantum seed
-    ``seed + 2w``, as ``similarity_vs_dt`` now shares each window's draws.
-
-    ``vs_quantum`` is the oracle's own; the oracle run with the theories
-    swapped judges the classical theory at that same seed.
-    """
-    quantum = oracle_similarity_vs_dt(dtau, pairs, tq, tc, **kwargs)
-    swapped = oracle_similarity_vs_dt(dtau, pairs, tc, tq, **kwargs)
-    return [(center, n, vs_q, vs_c)
-            for (center, n, vs_q, _), (_, _, vs_c, _) in zip(quantum, swapped)]
-
-
 class TestPairLabels:
     @settings(max_examples=100, deadline=None)
     @given(labelled_events())
@@ -387,7 +483,7 @@ class TestPairLabels:
         n, pairs, dtau = case
         theory = np.arange(1.0, n * (n - 1) // 2 + 1)
         kwargs = dict(n_modes=n, trials=500, seed=7, min_events=1)
-        want = shared_draw_oracle(dtau, pairs, theory, theory[::-1], **kwargs)
+        want = oracle_similarity_vs_dt(dtau, pairs, theory, theory[::-1], **kwargs)
         assert windows(similarity_vs_dt(dtau, pairs, theory, theory[::-1], **kwargs)) == want
         as_array = np.array(pairs, dtype=int)
         assert windows(similarity_vs_dt(dtau, as_array, theory, theory[::-1], **kwargs)) == want
@@ -407,7 +503,8 @@ class TestPairLabels:
         c = coincidence_classical(chip, 0, 1).cross_only().values
         got = similarity_vs_dt(co.dtau_ns, np.column_stack((co.pair_k, co.pair_l)), q, c,
                                trials=5000, seed=3)
-        want = shared_draw_oracle(co.dtau_ns, list(zip(co.pair_k.tolist(), co.pair_l.tolist())),
-                                  q, c, trials=5000, seed=3)
+        want = oracle_similarity_vs_dt(co.dtau_ns,
+                                       list(zip(co.pair_k.tolist(), co.pair_l.tolist())),
+                                       q, c, trials=5000, seed=3)
         assert len(want) >= 5
         assert windows(got) == want

@@ -206,6 +206,16 @@ class TestSlidingHistogram:
         with pytest.raises(ValueError):
             sliding_histogram(stream, bin_width=4.0, pitch=40.0, fold_period=664.0)
 
+    @pytest.mark.parametrize("pitch", [2.0 ** 64 / 1e6, 1e300])
+    def test_pitch_past_u64_is_value_error(self, pitch):
+        # 2**64 fs and more cannot be a u64 divisor of the phase
+        stream = make_stream([1.0, 700.0], [0, 0], n_channels=1)
+        with pytest.raises(ValueError, match="past the u64 phase range"):
+            sliding_histogram(stream, bin_width=pitch, pitch=pitch, fold_period=664.0)
+        # the largest pitches below it fold everything into one bin
+        prof = sliding_histogram(stream, bin_width=1e13, pitch=1e13, fold_period=664.0)
+        assert prof.counts.tolist() == [2]
+
     @pytest.mark.parametrize("fold_period", [0.0, -664.0, 1e9])
     def test_fold_period_validation(self, fold_period):
         # 1 s on 81 ps ticks would overflow the exact u64 phase product
