@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._runtime import DataError
 from .matrix import TransferMatrix, _gauge_fixed
 
 
-class CharacterizationError(ValueError):
+class CharacterizationError(DataError):
     """Raised for unusable fringe datasets."""
 
 
@@ -95,7 +96,11 @@ class FringeDataset:
     @classmethod
     def from_file(cls, path) -> "FringeDataset":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except ValueError as exc:  # not UTF-8 text, or not JSON
+                raise CharacterizationError(f"malformed fringe-dataset JSON: {exc}") from exc
+        return cls.from_json_dict(d)
 
 
 def _clean_powers(m: np.ndarray, phase_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

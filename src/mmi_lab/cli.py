@@ -9,8 +9,9 @@ Subcommands compose the library into the full experiment workflow:
 
 The CLI only parses, reads and writes: ``mmi_lab.pipeline`` returns the
 JSON reports and plot-ready CSV tables (no figures).  Exit codes: 0
-success, 2 configuration error, 3 data error.  MMI_LAB_THREADS caps
-internal parallelism.
+success, 2 configuration error (a ``ConfigError``), 3 data error (a
+``DataError`` or a missing or misplaced file); any other exit (1, with a
+traceback) is a bug.  MMI_LAB_THREADS caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import config as cfgmod
-from .characterize import CharacterizationError, FringeDataset
-from .instrument import ConfigError, expected_pair_rate, max_threads, simulate_run
-from .matrix import MatrixError, TransferMatrix, measured_chip_matrix
-from .pipeline import (DataError, ModeIndexError, analyze_g2, analyze_hom,
-                       analyze_mmi, analyze_timeresolved, characterize, predict)
+from ._runtime import ConfigError, DataError, max_threads
+from .characterize import FringeDataset
+from .instrument import expected_pair_rate, simulate_run
+from .matrix import TransferMatrix, measured_chip_matrix
+from .pipeline import (ModeIndexError, analyze_g2, analyze_hom, analyze_mmi,
+                       analyze_timeresolved, characterize, predict)
 # extract_coincidences is bound here only because bench/test_bench_tracer.py
 # checks that the tracer patches the copy a front-end module imports.
-from .tagstream import StreamFormatError, TimeTagStream, extract_coincidences  # noqa: F401
+from .tagstream import TimeTagStream, extract_coincidences  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,7 +128,8 @@ def cmd_simulate(args) -> int:
 def _read_stream(path: str) -> TimeTagStream:
     p = Path(path)
     if p.suffix.lower() == ".csv":
-        return TimeTagStream.from_csv(p.read_text())
+        # a byte that is not UTF-8 leaves its row unparsable, and the row is named
+        return TimeTagStream.from_csv(p.read_text(encoding="utf-8", errors="replace"))
     return TimeTagStream.from_file(p)
 
 
@@ -139,8 +142,8 @@ def cmd_analyze(args) -> int:
     streams = [_read_stream(args.stream)]
     if args.kind == "hom":
         if not args.reference:
-            raise DataError("hom analysis needs --reference (the "
-                            "distinguishable-photons stream)")
+            raise ConfigError("hom analysis needs --reference (the "
+                              "distinguishable-photons stream)")
         streams.append(_read_stream(args.reference))
     report, tables = ANALYSES[args.kind](*streams, cfg)
     _write(Path(args.out), {**tables, f"{args.kind}_report.json": _json(report) + "\n"})
@@ -181,7 +184,7 @@ def cmd_characterize(args) -> int:
         if args.matrix:
             truth = TransferMatrix.from_file(args.matrix)
     else:
-        raise DataError("characterize needs --fringes DATA or --simulate")
+        raise ConfigError("characterize needs --fringes DATA or --simulate")
     report, tables = characterize(data, truth, noise_sd=args.noise_sd,
                                   seed=args.seed, repeat=args.repeat)
     _write(Path(args.out), {**tables, "characterize_report.json": _json(report) + "\n"})
@@ -278,11 +281,10 @@ def main(argv=None) -> int:
     try:
         max_threads()  # a malformed MMI_LAB_THREADS fails before any work
         return args.func(args)
-    except (ConfigError, MatrixError, ModeIndexError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, StreamFormatError, CharacterizationError,
-            FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError) as exc:
+    except (DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

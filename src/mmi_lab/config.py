@@ -19,8 +19,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
+from ._runtime import ConfigError
 from .core import ModeIndexError
-from .instrument import ConfigError, DetectorConfig, Layout, SourceConfig
+from .instrument import DetectorConfig, Layout, SourceConfig
 from .matrix import TransferMatrix, balanced_splitter, builtin_matrix
 
 _SCHEMA = "experiment-config/1"
@@ -50,8 +51,11 @@ class AnalysisConfig:
                               f">= 1 fs and <= correlation_bin_ns = {self.correlation_bin_ns:g}")
         if self.mc_trials < 1000:
             raise ConfigError("mc_trials unreasonably small")
-        if self.reference_offset_cycles < 1:
-            raise ConfigError("reference offset must be at least one duty cycle")
+        if not 1 <= self.reference_offset_cycles <= 1 << 53:  # a float offset holds it exactly
+            raise ConfigError("reference_offset_cycles must be in [1, 2**53], "
+                              f"got {self.reference_offset_cycles}")
+        if self.min_window_events < 1:  # an empty window has nothing to resample
+            raise ConfigError(f"min_window_events must be at least 1, got {self.min_window_events}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +83,11 @@ class ExperimentConfig:
 
     def build_matrix(self) -> TransferMatrix:
         kind, _, name = self.matrix.source.partition(":")
-        if kind == "builtin":
-            return builtin_matrix(name)
-        if kind == "file":
-            return TransferMatrix.from_file(name)
-        raise ConfigError(f"matrix source must be 'builtin:<name>' or "
-                          f"'file:<path>', got {self.matrix.source!r}")
+        readers = {"builtin": builtin_matrix, "file": TransferMatrix.from_file}
+        if kind not in readers or "\0" in name:  # no file or resource name holds a NUL
+            raise ConfigError(f"matrix source must be 'builtin:<name>' or "
+                              f"'file:<path>', got {self.matrix.source!r}")
+        return readers[kind](name)
 
     def build_layout(self) -> Layout:
         spec = self.layout
@@ -172,7 +175,11 @@ def loads(text: str) -> ExperimentConfig:
 
 def load(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot parse config: {exc}") from exc
+    return loads(text)
 
 
 def default_config() -> ExperimentConfig:

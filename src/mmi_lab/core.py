@@ -17,14 +17,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._runtime import ConfigError, DataError
 from .matrix import TransferMatrix
 
 
-class ModeIndexError(IndexError):
+class ModeIndexError(ConfigError, IndexError):
     """Mode index out of range or otherwise unusable."""
 
 
-class DegenerateDistributionError(ValueError):
+class DegenerateDistributionError(DataError):
     """Coincidence distribution is identically zero and cannot be normalised."""
 
 
@@ -297,7 +298,7 @@ def fit_visibility(measured: CoincidenceDistribution, matrix: TransferMatrix,
 
     counts = np.asarray(measured.values, dtype=float)
     if counts.sum() <= 0:
-        raise ValueError("measured counts are empty")
+        raise DataError("measured counts are empty")
     grid = np.arange(0.0, 1.0005, 0.001)[:, None]
     s = similarity(counts, _mixture(matrix, i, j, grid, True, measured.cross_detector_only))
     best = int(np.argmax(s))  # the first of tied maxima, as a strict > scan keeps

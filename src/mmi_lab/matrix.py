@@ -15,13 +15,15 @@ from importlib import resources
 
 import numpy as np
 
+from ._runtime import ConfigError
+
 SCHEMA = "transfer-matrix/1"
 
 #: name of the bundled measured 4x4 chip matrix
 CHIP_4X4_V1 = "chip_4x4_v1"
 
 
-class MatrixError(ValueError):
+class MatrixError(ConfigError):
     """Raised for malformed or unphysical transfer matrices."""
 
 
@@ -105,7 +107,11 @@ class TransferMatrix:
     @classmethod
     def from_file(cls, path) -> "TransferMatrix":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except ValueError as exc:  # not UTF-8 text, or not JSON
+                raise MatrixError(f"malformed transfer-matrix JSON: {exc}") from exc
+        return cls.from_json_dict(d)
 
     def write_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

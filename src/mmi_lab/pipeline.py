@@ -5,8 +5,10 @@ Each pipeline returns ``(report, tables)``: ``report`` is the JSON-ready
 result and ``tables`` maps an output file name to its exact text (CSV
 tables keep the csv module's ``\\r\\n`` line endings); ``predict`` returns
 its one table's text.  Nothing here reads or writes files; the
-command-line front end does that.  ``DataError`` marks unusable data and
-``ModeIndexError`` an input pair the matrix does not have.
+command-line front end does that.  Unusable data raises
+:class:`~mmi_lab._runtime.DataError` and an unusable setting
+:class:`~mmi_lab._runtime.ConfigError`, whose subclass ``ModeIndexError``
+marks an input pair the matrix does not have.
 """
 
 from __future__ import annotations
@@ -16,25 +18,20 @@ import io
 
 import numpy as np
 
+from ._runtime import ConfigError, DataError, check_size
 from .characterize import (FringeDataset, reconstruct_matrix, reconstruct_trials,
                            simulate_fringes, simulate_trials)
 from .config import ExperimentConfig
-from .core import (DegenerateDistributionError, ModeIndexError, _check_input_pair,
-                   coincidence_classical, coincidence_mixture, coincidence_quantum,
-                   fit_visibility)
-from .instrument import ConfigError, check_size
+from .core import (DegenerateDistributionError, ModeIndexError, coincidence_classical,
+                   coincidence_mixture, coincidence_quantum, fit_visibility)
 from .matrix import TransferMatrix, gauge_fix
 from .stats import poisson_mc_similarity, similarity, similarity_vs_dt
 from .tagstream import (TimeTagStream, _side_peaks, cross_correlate, deadtime_correction,
                         extract_coincidences, g2_zero, median_sorted, quantile_sorted,
                         sliding_histogram)
 
-__all__ = ["DataError", "ModeIndexError", "analyze_g2", "analyze_hom", "analyze_mmi",
+__all__ = ["ModeIndexError", "analyze_g2", "analyze_hom", "analyze_mmi",
            "analyze_timeresolved", "characterize", "csv_text", "predict"]
-
-
-class DataError(RuntimeError):
-    """Unusable measurement data for the requested analysis."""
 
 
 def csv_text(header: list[str], rows) -> str:
@@ -82,6 +79,8 @@ def analyze_hom(stream: TimeTagStream, reference: TimeTagStream,
     check_size(2 * an.coincidence_window_ns / an.display_pitch_ns,
                f"[analysis] coincidence_window_ns = {an.coincidence_window_ns:g} and "
                f"display_pitch_ns = {an.display_pitch_ns:g}: too many bins to allocate")
+    if min(stream.n_channels, reference.n_channels) < 2:
+        raise DataError("hom analysis needs two detector channels in both streams")
     bins = np.arange(-an.coincidence_window_ns, an.coincidence_window_ns + an.display_pitch_ns,
                      an.display_pitch_ns)
     co = extract_coincidences(stream, window_ns=an.coincidence_window_ns)
@@ -110,15 +109,19 @@ def analyze_hom(stream: TimeTagStream, reference: TimeTagStream,
 
 
 def _mmi_inputs(stream: TimeTagStream, cfg: ExperimentConfig):
+    """The matrix, the input pair, its quantum table and the coincidences."""
     matrix = cfg.build_matrix()
     pair = cfg.input_pair(matrix.n_modes)
-    _check_input_pair(matrix.n_modes, *pair)
+    q = coincidence_quantum(matrix, *pair)
+    if not q.cross_only().values.sum() > 0:  # the similarity to it is undefined
+        raise ConfigError(f"the matrix predicts no cross-detector coincidences for "
+                          f"inputs {pair[0] + 1} and {pair[1] + 1}")
     if stream.n_channels != matrix.n_modes:
         raise DataError(f"stream has {stream.n_channels} channels, matrix has {matrix.n_modes} modes")
     co = extract_coincidences(stream, window_ns=cfg.analysis.coincidence_window_ns)
     if len(co) == 0:
         raise DataError("no coincidences found in the stream")
-    return matrix, pair, co
+    return matrix, pair, q, co
 
 
 _TOO_MANY = "{} Monte-Carlo trials are too many to allocate: lower --trials or [analysis] mc_trials"
@@ -130,7 +133,7 @@ def analyze_mmi(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dic
                f"[analysis] profile_pitch_ns = {an.profile_pitch_ns:g} and [source] "
                f"duty_cycle_ns = {cfg.source.duty_cycle_ns:g}: too many bins to allocate")
     check_size(3 * an.mc_trials, _TOO_MANY.format(an.mc_trials))  # a row per theory
-    matrix, (i, j), co = _mmi_inputs(stream, cfg)
+    matrix, (i, j), q, co = _mmi_inputs(stream, cfg)
     offset = an.reference_offset_cycles * cfg.source.duty_cycle_ns
     ref = extract_coincidences(stream, window_ns=an.coincidence_window_ns,
                                time_offset_ns=offset)
@@ -158,7 +161,6 @@ def analyze_mmi(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dic
     # visibility from cross-detector counts (immune to recovery-time losses)
     cross = co.counts.cross_only()
     v_star, s_at_v = fit_visibility(cross, matrix, i, j)
-    q = coincidence_quantum(matrix, i, j)
     c = coincidence_classical(matrix, i, j)
     r = coincidence_mixture(matrix, i, j, v_star)
 
@@ -208,12 +210,11 @@ def analyze_timeresolved(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[
     check_size(2.5 * (an.coincidence_window_ns + an.half_window_ns) / an.half_window_ns,
                f"a half window of {an.half_window_ns:g} ns gives too many windows to "
                "allocate: raise [analysis] half_window_ns or lower coincidence_window_ns")
-    matrix, (i, j), co = _mmi_inputs(stream, cfg)
-    q = coincidence_quantum(matrix, i, j).cross_only()
+    matrix, (i, j), q, co = _mmi_inputs(stream, cfg)
     c = coincidence_classical(matrix, i, j).cross_only()
     seed = cfg.seed_for("analyze-timeresolved")
     rows = similarity_vs_dt(co.dtau_ns, np.column_stack((co.pair_k, co.pair_l)),
-                            q.values, c.values, n_modes=matrix.n_modes,
+                            q.cross_only().values, c.values, n_modes=matrix.n_modes,
                             half_window=an.half_window_ns, trials=trials, seed=seed,
                             min_events=an.min_window_events)
     if not rows:

@@ -45,9 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._runtime import MAX_ELEMENTS, _ordered_map
 from .core import cross_pair_index
-# the chunk pool lives with the simulator, whose blocks run on it too
-from .instrument import MAX_ELEMENTS, _ordered_map
 
 MODE_BIN_WIDTH = 0.001  # 0.1 percentage points
 _CHUNK = 1 << 17  # trials per seeded generator

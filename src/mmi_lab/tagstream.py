@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._runtime import DataError
 from .core import CoincidenceDistribution, DegenerateDistributionError, pair_index
 
 MAGIC = b"TTAG"
@@ -52,7 +53,7 @@ _RECORD = np.dtype([("tick", "<u8"), ("channel", "u1"), ("reserved", "V3")])
 _CHUNK_TAGS = 1 << 14
 
 
-class StreamFormatError(ValueError):
+class StreamFormatError(DataError):
     """Malformed time-tag payload; carries the offending byte/row position."""
 
 
@@ -303,7 +304,7 @@ def g2_zero(hist: Histogram, duty_cycle: float) -> G2Result:
     ms = [m for m in range(-4, 5) if m != 0]  # the baseline fit uses 4 per side
     side = np.array([peak_counts[m] for m in ms], dtype=float)
     if side.sum() == 0:
-        raise ValueError("no side peaks found; cannot normalise g2")
+        raise DataError("no side peaks found; cannot normalise g2")
     slope, intercept = np.polyfit(np.abs(ms), side, 1)
     if intercept <= 0:
         intercept = float(side.mean())

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import mmi_lab
-from mmi_lab import TimeTagStream, config, instrument, pipeline, simulate_fringes, simulate_run
+from mmi_lab import (TimeTagStream, _runtime, balanced_splitter, config, instrument, pipeline,
+                     simulate_fringes, simulate_run)
 from mmi_lab.cli import main
 from mmi_lab.core import ModeIndexError
 from mmi_lab.instrument import ConfigError
@@ -197,6 +198,9 @@ class TestSimulateCommand:
         "[source]\ncoherence_jitter_sd = -1\n",
         "[source]\nhom_visibility_target = 1.5\n",
         "[source]\npulse_length_ns = 1\n",
+        "[analysis]\nmin_window_events = 0\n",
+        "[analysis]\nreference_offset_cycles = 0\n",
+        f"[analysis]\nreference_offset_cycles = {10 ** 306}\n",
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, text):
         section, key = text.split("\n")[:2]
@@ -278,7 +282,7 @@ class TestSimulateCommand:
         def fail(*args, **kwargs):
             raise AssertionError("a block drew")
 
-        monkeypatch.setattr(instrument, "MAX_ELEMENTS", 100_000)
+        monkeypatch.setattr(_runtime, "MAX_ELEMENTS", 100_000)
         monkeypatch.setattr(instrument, "_simulate_block", fail)
         cfg = tmp_path / "p.cfg"
         cfg.write_text("[source]\npulses_per_transit = 1000\noverall_efficiency = 0.001\n")
@@ -418,7 +422,7 @@ class TestAnalyzeCommands:
         code = main(["analyze", "hom", "--stream",
                      str(run_dir / "hom_par.ttag"), "--out",
                      str(run_dir / "x")])
-        assert code == 3
+        assert code == 2
 
     def test_analyze_mmi_report(self, run_dir, tmp_path):
         cfgpath = tmp_path / "fast.cfg"
@@ -506,7 +510,7 @@ mc_trials = 50000
             monkeypatch.delenv("MMI_LAB_THREADS", raising=False)
         else:
             monkeypatch.setenv("MMI_LAB_THREADS", value)
-        assert instrument.max_threads() == threads
+        assert _runtime.max_threads() == threads
 
     @pytest.mark.parametrize("kind", ["g2", "mmi"])
     def test_csv_format_prints_scalars(self, run_dir, capsys, kind):
@@ -860,6 +864,67 @@ class TestMalformedStreams:
         err = capsys.readouterr().err
         assert "2 channels" in err and "4 modes" in err
 
+    def test_no_side_peaks_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("channel,tick\n0,1000\n1,1001\n")
+        assert main(["analyze", "g2", "--stream", str(path),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "data error: no side peaks found; cannot normalise g2\n"
+
+    def test_same_detector_coincidences_only_is_data_error(self, tmp_path, capsys):
+        # 3,000 groups 1 ms apart: ch0 tags at +0, +100, +1328 and +1428 ns pair
+        # at zero and at the two-duty-cycle reference offset, one ch1 tag 2-600
+        # us later pairs with nothing, and a last ch3 tag makes four channels
+        base = np.arange(3000) * 1e6
+        ns = np.concatenate([(base[:, None] + [0, 100, 1328, 1428]).ravel(),
+                             base + np.random.default_rng(0).uniform(2e3, 6e5, base.size),
+                             [3e9 + 10]])
+        channels = np.repeat([0, 1, 3], [4 * base.size, base.size, 1])
+        order = np.argsort(ns, kind="stable")
+        path = tmp_path / "s.csv"
+        path.write_text("channel,tick\n" + "".join(
+            f"{c},{t}\n" for c, t in zip(channels[order], np.rint(ns[order] / 0.081).astype(int))))
+        assert main(["analyze", "mmi", "--stream", str(path), "--trials", "20000",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "data error: measured counts are empty\n"
+
+
+# inputs that cli.main once reported only through a ValueError catch-all
+@pytest.mark.parametrize("argv, text, code, message", [
+    (["analyze", "g2", "--stream", "FILE.csv"], b"0,1\n\xff,2\n", 3,
+     "data error: bad CSV row 2: '\ufffd,2'"),
+    (["analyze", "g2", "--stream", "hbt.ttag", "--config", "FILE"], b"[analysis]\n\xff\n", 2,
+     "config error: cannot parse config: 'utf-8' codec can't decode byte 0xff in "
+     "position 11: invalid start byte"),
+    (["predict", "--matrix", "FILE"], b"not json", 2,
+     "config error: malformed transfer-matrix JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["simulate", "--seconds", "10", "--config", "FILE"], b"[matrix]\nsource = file:a\0b\n", 2,
+     "config error: matrix source must be 'builtin:<name>' or 'file:<path>', "
+     "got 'file:a\\x00b'"),
+    (["analyze", "hom", "--stream", "FILE.csv", "--reference", "hom_orth.ttag"],
+     b"0,1\n0,100000\n", 3, "data error: hom analysis needs two detector channels in both streams"),
+    (["analyze", "mmi", "--stream", "hom_par.ttag", "--config", "FILE"],
+     b"[matrix]\nsource = file:SPLITTER\n", 2,
+     "config error: the matrix predicts no cross-detector coincidences for inputs 1 and 2"),
+    (["analyze", "timeresolved", "--stream", "hom_par.ttag", "--config", "FILE"],
+     b"[matrix]\nsource = file:SPLITTER\n", 2,
+     "config error: the matrix predicts no cross-detector coincidences for inputs 1 and 2"),
+], ids=["csv-not-utf8", "config-not-utf8", "matrix-not-json", "matrix-source-nul",
+        "hom-one-channel", "mmi-splitter", "timeresolved-splitter"])
+def test_input_once_left_to_a_catch_all_is_typed(run_dir, tmp_path, capsys, argv, text, code,
+                                                 message):
+    # FILE is written from ``text``; SPLITTER is a balanced splitter's matrix file
+    splitter = tmp_path / "splitter.json"
+    balanced_splitter().write_file(splitter)
+    name = next(a for a in argv if a.startswith("FILE"))
+    (tmp_path / name).write_bytes(text.replace(b"SPLITTER", str(splitter).encode()))
+    argv = [str(tmp_path / a) if a == name else str(run_dir / a) if a.endswith(".ttag") else a
+            for a in argv]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{message}\n"
+    assert not out.exists()
+
 
 def test_cli_runs_without_scipy():
     src = Path(mmi_lab.__file__).resolve().parents[1]
@@ -981,7 +1046,7 @@ class TestCharacterizeCommand:
             <= report["deviation_max"] <= 0.05
 
     @pytest.mark.parametrize("text", ["{}", "[1, 2]", '{"fringes": [1]}',
-                                      '{"fringes": {"1-2": []}}'])
+                                      '{"fringes": {"1-2": []}}', "not json"])
     def test_malformed_fringe_file(self, tmp_path, capsys, text):
         fpath = tmp_path / "fringes.json"
         fpath.write_text(text)
@@ -1006,7 +1071,7 @@ class TestCharacterizeCommand:
         assert err.startswith("data error: ") and field in err
 
     def test_requires_input(self, tmp_path):
-        assert main(["characterize", "--out", str(tmp_path / "z")]) == 3
+        assert main(["characterize", "--out", str(tmp_path / "z")]) == 2
 
 
 class TestPredictCommand:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mmi_lab import (DetectorConfig, Layout, SourceConfig, cross_correlate,
                      expected_pair_rate, g2_zero, simulate_run)
-from mmi_lab.instrument import (_BLOCK_TRANSITS, MAX_ELEMENTS, ConfigError, _block_bounds,
-                                check_size)
+from mmi_lab._runtime import MAX_ELEMENTS, ConfigError, check_size
+from mmi_lab.instrument import _BLOCK_TRANSITS, _block_bounds
 
 
 def enumerate_perfect_pairs(n_attempts: int) -> float:

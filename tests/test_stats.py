@@ -7,7 +7,7 @@ from mmi_lab import (coincidence_classical, coincidence_quantum,
                      exceedance_probability, hpd_interval,
                      poisson_mc_similarity, random_baseline, similarity,
                      similarity_vs_dt)
-from mmi_lab import instrument, stats
+from mmi_lab import _runtime, stats
 from mmi_lab.core import cross_pair_index
 
 positive_vectors = st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=2,
@@ -260,14 +260,14 @@ class TestSharedDraws:
         dtau, labels, q, c = self._events(chip, rng, 400)
         built = []
 
-        class CountingPool(instrument.ThreadPoolExecutor):
+        class CountingPool(_runtime.ThreadPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 built.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
         trials = stats._CHUNK + 10  # two chunks per window
         serial = similarity_vs_dt(dtau, labels, q, c, trials=trials, seed=9, half_window=40.0)
-        monkeypatch.setattr(instrument, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(_runtime, "ThreadPoolExecutor", CountingPool)
         monkeypatch.setenv("MMI_LAB_THREADS", "3")
         threaded = similarity_vs_dt(dtau, labels, q, c, trials=trials, seed=9, half_window=40.0)
         assert len(threaded) >= 4
