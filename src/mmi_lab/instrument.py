@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._runtime import ConfigError, _ordered_map, check_size
+from ._runtime import MAX_ELEMENTS, ConfigError, _ordered_map, check_size
 from .matrix import TransferMatrix, balanced_splitter, measured_chip_matrix
 from .tagstream import TimeTagStream
 from .temporal import (CoherenceModel, Wavepacket, calibrate_gaussian_jitter,
@@ -80,8 +80,9 @@ class SourceConfig:
         # the envelope has 1 ns cells and needs at least 50
         if not 50 <= self.pulse_length_ns < self.duty_cycle_ns:
             raise ConfigError("pulse_length_ns must be at least 50 and below duty_cycle_ns")
-        if self.pulses_per_transit < 1:
-            raise ConfigError("need at least one pulse per transit")
+        if not 1 <= self.pulses_per_transit <= MAX_ELEMENTS:  # one transit draws them at once
+            raise ConfigError(f"pulses_per_transit must be in [1, {MAX_ELEMENTS}], "
+                              f"got {self.pulses_per_transit}")
         if self.atom_transit_rate < 0:
             raise ConfigError("transit rate must be non-negative")
         if self.emission_prob > 0 and self.overall_efficiency > self.emission_prob:

@@ -23,19 +23,21 @@ trials are drawn and judged a block at a time from the chunk's generator,
 which fills them in C order, so the values are those of one draw for the
 whole chunk while the temporaries are a block's.
 
-A block is judged cell-major: its draws are copied once into an array with
-one row per cell and one column per trial, so every square root, multiply
-and sum runs over whole rows.  One kernel (``_judge``) judges every
+A block is judged cell-major: its counts are drawn straight into an array
+with one row per cell and one column per trial, so every square root,
+multiply and sum runs over whole rows.  One kernel (``_judge``) judges every
 similarity, ``similarity()`` included, in one defined order: square roots
 first, then every sum over cells adds the cells in order, so a trial's
 similarity has the same bits whether it is judged alone or in a block.
 The Poisson counts are drawn by inversion: one uniform per trial and cell,
-looked up in a per-call table of each cell's CDF through a guide table
-(Chen & Asau 1974), which gives the bits of ``np.searchsorted`` on the CDF
-in a few array passes.  Every pass is a numpy call that releases the GIL, so
-the threads of the chunk pool overlap the draws as well as the judging.
-Each result is then summarised from one sort of its samples, on the same
-pool.
+looked up in a per-call guide table (Chen & Asau 1974; Devroye 1986,
+III.2.4) of each cell's CDF, fine enough that one gather gives nearly every
+count, written cell-major; the few uniforms whose guide bucket holds a CDF
+value take a few steps more.  The counts have the bits of
+``np.searchsorted`` on the CDF.  Every pass is a numpy call that releases
+the GIL, so the threads of the chunk pool overlap the draws as well as the
+judging.  Each result is then summarised from one sort of its samples, on
+the same pool.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._runtime import MAX_ELEMENTS, _ordered_map
+from ._runtime import MAX_ELEMENTS, DataError, _ordered_map
 from .core import cross_pair_index
 
 MODE_BIN_WIDTH = 0.001  # 0.1 percentage points
@@ -77,7 +79,7 @@ def similarity(p, q):
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     s = np.empty((1, q.size // p.size))
     # p, copied for the kernel to overwrite, as one column per row of q
-    _judge(p[:, None].copy(), [q.reshape(-1, p.size).T], s)
+    _judge(p[:, None].copy(), q.reshape(-1, p.size).T[None], s)
     return float(s[0, 0]) if q.ndim == 1 else s[0]
 
 
@@ -90,27 +92,31 @@ def _cell_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _judge(draws: np.ndarray, theories, out: np.ndarray,
-           prod: np.ndarray | None = None) -> None:
+def _judge(draws: np.ndarray, theories: np.ndarray, out: np.ndarray,
+           term: np.ndarray | None = None) -> None:
     """Write into ``out[k]`` the similarity of each column of ``draws`` to
     ``theories[k]``: the one similarity kernel.
 
-    Arrays are cell-major, one row per cell and one column per trial; a
-    theory has one column for every trial or one column per trial.  Square
-    roots come first, since a plain product can underflow for tiny sums, and
-    every sum over cells adds the rows in order.  A zero numerator gives 0,
-    so 0/0, from an all-zero column, is 0.  ``draws`` is overwritten with
-    its square roots; ``prod``, scratch of the shape of ``draws`` and the
-    theories broadcast together, is allocated when not given.
+    ``draws`` and each theory, ``theories`` stacking one per row of ``out``,
+    are cell-major, one row per cell and one column per trial; a theory has
+    one column for every trial or one column per trial.  Square roots come first, since a plain product can underflow for
+    tiny sums, and every sum over cells adds the rows in order: the
+    numerators gather in ``out`` one cell's products at a time.  A zero
+    numerator gives 0, so 0/0, from an all-zero column, is 0.  ``draws`` is
+    overwritten with its square roots; ``term``, scratch of the shape of
+    ``out``, is allocated when not given.
     """
-    norms = np.sqrt(_cell_sum(draws))
+    norms = _cell_sum(draws)
+    np.sqrt(norms, out=norms)
     roots = np.sqrt(draws, out=draws)
-    if prod is None:
-        prod = np.empty(np.broadcast(draws, theories[0]).shape)
-    for row, q in zip(out, theories):
-        num = _cell_sum(np.multiply(roots, np.sqrt(q), out=prod))
-        row[:] = 0.0
-        np.divide(num, norms * np.sqrt(_cell_sum(q)), out=row, where=num > 0)
+    q_roots = np.sqrt(theories)
+    if term is None:
+        term = np.empty(out.shape)
+    out[:] = 0.0  # 0 + x is x, and +0 for -0, so a zero numerator is +0
+    for c in range(len(roots)):
+        out += np.multiply(roots[c], q_roots[:, c], out=term)
+    np.multiply(norms, np.sqrt(_cell_sum(theories.swapaxes(0, 1))), out=term)
+    np.divide(out, term, out=out, where=out > 0)
 
 
 def _hpd_window(x: np.ndarray) -> tuple[float, float]:
@@ -224,10 +230,14 @@ class _PoissonTable:
     shift[c]) over the counts within ``lam +/- (12 sqrt(lam) + 20)``,
     normalised by its last entry, which is then inf, so every uniform below 1
     lies below some entry.  Its guide is the ``scale[c]`` entries of
-    ``guide`` from ``start[c]``, a power of two at least twice the CDF's
-    length, so that ``g / scale[c]`` is exact: entry g is the index into
-    ``cdf`` of the cell's first entry above ``g / scale[c]``, held as a float
-    so that the float scratch of :meth:`invert` can take it.
+    ``guide`` from ``start[c]``, the least power of two at least 8 times the
+    CDF's length, so that bucket g, the uniforms from ``g / scale[c]`` to the
+    largest double below ``(g + 1) / scale[c]``, has exact edges.  Entry g is
+    the bucket's count, as a float, when one count answers every uniform in
+    it; when a CDF entry splits the bucket, it is the negative marker -1 - i,
+    where i indexes ``cdf`` at the answer for the bucket's low edge.  The
+    guides together hold at most ``MAX_ELEMENTS`` entries, so one cell's
+    count is refused from about 1.2217e11, where its span reaches 2**23.
     """
 
     cdf: np.ndarray
@@ -241,12 +251,13 @@ class _PoissonTable:
     def build(cls, counts: np.ndarray) -> _PoissonTable:
         spans = [(max(0, math.floor(lam - 12 * math.sqrt(lam) - 20)),
                   math.ceil(lam + 12 * math.sqrt(lam) + 20)) for lam in counts.tolist()]
-        sizes = [1 << (2 * (hi - lo) + 1).bit_length() for lo, hi in spans]
+        sizes = [1 << (8 * (hi - lo) + 7).bit_length() for lo, hi in spans]
         if sum(sizes) > MAX_ELEMENTS:
-            raise ValueError(f"counts up to {counts.max():g} are too large to resample: "
-                             f"their inversion tables exceed {MAX_ELEMENTS} entries")
-        cdfs, guides, offset = [], [], 0
-        for lam, (lo, hi), size in zip(counts.tolist(), spans, sizes):
+            raise DataError(f"counts up to {counts.max():g} are too large to resample: "
+                            f"their inversion tables exceed {MAX_ELEMENTS} entries")
+        cdfs, guide, offset = [], np.empty(sum(sizes)), 0
+        starts = np.cumsum([0] + sizes[:-1])
+        for lam, (lo, hi), size, start in zip(counts.tolist(), spans, sizes, starts.tolist()):
             k = np.arange(lo, hi + 1, dtype=float)
             mode = math.floor(lam) - lo
             # the pmf relative to the mode's, by the recurrence p_k = p_{k-1} lam / k
@@ -255,39 +266,48 @@ class _PoissonTable:
             cdf = np.cumsum(np.concatenate((below, [1.0], above)))
             cdf /= cdf[-1]
             cdf[-1] = np.inf
-            guides.append(np.searchsorted(cdf, np.arange(size) / size, side="right") + offset)
+            # bucket g, the uniforms from g / size to the largest double below
+            # (g + 1) / size, has one answer unless a CDF entry lies between
+            bounds = np.arange(size + 1) / size
+            first = np.searchsorted(cdf, bounds[:-1], side="right")
+            split = first != np.searchsorted(cdf, bounds[1:], side="left")
+            entries = guide[start:start + size]
+            entries[:] = first + lo
+            entries[split] = -1 - offset - first[split]
             cdfs.append(cdf)
             offset += cdf.size
         edges = np.cumsum([0] + [c.size for c in cdfs])
-        return cls(cdf=np.concatenate(cdfs), guide=np.concatenate(guides).astype(float),
-                   scale=np.array(sizes, dtype=float), start=np.cumsum([0] + sizes[:-1]),
-                   edges=edges, shift=np.array([lo for lo, _ in spans]) - edges[:-1])
+        return cls(cdf=np.concatenate(cdfs), guide=guide, scale=np.array(sizes, dtype=float),
+                   start=starts, edges=edges, shift=np.array([lo for lo, _ in spans]) - edges[:-1])
 
-    def invert(self, u: np.ndarray, k: np.ndarray, x: np.ndarray, short: np.ndarray) -> None:
-        """Write into ``k`` the index into ``cdf`` of the first entry of each
-        uniform's cell's CDF above it: ``np.searchsorted`` of the uniform in
-        that CDF, ``side="right"``.
+    def draw(self, u: np.ndarray, k: np.ndarray, cells: np.ndarray) -> None:
+        """Write into ``cells`` the count each uniform of ``u`` inverts to: the
+        cell's shift plus ``np.searchsorted`` of the uniform in the cell's
+        CDF, ``side="right"``.
 
-        ``u`` has one row per trial and one column per cell; ``x`` and
-        ``short`` are scratch of its shape.  A uniform's guide entry is at or
-        left of its answer, so two steps right while the entry is not above
-        the uniform finish nearly every draw; the rest, in the tails that the
-        first and last guide entries span, are found by ``searchsorted``.
+        ``u`` has one row per trial and one column per cell; ``cells`` and
+        the index scratch ``k`` are C-contiguous and cell-major, one row per
+        cell.  One gather of the guide gives nearly every count; the draws
+        with a marker step right from it while the CDF entry is not above
+        the uniform, and the few that two steps leave, in the tails that the
+        first and last buckets span, are found by ``searchsorted``.
         """
-        np.multiply(u, self.scale, out=k, casting="unsafe")  # truncated: the guide entry
-        k += self.start
+        np.multiply(u.T, self.scale[:, None], out=k, casting="unsafe")  # truncated: the bucket
+        k += self.start[:, None]
         # every index is in range; "clip" spares the copy of out that "raise" makes
-        np.take(self.guide, k, out=x, mode="clip")
-        np.copyto(k, x, casting="unsafe")
+        np.take(self.guide, k, out=cells, mode="clip")
+        flat = np.flatnonzero(cells < 0)
+        cell, trial = np.divmod(flat, cells.shape[1])
+        v = u[trial, cell]
+        j = (-1 - cells.reshape(-1)[flat]).astype(np.intp)
         for _ in range(2):
-            np.take(self.cdf, k, out=x, mode="clip")
-            k += np.less_equal(x, u, out=short)
-        np.take(self.cdf, k, out=x, mode="clip")
-        trial, cell = np.nonzero(np.less_equal(x, u, out=short))
-        for c in np.flatnonzero(np.bincount(cell, minlength=u.shape[1])):
-            t = trial[cell == c]
+            j += self.cdf[j] <= v
+        tail = np.flatnonzero(self.cdf[j] <= v)
+        for c in np.flatnonzero(np.bincount(cell[tail], minlength=len(cells))):
+            t = tail[cell[tail] == c]
             lo, hi = self.edges[c], self.edges[c + 1]
-            k[t, c] = lo + np.searchsorted(self.cdf[lo:hi], u[t, c], side="right")
+            j[t] = lo + np.searchsorted(self.cdf[lo:hi], v[t], side="right")
+        cells.reshape(-1)[flat] = j + self.shift[cell]
 
 
 def poisson_mc_similarity(counts, theory, trials: int = 1_000_000, seed: int = 0,
@@ -319,19 +339,18 @@ def poisson_mc_similarity(counts, theory, trials: int = 1_000_000, seed: int = 0
         # one uniform per trial and cell, drawn a block at a time: numpy fills
         # them in C order, so the blocks take the same values as one draw for
         # the whole chunk.  Three block buffers, allocated once per chunk,
-        # serve every step: the uniforms, then the judge's products; the CDF
-        # values, then the cell-major counts; and the CDF indices.
-        shape = (min(_BLOCK, out.shape[1]), counts.size)
-        u, x, k = np.empty(shape), np.empty(shape), np.empty(shape, np.intp)
-        short = np.empty(shape, bool)
+        # serve every step: the uniforms, then the judge's scratch; the
+        # cell-major counts; and the guide indices.
+        n, size = counts.size, min(_BLOCK, out.shape[1])
+        u = np.empty(max(n, len(rows)) * size)
+        x, k = np.empty(n * size), np.empty(n * size, np.intp)
         for a in range(0, out.shape[1], _BLOCK):
             block = out[:, a:a + _BLOCK]
             b = block.shape[1]
-            rng.random(out=u[:b])
-            table.invert(u[:b], k[:b], x[:b], short[:b])
-            cells = x[:b].reshape(-1, b)
-            np.add(k[:b].T, table.shift[:, None], out=cells, casting="unsafe")
-            _judge(cells, rows[:, :, None], block, prod=u[:b].reshape(-1, b))
+            uniforms, cells = u[:b * n].reshape(b, n), x[:n * b].reshape(n, b)
+            rng.random(out=uniforms)
+            table.draw(uniforms, k[:n * b].reshape(n, b), cells)
+            _judge(cells, rows[:, :, None], block, term=u[:block.size].reshape(block.shape))
 
     samples = _run_chunks(trials, seed, chunk, rows=len(rows), spawn_key=spawn_key)
     results = _ordered_map(lambda k: _summarize(samples[k], trials, seed, raws[k], keep_samples),
@@ -359,7 +378,7 @@ def random_baseline(theory=None, dims: int = 6, trials: int = 1_000_000, seed: i
         size = out.shape[1]
         draws = np.ascontiguousarray(rng.exponential(size=(size, dims)).T)
         other = rng.exponential(size=(size, dims)).T if theory is None else theory[:, None]
-        _judge(draws, [other], out)
+        _judge(draws, other[None], out)
 
     samples = _run_chunks(trials, seed, chunk)[0]
     return _summarize(samples, trials, seed, None, keep_samples)

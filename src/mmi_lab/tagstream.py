@@ -261,7 +261,9 @@ def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
         m = rows - first
         jj = np.repeat(rows, m)
         ii = np.arange(jj.size) + np.repeat(first - (np.cumsum(m) - m), m)
-        dt = (t[jj] - t[ii]).astype(np.int64) * sub.tick_fs
+        # pairs are at most span ticks apart: with a span of 0 (a tick longer
+        # than the range, perhaps one past int64) only simultaneous tags pair
+        dt = (t[jj] - t[ii]).astype(np.int64) * (sub.tick_fs if span else 0)
         cross = chans[ii] != chans[jj]
         dt = np.where(chans[jj[cross]] == ch_b, dt[cross], -dt[cross])
         # a separation of exactly +span lands one past the last bin

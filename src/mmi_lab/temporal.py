@@ -127,7 +127,8 @@ class CoherenceModel:
             return np.zeros_like(tau)
         if self.kind == "perfect" or self.jitter_sd == 0.0:
             return np.ones_like(tau)
-        return np.exp(-0.5 * (self.jitter_sd * tau) ** 2)
+        with np.errstate(over="ignore"):  # an exponent past float range is -inf: kappa 0
+            return np.exp(-0.5 * (self.jitter_sd * tau) ** 2)
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,24 @@ trial to regenerated draws; the cell-major kernel that the one similarity
 kernel replaced is kept verbatim to bound how far the two differ.  The
 Poisson counts' oracle is plain inversion of the same uniforms by
 ``np.searchsorted``; the ``rng.poisson`` chunk that inversion replaced is
-kept verbatim, to compare the two samplers' distributions.
+kept verbatim, to compare the two samplers' distributions.  The first guided
+inversion (a guide of about twice the CDF's length, holding CDF indices, and
+two steps for every draw), the judge with its full product buffer and the
+chunk that used them are kept verbatim too: the draws and samples of the
+one-gather draw must have their bits.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
+from mmi_lab._runtime import MAX_ELEMENTS
 from mmi_lab.core import coincidence_classical, coincidence_quantum
-from mmi_lab.stats import (_BLOCK, MODE_BIN_WIDTH, SimilarityResult, _judge, _PoissonTable,
-                           poisson_mc_similarity, similarity)
+from mmi_lab.stats import (_BLOCK, MODE_BIN_WIDTH, SimilarityResult, _cell_sum, _judge,
+                           _PoissonTable, poisson_mc_similarity, similarity)
 
 
 def oracle_fit_visibility(measured, matrix, i, j, grid_step=0.001):
@@ -138,6 +146,133 @@ def replaced_poisson_chunk(counts, rows):
             draws = rng.poisson(lam=counts, size=(b, counts.size))
             np.copyto(cells[:, :b], draws.T, casting="unsafe")
             _judge(cells[:, :b], rows[:, :, None], block)
+
+    return chunk
+
+
+# The first guided inversion and the judge with a full product buffer,
+# verbatim but for their names, and the chunk function that used them.
+def replaced_judge(draws: np.ndarray, theories, out: np.ndarray,
+                   prod: np.ndarray | None = None) -> None:
+    """Write into ``out[k]`` the similarity of each column of ``draws`` to
+    ``theories[k]``: the one similarity kernel.
+
+    Arrays are cell-major, one row per cell and one column per trial; a
+    theory has one column for every trial or one column per trial.  Square
+    roots come first, since a plain product can underflow for tiny sums, and
+    every sum over cells adds the rows in order.  A zero numerator gives 0,
+    so 0/0, from an all-zero column, is 0.  ``draws`` is overwritten with
+    its square roots; ``prod``, scratch of the shape of ``draws`` and the
+    theories broadcast together, is allocated when not given.
+    """
+    norms = np.sqrt(_cell_sum(draws))
+    roots = np.sqrt(draws, out=draws)
+    if prod is None:
+        prod = np.empty(np.broadcast(draws, theories[0]).shape)
+    for row, q in zip(out, theories):
+        num = _cell_sum(np.multiply(roots, np.sqrt(q), out=prod))
+        row[:] = 0.0
+        np.divide(num, norms * np.sqrt(_cell_sum(q)), out=row, where=num > 0)
+
+
+@dataclass(frozen=True)
+class ReplacedPoissonTable:
+    """Inverse CDFs of Poisson(``counts[c]``), one per cell, for drawing counts
+    by inversion with a guide table (Chen & Asau, AIIE Trans. 6, 163 (1974)).
+
+    Cell c's CDF is ``cdf[edges[c]:edges[c + 1]]``: index i holds P(n <= i +
+    shift[c]) over the counts within ``lam +/- (12 sqrt(lam) + 20)``,
+    normalised by its last entry, which is then inf, so every uniform below 1
+    lies below some entry.  Its guide is the ``scale[c]`` entries of
+    ``guide`` from ``start[c]``, a power of two at least twice the CDF's
+    length, so that ``g / scale[c]`` is exact: entry g is the index into
+    ``cdf`` of the cell's first entry above ``g / scale[c]``, held as a float
+    so that the float scratch of :meth:`invert` can take it.
+    """
+
+    cdf: np.ndarray
+    guide: np.ndarray
+    scale: np.ndarray
+    start: np.ndarray
+    edges: np.ndarray
+    shift: np.ndarray
+
+    @classmethod
+    def build(cls, counts: np.ndarray) -> ReplacedPoissonTable:
+        spans = [(max(0, math.floor(lam - 12 * math.sqrt(lam) - 20)),
+                  math.ceil(lam + 12 * math.sqrt(lam) + 20)) for lam in counts.tolist()]
+        sizes = [1 << (2 * (hi - lo) + 1).bit_length() for lo, hi in spans]
+        if sum(sizes) > MAX_ELEMENTS:
+            raise ValueError(f"counts up to {counts.max():g} are too large to resample: "
+                             f"their inversion tables exceed {MAX_ELEMENTS} entries")
+        cdfs, guides, offset = [], [], 0
+        for lam, (lo, hi), size in zip(counts.tolist(), spans, sizes):
+            k = np.arange(lo, hi + 1, dtype=float)
+            mode = math.floor(lam) - lo
+            # the pmf relative to the mode's, by the recurrence p_k = p_{k-1} lam / k
+            below = np.cumprod(k[mode:0:-1] / lam)[::-1]
+            above = np.cumprod(lam / k[mode + 1:])
+            cdf = np.cumsum(np.concatenate((below, [1.0], above)))
+            cdf /= cdf[-1]
+            cdf[-1] = np.inf
+            guides.append(np.searchsorted(cdf, np.arange(size) / size, side="right") + offset)
+            cdfs.append(cdf)
+            offset += cdf.size
+        edges = np.cumsum([0] + [c.size for c in cdfs])
+        return cls(cdf=np.concatenate(cdfs), guide=np.concatenate(guides).astype(float),
+                   scale=np.array(sizes, dtype=float), start=np.cumsum([0] + sizes[:-1]),
+                   edges=edges, shift=np.array([lo for lo, _ in spans]) - edges[:-1])
+
+    def invert(self, u: np.ndarray, k: np.ndarray, x: np.ndarray, short: np.ndarray) -> None:
+        """Write into ``k`` the index into ``cdf`` of the first entry of each
+        uniform's cell's CDF above it: ``np.searchsorted`` of the uniform in
+        that CDF, ``side="right"``.
+
+        ``u`` has one row per trial and one column per cell; ``x`` and
+        ``short`` are scratch of its shape.  A uniform's guide entry is at or
+        left of its answer, so two steps right while the entry is not above
+        the uniform finish nearly every draw; the rest, in the tails that the
+        first and last guide entries span, are found by ``searchsorted``.
+        """
+        np.multiply(u, self.scale, out=k, casting="unsafe")  # truncated: the guide entry
+        k += self.start
+        # every index is in range; "clip" spares the copy of out that "raise" makes
+        np.take(self.guide, k, out=x, mode="clip")
+        np.copyto(k, x, casting="unsafe")
+        for _ in range(2):
+            np.take(self.cdf, k, out=x, mode="clip")
+            k += np.less_equal(x, u, out=short)
+        np.take(self.cdf, k, out=x, mode="clip")
+        trial, cell = np.nonzero(np.less_equal(x, u, out=short))
+        for c in np.flatnonzero(np.bincount(cell, minlength=u.shape[1])):
+            t = trial[cell == c]
+            lo, hi = self.edges[c], self.edges[c + 1]
+            k[t, c] = lo + np.searchsorted(self.cdf[lo:hi], u[t, c], side="right")
+
+
+def replaced_guided_chunk(counts, rows):
+    """``poisson_mc_similarity``'s chunk function before each count was one
+    gather, verbatim: :class:`ReplacedPoissonTable` and :func:`replaced_judge`."""
+    counts = np.asarray(counts, dtype=float)
+    table = ReplacedPoissonTable.build(counts)
+
+    def chunk(rng, out):
+        # one uniform per trial and cell, drawn a block at a time: numpy fills
+        # them in C order, so the blocks take the same values as one draw for
+        # the whole chunk.  Three block buffers, allocated once per chunk,
+        # serve every step: the uniforms, then the judge's products; the CDF
+        # values, then the cell-major counts; and the CDF indices.
+        shape = (min(_BLOCK, out.shape[1]), counts.size)
+        u, x, k = np.empty(shape), np.empty(shape), np.empty(shape, np.intp)
+        short = np.empty(shape, bool)
+        for a in range(0, out.shape[1], _BLOCK):
+            block = out[:, a:a + _BLOCK]
+            b = block.shape[1]
+            rng.random(out=u[:b])
+            table.invert(u[:b], k[:b], x[:b], short[:b])
+            cells = x[:b].reshape(-1, b)
+            np.add(k[:b].T, table.shift[:, None], out=cells, casting="unsafe")
+            replaced_judge(cells, rows[:, :, None], block, prod=u[:b].reshape(-1, b))
 
     return chunk
 

@@ -201,6 +201,9 @@ class TestSimulateCommand:
         "[analysis]\nmin_window_events = 0\n",
         "[analysis]\nreference_offset_cycles = 0\n",
         f"[analysis]\nreference_offset_cycles = {10 ** 306}\n",
+        "[source]\npulses_per_transit = 0\n",
+        f"[source]\npulses_per_transit = {2 ** 26 + 1}\n",
+        f"[source]\npulses_per_transit = {10 ** 400}\n",
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, text):
         section, key = text.split("\n")[:2]
@@ -863,6 +866,23 @@ class TestMalformedStreams:
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "2 channels" in err and "4 modes" in err
+
+    @pytest.mark.parametrize("kind, message", [
+        ("g2", "data error: no side peaks found; cannot normalise g2\n"),
+        ("hom", "data error: reference stream contains no cross coincidences\n")])
+    def test_tick_size_past_int64(self, tmp_path, capsys, kind, message):
+        # a header tick of 2**63 fs (the u64 header allows up to 2**64 - 1)
+        # puts no whole tick inside the correlation range, so only
+        # simultaneous tags pair: none here
+        path = tmp_path / "s.ttag"
+        TimeTagStream(np.array([0, 1, 0, 1], np.uint8), np.arange(4, dtype=np.uint64), 2,
+                      tick_fs=2 ** 63).write_file(path)
+        extra = ["--reference", str(path)] if kind == "hom" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", kind, "--stream", str(path), *extra,
+                         "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == message
 
     def test_no_side_peaks_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "s.csv"

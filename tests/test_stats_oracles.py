@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 from stats_oracles import (_similarity_rows, oracle_fit_visibility, oracle_hpd_interval,
                            oracle_mode, oracle_poisson_chunk, oracle_poisson_draws,
                            oracle_random_baseline_chunk, oracle_similarity_vs_dt,
-                           oracle_summarize, replaced_poisson_chunk)
+                           oracle_summarize, replaced_guided_chunk, replaced_judge,
+                           replaced_poisson_chunk)
 
 from mmi_lab import (CoincidenceDistribution, TransferMatrix, coincidence_classical,
                      coincidence_quantum, extract_coincidences, fit_visibility,
                      poisson_mc_similarity, random_baseline, random_unitary, similarity,
-                     similarity_vs_dt, simulate_run)
+                     similarity_vs_dt, simulate_run, stats)
+from mmi_lab._runtime import DataError
 from mmi_lab.stats import (_BLOCK, _CHUNK, _EDGES, MODE_BIN_WIDTH, _judge, _PoissonTable,
                            _run_chunks, _summarize, hpd_interval)
 
@@ -191,16 +193,34 @@ def chi2_limit(df: int) -> float:
 
 
 def edge_uniforms(table, rng, n=64):
-    """Uniforms on and next to each cell's guide edges g / K and CDF values,
-    and 0, the smallest subnormal and the largest double below 1."""
+    """Uniforms on and next to each cell's guide bucket edges g / K (random
+    ones, and both edges of the buckets that a CDF value splits) and CDF
+    values, and 0, the smallest subnormal and the largest double below 1."""
     cols = []
     for c, size in enumerate(table.scale):
         cdf = table.cdf[table.edges[c]:table.edges[c + 1] - 1]
-        edges = np.concatenate((rng.integers(0, size, n) / size, cdf[cdf < 1.0]))
+        split = np.flatnonzero(table.guide[table.start[c]:table.start[c] + int(size)] < 0)
+        edges = np.concatenate((rng.integers(0, size, n) / size, split / size,
+                                (split + 1) / size, cdf[cdf < 1.0]))
         u = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
                             [0.0, 5e-324, 1.0 - 2.0 ** -53]))
         cols.append(rng.choice(u[u < 1.0], 4 * n))
     return np.stack(cols, axis=1)
+
+
+def span(lam: float) -> int:
+    """hi - lo of the counts lam +/- (12 sqrt(lam) + 20) that a CDF covers."""
+    return (math.ceil(lam + 12 * math.sqrt(lam) + 20)
+            - max(0, math.floor(lam - 12 * math.sqrt(lam) - 20)))
+
+
+def span_boundary(limit: int) -> tuple[float, float]:
+    """Adjacent doubles ``ok < refused``, ``span(ok) < limit <= span(refused)``."""
+    ok, refused = 0.0, 1e16
+    while np.nextafter(ok, np.inf) < refused:
+        mid = 0.5 * (ok + refused)
+        ok, refused = (ok, mid) if span(mid) >= limit else (mid, refused)
+    return ok, refused
 
 
 class TestGuidedInversion:
@@ -218,10 +238,10 @@ class TestGuidedInversion:
         counts = np.asarray(counts, dtype=float)
         table = _PoissonTable.build(counts)
         u = np.concatenate((rng.random((2000, counts.size)), edge_uniforms(table, rng)))
-        k = np.empty(u.shape, np.intp)
-        table.invert(u, k, np.empty(u.shape), np.empty(u.shape, bool))
-        assert same_bits(k + table.shift, oracle_poisson_draws(table, u))
-        assert (k[:, counts == 0.0] + table.shift[counts == 0.0] == 0).all()  # a zero rate draws 0
+        cells = np.empty((counts.size, len(u)))
+        table.draw(u, np.empty(cells.shape, np.intp), cells)
+        assert same_bits(cells.T, oracle_poisson_draws(table, u).astype(float))
+        assert (cells[counts == 0.0] == 0.0).all()  # a zero rate draws 0
 
     @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.5, 7.0, 284.73, 3663.0])
     def test_cdf_matches_exact_recurrence(self, lam):
@@ -234,8 +254,47 @@ class TestGuidedInversion:
         assert np.abs(table.cdf[:-1] - want[:-1]).max() <= 1e-13
 
     def test_counts_past_the_table_budget_are_refused(self):
-        with pytest.raises(ValueError, match="too large to resample"):
+        with pytest.raises(DataError, match="too large to resample"):
             poisson_mc_similarity([1e14, 5.0], [1.0, 1.0], trials=10)
+
+    def test_refusal_threshold(self, monkeypatch):
+        # a guide is the least power of two at least 8 (span + 1) entries, so
+        # one cell passes the budget once its span reaches budget / 8: 2**23,
+        # from a count of about 1.2217e11 (2**25 and 1.9547e12 when the guide
+        # was twice the CDF's length).  A table at that budget is 512 MB, so
+        # the accepted side is built at a budget of 2**16.
+        ok, refused = span_boundary(2 ** 23)
+        assert 1.22166e11 < ok < refused < 1.22167e11
+        assert math.floor(span_boundary(2 ** 25)[1] / 1e8) == 19546  # the old threshold
+        monkeypatch.setattr(stats, "_run_chunks", None)  # refused before any draw
+        with pytest.raises(DataError, match="too large to resample"):
+            poisson_mc_similarity([refused], [1.0], trials=10)
+        monkeypatch.setattr(stats, "MAX_ELEMENTS", 2 ** 16)
+        for cells in (1, 2):  # the budget holds the guides of all cells together
+            ok, refused = span_boundary(2 ** 13 // cells)
+            assert _PoissonTable.build(np.array([ok] * cells)).guide.size == 2 ** 16
+            with pytest.raises(DataError, match="exceed 65536 entries"):
+                _PoissonTable.build(np.array([ok] * (cells - 1) + [refused]))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("case", ["headline", "sparse", "wide", "more-rows-than-cells"])
+    def test_samples_match_the_replaced_guided_chunk(self, chip, monkeypatch, threads, case):
+        # the one-gather draw and the row-at-a-time judge against the first
+        # guided inversion and the judge with a full product buffer, bit for
+        # bit over two chunks and a part block
+        monkeypatch.setenv("MMI_LAB_THREADS", threads)
+        q = coincidence_quantum(chip, 0, 1).values
+        c = coincidence_classical(chip, 0, 1).values
+        rows = np.stack((q, c, 0.5 * (q + c)))
+        counts = {"headline": np.round(4000 * q / q.sum()), "sparse": 1e-3 * q,
+                  "wide": q * np.logspace(0, 6, q.size)}.get(case)
+        if counts is None:
+            counts, rows = np.array([3.0, 0.0]), np.random.default_rng(3).random((5, 2))
+        counts[-1] = 0.0  # a channel that always draws 0
+        trials = _CHUNK + _BLOCK + 3
+        got = poisson_mc_similarity(counts, rows, trials, seed=12, keep_samples=True)
+        want = _run_chunks(trials, 12, replaced_guided_chunk(counts, rows), rows=len(rows))
+        assert all(same_bits(g.samples, w) for g, w in zip(got, want))
 
     def test_distribution_matches_rng_poisson(self):
         # limits fixed before the first run: |z| < 5 for the means and
@@ -303,10 +362,37 @@ class TestCellMajorJudging:
                 old = np.empty((len(theories), draws.shape[1]))
                 _similarity_rows(draws.copy(), theories, old, np.empty_like(draws))
                 new = np.empty_like(old)
-                _judge(draws.copy(), [q if per_draw else q[:, None] for q in theories], new)
+                _judge(draws.copy(), np.stack([q if per_draw else q[:, None] for q in theories]),
+                       new)
                 assert np.array_equal(old == 0.0, new == 0.0)
                 worst = max(worst, int(np.abs(old.view(np.int64) - new.view(np.int64)).max()))
         assert worst <= REPLACED_KERNEL_ULPS
+
+    @pytest.mark.parametrize("per_draw", [False, True], ids=["theory", "random"])
+    def test_replaced_judge_bit_for_bit(self, per_draw):
+        # the numerators summed row by row, in out, against the judge with a
+        # full product buffer: all-zero columns (0/0 is 0), subnormal and
+        # signed-zero counts, and theories with zero and -0 cells
+        rng = np.random.default_rng(41)
+        for cells in (1, 2, 3, 10, 136):
+            draws = rng.poisson(rng.random(cells) * 3, size=(600, cells)).T.astype(float)
+            draws[:, :50] = 0.0
+            draws[:, 50:100] *= 5e-324
+            draws[:, 100:150] = rng.random((cells, 50)) * 1e-300
+            draws[0, 150:200] = -0.0
+            if per_draw:
+                theories = rng.exponential(size=(1, cells, 600))
+                theories[0, 0, ::7] = 0.0
+            else:
+                theories = rng.random((3, cells, 1))
+                theories[1, 0] = 0.0
+                theories[2, -1] = -0.0
+            old = np.empty((len(theories), 600))
+            replaced_judge(draws.copy(), theories, old)
+            new = np.empty_like(old)
+            _judge(draws.copy(), theories, new)
+            assert same_bits(new, old)
+            assert (new[:, :50] == 0.0).all() and not np.signbit(new).any()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("cells", [1, 3, 6, 10, 21, 136])

@@ -72,6 +72,16 @@ def check_correlation(stream, ch_a, ch_b, range_ns, pitch):
     return hist
 
 
+@pytest.mark.parametrize("tick_fs", [2 ** 62, 2 ** 63, 2 ** 64 - 1])
+def test_correlation_with_ticks_longer_than_the_range(tick_fs):
+    # only the simultaneous tags (ticks 5 and 9) pair, in the bin at 0; the
+    # ticks' femtoseconds are past int64 from 2**63 on
+    stream = TimeTagStream(np.array([0, 1, 1, 0, 1, 0], np.uint8),
+                           np.array([5, 5, 6, 9, 9, 12], np.uint64), 2, tick_fs)
+    hist = check_correlation(stream, 0, 1, 1000.0, 50.0)
+    assert hist.fine_counts.sum() == 2 and hist.fine_counts[hist.fine_edges[:-1] == 0.0] == 2
+
+
 @st.composite
 def tag_streams(draw, n_channels=4, starts=st.integers(0, 1000)):
     """Streams whose gaps hit the window and offset edges, counted in ticks.

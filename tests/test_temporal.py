@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from instrument_oracles import stacked_dtau_marginal
@@ -60,6 +62,19 @@ class TestCoherenceModel:
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             CoherenceModel("lorentzian")
+
+    def test_exponent_past_float_range_is_zero_without_warning(self):
+        # (sd tau)**2 overflows to inf from sd tau of about 1.3e154 on: kappa
+        # is then exp(-inf) = 0, and a finite exponent keeps its bits
+        tau = np.array([0.0, 1e-3, 1.0, 664.0, -1e10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sd in (1e-3, 0.0123, 1e150, 1e300):
+                with np.errstate(all="ignore"):
+                    want = np.exp(-0.5 * (sd * tau) ** 2)
+                got = CoherenceModel.gaussian(sd).kappa(tau)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(CoherenceModel.gaussian(1e300).kappa(tau), [1.0, 0, 0, 0, 0])
 
 
 class TestJointDensity:
