@@ -17,19 +17,20 @@ than a train after the one before it, so no two blocks share an arrival
 interval and no pair spans two blocks; block ``b`` draws the rest of its
 photons' history from ``SeedSequence(seed, spawn_key=(b,))`` in a fixed
 order.  Blocks run on up to MMI_LAB_THREADS threads, and identical seeds give
-bit-identical streams at any thread count.  The pair sampler (the normalised
-CDF of the joint detection density) is built once per configuration and
-cached, so repeated runs only draw from it.
+bit-identical streams at any thread count.  Every table the photons are
+drawn from is built once per configuration, before the root generator
+draws, and cached (:func:`_draw_tables`), so repeated runs only draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from ._runtime import MAX_ELEMENTS, ConfigError, _ordered_map, check_size
+from .core import mode_pairs
 from .matrix import TransferMatrix, balanced_splitter, measured_chip_matrix
 from .tagstream import TimeTagStream
 from .temporal import (CoherenceModel, Wavepacket, calibrate_gaussian_jitter,
@@ -207,43 +208,88 @@ class TruthRecord:
     n_blocks: int
 
 
-@lru_cache(maxsize=4)
-def _pair_sampler(source: SourceConfig, layout: Layout):
-    """``(cdf, shape, n_modes, dt)``: the read-only normalised CDF of the joint
-    detection density of ``layout``'s pairs over (mode pair, t1 cell, t2 cell),
-    the shape of that grid, the number of modes and the cell width.  Cached,
-    so the coherence calibration and the density run once per configuration."""
-    envelope = source.envelope()
-    flat = joint_density(layout.interference_matrix, layout.input_delayed,
-                         layout.input_direct, envelope, envelope, source.coherence(),
-                         t_max=envelope.duration).densities
-    shape = flat.shape
-    cdf = np.cumsum(flat.ravel())
+_TIME_BINS = 2 ** 16  # a power of two: u * _TIME_BINS and the bin edges are exact
+
+
+def _cdf(weights: np.ndarray, what: str) -> np.ndarray:
+    """Read-only running sum of ``weights`` ending at exactly 1, so every draw in
+    [0, 1) finds a cell; ConfigError ``what`` if the weights sum to 0."""
+    cdf = np.cumsum(weights)
     if cdf[-1] <= 0:
-        raise ConfigError("joint density vanishes; cannot sample pairs")
-    cdf /= cdf[-1]  # ends at exactly 1, so every draw in [0, 1) finds a cell
+        raise ConfigError(what)
+    cdf /= cdf[-1]
     cdf.setflags(write=False)
-    return cdf, shape, layout.interference_matrix.n_modes, envelope.dt
+    return cdf
 
 
-def _sample_pairs(sampler, rng: np.random.Generator, size: int):
-    """Inverse-CDF draw of (output k, output l, t1, t2) for ``size`` pairs
-    from a :func:`_pair_sampler`."""
-    cdf, shape, n_modes, dt = sampler
+def _time_table(envelope: Wavepacket) -> tuple[np.ndarray, np.ndarray]:
+    """The intensity CDF over ``envelope``'s cells, and for each bin edge ``b
+    / _TIME_BINS`` of [0, 1] the number of CDF values below it; read-only."""
+    cdf = _cdf(envelope.intensity() * envelope.dt, "the emission envelope has no intensity")
+    bins = np.searchsorted(cdf, np.arange(_TIME_BINS + 1) / _TIME_BINS)
+    bins.setflags(write=False)
+    return cdf, bins
+
+
+@dataclass(frozen=True, eq=False)
+class _DrawTables:
+    """Every table a run draws from, read-only; pair fields for parallel pairs."""
+
+    dt: float  # ns, the cell width of every time grid
+    time_cdf: np.ndarray  # the emission envelope's _time_table
+    time_bins: np.ndarray
+    route_cdf: dict  # each of the layout's two inputs: its CDF over the outputs
+    pair_cdf: np.ndarray | None = None  # the CDF of the pairs' joint detection density
+    pair_shape: tuple = ()  # over this grid of (mode pair, t1 cell, t2 cell)
+    pair_modes: np.ndarray | None = None  # each mode pair's outputs (k, l)
+
+
+@lru_cache(maxsize=4)
+def _draw_tables(source: SourceConfig, layout: Layout) -> _DrawTables:
+    """The configuration's :class:`_DrawTables`, cached so the coherence
+    calibration and the joint density run once per configuration."""
+    envelope = source.envelope()
+    matrix = layout.interference_matrix
+    route_cdf = {i: _cdf(np.abs(matrix.elements[i]) ** 2, f"input mode {i} has zero transmission")
+                 for i in (layout.input_delayed, layout.input_direct)}
+    tables = _DrawTables(envelope.dt, *_time_table(envelope), route_cdf)
+    if layout.kind == "hbt" or layout.polarization != "parallel":
+        return tables
+    flat = joint_density(matrix, layout.input_delayed, layout.input_direct, envelope,
+                         envelope, source.coherence(), t_max=envelope.duration).densities
+    modes = np.array(mode_pairs(matrix.n_modes))
+    modes.setflags(write=False)
+    pair_cdf = _cdf(flat.ravel(), "joint density vanishes; cannot sample pairs")
+    return replace(tables, pair_cdf=pair_cdf, pair_shape=flat.shape, pair_modes=modes)
+
+
+def _sample_times(tables: _DrawTables, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Inverse-CDF draw of emission times from ``tables``' :func:`_time_table`: a
+    draw in a bin of [0, 1) that holds no CDF value takes its cell from the bin
+    table, which is what a search of the CDF gives; only the others search it."""
+    u = rng.random(size)
+    b = (u * _TIME_BINS).astype(np.intp)
+    cell = tables.time_bins[b]
+    split = np.flatnonzero(cell != tables.time_bins[b + 1])
+    cell[split] = np.searchsorted(tables.time_cdf, u[split])
+    return (cell + rng.random(size)) * tables.dt
+
+
+def _sample_pairs(tables: _DrawTables, rng: np.random.Generator, size: int):
+    """Inverse-CDF draw of (output k, output l, t1, t2) for ``size`` pairs."""
     u = rng.random(size)
     # sorted keys search faster; each index is the same
     order = np.argsort(u)
     cell = np.empty(size, dtype=np.intp)
-    cell[order] = np.searchsorted(cdf, u[order])
-    pair, c1, c2 = np.unravel_index(cell, shape)
-    k, l = np.triu_indices(n_modes)  # the mode_pairs order of the rows
-    t1 = (c1 + rng.random(size)) * dt
-    t2 = (c2 + rng.random(size)) * dt
-    return k[pair], l[pair], t1, t2
+    cell[order] = np.searchsorted(tables.pair_cdf, u[order])
+    pair, c1, c2 = np.unravel_index(cell, tables.pair_shape)
+    t1 = (c1 + rng.random(size)) * tables.dt
+    t2 = (c2 + rng.random(size)) * tables.dt
+    return (*tables.pair_modes[pair].T, t1, t2)
 
 
 def _emit_photons(source: SourceConfig, transit_intervals: np.ndarray,
-                  rng: np.random.Generator, envelope: Wavepacket):
+                  rng: np.random.Generator, tables: _DrawTables):
     """Vectorised emission phase.
 
     Returns flat arrays (global attempt interval, int8 polarisation parity,
@@ -271,22 +317,16 @@ def _emit_photons(source: SourceConfig, transit_intervals: np.ndarray,
     # a double emission flips the spin twice: the second photon carries
     # the opposite polarisation, so the routing splits the pair
     pols[np.cumsum(reps)[reps == 2] - 1] ^= 1
-    return (transit_intervals[rows] + att, pols,
-            envelope.sample_times(rng, rows.size))
+    return transit_intervals[rows] + att, pols, _sample_times(tables, rng, rows.size)
 
 
-def _route_singles(matrix: TransferMatrix, inputs: np.ndarray,
+def _route_singles(tables: _DrawTables, inputs: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-    """Independent single-photon propagation, renormalised per input row."""
-    m = np.abs(matrix.elements) ** 2
+    """Independent single-photon propagation from each input's output CDF."""
     out = np.empty(inputs.size, dtype=np.uint8)
     for i in np.flatnonzero(np.bincount(inputs)):  # the input modes in use, in order
         sel = inputs == i
-        cdf = np.cumsum(m[i, :])
-        if cdf[-1] <= 0:
-            raise ConfigError(f"input mode {i} has zero transmission")
-        cdf /= cdf[-1]  # ends at exactly 1, like the pair sampler's
-        out[sel] = np.searchsorted(cdf, rng.random(np.count_nonzero(sel)))
+        out[sel] = np.searchsorted(tables.route_cdf[i], rng.random(np.count_nonzero(sel)))
     return out
 
 
@@ -310,17 +350,16 @@ def _block_bounds(transit_intervals: np.ndarray, pulses: int,
 
 
 def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorConfig,
-                    transit_intervals: np.ndarray, rng: np.random.Generator,
-                    sampler, envelope: Wavepacket):
+                    transit_intervals: np.ndarray, rng: np.random.Generator, tables: _DrawTables):
     """Emission, routing, pair sampling, the detection chain and jitter of one
-    block's transits, drawn from ``rng`` in that order.
+    block's transits, drawn from ``rng`` in that order by way of ``tables``.
 
     Returns the surviving photons' channels and times (ns) and the block's
     counts of emitted photons, delivered pairs and detected pairs.  Each
     phase deletes the arrays the next one does not need.
     """
     duty = source.duty_cycle_ns
-    g_interval, pol, t_emit = _emit_photons(source, transit_intervals, rng, envelope)
+    g_interval, pol, t_emit = _emit_photons(source, transit_intervals, rng, tables)
     n_emitted = int(g_interval.size)
 
     # -- routing and interference ---------------------------------------
@@ -367,22 +406,21 @@ def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorCon
 
         # pairs route first: indistinguishable ones by a joint draw over output
         # pair and times, the others photon by photon keeping their pair id
-        matrix = layout.interference_matrix
         two = 2 * delivered_pairs
         channel = np.empty(n_emitted, dtype=np.uint8)
-        if delivered_pairs and sampler is not None:
-            k, l, t1, t2 = _sample_pairs(sampler, rng, delivered_pairs)
+        if delivered_pairs and tables.pair_cdf is not None:
+            k, l, t1, t2 = _sample_pairs(tables, rng, delivered_pairs)
             channel[:two] = np.concatenate((k, l))
             pair_times = np.concatenate((base + t1, base + t2))
             pair_of = np.tile(np.arange(delivered_pairs), 2)
             del k, l, t1, t2
         else:
-            channel[:two] = _route_singles(matrix, inputs[is_pair], rng)
+            channel[:two] = _route_singles(tables, inputs[is_pair], rng)
             pair_times = times[is_pair]
             pair_of = np.repeat(np.arange(delivered_pairs), 2)
         single = ~is_pair
         del is_pair, base
-        channel[two:] = _route_singles(matrix, inputs[single], rng)
+        channel[two:] = _route_singles(tables, inputs[single], rng)
         del inputs
         t_ns = np.concatenate((pair_times, times[single]))
         del pair_times, times, single
@@ -427,12 +465,8 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
                 + n_det * dark_mean)
     check_size(expected, f"{expected:g} expected transits and tags are too many to allocate: "
                "lower --seconds, [source] atom_transit_rate or [detectors] dark_rate_per_hour")
-    # built before any draw, so a configuration that cannot sample pairs fails
-    # whether or not the run delivers one; the blocks share these tables
-    sampler = (_pair_sampler(source, layout)
-               if layout.kind != "hbt" and layout.polarization == "parallel" else None)
-    envelope = source.envelope()
-    envelope._intensity_cdf  # a cached property: built here, before the blocks share it
+    # before any draw: a configuration that cannot route photons fails even with none
+    tables = _draw_tables(source, layout)
     rng = np.random.default_rng(seed)
 
     # -- root draws: transits and dark counts ------------------------------
@@ -453,8 +487,7 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     def block(b):
         block_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         return _simulate_block(source, layout, detectors,
-                               transit_intervals[bounds[b]:bounds[b + 1]],
-                               block_rng, sampler, envelope)
+                               transit_intervals[bounds[b]:bounds[b + 1]], block_rng, tables)
 
     blocks = _ordered_map(block, range(len(bounds) - 1))
     del transit_intervals

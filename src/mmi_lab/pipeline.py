@@ -26,9 +26,9 @@ from .core import (DegenerateDistributionError, ModeIndexError, coincidence_clas
                    coincidence_mixture, coincidence_quantum, fit_visibility)
 from .matrix import TransferMatrix, gauge_fix
 from .stats import poisson_mc_similarity, similarity, similarity_vs_dt
-from .tagstream import (TimeTagStream, _side_peaks, cross_correlate, deadtime_correction,
-                        extract_coincidences, g2_zero, median_sorted, quantile_sorted,
-                        sliding_histogram)
+from .tagstream import (TimeTagStream, _half_bins, _side_peaks, cross_correlate,
+                        deadtime_correction, extract_coincidences, g2_zero, median_sorted,
+                        quantile_sorted, sliding_histogram)
 
 __all__ = ["ModeIndexError", "analyze_g2", "analyze_hom", "analyze_mmi",
            "analyze_timeresolved", "characterize", "csv_text", "predict"]
@@ -53,13 +53,15 @@ def analyze_g2(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dict
                f"correlation_pitch_ns = {p:g}: too many bins to allocate")
     if stream.n_channels < 2:
         raise DataError("g2 analysis needs two detector channels")
-    hist = cross_correlate(stream, 0, 1, range_ns=r, bin_width=b, pitch=p)
-    try:
-        _side_peaks(hist, cfg.source.duty_cycle_ns)
+    duty = cfg.source.duty_cycle_ns
+    setting = f"[analysis] correlation_range_ns = {r:g} at a {duty:g} ns duty cycle"
+    try:  # the histogram's span and its peaks, before the correlation runs
+        n_peaks = _side_peaks(_half_bins(r, b, p)[0] * p, duty)
     except ValueError as exc:
-        raise ConfigError(f"[analysis] correlation_range_ns = {r:g} "
-                          f"at a {cfg.source.duty_cycle_ns:g} ns duty cycle: {exc}") from None
-    res = g2_zero(hist, duty_cycle=cfg.source.duty_cycle_ns)
+        raise ConfigError(f"{setting}: {exc}") from None
+    check_size(2 * n_peaks + 1, f"{setting}: {2 * n_peaks + 1:g} peaks are too many to list")
+    hist = cross_correlate(stream, 0, 1, range_ns=r, bin_width=b, pitch=p)
+    res = g2_zero(hist, duty_cycle=duty)
     report = {
         "schema": "g2-report/1",
         "config_hash": cfg.config_hash(),

@@ -53,6 +53,9 @@ from .core import cross_pair_index
 MODE_BIN_WIDTH = 0.001  # 0.1 percentage points
 _CHUNK = 1 << 17  # trials per seeded generator
 _BLOCK = 1 << 14  # trials drawn and judged at once within a chunk
+# HPD widths taken at once (32 KiB): blocks of 16,384 (128 KiB, glibc's
+# default mmap threshold) raised the peak RSS of `analyze mmi` by 0.1 MB
+_HPD_BLOCK = 1 << 12
 _EDGES = np.linspace(0.0, 1.0, int(round(1.0 / MODE_BIN_WIDTH)) + 1)  # histogram bins
 _CENTERS = 0.5 * (_EDGES[:-1] + _EDGES[1:])
 
@@ -120,11 +123,21 @@ def _judge(draws: np.ndarray, theories: np.ndarray, out: np.ndarray,
 
 
 def _hpd_window(x: np.ndarray) -> tuple[float, float]:
-    """Shortest window of the sorted samples ``x`` that holds 68% of them."""
+    """Shortest window of the sorted samples ``x`` that holds 68% of them, the
+    first if several are: the widths are taken ``_HPD_BLOCK`` at a time, so
+    the temporaries stay small, and a NaN width ends the search as
+    ``argmin``'s first NaN."""
     n = x.size
     m = (68 * n + 99) // 100  # the fewest samples that are 68% or more
-    widths = x[m - 1:] - x[:n - m + 1]
-    i = int(np.argmin(widths))
+    i, narrowest = 0, np.inf
+    for a in range(0, n - m + 1, _HPD_BLOCK):
+        lo = x[a:min(a + _HPD_BLOCK, n - m + 1)]
+        widths = x[a + m - 1:a + m - 1 + lo.size] - lo
+        j = int(np.argmin(widths))
+        if not widths[j] >= narrowest:
+            i, narrowest = a + j, widths[j]
+            if np.isnan(narrowest):
+                break
     return float(x[i]), float(x[i + m - 1])
 
 

@@ -196,6 +196,19 @@ def _pitch_fs(pitch: float, bin_width: float) -> int:
     return pitch_fs
 
 
+def _half_bins(range_ns: float, bin_width: float, pitch: float) -> tuple[int, int]:
+    """``(n_half, pitch_fs)``: a correlation histogram over +/- ``range_ns``
+    has ``n_half`` bins of ``pitch_fs`` per side, the range rounded up to
+    whole pitches.  Separations are int64 fs, so a span of 2**63 fs or more
+    raises ValueError."""
+    pitch_fs = _pitch_fs(pitch, bin_width)
+    n_half = -(-_fs(range_ns) // pitch_fs)
+    if n_half * pitch_fs >= 1 << 63:
+        raise ValueError(f"a histogram span of {n_half * pitch:g} ns reaches 2**63 fs, "
+                         "past the int64 pair separations")
+    return n_half, pitch_fs
+
+
 def _histogram(fine: np.ndarray, edges: np.ndarray, bin_width: float, pitch: float,
                fold_period: float | None = None) -> Histogram:
     """``fine``, the counts between ``edges``, with its sliding sums over
@@ -245,8 +258,7 @@ def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
     """
     if ch_a == ch_b:
         raise ValueError(f"cross-correlation needs two channels, got {ch_a} twice")
-    pitch_fs = _pitch_fs(pitch, bin_width)
-    n_half = -(-_fs(range_ns) // pitch_fs)
+    n_half, pitch_fs = _half_bins(range_ns, bin_width, pitch)
     edges = (np.arange(2 * n_half + 1) - n_half) * pitch
     fine = np.zeros(2 * n_half, dtype=np.int64)
 
@@ -279,10 +291,11 @@ class G2Result:
     extrapolated_uncorrelated: float
 
 
-def _side_peaks(hist: Histogram, duty_cycle: float) -> int:
+def _side_peaks(span: float, duty_cycle: float) -> int:
     """Side peaks per side whose windows, m duty cycles +/- half of one, lie
-    inside the histogram: (m + 1/2) duty <= span.  At least 5 must."""
-    n_peaks = int(np.floor(hist.fine_edges[-1] / duty_cycle - 0.5))
+    inside a histogram over +/- ``span``: (m + 1/2) duty <= span.  At least 5
+    must."""
+    n_peaks = int(np.floor(span / duty_cycle - 0.5))
     if n_peaks < 5:
         raise ValueError(f"histogram range covers only {n_peaks} side peaks; "
                          "need at least 5 per side")
@@ -295,14 +308,19 @@ def g2_zero(hist: Histogram, duty_cycle: float) -> G2Result:
     Integrates each peak over a window of +/- half the duty cycle and
     normalises the central peak by the uncorrelated level extrapolated to
     zero separation (linear fit against |peak index|, which removes the
-    decay of the side peaks caused by finite emission sequences).
+    decay of the side peaks caused by finite emission sequences).  One pass
+    per candidate peak sums the integer counts: a bin's centre lies within
+    half a duty cycle of its nearest peak, or of the one beside it too when
+    it sits on the boundary, and then counts in both.
     """
-    n_peaks = _side_peaks(hist, duty_cycle)
+    n_peaks = _side_peaks(hist.fine_edges[-1], duty_cycle)
     centers = hist.fine_edges[:-1] + np.diff(hist.fine_edges) / 2.0
-    peak_counts = {}
-    for m in range(-n_peaks, n_peaks + 1):
-        sel = np.abs(centers - m * duty_cycle) <= duty_cycle / 2.0
-        peak_counts[m] = float(hist.fine_counts[sel].sum())
+    nearest = np.floor(centers / duty_cycle + 0.5)
+    sums = np.zeros(2 * n_peaks + 1, dtype=hist.fine_counts.dtype)
+    for m in (nearest - 1, nearest, nearest + 1):
+        sel = (np.abs(centers - m * duty_cycle) <= duty_cycle / 2.0) & (np.abs(m) <= n_peaks)
+        np.add.at(sums, (m[sel] + n_peaks).astype(np.intp), hist.fine_counts[sel])
+    peak_counts = dict(zip(range(-n_peaks, n_peaks + 1), map(float, sums.tolist())))
     ms = [m for m in range(-4, 5) if m != 0]  # the baseline fit uses 4 per side
     side = np.array([peak_counts[m] for m in ms], dtype=float)
     if side.sum() == 0:

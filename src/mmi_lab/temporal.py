@@ -6,20 +6,19 @@ density at a pair of interferometer outputs combines the two possible
 photon-to-detector assignments with an interference term damped by the
 mutual coherence kernel kappa(tau); integrating it back over both times
 recovers the static coincidence tables, while windowing in the time
-difference exposes the gradual loss of indistinguishability.
+difference exposes the gradual loss of indistinguishability.  The simulator
+(``mmi_lab.instrument``) builds the tables it draws photons from out of these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .core import CoincidenceDistribution, _check_input_pair, _pair_amplitudes, mode_pairs
 from .matrix import TransferMatrix
-
-_CDF_BINS = 2 ** 16  # a power of two: u * _CDF_BINS and the bin edges are exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,32 +48,6 @@ class Wavepacket:
         out = np.zeros(t.shape, dtype=complex)
         out[inside] = self.amplitudes[idx[inside]]
         return out
-
-    @cached_property
-    def _intensity_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """The intensity CDF over the cells, and for each bin edge ``b /
-        _CDF_BINS`` of [0, 1] the number of CDF values below it."""
-        cdf = np.cumsum(self.intensity() * self.dt)
-        cdf /= cdf[-1]
-        below = np.searchsorted(cdf, np.arange(_CDF_BINS + 1) / _CDF_BINS)
-        for a in (cdf, below):
-            a.setflags(write=False)
-        return cdf, below
-
-    def sample_times(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw detection times from the |amplitude|^2 intensity profile.
-
-        Inverse-CDF sampling: a draw in a bin of [0, 1) that holds no CDF
-        value takes its cell from the bin table, which is what a search of
-        the CDF gives; only the draws in the other bins search it.
-        """
-        cdf, below = self._intensity_cdf
-        u = rng.random(size)
-        b = (u * _CDF_BINS).astype(np.intp)
-        cell = below[b]
-        split = np.flatnonzero(cell != below[b + 1])
-        cell[split] = np.searchsorted(cdf, u[split])
-        return (cell + rng.random(size)) * self.dt
 
 
 @lru_cache(maxsize=8, typed=True)

@@ -21,7 +21,8 @@ density's anti-diagonal marginal, ``JointDensity.dtau_marginal`` of
 ``simulate_block`` is the single-generator simulator's phases from emission
 through jitter, verbatim, as a function of the transit intervals, the
 generator and the emission chunk size, with its pair sampler
-(``_pair_sampler``, normalised by the sum of the density) and
+(``_pair_sampler``, normalised by the sum of the density, and
+``_sample_pairs``, which drew from its positional tuple) and
 ``_route_singles`` (normalised per row before the running sum).  The
 block-seeded simulator emits each block's transits in one pass, so each of
 its blocks must equal ``simulate_block`` with a chunk of the whole block bit
@@ -36,8 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from mmi_lab.core import CoincidenceDistribution, _check_input_pair, mode_pairs, pair_index
-from mmi_lab.instrument import (ConfigError, DetectorConfig, Layout, SourceConfig,
-                                TruthRecord, _sample_pairs)
+from mmi_lab.instrument import ConfigError, DetectorConfig, Layout, SourceConfig, TruthRecord
 from mmi_lab.matrix import TransferMatrix, balanced_splitter
 from mmi_lab.tagstream import TimeTagStream
 from mmi_lab.temporal import CoherenceModel, HomProfile, Wavepacket
@@ -436,6 +436,22 @@ def _pair_sampler(source: SourceConfig, layout: Layout):
     cdf /= total
     cdf.setflags(write=False)
     return cdf, shape, layout.interference_matrix.n_modes, envelope.dt
+
+
+def _sample_pairs(sampler, rng: np.random.Generator, size: int):
+    """Inverse-CDF draw of (output k, output l, t1, t2) for ``size`` pairs
+    from a :func:`_pair_sampler`."""
+    cdf, shape, n_modes, dt = sampler
+    u = rng.random(size)
+    # sorted keys search faster; each index is the same
+    order = np.argsort(u)
+    cell = np.empty(size, dtype=np.intp)
+    cell[order] = np.searchsorted(cdf, u[order])
+    pair, c1, c2 = np.unravel_index(cell, shape)
+    k, l = np.triu_indices(n_modes)  # the mode_pairs order of the rows
+    t1 = (c1 + rng.random(size)) * dt
+    t2 = (c2 + rng.random(size)) * dt
+    return k[pair], l[pair], t1, t2
 
 
 def simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorConfig,

@@ -13,7 +13,9 @@ kept verbatim, to compare the two samplers' distributions.  The first guided
 inversion (a guide of about twice the CDF's length, holding CDF indices, and
 two steps for every draw), the judge with its full product buffer and the
 chunk that used them are kept verbatim too: the draws and samples of the
-one-gather draw must have their bits.
+one-gather draw must have their bits.  ``_hpd_window``, which took every
+window's width in one temporary, is kept verbatim: the bounded search must
+pick the same window.
 """
 
 from __future__ import annotations
@@ -287,6 +289,15 @@ def oracle_random_baseline_chunk(th, dims, every=False):
         judge_trials(draws, [other], out, picked_trials(size, every))
 
     return chunk
+
+
+def _hpd_window(x: np.ndarray) -> tuple[float, float]:
+    """Shortest window of the sorted samples ``x`` that holds 68% of them."""
+    n = x.size
+    m = (68 * n + 99) // 100  # the fewest samples that are 68% or more
+    widths = x[m - 1:] - x[:n - m + 1]
+    i = int(np.argmin(widths))
+    return float(x[i]), float(x[i + m - 1])
 
 
 def oracle_hpd_interval(samples) -> tuple[float, float]:

@@ -29,6 +29,11 @@ quarter of the folded profile.
 implementations that ``mmi_lab.tagstream.Histogram`` and its one
 ``_histogram`` replaced, kept verbatim; the kernels must give the same
 bits in every field they share.
+
+``g2_zero``, which summed each peak through a mask over every fine bin, and
+the ``_side_peaks`` it called, which read the span from the histogram, are
+kept verbatim; the one-pass sum must give the same result, boundary bins
+counted in both of their peaks included.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mmi_lab.core import CoincidenceDistribution, mode_pairs
-from mmi_lab.tagstream import _CHUNK_TAGS, CoincidenceSet, TimeTagStream
+from mmi_lab.tagstream import (_CHUNK_TAGS, CoincidenceSet, DataError, G2Result, Histogram,
+                               TimeTagStream)
 
 
 def oracle_cross_correlate(stream, ch_a, ch_b, range_ns, pitch=20.0):
@@ -362,3 +368,40 @@ def cross_correlate(stream: TimeTagStream, ch_a: int, ch_b: int,
     return CorrelationHistogram(range_ns=range_ns, bin_width=bin_width, pitch=pitch,
                                 fine_edges=edges, fine_counts=fine,
                                 centers=centers, counts=counts)
+
+
+def _side_peaks(hist: Histogram, duty_cycle: float) -> int:
+    """Side peaks per side whose windows, m duty cycles +/- half of one, lie
+    inside the histogram: (m + 1/2) duty <= span.  At least 5 must."""
+    n_peaks = int(np.floor(hist.fine_edges[-1] / duty_cycle - 0.5))
+    if n_peaks < 5:
+        raise ValueError(f"histogram range covers only {n_peaks} side peaks; "
+                         "need at least 5 per side")
+    return n_peaks
+
+
+def g2_zero(hist: Histogram, duty_cycle: float) -> G2Result:
+    """Second-order correlation at zero delay from a peaked correlogram.
+
+    Integrates each peak over a window of +/- half the duty cycle and
+    normalises the central peak by the uncorrelated level extrapolated to
+    zero separation (linear fit against |peak index|, which removes the
+    decay of the side peaks caused by finite emission sequences).
+    """
+    n_peaks = _side_peaks(hist, duty_cycle)
+    centers = hist.fine_edges[:-1] + np.diff(hist.fine_edges) / 2.0
+    peak_counts = {}
+    for m in range(-n_peaks, n_peaks + 1):
+        sel = np.abs(centers - m * duty_cycle) <= duty_cycle / 2.0
+        peak_counts[m] = float(hist.fine_counts[sel].sum())
+    ms = [m for m in range(-4, 5) if m != 0]  # the baseline fit uses 4 per side
+    side = np.array([peak_counts[m] for m in ms], dtype=float)
+    if side.sum() == 0:
+        raise DataError("no side peaks found; cannot normalise g2")
+    slope, intercept = np.polyfit(np.abs(ms), side, 1)
+    if intercept <= 0:
+        intercept = float(side.mean())
+    return G2Result(g2_zero=peak_counts[0] / intercept,
+                    central_counts=peak_counts[0],
+                    side_peak_counts=peak_counts,
+                    extrapolated_uncorrelated=float(intercept))

@@ -299,6 +299,45 @@ class TestSimulateCommand:
         assert float(err.split()[2]) >= 2048 * 1000
         assert not out.exists()
 
+    @staticmethod
+    def _dead_row_profile(tmp_path, row, polarization):
+        """A profile with no transits whose chip matrix has input ``row``
+        (0-based) reaching no output."""
+        elements = mmi_lab.measured_chip_matrix().elements.copy()
+        elements[row] = 0.0
+        mmi_lab.TransferMatrix(elements).write_file(tmp_path / "dead.json")
+        cfg = tmp_path / "dead.cfg"
+        cfg.write_text(f"[source]\natom_transit_rate = 0\n"
+                       f"[layout]\npolarization = {polarization}\n"
+                       f"[matrix]\nsource = file:{tmp_path / 'dead.json'}\n")
+        return cfg
+
+    def test_dead_layout_input_exits_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # orthogonal pairs route photon by photon, and a delayed input that
+        # reaches no output can route none: the run stops before the root
+        # generator draws, though with no transits it would emit no photon
+        def fail(*args, **kwargs):
+            raise AssertionError("the simulation drew")
+
+        monkeypatch.setattr(instrument.np.random, "default_rng", fail)
+        cfg = self._dead_row_profile(tmp_path, 0, "orthogonal")
+        out = tmp_path / "x.ttag"
+        assert main(["simulate", "--config", str(cfg), "--seconds", "1000",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: input mode 0 has zero transmission\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("polarization", ["parallel", "orthogonal"])
+    def test_dead_input_the_layout_does_not_use_still_runs(self, tmp_path, capsys,
+                                                           polarization):
+        # the layout feeds inputs 1 and 2; input 4 reaching no output is no error
+        cfg = self._dead_row_profile(tmp_path, 3, polarization)
+        out = tmp_path / "x.ttag"
+        assert main(["simulate", "--config", str(cfg), "--seconds", "1000",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(TimeTagStream.from_file(out)) > 0  # the dark counts
+
     @pytest.mark.parametrize("seconds, cfg_text", [
         ("1e20", "[source]\natom_transit_rate = 0\n"),
         ("1e30", "[source]\natom_transit_rate = 0\n"),
@@ -838,6 +877,46 @@ def test_bin_grid_too_large_is_config_error(run_dir, tmp_path, capsys, monkeypat
     assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+# a g2 histogram whose span reaches the int64 separations (2**63 fs, about
+# 9.2e12 ns), and one whose 2n + 1 reported peaks pass MAX_ELEMENTS; both
+# have few enough bins
+@pytest.mark.parametrize("profile, message", [
+    ("correlation_range_ns = 2e15\ncorrelation_bin_ns = 1e9\ncorrelation_pitch_ns = 1e9",
+     "a histogram span of 2e+15 ns reaches 2**63 fs, past the int64 pair separations"),
+    ("correlation_range_ns = 1e11\ncorrelation_bin_ns = 1e5\ncorrelation_pitch_ns = 1e5",
+     "3.01205e+08 peaks are too many to list"),
+], ids=["span-past-int64", "peaks-past-the-budget"])
+def test_g2_span_and_peaks_are_checked_before_the_correlation(run_dir, tmp_path, capsys,
+                                                              monkeypatch, profile, message):
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(pipeline, "cross_correlate", kernel)
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"[analysis]\n{profile}\n")
+    range_ns = profile.split()[2]
+    out = tmp_path / "o"
+    assert main(["analyze", "g2", "--stream", str(run_dir / "hbt.ttag"), "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: [analysis] correlation_range_ns = "
+                                       f"{float(range_ns):g} at a 664 ns duty cycle: {message}\n")
+    assert not out.exists()
+
+
+def test_g2_report_lists_every_peak_of_a_wide_range(run_dir, tmp_path):
+    # 30,119 peaks over 20,000 bins of 1 us: the report lists them all (a
+    # mask per peak over every bin once took minutes at 100 times as many)
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("[analysis]\ncorrelation_range_ns = 1e7\ncorrelation_bin_ns = 1e3\n"
+                   "correlation_pitch_ns = 1e3\n")
+    out = tmp_path / "o"
+    assert main(["analyze", "g2", "--stream", str(run_dir / "hbt.ttag"), "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    peaks = json.loads((out / "g2_report.json").read_text())["side_peaks"]
+    assert sorted(map(int, peaks)) == list(range(-15059, 15060))
+    assert sum(peaks.values()) > 0
 
 
 class TestMalformedStreams:

@@ -6,11 +6,12 @@ Every block of a run must equal the single-generator simulator's phases
 (``composed_run``): byte-identical streams and zero-dead-time streams and
 equal truth counts.  The density array must reproduce every number of the
 dict of per-pair arrays.  The oracle keeps its own pair sampler, so the
-cached one is checked too.  Against the whole-run ``simulate_run`` oracle,
+cached draw tables are checked too.  Against the whole-run ``simulate_run`` oracle,
 which draws every photon from one generator, only the funnel means can
 agree.
 """
 
+import dataclasses
 import warnings
 from collections import Counter
 
@@ -32,8 +33,9 @@ from mmi_lab import (CoherenceModel, DetectorConfig, Layout, SourceConfig, TimeT
                      Wavepacket, balanced_splitter, calibrate_gaussian_jitter, config,
                      hom_profile, instrument, joint_density, measured_chip_matrix,
                      mode_pairs, random_unitary, simulate_run, sin2_envelope)
-from mmi_lab.instrument import (_apply_dead_time, _block_bounds, _pair_sampler,
-                                _route_singles, _sample_pairs, _simulate_block)
+from mmi_lab.instrument import (_apply_dead_time, _block_bounds, _draw_tables, _DrawTables,
+                                _route_singles, _sample_pairs, _sample_times, _simulate_block,
+                                _time_table)
 
 CONSTANT = SourceConfig(coherence_jitter_sd=0.0)
 TRUTH_FIELDS = ("n_emitted", "delivered_pairs", "detected_pairs", "n_suppressed",
@@ -93,10 +95,8 @@ def composed_run(source, layout, detectors, seconds, seed):
 
 def check_block(source, layout, detectors, transit_intervals, rng_seed):
     """``_simulate_block`` against the oracle block from one seed."""
-    sampler = (_pair_sampler(source, layout)
-               if layout.kind != "hbt" and layout.polarization == "parallel" else None)
     got = _simulate_block(source, layout, detectors, transit_intervals,
-                          np.random.default_rng(rng_seed), sampler, source.envelope())
+                          np.random.default_rng(rng_seed), _draw_tables(source, layout))
     want = oracle_simulate_block(source, layout, detectors, transit_intervals,
                                  np.random.default_rng(rng_seed), chunk=transit_intervals.size)
     for a, b in zip(got[:2], want[:2]):
@@ -220,12 +220,13 @@ class AlmostOne:
 def test_top_pair_draw_lands_in_the_last_cell_with_mass():
     # the CDF ends at exactly 1: a draw just below it finds the last cell
     # that has mass instead of running off the end of the grid
-    sampler = cdf, shape, n_modes, dt = _pair_sampler(SourceConfig(), Layout.mmi())
+    tables = _draw_tables(SourceConfig(), Layout.mmi())
+    cdf, shape, dt = tables.pair_cdf, tables.pair_shape, tables.dt
     assert cdf[-1] == 1.0
     pair, c1, c2 = np.unravel_index(np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)[-1], shape)
-    k, l, t1, t2 = _sample_pairs(sampler, AlmostOne(), 3)
+    k, l, t1, t2 = _sample_pairs(tables, AlmostOne(), 3)
     u = np.nextafter(1.0, 0.0)
-    rows, cols = np.triu_indices(n_modes)
+    rows, cols = np.triu_indices(4)
     assert np.array_equal(k, [rows[pair]] * 3) and np.array_equal(l, [cols[pair]] * 3)
     assert np.array_equal(t1, [(c1 + u) * dt] * 3) and np.array_equal(t2, [(c2 + u) * dt] * 3)
 
@@ -233,7 +234,10 @@ def test_top_pair_draw_lands_in_the_last_cell_with_mass():
 def test_top_single_draw_lands_in_the_last_output_with_mass(chip):
     inputs = np.full(3, 1, dtype=np.uint8)  # the chip's input 2
     last = np.flatnonzero(np.abs(chip.elements[1]) > 0)[-1]
-    assert np.array_equal(_route_singles(chip, inputs, AlmostOne()), [last] * 3)
+    tables = _draw_tables(SourceConfig(), Layout(interference_matrix=chip,
+                                                 polarization="orthogonal"))
+    assert tables.route_cdf[1][-1] == 1.0
+    assert np.array_equal(_route_singles(tables, inputs, AlmostOne()), [last] * 3)
 
 
 @pytest.mark.parametrize("dead_time_ns", [0.0, 50.0, 400.0, 5_000.0])
@@ -245,8 +249,8 @@ def test_dead_times_match_oracle(dead_time_ns):
 
 def test_pair_sampler_cache_serves_interleaved_configurations(chip):
     # a key collision or a stale entry would hand a run another
-    # configuration's sampler and change its stream
-    _pair_sampler.cache_clear()
+    # configuration's tables and change its stream
+    _draw_tables.cache_clear()
     calibrated = SourceConfig()
     runs = [(calibrated, Layout(interference_matrix=chip)),
             (calibrated, Layout(interference_matrix=chip, input_delayed=2, input_direct=3)),
@@ -255,9 +259,9 @@ def test_pair_sampler_cache_serves_interleaved_configurations(chip):
             (calibrated, Layout(interference_matrix=chip))]
     for seed, (source, layout) in enumerate(runs, 900):
         assert check_run(source, layout, 5_000.0, seed).delivered_pairs > 0
-    info = _pair_sampler.cache_info()
+    info = _draw_tables.cache_info()
     # check_run simulates each configuration twice and checks its one block
-    # with the cached sampler; only the last configuration was cached before
+    # with the cached tables; only the last configuration was cached before
     assert (info.misses, info.hits, info.currsize) == (4, 11, 4)
 
 
@@ -270,7 +274,7 @@ def test_equal_configurations_share_one_sampler(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(instrument, name, counted)
-    _pair_sampler.cache_clear()
+    _draw_tables.cache_clear()
     for seed in (1, 2):
         cfg = config.default_config()
         simulate_run(cfg.source, cfg.build_layout(), cfg.detectors, 5_000.0, seed)
@@ -278,10 +282,13 @@ def test_equal_configurations_share_one_sampler(monkeypatch):
 
 
 def test_cached_samplers_are_read_only(envelope):
-    cdf = _pair_sampler(CONSTANT, Layout.mmi())[0]
-    for arr in (cdf, *envelope._intensity_cdf):
+    tables = _draw_tables(CONSTANT, Layout.mmi())
+    for arr in (tables.pair_cdf, tables.pair_modes, tables.time_cdf, tables.time_bins,
+                *tables.route_cdf.values(), *_time_table(envelope)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tables.pair_cdf = None
 
 
 def _gapped_envelope():
@@ -296,7 +303,8 @@ def _gapped_envelope():
                                       _gapped_envelope()], ids=["300ns", "37ns", "gapped"])
 @pytest.mark.parametrize("size", [0, 1, 200_000])
 def test_sample_times_matches_oracle(envelope, size):
-    got = envelope.sample_times(np.random.default_rng(size), size)
+    tables = _DrawTables(envelope.dt, *_time_table(envelope), route_cdf={})
+    got = _sample_times(tables, np.random.default_rng(size), size)
     want = oracle_sample_times(envelope, np.random.default_rng(size), size)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -346,7 +354,7 @@ def test_sample_pairs_matches_pair_sampler(envelope, chip):
     source = SourceConfig(coherence_jitter_sd=0.0128)
     sampler = _PairSampler(chip, 1, 3, envelope, source.coherence())
     layout = Layout(interference_matrix=chip, input_delayed=1, input_direct=3)
-    got = _sample_pairs(_pair_sampler(source, layout), np.random.default_rng(11), 200_000)
+    got = _sample_pairs(_draw_tables(source, layout), np.random.default_rng(11), 200_000)
     want = sampler.sample(np.random.default_rng(11), 200_000)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from stats_oracles import _hpd_window as oracle_hpd_window
 from stats_oracles import (_similarity_rows, oracle_fit_visibility, oracle_hpd_interval,
                            oracle_mode, oracle_poisson_chunk, oracle_poisson_draws,
                            oracle_random_baseline_chunk, oracle_similarity_vs_dt,
@@ -25,8 +26,9 @@ from mmi_lab import (CoincidenceDistribution, TransferMatrix, coincidence_classi
                      poisson_mc_similarity, random_baseline, random_unitary, similarity,
                      similarity_vs_dt, simulate_run, stats)
 from mmi_lab._runtime import DataError
-from mmi_lab.stats import (_BLOCK, _CHUNK, _EDGES, MODE_BIN_WIDTH, _judge, _PoissonTable,
-                           _run_chunks, _summarize, hpd_interval)
+from mmi_lab import stats
+from mmi_lab.stats import (_BLOCK, _CHUNK, _EDGES, _HPD_BLOCK, MODE_BIN_WIDTH, _hpd_window,
+                           _judge, _PoissonTable, _run_chunks, _summarize, hpd_interval)
 
 
 def _tables(measured_values, n, cross_only):
@@ -429,6 +431,47 @@ class TestCellMajorJudging:
         want = _run_chunks(trials, 4, oracle_random_baseline_chunk(th, dims, every))[0]
         got = random_baseline(th, dims=dims, trials=trials, seed=4)
         assert same_judged(got.samples, want)
+
+
+class TestBoundedHpdWindow:
+    """The window search a block of widths at a time against the one that took
+    every width at once: the same first narrowest window."""
+
+    CASES = {
+        "ties": np.repeat(np.arange(40.0), 5),        # many equal widths
+        "flat": np.full(50, 0.42),                   # every width 0
+        "1": np.array([3.0]),                        # n == m for n up to 3
+        "2": np.array([1.0, 2.0]),
+        "3": np.array([1.0, 1.0, 5.0]),
+        "4": np.array([0.0, 1.0, 2.0, 10.0]),
+        "normal": np.sort(np.random.default_rng(5).normal(size=2001)),
+        "infinities": np.array([-np.inf, -np.inf, 0.0, 1.0, 2.0, np.inf]),
+        "nan-tail": np.array([0.0, 1.0, 1.5, 2.0, 9.0, 9.5, np.nan, np.nan]),
+        "nan-head": np.array([-np.inf, -np.inf, -np.inf, 0.0, 1.0, np.nan]),
+    }
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, _HPD_BLOCK])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_window_as_the_full_width_search(self, monkeypatch, case, block):
+        x = self.CASES[case]
+        want = oracle_hpd_window(x)
+        monkeypatch.setattr(stats, "_HPD_BLOCK", block)
+        got = _hpd_window(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert [np.signbit(v) for v in got] == [np.signbit(v) for v in want]
+
+    def test_ties_across_blocks_keep_the_first(self, monkeypatch):
+        # 25 samples, windows of 17: the narrowest width, 22, at windows 2 and
+        # 6, which blocks of 4 put in different blocks
+        gaps = [2.0] * 8 + [1.0] * 8 + [1.0, 1, 3, 2, 2, 1, 4, 3]
+        x = np.concatenate(([0.0], np.cumsum(gaps)))
+        assert list(x[16:] - x[:9]) == [24, 23, 22, 23, 23, 23, 22, 24, 25]
+        monkeypatch.setattr(stats, "_HPD_BLOCK", 4)
+        assert _hpd_window(x) == oracle_hpd_window(x) == (x[2], x[18])
+
+    def test_large_sample_in_many_blocks(self, rng):
+        x = np.sort(np.round(rng.normal(size=3 * _HPD_BLOCK + 17), 3))  # rounding makes ties
+        assert _hpd_window(x) == oracle_hpd_window(x)
 
 
 class TestModeFromHistogram:

@@ -10,7 +10,8 @@ from mmi_lab import (CoincidenceDistribution, TimeTagStream, cross_correlate,
                      deadtime_correction, extract_coincidences, g2_zero,
                      sliding_histogram)
 from mmi_lab.core import DegenerateDistributionError
-from mmi_lab.tagstream import DEFAULT_TICK_FS, StreamFormatError, median_sorted, quantile_sorted
+from mmi_lab.tagstream import (DEFAULT_TICK_FS, StreamFormatError, _half_bins, median_sorted,
+                               quantile_sorted)
 
 TICK_NS = 0.081
 
@@ -258,6 +259,20 @@ class TestCrossCorrelate:
         stream = make_stream([0.0, 10.0, 20.0], [1, 1, 0], n_channels=2)
         with pytest.raises(ValueError, match="two channels"):
             cross_correlate(stream, 1, 1, range_ns=100.0)
+
+    def test_span_past_int64_separations_is_refused(self):
+        # two tags 1e15 ns apart inside a 2e15 ns range: the int64 separation
+        # in fs would wrap and count the pair at 3.875e12 ns
+        stream = make_stream([0.0, 1e15], [0, 1], n_channels=2)
+        with pytest.raises(ValueError, match=r"span of 2e\+15 ns reaches 2\*\*63 fs"):
+            cross_correlate(stream, 0, 1, range_ns=2e15, bin_width=1e9, pitch=1e9)
+
+    def test_span_limit_is_2_to_the_63_fs(self):
+        # 2**20 fs pitches: the span n_half * 2**20 fs reaches 2**63 at 2**43 bins
+        pitch = 2 ** 20 * 1e-6
+        assert _half_bins((2 ** 43 - 1) * pitch, pitch, pitch) == (2 ** 43 - 1, 2 ** 20)
+        with pytest.raises(ValueError, match="past the int64 pair separations"):
+            _half_bins(2 ** 43 * pitch, pitch, pitch)
 
     def test_simulated_hbt_comb(self, default_source, default_detectors):
         from mmi_lab import Layout, simulate_run

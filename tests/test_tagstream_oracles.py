@@ -5,6 +5,8 @@ loops bit for bit on every stream, and the original float64 loops on the
 streams where float64 nanoseconds are exact (1 ns ticks below 2**53).
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,11 +17,12 @@ from tagstream_oracles import (_pair_greedy_loop, _pair_neighbours, _pair_offset
                                oracle_extract_coincidences, oracle_pedestal,
                                oracle_same_detector_counts)
 from tagstream_oracles import cross_correlate as parent_cross_correlate
+from tagstream_oracles import g2_zero as oracle_g2_zero
 from tagstream_oracles import sliding_histogram as parent_sliding_histogram
 
 from mmi_lab import (DetectorConfig, Layout, SourceConfig, TimeTagStream, cross_correlate,
-                     extract_coincidences, simulate_run, sliding_histogram)
-from mmi_lab.tagstream import DEFAULT_TICK_FS, _pair_greedy, _pedestal
+                     extract_coincidences, g2_zero, simulate_run, sliding_histogram)
+from mmi_lab.tagstream import DEFAULT_TICK_FS, _histogram, _pair_greedy, _pedestal
 
 UNIT_TICK_FS = 1_000_000  # 1 ns ticks: times, windows and offsets are exact
 # start ticks of 81 ps streams near 380 ks (the headline run), near 1e6 s
@@ -432,3 +435,53 @@ def test_simulated_histograms_match_the_parent(hbt_stream, mmi_stream):
     for bin_width, pitch in ((8.0, 8.0), (40.0, 4.0)):
         args = (mmi_stream, 664.0, bin_width, pitch)
         assert_same_histogram(sliding_histogram(*args), parent_sliding_histogram(*args))
+
+
+def check_g2(hist, duty):
+    """``g2_zero`` against the per-peak mask loop: the same result, or the
+    same error."""
+    try:
+        want = oracle_g2_zero(hist, duty)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            g2_zero(hist, duty)
+        return None
+    got = g2_zero(hist, duty)
+    assert got == want
+    assert list(got.side_peak_counts) == list(want.side_peak_counts)
+    return got
+
+
+def on_boundary(hist, duty):
+    """The fine bins whose centre lies exactly half a duty cycle from a peak."""
+    centers = hist.fine_edges[:-1] + np.diff(hist.fine_edges) / 2.0
+    return np.abs(centers - np.round(centers / duty + 0.5) * duty) == duty / 2.0
+
+
+@pytest.mark.parametrize("pitch, duty, n_half, top", [
+    (8.0, 664.0, 600, 50),        # centres 8k + 4: every +/- 332 + 664 m is one
+    (1.0, 3.0, 30, 2 ** 40),      # centres k + 1/2 on the 1.5 boundaries, huge counts
+    (20.0, 664.0, 300, 50),       # the default pitch: no centre on a boundary
+    (0.3, 664.1, 20000, 3),       # steps with no exact float product
+    (4.0, 100 / 3, 60, 9),
+    (1000.0, 664.0, 10, 50),      # wider than a duty cycle: some peaks hold no centre
+    (20.0, 664.0, 182, 50),       # 4 side peaks: too few
+], ids=["pitch-8", "boundaries-huge-counts", "pitch-20", "inexact", "third", "wide-bins",
+        "too-few-peaks"])
+def test_g2_zero_matches_the_peak_loop(pitch, duty, n_half, top):
+    rng = np.random.default_rng(n_half)
+    fine = rng.integers(0, top, 2 * n_half, endpoint=True)
+    edges = (np.arange(2 * n_half + 1) - n_half) * pitch
+    hist = _histogram(fine, edges, pitch, pitch)
+    if pitch in (8.0, 1.0):
+        assert np.count_nonzero(fine[on_boundary(hist, duty)]) > 10
+    check_g2(hist, duty)
+    fine[np.abs(edges[:-1]) < 5 * duty] = 0  # no side counts: both refuse
+    check_g2(hist, duty)
+
+
+@pytest.mark.parametrize("range_ns, pitch", [(9 * 664.0, 20.0), (40 * 664.0, 8.0)])
+def test_simulated_g2_matches_the_peak_loop(hbt_stream, range_ns, pitch):
+    # pulses of 300 ns put no pair on a boundary, 332 ns from two peaks
+    hist = cross_correlate(hbt_stream, 0, 1, range_ns=range_ns, bin_width=100.0, pitch=pitch)
+    assert check_g2(hist, 664.0).g2_zero < 0.2
