@@ -2,9 +2,9 @@
 
 from .characterize import (FringeDataset, ReconstructionResult, reconstruct_matrix,
                            simulate_fringes)
-from .core import (CoincidenceDistribution, TwoPhotonState, coincidence_classical,
-                   coincidence_mixture, coincidence_quantum, fit_visibility,
-                   fock_oracle, mode_pairs, renormalization_magnitude)
+from .core import (CoincidenceDistribution, coincidence_classical, coincidence_mixture,
+                   coincidence_quantum, fit_visibility, fock_oracle, mode_pairs,
+                   renormalization_magnitude)
 from .instrument import (DetectorConfig, Layout, SourceConfig, TruthRecord,
                          expected_pair_rate, simulate_run)
 from .matrix import (TransferMatrix, balanced_splitter, builtin_matrix, gauge_fix,
@@ -26,7 +26,7 @@ __all__ = [
     "DetectorConfig", "FringeDataset", "Histogram", "HomProfile",
     "JointDensity", "Layout", "ReconstructionResult", "SimilarityResult",
     "SourceConfig", "TimeTagStream", "TransferMatrix", "TruthRecord",
-    "TwoPhotonState", "Wavepacket", "balanced_splitter", "builtin_matrix",
+    "Wavepacket", "balanced_splitter", "builtin_matrix",
     "calibrate_gaussian_jitter", "coincidence_classical", "coincidence_mixture",
     "coincidence_quantum", "cross_correlate", "deadtime_correction",
     "exceedance_probability", "expected_pair_rate", "extract_coincidences",

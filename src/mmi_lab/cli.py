@@ -26,7 +26,7 @@ from pathlib import Path
 from . import config as cfgmod
 from ._runtime import ConfigError, DataError, max_threads
 from .characterize import FringeDataset
-from .instrument import expected_pair_rate, simulate_run
+from .instrument import LAYOUT_KINDS, POLARIZATIONS, expected_pair_rate, simulate_run
 from .matrix import TransferMatrix, measured_chip_matrix
 from .pipeline import (ModeIndexError, analyze_g2, analyze_hom, analyze_mmi,
                        analyze_timeresolved, characterize, predict)
@@ -229,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seconds", type=float, required=True, help="wall-clock run length")
     sim.add_argument("--seed", type=int, default=None,
                      help="override the config-derived seed")
-    sim.add_argument("--layout", choices=["hbt", "hom_splitter", "mmi"],
+    sim.add_argument("--layout", choices=LAYOUT_KINDS,
                      help="override the configured layout kind")
-    sim.add_argument("--polarization", choices=["parallel", "orthogonal"],
+    sim.add_argument("--polarization", choices=POLARIZATIONS,
                      help="override the configured pair polarization")
     sim.add_argument("--out", required=True, help="output time-tag file")
     sim.add_argument("--truth-out", help="also write the zero-dead-time stream")

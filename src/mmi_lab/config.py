@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from ._runtime import ConfigError
 from .core import ModeIndexError
-from .instrument import DetectorConfig, Layout, SourceConfig
+from .instrument import DetectorConfig, Layout, SourceConfig, check_layout_names
 from .matrix import TransferMatrix, balanced_splitter, builtin_matrix
 
 _SCHEMA = "experiment-config/1"
@@ -64,6 +64,9 @@ class LayoutSpec:
     input_delayed: int = 1          # 1-based, as written in config files
     input_direct: int = 2
     polarization: str = "parallel"
+
+    def __post_init__(self):  # at load, so no command runs with a name no layout has
+        check_layout_names(self.kind, self.polarization)
 
 
 @dataclass(frozen=True)

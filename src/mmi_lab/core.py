@@ -12,7 +12,7 @@ Mode indices are 0-based throughout the library; the command line uses
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -115,67 +115,6 @@ class CoincidenceDistribution:
         return {f"{k + 1},{l + 1}": float(v)
                 for (k, l), v in zip(self.pairs, self.values)}
 
-@dataclass
-class TwoPhotonState:
-    """Two-photon Fock state over ``n_modes`` modes.
-
-    Amplitudes are stored on the unordered pair basis of
-    :func:`mode_pairs` (dimension n(n+1)/2) with the usual bosonic
-    normalisation, i.e. basis states |1_k 1_l> for k < l and |2_k>.
-    """
-
-    n_modes: int
-    amplitudes: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.amplitudes is None:
-            self.amplitudes = np.zeros(len(mode_pairs(self.n_modes)), dtype=complex)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-
-    @classmethod
-    def from_input_pair(cls, n_modes: int, i: int, j: int) -> "TwoPhotonState":
-        _check_input_pair(n_modes, i, j)
-        state = cls(n_modes)
-        state.amplitudes[pair_index(min(i, j), max(i, j), n_modes)] = 1.0
-        return state
-
-    def evolve(self, matrix: TransferMatrix) -> "TwoPhotonState":
-        """Propagate both photons through the interferometer.
-
-        Expands every occupied input pair photon-by-photon over all output
-        mode assignments; no closed-form pair formula is used, so this
-        doubles as a brute-force oracle for the coincidence expressions.
-        For a non-unitary (measured) matrix the result is the post-selected,
-        unnormalised two-photon component.
-        """
-        n = self.n_modes
-        if matrix.n_modes != n:
-            raise ModeIndexError("matrix size does not match state")
-        t = matrix.elements
-        pairs = mode_pairs(n)
-        # operator coefficients d[k1, k2] on ordered products b+_{k1} b+_{k2}
-        d = np.zeros((n, n), dtype=complex)
-        for (p, q), amp in zip(pairs, self.amplitudes):
-            if amp == 0:
-                continue
-            weight = amp / np.sqrt(2.0) if p == q else amp
-            for k1 in range(n):
-                tp = t[p, k1]
-                if tp == 0:
-                    continue
-                for k2 in range(n):
-                    d[k1, k2] += weight * tp * t[q, k2]
-        out = TwoPhotonState(n)
-        for idx, (k, l) in enumerate(pairs):
-            if k == l:
-                out.amplitudes[idx] = np.sqrt(2.0) * d[k, k]
-            else:
-                out.amplitudes[idx] = d[k, l] + d[l, k]
-        return out
-
-    def pair_probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 # -- coincidence distributions ------------------------------------------
 
@@ -252,15 +191,18 @@ def fock_oracle(matrix: TransferMatrix, i: int, j: int,
                 distinguishable: bool = False) -> CoincidenceDistribution:
     """Brute-force coincidence table from explicit Fock-space evolution.
 
-    Indistinguishable photons are propagated as a two-photon state through
-    :meth:`TwoPhotonState.evolve`; distinguishable photons are routed
-    independently and the order-resolved products summed.  Always returns
-    the raw (unrenormalised) table, which must equal the closed forms.
+    Indistinguishable photons are routed photon by photon over every ordered
+    output pair, ``d[k1, k2] = M[i, k1] M[j, k2]``, and projected onto the
+    two-photon Fock basis: ``d[k, l] + d[l, k]`` on |1_k 1_l> and
+    ``sqrt(2) d[k, k]`` on |2_k>, with no closed-form pair formula.
+    Distinguishable photons are routed independently and the order-resolved
+    products summed.  Always returns the raw (unrenormalised) table, which
+    must equal the closed forms.
     """
     _check_input_pair(matrix.n_modes, i, j)
     n = matrix.n_modes
+    m = matrix.elements
     if distinguishable:
-        m = matrix.elements
         pi = np.abs(m[i, :]) ** 2
         pj = np.abs(m[j, :]) ** 2
         vals = []
@@ -270,8 +212,10 @@ def fock_oracle(matrix: TransferMatrix, i: int, j: int,
             else:
                 vals.append(pi[k] * pj[l] + pi[l] * pj[k])
         return CoincidenceDistribution(n, np.array(vals))
-    state = TwoPhotonState.from_input_pair(n, i, j).evolve(matrix)
-    return CoincidenceDistribution(n, state.pair_probabilities())
+    d = [[m[i, k1] * m[j, k2] for k2 in range(n)] for k1 in range(n)]
+    amplitudes = [np.sqrt(2.0) * d[k][k] if k == l else d[k][l] + d[l][k]
+                  for k, l in mode_pairs(n)]
+    return CoincidenceDistribution(n, np.abs(np.array(amplitudes)) ** 2)
 
 
 def renormalization_magnitude(matrix: TransferMatrix) -> float:

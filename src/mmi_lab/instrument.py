@@ -130,6 +130,15 @@ class DetectorConfig:
 
 
 LAYOUT_KINDS = ("hbt", "hom_splitter", "mmi")
+POLARIZATIONS = ("parallel", "orthogonal")
+
+
+def check_layout_names(kind: str, polarization: str) -> None:
+    """ConfigError unless ``kind`` is in LAYOUT_KINDS and ``polarization`` in POLARIZATIONS."""
+    if kind not in LAYOUT_KINDS:
+        raise ConfigError(f"layout kind must be one of {LAYOUT_KINDS}, got {kind!r}")
+    if polarization not in POLARIZATIONS:
+        raise ConfigError(f"polarization must be one of {POLARIZATIONS}, got {polarization!r}")
 
 
 @dataclass(frozen=True)
@@ -150,10 +159,7 @@ class Layout:
     polarization: str = "parallel"
 
     def __post_init__(self):
-        if self.kind not in LAYOUT_KINDS:
-            raise ConfigError(f"layout kind must be one of {LAYOUT_KINDS}")
-        if self.polarization not in ("parallel", "orthogonal"):
-            raise ConfigError("polarization must be 'parallel' or 'orthogonal'")
+        check_layout_names(self.kind, self.polarization)
         if self.kind != "hbt":
             n = self.interference_matrix.n_modes
             if self.kind == "hom_splitter" and n != 2:
@@ -250,7 +256,8 @@ def _draw_tables(source: SourceConfig, layout: Layout) -> _DrawTables:
     calibration and the joint density run once per configuration."""
     envelope = source.envelope()
     matrix = layout.interference_matrix
-    route_cdf = {i: _cdf(np.abs(matrix.elements[i]) ** 2, f"input mode {i} has zero transmission")
+    route_cdf = {i: _cdf(np.abs(matrix.elements[i]) ** 2,
+                         f"input mode {i + 1} has zero transmission")
                  for i in (layout.input_delayed, layout.input_direct)}
     tables = _DrawTables(envelope.dt, *_time_table(envelope), route_cdf)
     if layout.kind == "hbt" or layout.polarization != "parallel":

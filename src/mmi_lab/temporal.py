@@ -40,15 +40,6 @@ class Wavepacket:
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def amplitude_at(self, t: np.ndarray) -> np.ndarray:
-        """Envelope amplitude at arbitrary times (zero outside the support)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.floor(t / self.dt).astype(int)
-        inside = (t >= 0) & (idx >= 0) & (idx < self.amplitudes.size)
-        out = np.zeros(t.shape, dtype=complex)
-        out[inside] = self.amplitudes[idx[inside]]
-        return out
-
 
 @lru_cache(maxsize=8, typed=True)
 def sin2_envelope(duration: float, dt: float = 1.0) -> Wavepacket:
@@ -126,11 +117,14 @@ class JointDensity:
 
 def _on_grid(env_1: Wavepacket, env_2: Wavepacket, t_max: float):
     """Cell centres of [0, ``t_max``) on the envelopes' common step, and
-    both envelopes' amplitudes there."""
+    both envelopes' amplitudes there: each envelope's cells from t = 0,
+    cut at ``t_max`` or padded with zeros up to it."""
     if env_1.dt != env_2.dt:
         raise ValueError("envelope grids must share the same step")
-    t = (np.arange(int(round(t_max / env_1.dt))) + 0.5) * env_1.dt
-    return t, env_1.amplitude_at(t), env_2.amplitude_at(t)
+    n = int(round(t_max / env_1.dt))
+    z_1, z_2 = (np.pad(env.amplitudes[:n], (0, max(n - env.amplitudes.size, 0)))
+                for env in (env_1, env_2))
+    return (np.arange(n) + 0.5) * env_1.dt, z_1, z_2
 
 
 def joint_density(matrix: TransferMatrix, i: int, j: int,

@@ -9,14 +9,23 @@ before ``_pair_amplitudes`` and ``_mixture`` replaced them.
 that the mixture oracles read this module's ``_pair_table``.  The single
 implementations do the same scalar arithmetic in the same order, so they
 must give bit-identical output.
+
+``TwoPhotonState`` (a general two-photon Fock state, with superpositions and
+doubly occupied inputs) and the ``fock_oracle`` that evolved one input pair
+through it are kept verbatim from ``mmi_lab.core`` as it was before
+``fock_oracle`` routed the pair itself.  For a single input pair both route
+the photons over every ordered output assignment and project the same
+coefficients onto the Fock basis, so their tables must be bit-identical.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from mmi_lab.core import (CoincidenceDistribution, _as_distribution, _check_input_pair,
-                          mode_pairs)
+from mmi_lab.core import (CoincidenceDistribution, ModeIndexError, _as_distribution,
+                          _check_input_pair, mode_pairs, pair_index)
 from mmi_lab.matrix import TransferMatrix
 from mmi_lab.stats import similarity
 
@@ -92,3 +101,91 @@ def fit_visibility(measured: CoincidenceDistribution, matrix: TransferMatrix,
     s = similarity(counts, grid * q.values + (1.0 - grid) * c.values)
     best = int(np.argmax(s))  # the first of tied maxima, as a strict > scan keeps
     return float(grid[best, 0]), float(s[best])
+
+
+@dataclass
+class TwoPhotonState:
+    """Two-photon Fock state over ``n_modes`` modes.
+
+    Amplitudes are stored on the unordered pair basis of
+    :func:`mode_pairs` (dimension n(n+1)/2) with the usual bosonic
+    normalisation, i.e. basis states |1_k 1_l> for k < l and |2_k>.
+    """
+
+    n_modes: int
+    amplitudes: np.ndarray = field(default=None)
+
+    def __post_init__(self):
+        if self.amplitudes is None:
+            self.amplitudes = np.zeros(len(mode_pairs(self.n_modes)), dtype=complex)
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+
+    @classmethod
+    def from_input_pair(cls, n_modes: int, i: int, j: int) -> "TwoPhotonState":
+        _check_input_pair(n_modes, i, j)
+        state = cls(n_modes)
+        state.amplitudes[pair_index(min(i, j), max(i, j), n_modes)] = 1.0
+        return state
+
+    def evolve(self, matrix: TransferMatrix) -> "TwoPhotonState":
+        """Propagate both photons through the interferometer.
+
+        Expands every occupied input pair photon-by-photon over all output
+        mode assignments; no closed-form pair formula is used, so this
+        doubles as a brute-force oracle for the coincidence expressions.
+        For a non-unitary (measured) matrix the result is the post-selected,
+        unnormalised two-photon component.
+        """
+        n = self.n_modes
+        if matrix.n_modes != n:
+            raise ModeIndexError("matrix size does not match state")
+        t = matrix.elements
+        pairs = mode_pairs(n)
+        # operator coefficients d[k1, k2] on ordered products b+_{k1} b+_{k2}
+        d = np.zeros((n, n), dtype=complex)
+        for (p, q), amp in zip(pairs, self.amplitudes):
+            if amp == 0:
+                continue
+            weight = amp / np.sqrt(2.0) if p == q else amp
+            for k1 in range(n):
+                tp = t[p, k1]
+                if tp == 0:
+                    continue
+                for k2 in range(n):
+                    d[k1, k2] += weight * tp * t[q, k2]
+        out = TwoPhotonState(n)
+        for idx, (k, l) in enumerate(pairs):
+            if k == l:
+                out.amplitudes[idx] = np.sqrt(2.0) * d[k, k]
+            else:
+                out.amplitudes[idx] = d[k, l] + d[l, k]
+        return out
+
+    def pair_probabilities(self) -> np.ndarray:
+        return np.abs(self.amplitudes) ** 2
+
+
+def fock_oracle(matrix: TransferMatrix, i: int, j: int,
+                distinguishable: bool = False) -> CoincidenceDistribution:
+    """Brute-force coincidence table from explicit Fock-space evolution.
+
+    Indistinguishable photons are propagated as a two-photon state through
+    :meth:`TwoPhotonState.evolve`; distinguishable photons are routed
+    independently and the order-resolved products summed.  Always returns
+    the raw (unrenormalised) table, which must equal the closed forms.
+    """
+    _check_input_pair(matrix.n_modes, i, j)
+    n = matrix.n_modes
+    if distinguishable:
+        m = matrix.elements
+        pi = np.abs(m[i, :]) ** 2
+        pj = np.abs(m[j, :]) ** 2
+        vals = []
+        for k, l in mode_pairs(n):
+            if k == l:
+                vals.append(pi[k] * pj[k])
+            else:
+                vals.append(pi[k] * pj[l] + pi[l] * pj[k])
+        return CoincidenceDistribution(n, np.array(vals))
+    state = TwoPhotonState.from_input_pair(n, i, j).evolve(matrix)
+    return CoincidenceDistribution(n, state.pair_probabilities())

@@ -27,6 +27,14 @@ generator and the emission chunk size, with its pair sampler
 block-seeded simulator emits each block's transits in one pass, so each of
 its blocks must equal ``simulate_block`` with a chunk of the whole block bit
 for bit.
+
+``amplitude_at`` (once the ``Wavepacket`` method that resampled an envelope
+at arbitrary times, which this module's ``joint_density`` needs to shift an
+envelope by a delay) and the ``_on_grid`` that sampled both envelopes with
+it are kept verbatim from ``mmi_lab.temporal``; ``amplitude_at`` takes the
+envelope as its first argument in place of ``self``.  At the grid's own cell
+centres it reads each cell once, so the zero-padded envelopes of
+``mmi_lab.temporal._on_grid`` must be bit-identical.
 """
 
 from __future__ import annotations
@@ -44,6 +52,25 @@ from mmi_lab.temporal import CoherenceModel, HomProfile, Wavepacket
 from mmi_lab.temporal import joint_density as stacked_joint_density
 
 _TRANSIT_CHUNK = 4096  # transits per emission chunk of the single-generator simulator
+
+
+def amplitude_at(envelope: Wavepacket, t: np.ndarray) -> np.ndarray:
+    """Envelope amplitude at arbitrary times (zero outside the support)."""
+    t = np.asarray(t, dtype=float)
+    idx = np.floor(t / envelope.dt).astype(int)
+    inside = (t >= 0) & (idx >= 0) & (idx < envelope.amplitudes.size)
+    out = np.zeros(t.shape, dtype=complex)
+    out[inside] = envelope.amplitudes[idx[inside]]
+    return out
+
+
+def _on_grid(env_1: Wavepacket, env_2: Wavepacket, t_max: float):
+    """Cell centres of [0, ``t_max``) on the envelopes' common step, and
+    both envelopes' amplitudes there."""
+    if env_1.dt != env_2.dt:
+        raise ValueError("envelope grids must share the same step")
+    t = (np.arange(int(round(t_max / env_1.dt))) + 0.5) * env_1.dt
+    return t, amplitude_at(env_1, t), amplitude_at(env_2, t)
 
 
 @dataclass(frozen=True)
@@ -109,8 +136,8 @@ def joint_density(matrix: TransferMatrix, i: int, j: int,
     if t_max is None:
         t_max = 2.0 * max(env_i.duration, env_j.duration + max(delay_offset, 0.0))
     t = (np.arange(int(round(t_max / dt))) + 0.5) * dt
-    zi = env_i.amplitude_at(t)
-    zj = env_j.amplitude_at(t - delay_offset)
+    zi = amplitude_at(env_i, t)
+    zj = amplitude_at(env_j, t - delay_offset)
     ii = np.abs(zi) ** 2
     ij = np.abs(zj) ** 2
     u = zi * np.conj(zj)

@@ -58,6 +58,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown config sections"):
             config.loads("[sauce]\nx = 1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[layout]\nkind = mmj\n",
+         "layout kind must be one of ('hbt', 'hom_splitter', 'mmi'), got 'mmj'"),
+        ("[layout]\npolarization = sideways\n",
+         "polarization must be one of ('parallel', 'orthogonal'), got 'sideways'"),
+    ])
+    def test_unknown_layout_name_rejected_at_load(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(f"invalid [layout] section: {message}")):
+            config.loads(text)
+
     def test_invalid_value_reported_with_section(self):
         with pytest.raises(ConfigError, match=r"\[source\]"):
             config.loads("[source]\nemission_prob = 1.7\n")
@@ -324,7 +334,8 @@ class TestSimulateCommand:
         out = tmp_path / "x.ttag"
         assert main(["simulate", "--config", str(cfg), "--seconds", "1000",
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "config error: input mode 0 has zero transmission\n"
+        # 1-based, as config files and flags number the inputs
+        assert capsys.readouterr().err == "config error: input mode 1 has zero transmission\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("polarization", ["parallel", "orthogonal"])
@@ -829,6 +840,37 @@ def test_analysis_value_the_run_cannot_use_is_config_error(run_dir, tmp_path, ca
     assert not out.exists()
 
 
+# a [layout] name no layout has stops every command at load, before any
+# kernel runs, though no analysis builds a layout
+@pytest.mark.parametrize("argv", [
+    ["analyze", "mmi", "--stream", "mmi.ttag"],
+    ["analyze", "timeresolved", "--stream", "mmi.ttag"],
+    ["analyze", "g2", "--stream", "hbt.ttag"],
+    ["analyze", "hom", "--stream", "hom_par.ttag", "--reference", "hom_orth.ttag"],
+    ["simulate", "--seconds", "10", "--layout", "mmi", "--polarization", "parallel"],
+], ids=["mmi", "timeresolved", "g2", "hom", "simulate-with-overrides"])
+@pytest.mark.parametrize("profile, message", [
+    ("kind = mmj", "layout kind must be one of ('hbt', 'hom_splitter', 'mmi'), got 'mmj'"),
+    ("polarization = sideways",
+     "polarization must be one of ('parallel', 'orthogonal'), got 'sideways'"),
+], ids=["kind", "polarization"])
+def test_unknown_layout_name_is_config_error(run_dir, tmp_path, capsys, monkeypatch,
+                                             argv, profile, message):
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for name in ("extract_coincidences", "cross_correlate"):
+        monkeypatch.setattr(pipeline, name, kernel)
+    monkeypatch.setattr(instrument.np.random, "default_rng", kernel)
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"[layout]\n{profile}\n")
+    out = tmp_path / "o"
+    argv = [str(run_dir / a) if a.endswith(".ttag") else a for a in argv]
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: invalid [layout] section: {message}\n"
+    assert not out.exists()
+
+
 # bin grids past MAX_ELEMENTS, from 6e8 bins (the 1 fs pitches, which numpy
 # might allocate and fill until the host runs out of memory) to past any
 # numpy array; the kernels fail if reached, so a regression never allocates
@@ -879,6 +921,55 @@ def test_bin_grid_too_large_is_config_error(run_dir, tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+class Reached(Exception):
+    """Raised by a patched kernel: the size checks let the analysis start."""
+
+
+# the size checks weigh each histogram row and each listed g2 peak by the
+# 8-byte elements it holds (16 and 36): at the budget the analysis starts,
+# one row or peak past it exits 2 before any kernel runs
+G2 = ["analyze", "g2", "--stream", "hbt.ttag"]
+HOM = ["analyze", "hom", "--stream", "hom_par.ttag", "--reference", "hom_orth.ttag"]
+G2_ROWS = "correlation_bin_ns = 1\ncorrelation_pitch_ns = 1\ncorrelation_range_ns = "
+G2_PEAKS = "correlation_bin_ns = 664\ncorrelation_pitch_ns = 664\ncorrelation_range_ns = "
+
+
+@pytest.mark.parametrize("argv, profile, message", [
+    (G2, G2_ROWS + "2097152", None),  # 2**22 rows
+    (G2, G2_ROWS + "2097152.5",
+     "[analysis] correlation_range_ns = 2.09715e+06, correlation_bin_ns = 1 and "
+     "correlation_pitch_ns = 1: too many bins to allocate"),
+    (G2, G2_PEAKS + "618893152", None),  # 1,864,135 peaks: 36 of them within 2**26
+    (G2, G2_PEAKS + "618893816",
+     "[analysis] correlation_range_ns = 6.18894e+08 at a 664 ns duty cycle: "
+     "1.86414e+06 peaks are too many to list"),
+    (HOM, "display_pitch_ns = 1\ncoincidence_window_ns = 2097152", None),  # 2**22 rows
+    (HOM, "display_pitch_ns = 1\ncoincidence_window_ns = 2097152.5",
+     "[analysis] coincidence_window_ns = 2.09715e+06 and display_pitch_ns = 1: "
+     "too many bins to allocate"),
+], ids=["g2-rows-at-budget", "g2-rows-past-budget", "g2-peaks-at-budget",
+        "g2-peaks-past-budget", "hom-rows-at-budget", "hom-rows-past-budget"])
+def test_rows_and_peaks_are_weighed_by_their_bytes(run_dir, tmp_path, capsys, monkeypatch,
+                                                   argv, profile, message):
+    def kernel(*args, **kwargs):
+        raise Reached
+
+    for name in ("extract_coincidences", "cross_correlate"):
+        monkeypatch.setattr(pipeline, name, kernel)
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"[analysis]\n{profile}\n")
+    out = tmp_path / "o"
+    argv = [str(run_dir / a) if a.endswith(".ttag") else a for a in argv]
+    argv += ["--config", str(cfg), "--out", str(out)]
+    if message is None:
+        with pytest.raises(Reached):
+            main(argv)
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 # a g2 histogram whose span reaches the int64 separations (2**63 fs, about
 # 9.2e12 ns), and one whose 2n + 1 reported peaks pass MAX_ELEMENTS; both
 # have few enough bins
@@ -887,7 +978,10 @@ def test_bin_grid_too_large_is_config_error(run_dir, tmp_path, capsys, monkeypat
      "a histogram span of 2e+15 ns reaches 2**63 fs, past the int64 pair separations"),
     ("correlation_range_ns = 1e11\ncorrelation_bin_ns = 1e5\ncorrelation_pitch_ns = 1e5",
      "3.01205e+08 peaks are too many to list"),
-], ids=["span-past-int64", "peaks-past-the-budget"])
+    # below MAX_ELEMENTS as a count, past it weighed by the bytes a listed peak holds
+    ("correlation_range_ns = 1e10\ncorrelation_bin_ns = 1e6\ncorrelation_pitch_ns = 1e6",
+     "3.01205e+07 peaks are too many to list"),
+], ids=["span-past-int64", "peaks-past-the-budget", "peaks-past-the-budget-by-their-bytes"])
 def test_g2_span_and_peaks_are_checked_before_the_correlation(run_dir, tmp_path, capsys,
                                                               monkeypatch, profile, message):
     def kernel(*args, **kwargs):

@@ -5,8 +5,8 @@ from mmi_lab import (CoincidenceDistribution, coincidence_classical,
                      coincidence_mixture, coincidence_quantum, fit_visibility,
                      fock_oracle, random_unitary, renormalization_magnitude,
                      similarity)
-from mmi_lab.core import (DegenerateDistributionError, ModeIndexError,
-                          TwoPhotonState, cross_pair_index, mode_pairs, pair_index)
+from mmi_lab.core import (DegenerateDistributionError, ModeIndexError, cross_pair_index,
+                          mode_pairs, pair_index)
 
 
 class TestCoincidenceTables:
@@ -131,35 +131,18 @@ class TestFockOracle:
         q = coincidence_quantum(chip, 0, 1, renormalized=False)
         assert np.abs(fock_oracle(chip, 0, 1).values - q.values).max() <= 1e-12
 
-
-class TestTwoPhotonState:
     def test_normalised_after_unitary_evolution(self, rng):
         u = random_unitary(3, rng)
-        state = TwoPhotonState.from_input_pair(3, 0, 2).evolve(u)
-        assert state.pair_probabilities().sum() == pytest.approx(1.0, abs=1e-12)
+        assert fock_oracle(u, 0, 2).values.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_superposition_evolution_is_linear(self, rng):
-        u = random_unitary(3, rng)
-        a = TwoPhotonState.from_input_pair(3, 0, 1)
-        b = TwoPhotonState.from_input_pair(3, 1, 2)
-        combo = TwoPhotonState(3, (a.amplitudes + b.amplitudes) / np.sqrt(2))
-        lhs = combo.evolve(u).amplitudes
-        rhs = (a.evolve(u).amplitudes + b.evolve(u).amplitudes) / np.sqrt(2)
-        assert np.allclose(lhs, rhs, atol=1e-14)
-
-    def test_rejects_single_mode_pair(self):
+    def test_rejects_single_mode_pair(self, identity4):
         with pytest.raises(ModeIndexError):
-            TwoPhotonState.from_input_pair(4, 2, 2)
+            fock_oracle(identity4, 2, 2)
 
     @pytest.mark.parametrize("pair", [(0, 4), (-1, 2), (2, -1)])
-    def test_rejects_out_of_range_pair(self, pair):
+    def test_rejects_out_of_range_pair(self, identity4, pair):
         with pytest.raises(ModeIndexError):
-            TwoPhotonState.from_input_pair(4, *pair)
-
-    def test_input_pair_slot(self):
-        for i, j in [(0, 1), (2, 0), (1, 3)]:
-            amps = TwoPhotonState.from_input_pair(4, i, j).amplitudes
-            assert np.flatnonzero(amps).tolist() == [mode_pairs(4).index((min(i, j), max(i, j)))]
+            fock_oracle(identity4, *pair)
 
 
 class TestVisibilityFit:

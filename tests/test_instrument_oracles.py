@@ -5,7 +5,8 @@ Every block of a run must equal the single-generator simulator's phases
 (``simulate_block``) bit for bit, and the run must equal their composition
 (``composed_run``): byte-identical streams and zero-dead-time streams and
 equal truth counts.  The density array must reproduce every number of the
-dict of per-pair arrays.  The oracle keeps its own pair sampler, so the
+dict of per-pair arrays, and the zero-padded envelope grid every byte of the
+resampled one.  The oracle keeps its own pair sampler, so the
 cached draw tables are checked too.  Against the whole-run ``simulate_run`` oracle,
 which draws every photon from one generator, only the funnel means can
 agree.
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from instrument_oracles import _TRANSIT_CHUNK
 from instrument_oracles import _apply_dead_time as oracle_apply_dead_time
+from instrument_oracles import _on_grid as oracle_on_grid
 from instrument_oracles import _PairSampler
 from instrument_oracles import hom_profile as oracle_hom_profile
 from instrument_oracles import joint_density as oracle_joint_density
@@ -32,7 +34,7 @@ from instrument_oracles import stacked_dtau_marginal
 from mmi_lab import (CoherenceModel, DetectorConfig, Layout, SourceConfig, TimeTagStream,
                      Wavepacket, balanced_splitter, calibrate_gaussian_jitter, config,
                      hom_profile, instrument, joint_density, measured_chip_matrix,
-                     mode_pairs, random_unitary, simulate_run, sin2_envelope)
+                     mode_pairs, random_unitary, simulate_run, sin2_envelope, temporal)
 from mmi_lab.instrument import (_apply_dead_time, _block_bounds, _draw_tables, _DrawTables,
                                 _route_singles, _sample_pairs, _sample_times, _simulate_block,
                                 _time_table)
@@ -399,3 +401,34 @@ def test_hom_profile_equals_2d_marginal(durations, coherence):
     for a, b in ((got.parallel, want.parallel), (got.orthogonal, want.orthogonal)):
         assert np.abs(a - b).max() <= 1e-14 * peak
     assert abs(got.visibility_integrated - want.visibility_integrated) <= 1e-14
+
+
+@pytest.mark.parametrize("t_max_share", [0.01, 0.37, 0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("durations, dt", [((300.0, 300.0), 1.0), ((300.0, 200.0), 1.0),
+                                           ((200.0, 300.0), 1.0), ((120.0, 75.0), 0.5),
+                                           ((100.0, 100.0), 0.3)])
+def test_padded_grid_equals_resampled_grid(durations, dt, t_max_share):
+    # t_max from one cell of the longer envelope to twice its length: cut,
+    # exact and padded on either envelope
+    env_1, env_2 = (sin2_envelope(d, dt) for d in durations)
+    t_max = t_max_share * max(durations)
+    got, want = temporal._on_grid(env_1, env_2, t_max), oracle_on_grid(env_1, env_2, t_max)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("durations", [(300.0, 300.0), (300.0, 200.0)])
+@pytest.mark.parametrize("t_max", [200.0, 300.0, 450.0])
+def test_density_and_profile_keep_their_bytes_on_the_padded_grid(monkeypatch, chip,
+                                                                 durations, t_max):
+    env_1, env_2 = (sin2_envelope(d, 1.0) for d in durations)
+    coh = CoherenceModel.gaussian(0.0128)
+    runs = []
+    for grid in (temporal._on_grid, oracle_on_grid):
+        monkeypatch.setattr(temporal, "_on_grid", grid)
+        prof = hom_profile(env_1, env_2, coh)
+        runs.append([joint_density(chip, 2, 0, env_1, env_2, coh, t_max).densities,
+                     prof.dtau, prof.parallel, prof.orthogonal,
+                     np.float64(prof.visibility_integrated)])
+    for a, b in zip(*runs, strict=True):
+        assert a.tobytes() == b.tobytes()
