@@ -60,15 +60,19 @@ def values(path: Path) -> dict[str, str]:
     return {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
-def compare(before: Path, after: Path) -> tuple[list[tuple[str, str, str, str]], int]:
-    """``(differences, unchanged)``: a ``(file, key, before, after)`` row per
-    differing value, and the number of values equal on both sides."""
-    names = sorted({p.relative_to(root).as_posix() for root in (before, after)
-                    for p in root.rglob("*") if p.is_file()})
+def tree_values(root: Path) -> dict[str, dict[str, str]]:
+    """:func:`values` of every file under ``root``, by its relative path."""
+    return {p.relative_to(root).as_posix(): values(p)
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def diff(before: dict, after: dict) -> tuple[list[tuple[str, str, str, str]], int]:
+    """``(differences, unchanged)`` between two :func:`tree_values` maps: a
+    ``(file, key, before, after)`` row per differing value, and the number
+    of values equal on both sides."""
     rows, unchanged = [], 0
-    for name in names:
-        old, new = (values(root / name) if (root / name).is_file() else {}
-                    for root in (before, after))
+    for name in sorted(before.keys() | after.keys()):
+        old, new = before.get(name, {}), after.get(name, {})
         for key in list(old) + [k for k in new if k not in old]:
             a, b = old.get(key, ABSENT), new.get(key, ABSENT)
             if a == b:
@@ -76,6 +80,19 @@ def compare(before: Path, after: Path) -> tuple[list[tuple[str, str, str, str]],
             else:
                 rows.append((name, key, a, b))
     return rows, unchanged
+
+
+def compare(before: Path, after: Path) -> tuple[list[tuple[str, str, str, str]], int]:
+    """:func:`diff` of the files under two directories."""
+    return diff(tree_values(before), tree_values(after))
+
+
+def table(rows, unchanged: int) -> list[str]:
+    """The lines :func:`main` prints: a Markdown table of ``rows``, if any,
+    then the counts."""
+    head = ["file | key | before | after", "--- | --- | --- | ---"] if rows else []
+    return head + [" | ".join(row) for row in rows] + [
+        f"{unchanged} values unchanged, {len(rows)} differ"]
 
 
 def main(argv=None) -> int:
@@ -87,12 +104,7 @@ def main(argv=None) -> int:
         if not root.is_dir():
             parser.error(f"{root} is not a directory")
     rows, unchanged = compare(args.before, args.after)
-    if rows:
-        print("file | key | before | after")
-        print("--- | --- | --- | ---")
-        for row in rows:
-            print(" | ".join(row))
-    print(f"{unchanged} values unchanged, {len(rows)} differ")
+    print("\n".join(table(rows, unchanged)))
     return 1 if rows else 0
 
 
