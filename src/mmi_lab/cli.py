@@ -29,7 +29,7 @@ from .characterize import FringeDataset
 from .instrument import LAYOUT_KINDS, POLARIZATIONS, expected_pair_rate, simulate_run
 from .matrix import TransferMatrix, measured_chip_matrix
 from .pipeline import (ModeIndexError, analyze_g2, analyze_hom, analyze_mmi,
-                       analyze_timeresolved, characterize, predict)
+                       analyze_timeresolved, characterize, predict, with_header)
 # extract_coincidences is bound here only because bench/test_bench_tracer.py
 # checks that the tracer patches the copy a front-end module imports.
 from .tagstream import TimeTagStream, extract_coincidences  # noqa: F401
@@ -105,10 +105,7 @@ def cmd_simulate(args) -> int:
     stream.write_file(out)
     if truth_out:
         truth.pre_deadtime.write_file(truth_out)
-    manifest = {
-        "schema": "run-manifest/1",
-        "config_hash": cfg.config_hash(),
-        "seed": seed,
+    manifest = with_header("run-manifest", cfg, {
         "wall_time_s": args.seconds,
         "layout": layout.kind,
         "polarization": layout.polarization,
@@ -116,7 +113,7 @@ def cmd_simulate(args) -> int:
         "counts_per_channel": stream.counts_per_channel().tolist(),
         **{f.name: getattr(truth, f.name) for f in fields(truth) if f.name != "pre_deadtime"},
         "expected_pair_rate_hz": expected_pair_rate(cfg.source, layout),
-    }
+    }, seed=seed)
     _write(out.parent, {out.name + ".manifest.json": _json(manifest) + "\n"})
     print(_json(manifest))
     return EXIT_OK

@@ -9,6 +9,10 @@ command-line front end does that.  Unusable data raises
 :class:`~mmi_lab._runtime.DataError` and an unusable setting
 :class:`~mmi_lab._runtime.ConfigError`, whose subclass ``ModeIndexError``
 marks an input pair the matrix does not have.
+
+Reports and the ``simulate`` manifest open with :func:`with_header`'s keys, in
+order: ``schema`` (``<kind>/1``), ``config_hash`` (not characterize, predict),
+``seed`` (mmi, timeresolved, manifest), ``input_pair`` (1-based: mmi, timeresolved, predict).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .tagstream import (TimeTagStream, _half_bins, _side_peaks, cross_correlate,
                         quantile_sorted, sliding_histogram)
 
 __all__ = ["ModeIndexError", "analyze_g2", "analyze_hom", "analyze_mmi",
-           "analyze_timeresolved", "characterize", "csv_text", "predict"]
+           "analyze_timeresolved", "characterize", "csv_text", "predict", "with_header"]
 
 
 def csv_text(header: list[str], rows) -> str:
@@ -40,6 +44,19 @@ def csv_text(header: list[str], rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def with_header(kind: str, cfg: ExperimentConfig | None, body: dict, seed: int | None = None,
+                pair: tuple[int, int] | None = None) -> dict:
+    """``body`` under the header the module docstring describes; ``pair`` is 0-based."""
+    header = {"schema": f"{kind}/1"}
+    if cfg is not None:
+        header["config_hash"] = cfg.config_hash()
+    if seed is not None:
+        header["seed"] = seed
+    if pair is not None:
+        header["input_pair"] = [pair[0] + 1, pair[1] + 1]
+    return {**header, **body}
 
 
 # -- analyses of time-tag streams ------------------------------------------------
@@ -69,14 +86,12 @@ def analyze_g2(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dict
                f"{setting}: {2 * n_peaks + 1:g} peaks are too many to list")
     hist = cross_correlate(stream, 0, 1, range_ns=r, bin_width=b, pitch=p)
     res = g2_zero(hist, duty_cycle=duty)
-    report = {
-        "schema": "g2-report/1",
-        "config_hash": cfg.config_hash(),
+    report = with_header("g2-report", cfg, {
         "g2_zero": res.g2_zero,
         "central_counts": res.central_counts,
         "extrapolated_uncorrelated": res.extrapolated_uncorrelated,
         "side_peaks": {str(k): v for k, v in sorted(res.side_peak_counts.items())},
-    }
+    })
     tables = {"g2_histogram.csv": csv_text(
         ["dtau_ns", "counts"], zip(hist.centers.tolist(), hist.counts.tolist()))}
     return report, tables
@@ -102,14 +117,12 @@ def analyze_hom(stream: TimeTagStream, reference: TimeTagStream,
     cross_dtau = [c.dtau_ns[c.pair_k != c.pair_l] for c in (co, co_ref)]
     # windowed visibility within the short-separation core
     n_cross_w, n_ref_w = (int(np.sum(np.abs(d) <= 23.0)) for d in cross_dtau)
-    report = {
-        "schema": "hom-report/1",
-        "config_hash": cfg.config_hash(),
+    report = with_header("hom-report", cfg, {
         "n_cross": n_cross,
         "n_cross_reference": n_ref,
         "visibility_integrated": visibility,
         "visibility_within_23ns": (1.0 - n_cross_w / n_ref_w) if n_ref_w else None,
-    }
+    })
     cross_hists = [np.histogram(d, bins=bins)[0].tolist() for d in cross_dtau]
     tables = {"hom_dtau.csv": csv_text(
         ["dtau_ns", "cross_parallel", "cross_reference"],
@@ -179,11 +192,7 @@ def analyze_mmi(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dic
                   poisson_mc_similarity(corr.corrected.values,
                                         np.stack([t.values for t in (q, c, r)]),
                                         trials=an.mc_trials, seed=seed)))
-    report = {
-        "schema": "mmi-report/1",
-        "config_hash": cfg.config_hash(),
-        "seed": seed,
-        "input_pair": [i + 1, j + 1],
+    report = with_header("mmi-report", cfg, {
         "n_coincidences": len(co),
         "n_unmatched": co.n_unmatched,
         "counts": co.counts.as_dict(),
@@ -196,7 +205,7 @@ def analyze_mmi(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[dict, dic
         "similarity_cross_vs_quantum": similarity(cross.values, q.cross_only().values),
         "similarity_cross_vs_classical": similarity(cross.values, c.cross_only().values),
         "similarity_corrected": {k: v.to_json_dict() for k, v in mc.items()},
-    }
+    }, seed=seed, pair=(i, j))
     tables = {
         "mmi_counts.csv": csv_text(
             ["pair", "counts", "corrected", "quantum", "classical", "mixture"],
@@ -228,18 +237,14 @@ def analyze_timeresolved(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[
                             min_events=an.min_window_events)
     if not rows:
         raise DataError("no time windows had enough events")
-    report = {
-        "schema": "timeresolved-report/1",
-        "config_hash": cfg.config_hash(),
-        "seed": seed,
-        "input_pair": [i + 1, j + 1],
+    report = with_header("timeresolved-report", cfg, {
         "half_window_ns": an.half_window_ns,
         "windows": [
             {"center_ns": w.center, "n_events": w.n_events, "spawn_key": [w.window],
              "vs_quantum": w.vs_quantum.to_json_dict(),
              "vs_classical": w.vs_classical.to_json_dict()} for w in rows
         ],
-    }
+    }, seed=seed, pair=(i, j))
     tables = {"timeresolved.csv": csv_text(
         ["center_ns", "n_events", "s_quantum_mode", "s_quantum_lo",
          "s_quantum_hi", "s_classical_mode", "s_classical_lo", "s_classical_hi"],
@@ -272,13 +277,12 @@ def characterize(data: FringeDataset | None, truth: TransferMatrix | None,
         data = simulate_fringes(truth, noise_sd=noise_sd, rng=np.random.default_rng(seed))
     result = reconstruct_matrix(data)
     rebuilt = result.matrix
-    report = {
-        "schema": "characterize-report/1",
+    report = with_header("characterize-report", None, {
         "n_modes": rebuilt.n_modes,
         "unitarity_deviation": rebuilt.unitarity_deviation(),
         "phase_indeterminate": result.phase_indeterminate.tolist(),
         "noise_sd": noise_sd if simulated else None,
-    }
+    })
     if truth is not None:
         target = gauge_fix(truth).elements
         dev = np.abs(rebuilt.elements - target)
@@ -315,13 +319,11 @@ def predict(matrix: TransferMatrix, i: int, j: int, visibility: float) -> tuple[
                     coincidence_mixture(matrix, i, j, visibility, renormalized=r)]
                    for r in (False, True))
     names = ("quantum", "classical", "mixture")
-    report = {
-        "schema": "predict-report/1",
-        "input_pair": [i + 1, j + 1],
+    report = with_header("predict-report", None, {
         "visibility": visibility,
         **{name: t.as_dict() for name, t in zip(names, renorm)},
         **{f"{name}_raw": t.as_dict() for name, t in zip(names, raw)},
-    }
+    }, pair=(i, j))
     table = csv_text(
         ["pair", "quantum_raw", "classical_raw", "mixture_raw",
          "quantum_renorm", "classical_renorm", "mixture_renorm"],
