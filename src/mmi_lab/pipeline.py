@@ -258,6 +258,7 @@ def analyze_timeresolved(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[
 #: characterisation trials simulated and reconstructed per array pass, so
 #: memory stays flat however many trials are asked for
 TRIAL_BLOCK = 64
+MAX_NOISE_SD = 1.0  #: largest relative power noise; far past it the fringe fit overflows
 
 
 def characterize(data: FringeDataset | None, truth: TransferMatrix | None,
@@ -272,6 +273,8 @@ def characterize(data: FringeDataset | None, truth: TransferMatrix | None,
     reconstruction from it.
     """
     check_size(repeat, f"--repeat {repeat} is too many trials to allocate")
+    if noise_sd > MAX_NOISE_SD:  # noise as large as the power buries the fringes
+        raise ConfigError(f"--noise-sd must be at most {MAX_NOISE_SD}, got {noise_sd}")
     simulated = data is None
     if simulated:
         data = simulate_fringes(truth, noise_sd=noise_sd, rng=np.random.default_rng(seed))

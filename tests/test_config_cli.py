@@ -757,6 +757,29 @@ def test_bad_numeric_flag_is_config_error(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("noise_sd", ["1.5", "1e154", "1e308"])
+def test_noise_past_the_bound_exits_before_any_draw(tmp_path, capsys, monkeypatch, noise_sd):
+    # unchecked, 1e154 overflows the fit's squared residuals and 1e308 the
+    # noisy powers, each with a warning
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(pipeline, "simulate_fringes", kernel)
+    out = tmp_path / "o"
+    assert main(["characterize", "--simulate", "--noise-sd", noise_sd, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --noise-sd must be at most 1.0, got {float(noise_sd)}\n")
+    assert not out.exists()
+
+
+def test_noise_at_the_bound_runs_without_a_warning(tmp_path):
+    out = tmp_path / "o"
+    assert main(["characterize", "--simulate", "--noise-sd", str(pipeline.MAX_NOISE_SD),
+                 "--repeat", "20", "--out", str(out)]) == 0
+    report = json.loads((out / "characterize_report.json").read_text())
+    assert report["noise_sd"] == pipeline.MAX_NOISE_SD == 1.0
+
+
 # every count is past MAX_ELEMENTS, and the last two past any numpy array
 @pytest.mark.parametrize("argv, message", [
     (["analyze", "mmi", "--stream", "mmi.ttag", "--trials", "100000000000000"],
