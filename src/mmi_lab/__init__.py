@@ -9,9 +9,8 @@ from .instrument import (DetectorConfig, Layout, SourceConfig, TruthRecord,
                          expected_pair_rate, simulate_run)
 from .matrix import (TransferMatrix, balanced_splitter, builtin_matrix, gauge_fix,
                      measured_chip_matrix, random_unitary)
-from .stats import (SimilarityResult, exceedance_probability, hpd_interval,
-                    poisson_mc_similarity, random_baseline, similarity,
-                    similarity_vs_dt)
+from .stats import (SimilarityResult, exceedance_probability, poisson_mc_similarity,
+                    random_baseline, similarity, similarity_vs_dt)
 from .tagstream import (CoincidenceSet, Histogram, TimeTagStream, cross_correlate,
                         deadtime_correction, extract_coincidences, g2_zero,
                         sliding_histogram)
@@ -31,7 +30,7 @@ __all__ = [
     "coincidence_quantum", "cross_correlate", "deadtime_correction",
     "exceedance_probability", "expected_pair_rate", "extract_coincidences",
     "fit_visibility", "fock_oracle", "g2_zero", "gauge_fix", "hom_profile",
-    "hpd_interval", "joint_density", "measured_chip_matrix", "mode_pairs",
+    "joint_density", "measured_chip_matrix", "mode_pairs",
     "poisson_mc_similarity", "random_baseline", "random_unitary",
     "renormalization_magnitude", "similarity", "similarity_vs_dt",
     "simulate_fringes", "simulate_run", "sin2_envelope", "sliding_histogram",

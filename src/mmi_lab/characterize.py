@@ -20,8 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._runtime import DataError
+from ._runtime import ConfigError, DataError
 from .matrix import TransferMatrix, _gauge_fixed
+
+MAX_NOISE_SD = 1.0  #: largest relative power noise; far past it the fringe fit overflows
+MAX_POWER = 1e150  #: largest power a dataset may hold, so a fit residual's square is finite
 
 
 class CharacterizationError(DataError):
@@ -35,7 +38,7 @@ class FringeDataset:
     ``fringes[(i1, i2)]`` holds an array of shape (n_phases, n_modes): the
     output power at every mode while sweeping the relative phase of an
     equal-amplitude probe into inputs i1 and i2.  ``transmissions[i, k]``
-    is the direct single-input power |M[i, k]|^2.
+    is the direct single-input power |M[i, k]|^2.  No power exceeds :data:`MAX_POWER`.
     """
 
     n_modes: int
@@ -53,14 +56,14 @@ class FringeDataset:
         if not (np.all(np.diff(g) > 0) and 0 <= g[0] and g[-1] < 2 * np.pi):
             raise CharacterizationError("phase_grid must be strictly increasing within [0, 2pi)")
         t = np.asarray(self.transmissions, dtype=float)
-        if t.shape != (self.n_modes, self.n_modes) or not np.all((0 <= t) & (t < np.inf)):
-            raise CharacterizationError("transmissions must be a finite non-negative n x n table")
+        if t.shape != (self.n_modes, self.n_modes) or not np.all((0 <= t) & (t <= MAX_POWER)):
+            raise CharacterizationError(f"transmissions must be n x n and in [0, {MAX_POWER:g}]")
         for pair, powers in self.fringes.items():
             p = np.asarray(powers, dtype=float)
             if p.shape != (g.size, self.n_modes):
                 raise CharacterizationError(f"fringe block {pair} has shape {p.shape}")
-            if not np.all((0 <= p) & (p < np.inf)):
-                raise CharacterizationError(f"fringes {pair} must be finite and non-negative")
+            if not np.all((0 <= p) & (p <= MAX_POWER)):
+                raise CharacterizationError(f"fringes {pair} must be powers in [0, {MAX_POWER:g}]")
         self.phase_grid = g
         self.transmissions = t
 
@@ -121,10 +124,10 @@ def simulate_fringes(matrix: TransferMatrix, noise_sd: float = 0.0,
     The probe drives inputs (0, i) with equal amplitudes and relative
     phase phi, on 16 even steps of [0, 2pi), so the power at output k is
     |M[0,k] + e^{i phi} M[i,k]|^2.
-    ``noise_sd`` adds multiplicative Gaussian noise to every power sample,
-    drawn (at noise 0 too) for the fringe blocks in input order, then for
-    the transmissions.  Every input i > 0 is probed against input 0, which
-    is what the reconstruction needs.
+    ``noise_sd``, at most :data:`MAX_NOISE_SD`, adds multiplicative Gaussian
+    noise to every power sample, drawn (at noise 0 too) for the fringe
+    blocks in input order, then for the transmissions.  Every input i > 0
+    is probed against input 0, which is what the reconstruction needs.
     """
     grid, trans, blocks = simulate_trials(matrix, noise_sd, [rng])
     return FringeDataset(n_modes=matrix.n_modes, phase_grid=grid, transmissions=trans[0],
@@ -137,8 +140,8 @@ def simulate_trials(matrix: TransferMatrix, noise_sd: float, rngs) -> tuple[np.n
     (trials, n, n) and the fringe blocks (trials, n-1, n_phases, n).  Each
     trial draws from its own generator exactly what :func:`simulate_fringes`
     draws."""
-    if not np.isfinite(noise_sd) or noise_sd < 0:
-        raise ValueError(f"noise_sd must be non-negative and finite, got {noise_sd}")
+    if not 0 <= noise_sd <= MAX_NOISE_SD:  # NaN fails too; draws nothing
+        raise ConfigError(f"noise_sd must be finite and in [0, {MAX_NOISE_SD}], got {noise_sd}")
     grid = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     powers, trans = _clean_powers(matrix.elements, grid)
     z_powers = np.empty((len(rngs),) + powers.shape)

@@ -8,10 +8,10 @@ Subcommands compose the library into the full experiment workflow:
     mmi-lab predict       coincidence tables for a matrix and input pair
 
 The CLI only parses, reads and writes: ``mmi_lab.pipeline`` returns the
-JSON reports and plot-ready CSV tables (no figures).  Exit codes: 0
-success, 2 configuration error (a ``ConfigError``), 3 data error (a
-``DataError`` or a missing or misplaced file); any other exit (1, with a
-traceback) is a bug.  MMI_LAB_THREADS caps internal parallelism.
+streams, manifests, JSON reports and plot-ready CSV tables (no figures).
+Exit codes: 0 success, 2 configuration error (a ``ConfigError``), 3 data
+error (a ``DataError`` or a missing or misplaced file); any other exit (1,
+with a traceback) is a bug.  MMI_LAB_THREADS caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -20,16 +20,16 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as cfgmod
 from ._runtime import ConfigError, DataError, max_threads
 from .characterize import FringeDataset
-from .instrument import LAYOUT_KINDS, POLARIZATIONS, expected_pair_rate, simulate_run
+from .instrument import LAYOUT_KINDS, POLARIZATIONS
 from .matrix import TransferMatrix, measured_chip_matrix
 from .pipeline import (ModeIndexError, analyze_g2, analyze_hom, analyze_mmi,
-                       analyze_timeresolved, characterize, predict, with_header)
+                       analyze_timeresolved, characterize, predict, simulate)
 # extract_coincidences is bound here only because bench/test_bench_tracer.py
 # checks that the tracer patches the copy a front-end module imports.
 from .tagstream import TimeTagStream, extract_coincidences  # noqa: F401
@@ -81,7 +81,6 @@ def _write(outdir: Path, files: dict[str, str]) -> None:
 
 
 def _check_seed(seed: int | None) -> None:
-    # a generator seed; analyze --seed only feeds a hash and may be negative
     if seed is not None and seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {seed}")
 
@@ -97,23 +96,10 @@ def cmd_simulate(args) -> int:
     _check_seed(args.seed)
     out = _outfile("--out", args.out)
     truth_out = _outfile("--truth-out", args.truth_out) if args.truth_out else None
-    seed = args.seed if args.seed is not None else cfg.seed_for("simulate")
-    layout = cfg.build_layout()
-    stream, truth = simulate_run(cfg.source, layout, cfg.detectors,
-                                 wall_time_s=args.seconds, seed=seed,
-                                 with_truth=True)
+    stream, truth, manifest = simulate(cfg, args.seconds, args.seed)
     stream.write_file(out)
     if truth_out:
         truth.pre_deadtime.write_file(truth_out)
-    manifest = with_header("run-manifest", cfg, {
-        "wall_time_s": args.seconds,
-        "layout": layout.kind,
-        "polarization": layout.polarization,
-        "n_tags": len(stream),
-        "counts_per_channel": stream.counts_per_channel().tolist(),
-        **{f.name: getattr(truth, f.name) for f in fields(truth) if f.name != "pre_deadtime"},
-        "expected_pair_rate_hz": expected_pair_rate(cfg.source, layout),
-    }, seed=seed)
     _write(out.parent, {out.name + ".manifest.json": _json(manifest) + "\n"})
     print(_json(manifest))
     return EXIT_OK
@@ -134,8 +120,6 @@ def cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
     if args.trials is not None:
         cfg = replace(cfg, analysis=replace(cfg.analysis, mc_trials=args.trials))
-    if args.seed is not None:
-        cfg = replace(cfg, analysis=replace(cfg.analysis, master_seed=args.seed))
     streams = [_read_stream(args.stream)]
     if args.kind == "hom":
         if not args.reference:
@@ -243,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--format", choices=["csv", "json"], default="json")
     ana.add_argument("--trials", type=int, default=None,
                      help="override the configured Monte-Carlo trial count")
-    ana.add_argument("--seed", type=int, default=None,
-                     help="override the configured master seed")
     ana.set_defaults(func=cmd_analyze)
 
     cha = sub.add_parser("characterize", help="reconstruct a transfer matrix from fringes")

@@ -178,11 +178,6 @@ class Layout:
         return cls(kind="hbt", interference_matrix=balanced_splitter())
 
     @classmethod
-    def hom(cls, polarization: str = "parallel") -> "Layout":
-        return cls(kind="hom_splitter", interference_matrix=balanced_splitter(),
-                   polarization=polarization)
-
-    @classmethod
     def mmi(cls) -> "Layout":
         return cls(kind="mmi")
 
@@ -585,8 +580,6 @@ def expected_pair_rate(source: SourceConfig, layout: Layout) -> float:
     """
     p1, p2 = source.emission_prob, source.two_photon_prob
     keep = source.detection_chain_prob()
-    if p1 <= 0 or keep <= 0:
-        return 0.0
     n = source.pulses_per_transit
     a = 1.0 - p1 * source.dark_state_prob
     if layout.kind == "hbt":

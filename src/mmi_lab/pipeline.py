@@ -1,14 +1,14 @@
-"""Analysis pipelines: streams, matrices and fringe data in, reports and
-tables out.
+"""Simulation and analysis pipelines: configs, streams, matrices and fringe
+data in; streams, reports and tables out.
 
 Each pipeline returns ``(report, tables)``: ``report`` is the JSON-ready
 result and ``tables`` maps an output file name to its exact text (CSV
 tables keep the csv module's ``\\r\\n`` line endings); ``predict`` returns
-its one table's text.  Nothing here reads or writes files; the
-command-line front end does that.  Unusable data raises
-:class:`~mmi_lab._runtime.DataError` and an unusable setting
-:class:`~mmi_lab._runtime.ConfigError`, whose subclass ``ModeIndexError``
-marks an input pair the matrix does not have.
+its one table's text, and :func:`simulate` a run's stream, truth record and
+manifest.  Nothing here reads or writes files; the command-line front end
+does that.  Unusable data raises :class:`~mmi_lab._runtime.DataError` and
+an unusable setting :class:`~mmi_lab._runtime.ConfigError`, whose subclass
+``ModeIndexError`` marks an input pair the matrix does not have.
 
 Reports and the ``simulate`` manifest open with :func:`with_header`'s keys, in
 order: ``schema`` (``<kind>/1``), ``config_hash`` (not characterize, predict),
@@ -19,23 +19,25 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import fields
 
 import numpy as np
 
 from ._runtime import ConfigError, DataError, check_size
-from .characterize import (FringeDataset, reconstruct_matrix, reconstruct_trials,
+from .characterize import (MAX_NOISE_SD, FringeDataset, reconstruct_matrix, reconstruct_trials,
                            simulate_fringes, simulate_trials)
 from .config import ExperimentConfig
 from .core import (DegenerateDistributionError, ModeIndexError, coincidence_classical,
                    coincidence_mixture, coincidence_quantum, fit_visibility)
+from .instrument import expected_pair_rate, simulate_run
 from .matrix import TransferMatrix, gauge_fix
 from .stats import poisson_mc_similarity, similarity, similarity_vs_dt
 from .tagstream import (TimeTagStream, _half_bins, _side_peaks, cross_correlate,
                         deadtime_correction, extract_coincidences, g2_zero, median_sorted,
                         quantile_sorted, sliding_histogram)
 
-__all__ = ["ModeIndexError", "analyze_g2", "analyze_hom", "analyze_mmi",
-           "analyze_timeresolved", "characterize", "csv_text", "predict", "with_header"]
+__all__ = ["ModeIndexError", "analyze_g2", "analyze_hom", "analyze_mmi", "analyze_timeresolved",
+           "characterize", "csv_text", "predict", "simulate", "with_header"]
 
 
 def csv_text(header: list[str], rows) -> str:
@@ -57,6 +59,23 @@ def with_header(kind: str, cfg: ExperimentConfig | None, body: dict, seed: int |
     if pair is not None:
         header["input_pair"] = [pair[0] + 1, pair[1] + 1]
     return {**header, **body}
+
+
+def simulate(cfg: ExperimentConfig, seconds: float, seed: int | None = None) -> tuple:
+    """The stream, truth record and manifest of a run of ``cfg`` (its own seed if None)."""
+    seed = cfg.seed_for("simulate") if seed is None else seed
+    layout = cfg.build_layout()
+    stream, truth = simulate_run(cfg.source, layout, cfg.detectors, seconds, seed, with_truth=True)
+    manifest = with_header("run-manifest", cfg, {
+        "wall_time_s": seconds,
+        "layout": layout.kind,
+        "polarization": layout.polarization,
+        "n_tags": len(stream),
+        "counts_per_channel": stream.counts_per_channel().tolist(),
+        **{f.name: getattr(truth, f.name) for f in fields(truth) if f.name != "pre_deadtime"},
+        "expected_pair_rate_hz": expected_pair_rate(cfg.source, layout),
+    }, seed=seed)
+    return stream, truth, manifest
 
 
 # -- analyses of time-tag streams ------------------------------------------------
@@ -258,7 +277,6 @@ def analyze_timeresolved(stream: TimeTagStream, cfg: ExperimentConfig) -> tuple[
 #: characterisation trials simulated and reconstructed per array pass, so
 #: memory stays flat however many trials are asked for
 TRIAL_BLOCK = 64
-MAX_NOISE_SD = 1.0  #: largest relative power noise; far past it the fringe fit overflows
 
 
 def characterize(data: FringeDataset | None, truth: TransferMatrix | None,

@@ -141,14 +141,6 @@ def _hpd_window(x: np.ndarray) -> tuple[float, float]:
     return float(x[i]), float(x[i + m - 1])
 
 
-def hpd_interval(samples) -> tuple[float, float]:
-    """Shortest contiguous interval containing at least 68% of the samples."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size == 0:
-        raise ValueError("empty sample set")
-    return _hpd_window(x)
-
-
 @dataclass(frozen=True)
 class SimilarityResult:
     """Most-likely similarity with credible interval from resampling.

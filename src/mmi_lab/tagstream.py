@@ -147,8 +147,7 @@ class TimeTagStream:
     # -- CSV alternative ---------------------------------------------------
 
     @classmethod
-    def from_csv(cls, text: str, n_channels: int | None = None,
-                 tick_fs: int = DEFAULT_TICK_FS) -> "TimeTagStream":
+    def from_csv(cls, text: str) -> "TimeTagStream":
         rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if rows and rows[0].lower().replace(" ", "") == "channel,tick":
             rows = rows[1:]
@@ -162,10 +161,8 @@ class TimeTagStream:
                 raise StreamFormatError(f"CSV row {nr} out of range: {row!r}")
             channels.append(c)
             ticks.append(t)
-        if n_channels is None:
-            n_channels = (max(channels) + 1) if channels else 1
         return cls(np.array(channels, np.uint8), np.array(ticks, np.uint64),
-                   n_channels, tick_fs)
+                   max(channels, default=0) + 1)
 
 
 # -- histograms --------------------------------------------------------------

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from mmi_lab import (FringeDataset, gauge_fix, random_unitary,
                      reconstruct_matrix, simulate_fringes)
-from mmi_lab.characterize import CharacterizationError
+from mmi_lab._runtime import ConfigError
+from mmi_lab.characterize import MAX_POWER, CharacterizationError, simulate_trials
 
 
 class TestFringeForwardModel:
@@ -37,13 +40,25 @@ class TestFringeForwardModel:
         assert np.allclose(data.transmissions, np.abs(chip.elements) ** 2)
 
     def test_negative_noise_rejected(self, chip):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             simulate_fringes(chip, noise_sd=-0.1)
 
     @pytest.mark.parametrize("noise_sd", [float("nan"), float("inf")])
     def test_non_finite_noise_rejected(self, chip, noise_sd):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             simulate_fringes(chip, noise_sd=noise_sd)
+
+    @pytest.mark.parametrize("noise_sd", [1.5, 1e154, 1e308])
+    def test_noise_past_the_bound_is_config_error_before_any_draw(self, chip, noise_sd):
+        # unchecked, 1e154 overflows the fit's squared residuals and 1e308 the
+        # noisy powers, each with a warning
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=re.escape(f"in [0, 1.0], got {noise_sd}")):
+            reconstruct_matrix(simulate_fringes(chip, noise_sd=noise_sd, rng=rng))
+        with pytest.raises(ConfigError):
+            simulate_trials(chip, noise_sd, [rng, 1])
+        assert rng.bit_generator.state == state
 
 
 class TestReconstruction:
@@ -95,6 +110,26 @@ class TestDatasetValidation:
         with pytest.raises(CharacterizationError):
             FringeDataset(n_modes=2, phase_grid=np.linspace(0, 2 * np.pi, 4, endpoint=False),
                           transmissions=np.ones((2, 2)) / 2)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_powers_past_the_bound_rejected(self, chip, scale):
+        # unchecked, the fit's squared residuals of the scaled chip overflow
+        doc = simulate_fringes(chip).to_json_dict()
+        for bad, message in [
+                ({**doc, "transmissions": (np.array(doc["transmissions"]) * scale).tolist()},
+                 "transmissions must be n x n and in [0, 1e+150]"),
+                ({**doc, "fringes": {k: (np.array(v) * scale).tolist()
+                                     for k, v in doc["fringes"].items()}},
+                 "fringes (0, 1) must be powers in [0, 1e+150]")]:
+            with pytest.raises(CharacterizationError, match=re.escape(message)):
+                FringeDataset.from_json_dict(bad)
+
+    def test_powers_at_the_bound_reconstruct_without_a_warning(self, chip):
+        data = simulate_fringes(chip, noise_sd=0.5, rng=np.random.default_rng(2))
+        scale = MAX_POWER / max(data.transmissions.max(), *map(np.max, data.fringes.values()))
+        scaled = FringeDataset(data.n_modes, data.phase_grid, data.transmissions * scale,
+                               {pair: p * scale for pair, p in data.fringes.items()})
+        reconstruct_matrix(scaled).matrix.unitarity_deviation()
 
     def test_decreasing_grid_rejected(self):
         with pytest.raises(CharacterizationError):

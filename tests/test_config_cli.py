@@ -418,7 +418,7 @@ class TestSimulateCommand:
         def simulation(*args, **kwargs):
             raise AssertionError("the simulation ran")
 
-        monkeypatch.setattr("mmi_lab.cli.simulate_run", simulation)
+        monkeypatch.setattr("mmi_lab.pipeline.simulate_run", simulation)
         blocker = tmp_path / "file"
         blocker.write_text("x")
         out = tmp_path / "s.ttag"
@@ -535,16 +535,28 @@ mc_trials = 50000
             assert w["spawn_key"] == [round(w["center_ns"] / step)]
             assert w["vs_quantum"]["seed"] == w["vs_classical"]["seed"] == report["seed"]
 
-    def test_trials_and_seed_overrides(self, run_dir):
+    def test_trials_and_seed_overrides(self, run_dir, tmp_path):
         out = run_dir / "mmi_override"
-        assert main(["analyze", "mmi", "--stream", str(run_dir / "mmi.ttag"),
-                     "--trials", "2000", "--seed", "5", "--out", str(out)]) == 0
+        profile = tmp_path / "seed.cfg"
+        profile.write_text("[analysis]\nmaster_seed = 5\n")
+        assert main(["analyze", "mmi", "--stream", str(run_dir / "mmi.ttag"), "--trials", "2000",
+                     "--config", str(profile), "--out", str(out)]) == 0
         report = json.loads((out / "mmi_report.json").read_text())
-        cfg = config.loads("[analysis]\nmaster_seed = 5\n")
+        cfg = config.load(profile)
         assert report["seed"] == cfg.seed_for("analyze-mmi")
         assert report["similarity_corrected"]["vs_quantum"]["n_trials"] == 2000
         assert report["missed_clamped"] is False
         assert report["deadtime_fit_scale"] > 0
+
+    def test_seed_is_set_by_the_config_only(self, run_dir, tmp_path, capsys):
+        # [analysis] master_seed is the one way to set an analysis seed
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_:
+            main(["analyze", "mmi", "--stream", str(run_dir / "mmi.ttag"), "--seed", "5",
+                  "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", "", " 2", "²"])
     def test_malformed_thread_count_is_config_error(self, run_dir, tmp_path, capsys,
@@ -718,7 +730,7 @@ def test_directory_as_file_flag(tmp_path, monkeypatch, capsys, argv, code, flag)
     def simulation(*args, **kwargs):
         raise AssertionError("the simulation ran")
 
-    monkeypatch.setattr("mmi_lab.cli.simulate_run", simulation)
+    monkeypatch.setattr("mmi_lab.pipeline.simulate_run", simulation)
     (tmp_path / "DIR").mkdir()
     (tmp_path / "FILE").write_text("x")
     argv = [str(tmp_path / a) if a.split("/")[0] in ("DIR", "FILE", "x.ttag") else a
@@ -1228,6 +1240,21 @@ class TestCharacterizeCommand:
                      "--out", str(out)]) == 0
         rebuilt = json.loads((out / "reconstructed_matrix.json").read_text())
         assert rebuilt["n_modes"] == 4
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_powers_past_the_bound_are_data_error(self, tmp_path, capsys, chip, scale):
+        # unchecked, the fit's squared residuals overflow: a traceback, as
+        # warnings are errors under the test configuration
+        doc = simulate_fringes(chip).to_json_dict()
+        doc["transmissions"] = (np.array(doc["transmissions"]) * scale).tolist()
+        doc["fringes"] = {k: (np.array(v) * scale).tolist() for k, v in doc["fringes"].items()}
+        fpath = tmp_path / "fringes.json"
+        fpath.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["characterize", "--fringes", str(fpath), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "data error: transmissions must be n x n and in [0, 1e+150]\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_modes", [1, 0])
     def test_too_few_modes_is_data_error(self, tmp_path, capsys, n_modes):

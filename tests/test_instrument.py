@@ -5,10 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmi_lab import (DetectorConfig, Layout, SourceConfig, cross_correlate,
+from mmi_lab import (DetectorConfig, Layout, SourceConfig, balanced_splitter, cross_correlate,
                      expected_pair_rate, g2_zero, simulate_run)
 from mmi_lab._runtime import MAX_ELEMENTS, ConfigError, check_size
 from mmi_lab.instrument import _BLOCK_TRANSITS, _block_bounds
+
+HOM_PARALLEL = Layout(kind="hom_splitter", interference_matrix=balanced_splitter(),
+                      polarization="parallel")
+HOM_ORTHOGONAL = Layout(kind="hom_splitter", interference_matrix=balanced_splitter(),
+                        polarization="orthogonal")
 
 
 def enumerate_perfect_pairs(n_attempts: int) -> float:
@@ -138,7 +143,7 @@ class TestBlocks:
         bounds = _block_bounds(intervals, default_source.pulses_per_transit)
         assert truth.n_blocks == len(bounds) - 1 == truth.n_transits // _BLOCK_TRANSITS + 1
 
-    @pytest.mark.parametrize("layout", [Layout.mmi(), Layout.hom("orthogonal"), Layout.hbt()],
+    @pytest.mark.parametrize("layout", [Layout.mmi(), HOM_ORTHOGONAL, Layout.hbt()],
                              ids=["mmi", "hom-orthogonal", "hbt"])
     def test_streams_do_not_depend_on_thread_count(self, default_source, default_detectors,
                                                    layout, monkeypatch):
@@ -210,7 +215,7 @@ class TestStreamInvariants:
         assert truth.detected_pairs <= truth.delivered_pairs
         assert truth.n_emitted >= truth.delivered_pairs * 2
 
-    @pytest.mark.parametrize("layout", [Layout.hbt(), Layout.hom(), Layout.mmi()],
+    @pytest.mark.parametrize("layout", [Layout.hbt(), HOM_PARALLEL, Layout.mmi()],
                              ids=["hbt", "hom", "mmi"])
     @pytest.mark.parametrize("dense", [False, True], ids=["20ks", "dense-1ms"])
     def test_funnel_accounts_for_every_tag(self, layout, dense, default_detectors):
@@ -298,7 +303,7 @@ class TestStatisticalCalibration:
         # routed pairs arrive every second driving interval: path-level
         # correlations peak at even multiples of the duty cycle, with a
         # strong central peak and small odd peaks from routing errors
-        stream = simulate_run(default_source, Layout.hom("orthogonal"),
+        stream = simulate_run(default_source, HOM_ORTHOGONAL,
                               default_detectors, 150000.0, seed=14)
         duty = default_source.duty_cycle_ns
         hist = cross_correlate(stream, 0, 1, range_ns=9 * duty,
@@ -325,7 +330,7 @@ class TestMemory:
 
     PEAK_BYTES_PER_PHOTON = 24.0
 
-    @pytest.mark.parametrize("layout", [Layout.mmi(), Layout.hom("orthogonal"), Layout.hbt()],
+    @pytest.mark.parametrize("layout", [Layout.mmi(), HOM_ORTHOGONAL, Layout.hbt()],
                              ids=["mmi-parallel", "hom-orthogonal", "hbt"])
     def test_peak_bytes_per_emitted_photon(self, default_source, default_detectors, layout):
         # a short run first builds the cached pair sampler and envelope tables

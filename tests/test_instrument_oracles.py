@@ -40,6 +40,10 @@ from mmi_lab.instrument import (_apply_dead_time, _block_bounds, _draw_tables, _
                                 _time_table)
 
 CONSTANT = SourceConfig(coherence_jitter_sd=0.0)
+HOM_PARALLEL = Layout(kind="hom_splitter", interference_matrix=balanced_splitter(),
+                      polarization="parallel")
+HOM_ORTHOGONAL = Layout(kind="hom_splitter", interference_matrix=balanced_splitter(),
+                        polarization="orthogonal")
 TRUTH_FIELDS = ("n_emitted", "delivered_pairs", "detected_pairs", "n_suppressed",
                 "n_kept", "n_dark", "n_outside", "n_transits", "n_blocks")
 
@@ -127,8 +131,8 @@ def check_run(source, layout, seconds, seed, detectors=DetectorConfig()):
     Layout(polarization="orthogonal"),
     Layout(input_delayed=2, input_direct=3),
     Layout(input_delayed=3, input_direct=0, polarization="orthogonal"),
-    Layout.hom("parallel"),
-    Layout.hom("orthogonal"),
+    HOM_PARALLEL,
+    HOM_ORTHOGONAL,
     Layout.hbt(),
 ], ids=["mmi", "mmi-orthogonal", "mmi-inputs-3-4", "mmi-inputs-4-1-orthogonal",
         "hom-parallel", "hom-orthogonal", "hbt"])
@@ -144,7 +148,7 @@ def test_constant_coherence_source_matches_oracle(layout):
     check_run(CONSTANT, layout, 30_000.0, seed=7)
 
 
-@pytest.mark.parametrize("layout", [Layout.mmi(), Layout.hom("orthogonal"), Layout.hbt()],
+@pytest.mark.parametrize("layout", [Layout.mmi(), HOM_ORTHOGONAL, Layout.hbt()],
                          ids=["mmi", "hom-orthogonal", "hbt"])
 def test_zero_transits_give_dark_counts_only(layout):
     source = SourceConfig(atom_transit_rate=0.0)
@@ -257,7 +261,7 @@ def test_pair_sampler_cache_serves_interleaved_configurations(chip):
     runs = [(calibrated, Layout(interference_matrix=chip)),
             (calibrated, Layout(interference_matrix=chip, input_delayed=2, input_direct=3)),
             (CONSTANT, Layout(interference_matrix=chip)),
-            (calibrated, Layout.hom()),
+            (calibrated, HOM_PARALLEL),
             (calibrated, Layout(interference_matrix=chip))]
     for seed, (source, layout) in enumerate(runs, 900):
         assert check_run(source, layout, 5_000.0, seed).delivered_pairs > 0

@@ -67,11 +67,13 @@ csv_rows = st.one_of(
 
 @FUZZ
 @given(st.one_of(st.text(max_size=40),
-                 st.lists(csv_rows, max_size=6).map(lambda rows: "\n".join(rows))),
-       st.sampled_from([None, 1, 4]))
-@example("channel,tick\n5,10\n", 4)
-def test_stream_csv_parses_or_raises(text, n_channels):
-    parses_or_raises(lambda t: TimeTagStream.from_csv(t, n_channels), StreamFormatError, text)
+                 st.lists(csv_rows, max_size=6).map(lambda rows: "\n".join(rows))))
+@example("channel,tick\n5,10\n")
+def test_stream_csv_parses_or_raises(text):
+    stream = parses_or_raises(TimeTagStream.from_csv, StreamFormatError, text)
+    if stream is not None:  # read at 81 ps, with one channel past the highest named
+        assert stream.n_channels == int(stream.channels.max(initial=0)) + 1
+        assert stream.tick_fs == 81_000
 
 
 # -- experiment configs --------------------------------------------------------

@@ -144,9 +144,11 @@ class TestCsvFormat:
         stream = make_stream([10.0, 30.0, 31.0], [0, 2, 1])
         text = to_csv(stream)
         assert text.splitlines()[0] == "channel,tick"
-        back = TimeTagStream.from_csv(text, n_channels=4)
+        back = TimeTagStream.from_csv(text)
         assert np.array_equal(back.ticks, stream.ticks)
         assert np.array_equal(back.channels, stream.channels)
+        # read at the default tick, with one channel past the highest named
+        assert (back.n_channels, back.tick_fs) == (3, DEFAULT_TICK_FS)
 
     def test_bad_row_reported(self):
         with pytest.raises(StreamFormatError, match="row 2"):
