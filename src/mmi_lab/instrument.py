@@ -15,10 +15,13 @@ Runs are simulated in blocks of whole atom transits.  One root generator,
 and the dark counts.  The transits are then split where one starts more
 than a train after the one before it, so no two blocks share an arrival
 interval and no pair spans two blocks; block ``b`` draws the rest of its
-photons' history from ``SeedSequence(seed, spawn_key=(b,))`` in a fixed
-order.  Blocks run on up to MMI_LAB_THREADS threads, and identical seeds give
-bit-identical streams at any thread count.  Every table the photons are
-drawn from is built once per configuration, before the root generator
+photons' history from ``SeedSequence(seed, spawn_key=(b,))``.  A block's
+generator calls are fixed in method, order and size (:func:`_simulate_block`),
+and the costly inversions of its uniforms (emission times, pair cells and
+outputs) run only for the photons that survive the detection chain, after
+its draw.  Blocks run on up to MMI_LAB_THREADS threads, and identical seeds
+give bit-identical streams at any thread count.  Every table the photons
+are drawn from is built once per configuration, before the root generator
 draws, and cached (:func:`_draw_tables`), so repeated runs only draw.
 """
 
@@ -209,6 +212,7 @@ class TruthRecord:
     n_blocks: int
 
 
+_CHUNK_ATTEMPTS = 2 ** 15  # emission attempts per chunk of a block's uniform draws
 _TIME_BINS = 2 ** 16  # a power of two: u * _TIME_BINS and the bin edges are exact
 
 
@@ -239,7 +243,7 @@ class _DrawTables:
     dt: float  # ns, the cell width of every time grid
     time_cdf: np.ndarray  # the emission envelope's _time_table
     time_bins: np.ndarray
-    route_cdf: dict  # each of the layout's two inputs: its CDF over the outputs
+    route_cdf: np.ndarray  # rows: the direct input's CDF over the outputs, then the delayed one's
     pair_cdf: np.ndarray | None = None  # the CDF of the pairs' joint detection density
     pair_shape: tuple = ()  # over this grid of (mode pair, t1 cell, t2 cell)
     pair_modes: np.ndarray | None = None  # each mode pair's outputs (k, l)
@@ -251,9 +255,11 @@ def _draw_tables(source: SourceConfig, layout: Layout) -> _DrawTables:
     calibration and the joint density run once per configuration."""
     envelope = source.envelope()
     matrix = layout.interference_matrix
-    route_cdf = {i: _cdf(np.abs(matrix.elements[i]) ** 2,
-                         f"input mode {i + 1} has zero transmission")
-                 for i in (layout.input_delayed, layout.input_direct)}
+    delayed, direct = (_cdf(np.abs(matrix.elements[i]) ** 2,
+                            f"input mode {i + 1} has zero transmission")
+                       for i in (layout.input_delayed, layout.input_direct))
+    route_cdf = np.stack((direct, delayed))
+    route_cdf.setflags(write=False)
     tables = _DrawTables(envelope.dt, *_time_table(envelope), route_cdf)
     if layout.kind == "hbt" or layout.polarization != "parallel":
         return tables
@@ -265,71 +271,73 @@ def _draw_tables(source: SourceConfig, layout: Layout) -> _DrawTables:
     return replace(tables, pair_cdf=pair_cdf, pair_shape=flat.shape, pair_modes=modes)
 
 
-def _sample_times(tables: _DrawTables, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Inverse-CDF draw of emission times from ``tables``' :func:`_time_table`: a
-    draw in a bin of [0, 1) that holds no CDF value takes its cell from the bin
-    table, which is what a search of the CDF gives; only the others search it."""
-    u = rng.random(size)
+def _emission_times(tables: _DrawTables, u: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Inverse-CDF emission times (ns) of the uniform pairs ``(u, frac)`` from
+    ``tables``' :func:`_time_table`: ``u`` picks the cell, ``frac`` the place
+    in it.  A ``u`` in a bin of [0, 1) that holds no CDF value takes its cell
+    from the bin table, which is what a search of the CDF gives; only the
+    others search it."""
     b = (u * _TIME_BINS).astype(np.intp)
     cell = tables.time_bins[b]
     split = np.flatnonzero(cell != tables.time_bins[b + 1])
     cell[split] = np.searchsorted(tables.time_cdf, u[split])
-    return (cell + rng.random(size)) * tables.dt
+    return (cell + frac) * tables.dt
 
 
-def _sample_pairs(tables: _DrawTables, rng: np.random.Generator, size: int):
-    """Inverse-CDF draw of (output k, output l, t1, t2) for ``size`` pairs."""
-    u = rng.random(size)
+def _pair_cells(tables: _DrawTables, u: np.ndarray):
+    """Inverse-CDF (mode pair row, t1 cell, t2 cell) of the joint density at
+    each uniform ``u``."""
     # sorted keys search faster; each index is the same
     order = np.argsort(u)
-    cell = np.empty(size, dtype=np.intp)
+    cell = np.empty(u.size, dtype=np.intp)
     cell[order] = np.searchsorted(tables.pair_cdf, u[order])
-    pair, c1, c2 = np.unravel_index(cell, tables.pair_shape)
-    t1 = (c1 + rng.random(size)) * tables.dt
-    t2 = (c2 + rng.random(size)) * tables.dt
-    return (*tables.pair_modes[pair].T, t1, t2)
+    return np.unravel_index(cell, tables.pair_shape)
+
+
+def _route(tables: _DrawTables, delayed: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Output of each single photon at the delayed (else the direct) input
+    with uniform ``u``: the count of its input's CDF values below ``u``, the
+    index ``np.searchsorted`` gives."""
+    out = np.zeros(u.size, dtype=np.uint8)
+    for direct, late in tables.route_cdf.T[:-1]:  # the last values are 1, above every draw
+        out += np.where(delayed, late, direct) < u
+    return out
 
 
 def _emit_photons(source: SourceConfig, transit_intervals: np.ndarray,
-                  rng: np.random.Generator, tables: _DrawTables):
+                  rng: np.random.Generator):
     """Vectorised emission phase.
 
-    Returns flat arrays (global attempt interval, int8 polarisation parity,
-    emission time within the interval); parity 0 is the delayed
-    polarisation.
+    Returns flat arrays (global attempt interval, int8 polarisation parity);
+    parity 0 is the delayed polarisation.  The block's two (transits,
+    attempts) uniform draws are taken a chunk of transits at a time, which
+    gives the same values with a chunk's memory.
     """
     block, n_att = transit_intervals.size, source.pulses_per_transit
-    u = rng.random((block, n_att))
-    # two_photon_prob <= emission_prob, so the sum is 0, 1 or 2
-    photons = (u < source.emission_prob).view(np.int8) + (u < source.two_photon_prob)
-    del u
+    step = max(1, _CHUNK_ATTEMPTS // n_att)
+    chunks = [slice(a, a + step) for a in range(0, block, step)]
+    one = np.empty((block, n_att), dtype=bool)  # at least one photon
+    two = np.empty_like(one)  # two_photon_prob <= emission_prob: two within one
+    for c in chunks:
+        u = rng.random(one[c].shape)
+        np.less(u, source.emission_prob, out=one[c])
+        np.less(u, source.two_photon_prob, out=two[c])
     # a spontaneous-decay branch replaces the emission and silences the
     # rest of the transit
-    dark = (photons > 0) & (rng.random((block, n_att)) < source.dark_state_prob)
-    has_dark = dark.any(axis=1)
-    first_dark = np.where(has_dark, dark.argmax(axis=1), n_att)
-    photons *= np.arange(n_att)[None, :] < first_dark[:, None]
+    for c in chunks:
+        dark = rng.random(one[c].shape) < source.dark_state_prob
+        dark &= one[c]
+        first_dark = np.where(dark.any(axis=1), dark.argmax(axis=1), n_att)
+        one[c] &= np.arange(n_att) < first_dark[:, None]
     phase = rng.integers(0, 2, size=block)
-    slots = np.flatnonzero(photons > 0)  # numpy finds bools faster
-    reps = photons.ravel()[slots]
-    rows, att = np.divmod(slots, n_att)
-    rows = np.repeat(rows, reps)
-    att = np.repeat(att, reps)
+    slots = np.flatnonzero(one)
+    reps = two.ravel()[slots] + np.int8(1)
+    rows, att = np.divmod(np.repeat(slots, reps), n_att)
     pols = ((att + phase[rows]) & 1).astype(np.int8)
     # a double emission flips the spin twice: the second photon carries
     # the opposite polarisation, so the routing splits the pair
     pols[np.cumsum(reps)[reps == 2] - 1] ^= 1
-    return transit_intervals[rows] + att, pols, _sample_times(tables, rng, rows.size)
-
-
-def _route_singles(tables: _DrawTables, inputs: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Independent single-photon propagation from each input's output CDF."""
-    out = np.empty(inputs.size, dtype=np.uint8)
-    for i in np.flatnonzero(np.bincount(inputs)):  # the input modes in use, in order
-        sel = inputs == i
-        out[sel] = np.searchsorted(tables.route_cdf[i], rng.random(np.count_nonzero(sel)))
-    return out
+    return transit_intervals[rows] + att, pols
 
 
 def _block_bounds(transit_intervals: np.ndarray, pulses: int,
@@ -354,26 +362,42 @@ def _block_bounds(transit_intervals: np.ndarray, pulses: int,
 def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorConfig,
                     transit_intervals: np.ndarray, rng: np.random.Generator, tables: _DrawTables):
     """Emission, routing, pair sampling, the detection chain and jitter of one
-    block's transits, drawn from ``rng`` in that order by way of ``tables``.
+    block's transits, drawn from ``rng`` by way of ``tables``.
 
     Returns the surviving photons' channels and times (ns) and the block's
-    counts of emitted photons, delivered pairs and detected pairs.  Each
-    phase deletes the arrays the next one does not need.
-    """
-    duty = source.duty_cycle_ns
-    g_interval, pol, t_emit = _emit_photons(source, transit_intervals, rng, tables)
-    n_emitted = int(g_interval.size)
+    counts of emitted photons, delivered pairs and detected pairs.
 
-    # -- routing and interference ---------------------------------------
-    # Photons leave in routed order: the pair photons first (pair_of holds
-    # their pair ids), then every other photon.
-    delivered_pairs = 0
+    The generator calls are fixed in method, order and size: emission, dark
+    branch and phase per transit; two uniforms per photon for its emission
+    time; the hbt channels or the routing errors; three joint draws per
+    parallel pair or one output draw per pair photon; one output draw per
+    other photon; every photon's detection draw; each survivor's jitter.
+    Only the routing errors and the detection draws are read before the
+    detection draw is taken.  Then emission times, pair cells and outputs
+    are inverted for the survivors alone, each pair with a survivor once.
+
+    Photons are routed pair photons first (the pairs' first photons, then
+    their second ones, for parallel pairs; each pair's two in arrival order
+    for the others), then every other photon in arrival order, and the
+    survivors keep that order.
+    """
+    duty, keep = source.duty_cycle_ns, source.detection_chain_prob()
+    g_interval, pol = _emit_photons(source, transit_intervals, rng)
+    n_emitted = int(g_interval.size)
+    u_time, u_frac = rng.random(n_emitted), rng.random(n_emitted)
+
+    delivered_pairs = detected_pairs = 0
     if layout.kind == "hbt":
+        del pol
         channel = rng.integers(0, 2, size=n_emitted).astype(np.uint8)
-        t_ns = g_interval * duty
+        # index arrays gather faster than a random boolean mask
+        kept = np.flatnonzero(rng.random(n_emitted) < keep)
+        t_emit = _emission_times(tables, u_time[kept], u_frac[kept])
+        del u_time, u_frac
+        channel = channel[kept]
+        t_ns = g_interval[kept] * duty
+        del g_interval, kept
         t_ns += t_emit
-        del g_interval, pol, t_emit
-        pair_of = np.array([], dtype=np.intp)
     else:
         # the wrong path flips delay and input: a photon is delayed when its
         # parity (0 = delayed) equals its routing error
@@ -381,12 +405,9 @@ def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorCon
         del pol
         arrival = g_interval  # in place: a delayed photon arrives one cycle later
         arrival += delayed
-        times = arrival * duty
-        times += t_emit
-        del g_interval, t_emit
-        order = np.argsort(arrival, kind="stable")
-        arrival.sort()  # the values of arrival[order], without a copy
-        delayed = delayed[order]
+        order = np.argsort(arrival, kind="stable")  # photon at each arrival position
+        arrival, delayed = arrival[order], delayed[order]
+        del g_interval
 
         # a pair is a run of exactly two equal arrivals at different inputs
         starts = np.ones(n_emitted + 1, dtype=bool)
@@ -394,45 +415,66 @@ def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorCon
         pair_first = np.flatnonzero(starts[:-2] & ~starts[1:-1] & starts[2:]
                                     & (delayed[:-1] != delayed[1:]))
         del starts
-        delivered_pairs = int(pair_first.size)
-        base = arrival[pair_first] * duty
-        del arrival
-        times = times[order]
-        del order
-        is_pair = np.zeros(n_emitted, dtype=bool)
-        is_pair[pair_first] = is_pair[pair_first + 1] = True
-        del pair_first
-        inputs = np.full(n_emitted, layout.input_direct, dtype=np.uint8)
-        inputs[delayed] = layout.input_delayed
-        del delayed
+        delivered_pairs = n_pairs = int(pair_first.size)
+        two = 2 * n_pairs
+        joint = bool(n_pairs) and tables.pair_cdf is not None
+        if joint:
+            u_pair, f1, f2 = rng.random(n_pairs), rng.random(n_pairs), rng.random(n_pairs)
+        elif n_pairs:
+            # one output draw per pair photon, for every pair's photon at
+            # the lower input mode first, then for those at the higher one
+            u_pair = rng.random(two)
+        # and so for the other photons, whose draws are the rest
+        u_single = rng.random(n_emitted - two) if n_emitted > two else np.empty(0)
 
-        # pairs route first: indistinguishable ones by a joint draw over output
-        # pair and times, the others photon by photon keeping their pair id
-        two = 2 * delivered_pairs
-        channel = np.empty(n_emitted, dtype=np.uint8)
-        if delivered_pairs and tables.pair_cdf is not None:
-            k, l, t1, t2 = _sample_pairs(tables, rng, delivered_pairs)
-            channel[:two] = np.concatenate((k, l))
-            pair_times = np.concatenate((base + t1, base + t2))
-            pair_of = np.tile(np.arange(delivered_pairs), 2)
-            del k, l, t1, t2
-        else:
-            channel[:two] = _route_singles(tables, inputs[is_pair], rng)
-            pair_times = times[is_pair]
-            pair_of = np.repeat(np.arange(delivered_pairs), 2)
-        single = ~is_pair
-        del is_pair, base
-        channel[two:] = _route_singles(tables, inputs[single], rng)
-        del inputs
-        t_ns = np.concatenate((pair_times, times[single]))
-        del pair_times, times, single
+        kept = np.flatnonzero(rng.random(n_emitted) < keep)
+        split = int(np.searchsorted(kept, two))
+        # the photons at the higher-numbered input mode, whose draws follow
+        # the lower one's; a pair has one photon at each input, so a pair
+        # photon's draw is its pair's index, plus n_pairs at the higher input
+        high = delayed if layout.input_delayed > layout.input_direct else ~delayed
+        pos, chans, times = [], [], []  # pos: survivors timed from emission
+        if joint:
+            r = kept[:split]
+            second = r >= n_pairs
+            j = r - n_pairs * second
+            per_pair = np.bincount(j, minlength=n_pairs)
+            detected_pairs = int(np.count_nonzero(per_pair == 2))
+            live = np.flatnonzero(per_pair)
+            pair, c1, c2 = _pair_cells(tables, u_pair[live])
+            at = np.searchsorted(live, j)
+            chans.append(tables.pair_modes[pair[at], second.view(np.uint8)])
+            t_pair = arrival[pair_first[j]] * duty
+            t_pair += (np.where(second, c2[at], c1[at])
+                       + np.where(second, f2[j], f1[j])) * tables.dt
+            times.append(t_pair)
+        elif n_pairs:
+            j, second = np.divmod(kept[:split], 2)
+            detected_pairs = int(np.count_nonzero(j[1:] == j[:-1]))
+            s = pair_first[j] + second
+            chans.append(_route(tables, delayed[s], u_pair[j + n_pairs * high[s]]))
+            pos.append(s)
+        # the q-th single photon follows every pair with at most q singles
+        # before it
+        q = kept[split:] - two
+        n_before = np.searchsorted(pair_first - 2 * np.arange(n_pairs), q, side="right")
+        s = q + 2 * n_before
+        high_before = np.cumsum(high)[s] - high[s] - n_before  # singles only
+        low_singles = n_emitted - two - (np.count_nonzero(high) - n_pairs)
+        draw = np.where(high[s], low_singles + high_before, q - high_before)
+        chans.append(_route(tables, delayed[s], u_single[draw]))
+        pos.append(s)
 
-    # -- detection chain -------------------------------------------------
-    # index arrays gather faster than a random boolean mask
-    kept = np.flatnonzero(rng.random(channel.size) < source.detection_chain_prob())
-    channel, t_ns = channel[kept], t_ns[kept]
-    per_pair = np.bincount(pair_of[kept[kept < pair_of.size]], minlength=delivered_pairs)
-    detected_pairs = int(np.sum(per_pair == 2))
+        s = np.concatenate(pos)
+        photon = order[s]
+        t_emit = arrival[s] * duty
+        t_emit += _emission_times(tables, u_time[photon], u_frac[photon])
+        times.append(t_emit)
+        # the block's outputs are allocated once its photon arrays are freed
+        del arrival, order, delayed, high, u_time, u_frac, u_single, kept, pos, s, photon
+        channel = np.concatenate(chans).astype(np.uint8, copy=False)
+        t_ns = np.concatenate(times)
+
     if detectors.jitter_sd_ps > 0 and t_ns.size:
         t_ns += rng.normal(0.0, detectors.jitter_sd_ps * 1e-3, t_ns.size)
     return channel, t_ns, n_emitted, delivered_pairs, detected_pairs

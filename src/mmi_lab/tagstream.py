@@ -49,7 +49,7 @@ VERSION = 1
 DEFAULT_TICK_FS = 81_000  # 81 ps
 _HEADER = "<4sHHQ"  # magic, format version, channel count, tick size in fs
 _RECORD = np.dtype([("tick", "<u8"), ("channel", "u1"), ("reserved", "V3")])
-# tags per cross-correlation chunk
+# tags per cross-correlation chunk and per chunk of records written
 _CHUNK_TAGS = 1 << 14
 
 
@@ -107,10 +107,11 @@ class TimeTagStream:
     def _header(self) -> bytes:
         return struct.pack(_HEADER, MAGIC, VERSION, self.n_channels, self.tick_fs)
 
-    def _records(self) -> np.ndarray:
-        rec = np.zeros(len(self), dtype=_RECORD)
-        rec["tick"] = self.ticks
-        rec["channel"] = self.channels
+    def _records(self, part: slice = slice(None)) -> np.ndarray:
+        ticks = self.ticks[part]
+        rec = np.zeros(ticks.size, dtype=_RECORD)
+        rec["tick"] = ticks
+        rec["channel"] = self.channels[part]
         return rec
 
     def to_bytes(self) -> bytes:
@@ -137,7 +138,9 @@ class TimeTagStream:
     def write_file(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(self._header())
-            fh.write(self._records())  # the record buffer itself, not a bytes copy
+            # a chunk of record buffers at a time, not a bytes copy of them all
+            for a in range(0, len(self), _CHUNK_TAGS):
+                fh.write(self._records(slice(a, a + _CHUNK_TAGS)))
 
     @classmethod
     def from_file(cls, path) -> "TimeTagStream":

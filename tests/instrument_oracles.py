@@ -28,6 +28,15 @@ block-seeded simulator emits each block's transits in one pass, so each of
 its blocks must equal ``simulate_block`` with a chunk of the whole block bit
 for bit.
 
+``dense_simulate_block`` is the block simulator that inverted every
+photon's draws as it drew them, with its ``dense_emit_photons``,
+``dense_sample_times``, ``dense_sample_pairs`` and ``dense_route_singles``,
+verbatim but for the ``dense_`` prefix of their names.  They read the draw
+tables with each input's routing CDF keyed by its input mode, as
+``dense_tables`` builds them from the layout's matrix.  The block that
+inverts only the survivors' draws must equal ``dense_simulate_block`` bit for
+bit and make the same generator calls (``DrawLog``).
+
 ``amplitude_at`` (once the ``Wavepacket`` method that resampled an envelope
 at arbitrary times, which this module's ``joint_density`` needs to shift an
 envelope by a delay) and the ``_on_grid`` that sampled both envelopes with
@@ -39,13 +48,14 @@ centres it reads each cell once, so the zero-padded envelopes of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from mmi_lab.core import CoincidenceDistribution, _check_input_pair, mode_pairs, pair_index
-from mmi_lab.instrument import ConfigError, DetectorConfig, Layout, SourceConfig, TruthRecord
+from mmi_lab.instrument import (_TIME_BINS, ConfigError, DetectorConfig, Layout, SourceConfig,
+                                TruthRecord, _cdf, _draw_tables, _DrawTables)
 from mmi_lab.matrix import TransferMatrix, balanced_splitter
 from mmi_lab.tagstream import TimeTagStream
 from mmi_lab.temporal import CoherenceModel, HomProfile, Wavepacket
@@ -558,6 +568,204 @@ def simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorConf
         single = ~is_pair
         del is_pair, base
         channel[two:] = _route_singles(matrix, inputs[single], rng)
+        del inputs
+        t_ns = np.concatenate((pair_times, times[single]))
+        del pair_times, times, single
+
+    # -- detection chain -------------------------------------------------
+    # index arrays gather faster than a random boolean mask
+    kept = np.flatnonzero(rng.random(channel.size) < source.detection_chain_prob())
+    channel, t_ns = channel[kept], t_ns[kept]
+    per_pair = np.bincount(pair_of[kept[kept < pair_of.size]], minlength=delivered_pairs)
+    detected_pairs = int(np.sum(per_pair == 2))
+    if detectors.jitter_sd_ps > 0 and t_ns.size:
+        t_ns += rng.normal(0.0, detectors.jitter_sd_ps * 1e-3, t_ns.size)
+    return channel, t_ns, n_emitted, delivered_pairs, detected_pairs
+
+
+def dense_tables(source: SourceConfig, layout: Layout) -> _DrawTables:
+    """The configuration's draw tables with ``route_cdf`` keyed by input mode,
+    each built from its row of the layout's matrix."""
+    matrix = layout.interference_matrix
+    route_cdf = {i: _cdf(np.abs(matrix.elements[i]) ** 2,
+                         f"input mode {i + 1} has zero transmission")
+                 for i in (layout.input_delayed, layout.input_direct)}
+    return replace(_draw_tables(source, layout), route_cdf=route_cdf)
+
+
+class DrawLog:
+    """A generator stand-in that forwards every call to ``rng`` and logs it
+    as ``(method, arguments, keyword arguments, result)``.
+
+    :meth:`consumption` is what the log fixes of the bit stream: ``random``
+    takes one 64-bit output per double whatever the calls' sizes, so a run
+    of ``random`` calls is one entry, their total count of doubles; a call
+    that draws nothing takes nothing; any other call is its method and
+    arguments.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, method):
+        def call(*args, **kwargs):
+            result = getattr(self.rng, method)(*args, **kwargs)
+            self.calls.append((method, args, kwargs, result))
+            return result
+        return call
+
+    def consumption(self) -> list:
+        out = []
+        for method, args, kwargs, result in self.calls:
+            if np.size(result) == 0:
+                continue
+            if method == "random":
+                total = out.pop()[1] if out and out[-1][0] == "random" else 0
+                out.append(("random", total + result.size))
+            else:
+                out.append((method, args, sorted(kwargs.items())))
+        return out
+
+
+def dense_sample_times(tables: _DrawTables, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Inverse-CDF draw of emission times from ``tables``' :func:`_time_table`: a
+    draw in a bin of [0, 1) that holds no CDF value takes its cell from the bin
+    table, which is what a search of the CDF gives; only the others search it."""
+    u = rng.random(size)
+    b = (u * _TIME_BINS).astype(np.intp)
+    cell = tables.time_bins[b]
+    split = np.flatnonzero(cell != tables.time_bins[b + 1])
+    cell[split] = np.searchsorted(tables.time_cdf, u[split])
+    return (cell + rng.random(size)) * tables.dt
+
+
+def dense_sample_pairs(tables: _DrawTables, rng: np.random.Generator, size: int):
+    """Inverse-CDF draw of (output k, output l, t1, t2) for ``size`` pairs."""
+    u = rng.random(size)
+    # sorted keys search faster; each index is the same
+    order = np.argsort(u)
+    cell = np.empty(size, dtype=np.intp)
+    cell[order] = np.searchsorted(tables.pair_cdf, u[order])
+    pair, c1, c2 = np.unravel_index(cell, tables.pair_shape)
+    t1 = (c1 + rng.random(size)) * tables.dt
+    t2 = (c2 + rng.random(size)) * tables.dt
+    return (*tables.pair_modes[pair].T, t1, t2)
+
+
+def dense_emit_photons(source: SourceConfig, transit_intervals: np.ndarray,
+                       rng: np.random.Generator, tables: _DrawTables):
+    """Vectorised emission phase.
+
+    Returns flat arrays (global attempt interval, int8 polarisation parity,
+    emission time within the interval); parity 0 is the delayed
+    polarisation.
+    """
+    block, n_att = transit_intervals.size, source.pulses_per_transit
+    u = rng.random((block, n_att))
+    # two_photon_prob <= emission_prob, so the sum is 0, 1 or 2
+    photons = (u < source.emission_prob).view(np.int8) + (u < source.two_photon_prob)
+    del u
+    # a spontaneous-decay branch replaces the emission and silences the
+    # rest of the transit
+    dark = (photons > 0) & (rng.random((block, n_att)) < source.dark_state_prob)
+    has_dark = dark.any(axis=1)
+    first_dark = np.where(has_dark, dark.argmax(axis=1), n_att)
+    photons *= np.arange(n_att)[None, :] < first_dark[:, None]
+    phase = rng.integers(0, 2, size=block)
+    slots = np.flatnonzero(photons > 0)  # numpy finds bools faster
+    reps = photons.ravel()[slots]
+    rows, att = np.divmod(slots, n_att)
+    rows = np.repeat(rows, reps)
+    att = np.repeat(att, reps)
+    pols = ((att + phase[rows]) & 1).astype(np.int8)
+    # a double emission flips the spin twice: the second photon carries
+    # the opposite polarisation, so the routing splits the pair
+    pols[np.cumsum(reps)[reps == 2] - 1] ^= 1
+    return transit_intervals[rows] + att, pols, dense_sample_times(tables, rng, rows.size)
+
+
+def dense_route_singles(tables: _DrawTables, inputs: np.ndarray,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Independent single-photon propagation from each input's output CDF."""
+    out = np.empty(inputs.size, dtype=np.uint8)
+    for i in np.flatnonzero(np.bincount(inputs)):  # the input modes in use, in order
+        sel = inputs == i
+        out[sel] = np.searchsorted(tables.route_cdf[i], rng.random(np.count_nonzero(sel)))
+    return out
+
+
+def dense_simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorConfig,
+                         transit_intervals: np.ndarray, rng: np.random.Generator, tables: _DrawTables):
+    """Emission, routing, pair sampling, the detection chain and jitter of one
+    block's transits, drawn from ``rng`` in that order by way of ``tables``.
+
+    Returns the surviving photons' channels and times (ns) and the block's
+    counts of emitted photons, delivered pairs and detected pairs.  Each
+    phase deletes the arrays the next one does not need.
+    """
+    duty = source.duty_cycle_ns
+    g_interval, pol, t_emit = dense_emit_photons(source, transit_intervals, rng, tables)
+    n_emitted = int(g_interval.size)
+
+    # -- routing and interference ---------------------------------------
+    # Photons leave in routed order: the pair photons first (pair_of holds
+    # their pair ids), then every other photon.
+    delivered_pairs = 0
+    if layout.kind == "hbt":
+        channel = rng.integers(0, 2, size=n_emitted).astype(np.uint8)
+        t_ns = g_interval * duty
+        t_ns += t_emit
+        del g_interval, pol, t_emit
+        pair_of = np.array([], dtype=np.intp)
+    else:
+        # the wrong path flips delay and input: a photon is delayed when its
+        # parity (0 = delayed) equals its routing error
+        delayed = pol == (rng.random(n_emitted) < source.routing_error_prob)
+        del pol
+        arrival = g_interval  # in place: a delayed photon arrives one cycle later
+        arrival += delayed
+        times = arrival * duty
+        times += t_emit
+        del g_interval, t_emit
+        order = np.argsort(arrival, kind="stable")
+        arrival.sort()  # the values of arrival[order], without a copy
+        delayed = delayed[order]
+
+        # a pair is a run of exactly two equal arrivals at different inputs
+        starts = np.ones(n_emitted + 1, dtype=bool)
+        np.not_equal(arrival[1:], arrival[:-1], out=starts[1:n_emitted])
+        pair_first = np.flatnonzero(starts[:-2] & ~starts[1:-1] & starts[2:]
+                                    & (delayed[:-1] != delayed[1:]))
+        del starts
+        delivered_pairs = int(pair_first.size)
+        base = arrival[pair_first] * duty
+        del arrival
+        times = times[order]
+        del order
+        is_pair = np.zeros(n_emitted, dtype=bool)
+        is_pair[pair_first] = is_pair[pair_first + 1] = True
+        del pair_first
+        inputs = np.full(n_emitted, layout.input_direct, dtype=np.uint8)
+        inputs[delayed] = layout.input_delayed
+        del delayed
+
+        # pairs route first: indistinguishable ones by a joint draw over output
+        # pair and times, the others photon by photon keeping their pair id
+        two = 2 * delivered_pairs
+        channel = np.empty(n_emitted, dtype=np.uint8)
+        if delivered_pairs and tables.pair_cdf is not None:
+            k, l, t1, t2 = dense_sample_pairs(tables, rng, delivered_pairs)
+            channel[:two] = np.concatenate((k, l))
+            pair_times = np.concatenate((base + t1, base + t2))
+            pair_of = np.tile(np.arange(delivered_pairs), 2)
+            del k, l, t1, t2
+        else:
+            channel[:two] = dense_route_singles(tables, inputs[is_pair], rng)
+            pair_times = times[is_pair]
+            pair_of = np.repeat(np.arange(delivered_pairs), 2)
+        single = ~is_pair
+        del is_pair, base
+        channel[two:] = dense_route_singles(tables, inputs[single], rng)
         del inputs
         t_ns = np.concatenate((pair_times, times[single]))
         del pair_times, times, single

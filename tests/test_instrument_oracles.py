@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from instrument_oracles import _TRANSIT_CHUNK
+from instrument_oracles import _TRANSIT_CHUNK, DrawLog, dense_simulate_block, dense_tables
 from instrument_oracles import _apply_dead_time as oracle_apply_dead_time
 from instrument_oracles import _on_grid as oracle_on_grid
 from instrument_oracles import _PairSampler
@@ -36,7 +36,7 @@ from mmi_lab import (CoherenceModel, DetectorConfig, Layout, SourceConfig, TimeT
                      hom_profile, instrument, joint_density, measured_chip_matrix,
                      mode_pairs, random_unitary, simulate_run, sin2_envelope, temporal)
 from mmi_lab.instrument import (_apply_dead_time, _block_bounds, _draw_tables, _DrawTables,
-                                _route_singles, _sample_pairs, _sample_times, _simulate_block,
+                                _emission_times, _pair_cells, _route, _simulate_block,
                                 _time_table)
 
 CONSTANT = SourceConfig(coherence_jitter_sd=0.0)
@@ -52,11 +52,16 @@ def block_seed(seed, b):
     return np.random.SeedSequence(seed, spawn_key=(b,))
 
 
-def composed_run(source, layout, detectors, seconds, seed):
+def composed_run(source, layout, detectors, seconds, seed, block=None):
     """``(stream, truth, blocks)`` of a run put together from its parts: the
-    root generator's transits, the block edges, the oracle blocks, the root
-    generator's dark counts and the tag-by-tag dead time.  ``blocks`` holds
-    each block's transit intervals."""
+    root generator's transits, the block edges, the oracle blocks (``block``
+    of the transit intervals and the block's generator, else the
+    single-generator oracle's), the root generator's dark counts and the
+    tag-by-tag dead time.  ``blocks`` holds each block's transit intervals."""
+    if block is None:
+        def block(intervals, rng):
+            return oracle_simulate_block(source, layout, detectors, intervals, rng,
+                                         chunk=intervals.size)
     rng = np.random.default_rng(seed)
     n_transits = int(rng.poisson(source.atom_transit_rate * seconds))
     wall_ns = seconds * 1e9
@@ -70,9 +75,7 @@ def composed_run(source, layout, detectors, seconds, seed):
     dark_t = [rng.random(c.size) * wall_ns for c in dark_ch]
     bounds = _block_bounds(transit_intervals, source.pulses_per_transit)
     blocks = [transit_intervals[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    outs = [oracle_simulate_block(source, layout, detectors, intervals,
-                                  np.random.default_rng(block_seed(seed, b)),
-                                  chunk=intervals.size)
+    outs = [block(intervals, np.random.default_rng(block_seed(seed, b)))
             for b, intervals in enumerate(blocks)]
     channel = np.concatenate([o[0] for o in outs] + dark_ch)
     t_ns = np.concatenate([o[1] for o in outs] + dark_t)
@@ -99,15 +102,32 @@ def composed_run(source, layout, detectors, seconds, seed):
     return stream, truth, blocks
 
 
+def same_block(got, want):
+    for a, b in zip(got[:2], want[:2], strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got[2:] == want[2:]
+
+
+def check_dense_block(source, layout, detectors, transit_intervals, rng_seed):
+    """``(block, log)``: ``_simulate_block`` from one seed, equal to the dense
+    oracle block and drawing what it draws; ``log`` is its :class:`DrawLog`."""
+    log, dense_log = (DrawLog(np.random.default_rng(rng_seed)) for _ in range(2))
+    got = _simulate_block(source, layout, detectors, transit_intervals, log,
+                          _draw_tables(source, layout))
+    want = dense_simulate_block(source, layout, detectors, transit_intervals, dense_log,
+                                dense_tables(source, layout))
+    same_block(got, want)
+    assert log.consumption() == dense_log.consumption()
+    return got, log
+
+
 def check_block(source, layout, detectors, transit_intervals, rng_seed):
     """``_simulate_block`` against the oracle block from one seed."""
     got = _simulate_block(source, layout, detectors, transit_intervals,
                           np.random.default_rng(rng_seed), _draw_tables(source, layout))
     want = oracle_simulate_block(source, layout, detectors, transit_intervals,
                                  np.random.default_rng(rng_seed), chunk=transit_intervals.size)
-    for a, b in zip(got[:2], want[:2]):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert got[2:] == want[2:]
+    same_block(got, want)
     return got
 
 
@@ -196,6 +216,116 @@ def test_block_larger_than_an_emission_chunk():
     assert truth.n_blocks == 1 and truth.n_transits > _TRANSIT_CHUNK
 
 
+DENSE_LAYOUTS = {
+    "mmi": Layout.mmi(),
+    "mmi-orthogonal": Layout(polarization="orthogonal"),
+    # the delayed input above the direct one: the direct photons draw first
+    "mmi-inputs-4-1": Layout(input_delayed=3, input_direct=0),
+    "mmi-inputs-4-1-orthogonal": Layout(input_delayed=3, input_direct=0,
+                                        polarization="orthogonal"),
+    "hom-parallel": HOM_PARALLEL,
+    "hom-orthogonal": HOM_ORTHOGONAL,
+    "hbt": Layout.hbt(),
+}
+EDGE_SOURCES = {
+    "default": SourceConfig(),
+    "two-photon-equals-emission": SourceConfig(two_photon_prob=0.3),
+    "no-dark-state": SourceConfig(dark_state_prob=0.0),
+    "always-dark": SourceConfig(dark_state_prob=1.0),
+    "no-emission": SourceConfig(emission_prob=0.0, two_photon_prob=0.0,
+                                overall_efficiency=0.0),
+    "one-pulse": SourceConfig(pulses_per_transit=1),
+}
+# a block of 2,048 transits about 2,000 duty cycles apart, and one about 50
+# apart, whose trains overlap
+SPREAD = np.sort(np.random.default_rng(5).integers(0, 4_000_000, 2048))
+CROWDED = np.sort(np.random.default_rng(6).integers(0, 100_000, 2048))
+
+
+@pytest.mark.parametrize("source", EDGE_SOURCES.values(), ids=EDGE_SOURCES)
+@pytest.mark.parametrize("layout", DENSE_LAYOUTS.values(), ids=DENSE_LAYOUTS)
+def test_block_equals_the_dense_block(layout, source):
+    for seed, intervals in enumerate((SPREAD, CROWDED)):
+        got, _ = check_dense_block(source, layout, DetectorConfig(), intervals, seed)
+        # a dark-state branch replaces every emission of an always-dark source
+        assert (got[2] > 0) == (source.emission_prob > 0 and source.dark_state_prob < 1)
+
+
+@pytest.mark.parametrize("layout", DENSE_LAYOUTS.values(), ids=DENSE_LAYOUTS)
+def test_block_makes_the_dense_blocks_generator_calls(layout):
+    # check_dense_block asserts the two logs' consumption is equal; here the
+    # log itself: every kind of draw the layout has, in the dense order
+    _, log = check_dense_block(SourceConfig(), layout, DetectorConfig(), CROWDED, 7)
+    methods = [entry[0] for entry in log.consumption()]
+    channels = ["integers", "random"] if layout.kind == "hbt" else []
+    assert methods == ["random", "integers", "random", *channels, "normal"]
+    # after the phases: two emission-time uniforms per photon, then the
+    # channels or the routing errors, and last the detection draw
+    sizes = [np.size(call[3]) for call in log.calls]
+    phases = [call[0] for call in log.calls].index("integers")
+    assert sizes[phases + 1:phases + 4] == [sizes[-2]] * 3 and sizes[-2] > 0
+
+
+@pytest.mark.parametrize("layout", DENSE_LAYOUTS.values(), ids=DENSE_LAYOUTS)
+def test_block_where_no_photon_survives(layout):
+    source = SourceConfig(overall_efficiency=1e-12)
+    got, log = check_dense_block(source, layout, DetectorConfig(), CROWDED, 8)
+    assert got[0].size == got[1].size == got[4] == 0 and got[2] > 0
+    assert [c[0] for c in log.calls][-1] == "random"  # no jitter draw
+
+
+@pytest.mark.parametrize("polarization", ["parallel", "orthogonal"])
+def test_block_without_delivered_pairs(polarization):
+    # one attempt per transit and no routing errors or double emissions,
+    # transits far apart: no two photons share an arrival interval
+    source = SourceConfig(pulses_per_transit=1, routing_error_prob=0.0, two_photon_prob=0.0,
+                          dark_state_prob=0.0, emission_prob=1.0, overall_efficiency=0.5)
+    got, _ = check_dense_block(source, Layout(polarization=polarization), DetectorConfig(),
+                               SPREAD, 9)
+    assert got[2] == 2048 and got[3] == 0 and got[0].size > 0
+
+
+@pytest.mark.parametrize("layout", [Layout.mmi(), Layout(polarization="orthogonal"),
+                                    Layout(input_delayed=3, input_direct=0),
+                                    HOM_PARALLEL, HOM_ORTHOGONAL],
+                         ids=["mmi", "mmi-orthogonal", "mmi-inputs-4-1", "hom-parallel",
+                              "hom-orthogonal"])
+def test_pairs_with_none_one_and_both_photons_kept(layout):
+    # three pulses of a perfect source: a transit delivers exactly one pair,
+    # and each photon survives with probability one half
+    source = SourceConfig(emission_prob=1.0, two_photon_prob=0.0, dark_state_prob=0.0,
+                          routing_error_prob=0.0, pulses_per_transit=3,
+                          overall_efficiency=0.5)
+    got, log = check_dense_block(source, layout, DetectorConfig(), SPREAD[:300], 10)
+    n_pairs = got[3]
+    assert n_pairs == 300
+    # the pair photons' detection draws lead the last uniform draw, in routed order
+    kept = [c[3] for c in log.calls if c[0] == "random"][-1][:2 * n_pairs] < 0.5
+    kept = kept.reshape(2, -1) if layout.polarization == "parallel" else kept.reshape(-1, 2).T
+    survivors = np.bincount(kept.sum(axis=0), minlength=3)
+    assert survivors.min() > 0 and survivors[2] == got[4]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("layout", [Layout.mmi(), HOM_PARALLEL, HOM_ORTHOGONAL, Layout.hbt()],
+                         ids=["mmi", "hom-parallel", "hom-orthogonal", "hbt"])
+def test_runs_equal_dense_runs_at_any_thread_count(monkeypatch, layout, threads):
+    monkeypatch.setenv("MMI_LAB_THREADS", threads)
+    source, detectors = SourceConfig(), DetectorConfig()
+    tables = dense_tables(source, layout)
+
+    def dense(intervals, rng):
+        return dense_simulate_block(source, layout, detectors, intervals, rng, tables)
+
+    got, truth = simulate_run(source, layout, detectors, 40_000.0, 43, with_truth=True)
+    want, want_truth, blocks = composed_run(source, layout, detectors, 40_000.0, 43, dense)
+    assert len(blocks) > 2
+    assert got.to_bytes() == want.to_bytes()
+    assert truth.pre_deadtime.to_bytes() == want_truth.pre_deadtime.to_bytes()
+    for name in TRUTH_FIELDS:
+        assert getattr(truth, name) == getattr(want_truth, name), name
+
+
 FUNNEL = ("n_emitted", "delivered_pairs", "detected_pairs", "n_kept", "n_dark",
           "n_suppressed")
 FUNNEL_RUNS = 16
@@ -230,7 +360,10 @@ def test_top_pair_draw_lands_in_the_last_cell_with_mass():
     cdf, shape, dt = tables.pair_cdf, tables.pair_shape, tables.dt
     assert cdf[-1] == 1.0
     pair, c1, c2 = np.unravel_index(np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)[-1], shape)
-    k, l, t1, t2 = _sample_pairs(tables, AlmostOne(), 3)
+    u = AlmostOne().random(3)
+    pair_at, c1_at, c2_at = _pair_cells(tables, u)
+    k, l = tables.pair_modes[pair_at].T
+    t1, t2 = (c1_at + u) * dt, (c2_at + u) * dt
     u = np.nextafter(1.0, 0.0)
     rows, cols = np.triu_indices(4)
     assert np.array_equal(k, [rows[pair]] * 3) and np.array_equal(l, [cols[pair]] * 3)
@@ -238,12 +371,12 @@ def test_top_pair_draw_lands_in_the_last_cell_with_mass():
 
 
 def test_top_single_draw_lands_in_the_last_output_with_mass(chip):
-    inputs = np.full(3, 1, dtype=np.uint8)  # the chip's input 2
+    delayed = np.zeros(3, dtype=bool)  # at the direct input, the chip's input 2
     last = np.flatnonzero(np.abs(chip.elements[1]) > 0)[-1]
     tables = _draw_tables(SourceConfig(), Layout(interference_matrix=chip,
                                                  polarization="orthogonal"))
-    assert tables.route_cdf[1][-1] == 1.0
-    assert np.array_equal(_route_singles(tables, inputs, AlmostOne()), [last] * 3)
+    assert tables.route_cdf[0][-1] == 1.0
+    assert np.array_equal(_route(tables, delayed, AlmostOne().random(3)), [last] * 3)
 
 
 @pytest.mark.parametrize("dead_time_ns", [0.0, 50.0, 400.0, 5_000.0])
@@ -290,7 +423,7 @@ def test_equal_configurations_share_one_sampler(monkeypatch):
 def test_cached_samplers_are_read_only(envelope):
     tables = _draw_tables(CONSTANT, Layout.mmi())
     for arr in (tables.pair_cdf, tables.pair_modes, tables.time_cdf, tables.time_bins,
-                *tables.route_cdf.values(), *_time_table(envelope)):
+                *tables.route_cdf, *_time_table(envelope)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -309,8 +442,9 @@ def _gapped_envelope():
                                       _gapped_envelope()], ids=["300ns", "37ns", "gapped"])
 @pytest.mark.parametrize("size", [0, 1, 200_000])
 def test_sample_times_matches_oracle(envelope, size):
-    tables = _DrawTables(envelope.dt, *_time_table(envelope), route_cdf={})
-    got = _sample_times(tables, np.random.default_rng(size), size)
+    tables = _DrawTables(envelope.dt, *_time_table(envelope), route_cdf=None)
+    rng = np.random.default_rng(size)
+    got = _emission_times(tables, rng.random(size), rng.random(size))
     want = oracle_sample_times(envelope, np.random.default_rng(size), size)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -360,7 +494,11 @@ def test_sample_pairs_matches_pair_sampler(envelope, chip):
     source = SourceConfig(coherence_jitter_sd=0.0128)
     sampler = _PairSampler(chip, 1, 3, envelope, source.coherence())
     layout = Layout(interference_matrix=chip, input_delayed=1, input_direct=3)
-    got = _sample_pairs(_draw_tables(source, layout), np.random.default_rng(11), 200_000)
+    tables = _draw_tables(source, layout)
+    rng = np.random.default_rng(11)
+    pair, c1, c2 = _pair_cells(tables, rng.random(200_000))
+    got = (*tables.pair_modes[pair].T, (c1 + rng.random(200_000)) * tables.dt,
+           (c2 + rng.random(200_000)) * tables.dt)
     want = sampler.sample(np.random.default_rng(11), 200_000)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)

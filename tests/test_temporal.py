@@ -8,7 +8,7 @@ from mmi_lab import (CoherenceModel, Layout, SourceConfig, calibrate_gaussian_ji
                      coincidence_classical, coincidence_quantum, hom_profile,
                      joint_density, random_unitary, sin2_envelope)
 from mmi_lab.core import mode_pairs, pair_index
-from mmi_lab.instrument import _draw_tables, _sample_times
+from mmi_lab.instrument import _draw_tables, _emission_times
 from mmi_lab.temporal import integrated_visibility
 
 
@@ -41,7 +41,7 @@ class TestEnvelope:
         # the simulator's emission times: a 300 ns sin^2 envelope on 1 ns cells
         tables = _draw_tables(SourceConfig(pulse_length_ns=300.0), Layout.hbt())
         assert tables.dt == 1.0
-        samples = _sample_times(tables, rng, 200_000)
+        samples = _emission_times(tables, rng.random(200_000), rng.random(200_000))
         assert samples.min() >= 0.0 and samples.max() <= 300.0
         assert np.mean(samples) == pytest.approx(150.0, abs=1.0)
         # sin^2 intensity has std T * sqrt(1/12 - 1/(2 pi^2))
