@@ -83,3 +83,29 @@ def test_not_a_directory(tmp_path):
     with pytest.raises(SystemExit) as exc:
         diff_outputs.main([str(tmp_path / "missing"), str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_key_value_lines_by_key(tmp_path, capsys):
+    # no header row: the first line is a key like every other
+    text = "schema,mmi-report/1\nn_coincidences,97\nmissed_clamped,false\nnote,a,b\n"
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, body in ((a, text), (b, text.replace("97", "98"))):
+        root.mkdir()
+        (root / "stdout.kv").write_text(body)
+    assert diff_outputs.values(a / "stdout.kv") == {
+        "schema": "mmi-report/1", "n_coincidences": "97", "missed_clamped": "false",
+        "note": "a,b", "(keys)": "schema,n_coincidences,missed_clamped,note"}
+    code, out = _run(capsys, a, b)
+    assert code == 1
+    assert out[2:] == ["stdout.kv | n_coincidences | 97 | 98", "4 values unchanged, 1 differ"]
+
+
+def test_key_value_order_is_a_value(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, body in ((a, "x,1\ny,2\n"), (b, "y,2\nx,1\n")):
+        root.mkdir()
+        (root / "stdout.kv").write_text(body)
+    code, out = _run(capsys, a, b)
+    assert code == 1
+    assert out[2:] == ["stdout.kv | (keys) | x,y | y,x", "2 values unchanged, 1 differ"]
+

@@ -9,6 +9,8 @@ relative to the root:
   manifests, reports and matrices;
 - ``*.csv`` by every cell, keyed by row and column (the row by its first
   cell when that column's values are unique, else by its number);
+- ``*.kv``, ``key,value`` lines with no header row (what ``analyze --format
+  csv`` prints), by every key, and the keys' order as ``(keys)``;
 - anything else, time-tag streams among them, by the sha256 of its bytes.
 
 Prints one ``file | key | before | after`` row per difference, ready for a
@@ -51,12 +53,19 @@ def _csv_cells(text: str):
             yield f"{label}/{col}", cell
 
 
+def _key_values(text: str) -> dict[str, str]:
+    pairs = [line.partition(",")[::2] for line in text.splitlines()]
+    return {**dict(pairs), "(keys)": ",".join(key for key, _ in pairs)}
+
+
 def values(path: Path) -> dict[str, str]:
     """Every comparable value of one file, by key."""
     if path.suffix == ".json":
         return dict(_json_leaves(json.loads(path.read_text())))
     if path.suffix == ".csv":
         return dict(_csv_cells(path.read_text()))
+    if path.suffix == ".kv":
+        return _key_values(path.read_text())
     return {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 

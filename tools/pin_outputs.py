@@ -9,10 +9,11 @@ temporary directory: a run manifest for each layout (mmi with
 all four analyses (``mmi`` and ``hom`` with ``--format csv``),
 ``characterize --simulate --repeat 20``, and ``predict`` as CSV and as
 JSON.  Each call's files and its stdout are flattened by
-``diff_outputs.values``: JSON leaves, CSV cells, and streams by sha256.
-Stdout that is JSON (written with sorted keys, so its values fix its
-bytes) is kept by value; any other stdout, such as the key-order-sensitive
-``analyze --format csv`` lines, by sha256.  Each call's exit code is kept
+``diff_outputs.values``: JSON leaves, CSV cells, ``key,value`` lines, and
+streams by sha256.  Stdout that is JSON (written with sorted keys, so its
+values fix its bytes) is kept by value, and so are the ``key,value`` lines
+of ``analyze --format csv``, by key and with their key order; any other
+stdout (the ``predict`` table) by sha256.  Each call's exit code is kept
 too.  The file records the numpy version it was written with.
 
 ``tests/test_pinned_outputs.py`` reruns the set and compares it with the
@@ -86,7 +87,8 @@ def run(root: Path) -> dict[str, dict[str, str]]:
         with contextlib.redirect_stdout(out):
             code = cli.main([arg.format(root=root) for arg in argv.split()])
         text = out.getvalue()
-        suffix = ".json" if text.startswith("{") else ".txt"
+        suffix = (".json" if text.startswith("{")
+                  else ".kv" if name.startswith("analyze-") else ".txt")
         (root / name / f"stdout{suffix}").write_text(text, encoding="utf-8", newline="")
         codes[f"{name}/(run)"] = {"exit_code": str(code)}
     return {**diff_outputs.tree_values(root), **codes}
