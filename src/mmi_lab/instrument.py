@@ -372,9 +372,10 @@ def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorCon
     time; the hbt channels or the routing errors; three joint draws per
     parallel pair or one output draw per pair photon; one output draw per
     other photon; every photon's detection draw; each survivor's jitter.
-    Only the routing errors and the detection draws are read before the
-    detection draw is taken.  Then emission times, pair cells and outputs
-    are inverted for the survivors alone, each pair with a survivor once.
+    Until the detection draw only the routing errors are read, since they
+    decide the pairs; the other uniforms stay raw, and then the emission
+    times, pair cells and outputs are inverted for the survivors alone,
+    each pair with a survivor once.
 
     Photons are routed pair photons first (the pairs' first photons, then
     their second ones, for parallel pairs; each pair's two in arrival order
@@ -424,7 +425,7 @@ def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorCon
             # one output draw per pair photon, for every pair's photon at
             # the lower input mode first, then for those at the higher one
             u_pair = rng.random(two)
-        # and so for the other photons, whose draws are the rest
+        # and one per other photon, again the lower input mode's first
         u_single = rng.random(n_emitted - two) if n_emitted > two else np.empty(0)
 
         kept = np.flatnonzero(rng.random(n_emitted) < keep)
@@ -433,7 +434,7 @@ def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorCon
         # the lower one's; a pair has one photon at each input, so a pair
         # photon's draw is its pair's index, plus n_pairs at the higher input
         high = delayed if layout.input_delayed > layout.input_direct else ~delayed
-        pos, chans, times = [], [], []  # pos: survivors timed from emission
+        pos, chans, times = [], [], []  # pos: the survivors timed from emission
         if joint:
             r = kept[:split]
             second = r >= n_pairs
