@@ -332,11 +332,15 @@ def _emit_photons(source: SourceConfig, transit_intervals: np.ndarray,
     phase = rng.integers(0, 2, size=block)
     slots = np.flatnonzero(one)
     reps = two.ravel()[slots] + np.int8(1)
-    rows, att = np.divmod(np.repeat(slots, reps), n_att)
+    slots = np.repeat(slots, reps)
+    rows = slots // n_att  # faster than np.divmod
+    att = slots - rows * n_att
     pols = ((att + phase[rows]) & 1).astype(np.int8)
     # a double emission flips the spin twice: the second photon carries
-    # the opposite polarisation, so the routing splits the pair
-    pols[np.cumsum(reps)[reps == 2] - 1] ^= 1
+    # the opposite polarisation, so the routing splits the pair; the k-th
+    # double's second photon is k + 1 places after its slot's index
+    doubles = np.flatnonzero(reps == 2)
+    pols[doubles + np.arange(1, doubles.size + 1)] ^= 1
     return transit_intervals[rows] + att, pols
 
 
