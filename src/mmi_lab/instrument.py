@@ -422,15 +422,15 @@ def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorCon
         del starts
         delivered_pairs = n_pairs = int(pair_first.size)
         two = 2 * n_pairs
-        joint = bool(n_pairs) and tables.pair_cdf is not None
+        joint = tables.pair_cdf is not None
         if joint:
             u_pair, f1, f2 = rng.random(n_pairs), rng.random(n_pairs), rng.random(n_pairs)
-        elif n_pairs:
+        else:
             # one output draw per pair photon, for every pair's photon at
             # the lower input mode first, then for those at the higher one
             u_pair = rng.random(two)
         # and one per other photon, again the lower input mode's first
-        u_single = rng.random(n_emitted - two) if n_emitted > two else np.empty(0)
+        u_single = rng.random(n_emitted - two)
 
         kept = np.flatnonzero(rng.random(n_emitted) < keep)
         split = int(np.searchsorted(kept, two))
@@ -453,7 +453,7 @@ def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorCon
             t_pair += (np.where(second, c2[at], c1[at])
                        + np.where(second, f2[j], f1[j])) * tables.dt
             times.append(t_pair)
-        elif n_pairs:
+        else:
             j, second = np.divmod(kept[:split], 2)
             detected_pairs = int(np.count_nonzero(j[1:] == j[:-1]))
             s = pair_first[j] + second

@@ -556,7 +556,7 @@ def test_padded_grid_equals_resampled_grid(durations, dt, t_max_share):
     t_max = t_max_share * max(durations)
     got, want = temporal._on_grid(env_1, env_2, t_max), oracle_on_grid(env_1, env_2, t_max)
     for a, b in zip(got, want, strict=True):
-        assert a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("durations", [(300.0, 300.0), (300.0, 200.0)])
