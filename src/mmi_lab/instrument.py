@@ -553,7 +553,7 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     channel, t_ns = channel[inside], t_ns[inside]
     del inside
     t_ns /= detectors.tick_ns  # in place: the tick count, then rounded
-    ticks = np.round(t_ns, out=t_ns).astype(np.int64)
+    ticks = np.round(t_ns, out=t_ns).astype(np.uint64)
     del t_ns
     order = np.lexsort((channel, ticks))
     channel, ticks = channel[order], ticks[order]

@@ -64,6 +64,24 @@ def _fs(ns: float) -> int:
     return round(ns * 1e6)
 
 
+def _column(values, dtype, what: str) -> np.ndarray:
+    """``values`` as a ``dtype`` array, uncopied when it is one already;
+    StreamFormatError at the first value ``dtype`` cannot hold exactly: a
+    negative, fractional, non-finite or too large one."""
+    arr = np.asarray(values)
+    if arr.dtype == dtype:
+        return arr
+    top = np.iinfo(dtype).max
+    whole = (arr >= 0) & (arr < top + 1)  # not <= top, which a float 2**64 passes
+    if arr.dtype.kind == "f":
+        whole &= np.trunc(arr) == arr
+    bad = np.flatnonzero(~whole)
+    if bad.size:
+        raise StreamFormatError(f"{what} {arr.flat[bad[0]]} at record {bad[0]} "
+                                f"is not a whole number in [0, {top}]")
+    return arr.astype(dtype)
+
+
 @dataclass
 class TimeTagStream:
     """Chronologically ordered detector events."""
@@ -74,8 +92,8 @@ class TimeTagStream:
     tick_fs: int = DEFAULT_TICK_FS
 
     def __post_init__(self):
-        ch = np.asarray(self.channels, dtype=np.uint8)
-        tk = np.asarray(self.ticks, dtype=np.uint64)
+        ch = _column(self.channels, np.uint8, "channel")
+        tk = _column(self.ticks, np.uint64, "tick")
         if ch.shape != tk.shape or ch.ndim != 1:
             raise ValueError("channels and ticks must be matching 1-D arrays")
         if ch.size and int(ch.max()) >= self.n_channels:

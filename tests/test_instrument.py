@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmi_lab import (DetectorConfig, Layout, SourceConfig, balanced_splitter, cross_correlate,
-                     expected_pair_rate, g2_zero, simulate_run)
+from mmi_lab import (DetectorConfig, Layout, SourceConfig, TimeTagStream, balanced_splitter,
+                     cross_correlate, expected_pair_rate, g2_zero, instrument, simulate_run)
 from mmi_lab._runtime import MAX_ELEMENTS, ConfigError, check_size
 from mmi_lab.instrument import _BLOCK_TRANSITS, _block_bounds
 
@@ -214,6 +214,21 @@ class TestStreamInvariants:
         assert len(truth.pre_deadtime) == len(stream) + truth.n_suppressed
         assert truth.detected_pairs <= truth.delivered_pairs
         assert truth.n_emitted >= truth.delivered_pairs * 2
+
+    def test_streams_hold_the_simulated_columns_uncopied(self, monkeypatch, default_source,
+                                                         default_detectors, mmi_layout):
+        # the stream and the truth stream take the run's uint8 channels and
+        # uint64 ticks as they are, with no copy of either
+        uncopied = []
+
+        def recorded(channels, ticks, *args, **kwargs):
+            stream = TimeTagStream(channels, ticks, *args, **kwargs)
+            uncopied.append(stream.channels is channels and stream.ticks is ticks)
+            return stream
+        monkeypatch.setattr(instrument, "TimeTagStream", recorded)
+        simulate_run(default_source, mmi_layout, default_detectors, 1000.0, seed=9,
+                     with_truth=True)
+        assert uncopied == [True, True]
 
     @pytest.mark.parametrize("layout", [Layout.hbt(), HOM_PARALLEL, Layout.mmi()],
                              ids=["hbt", "hom", "mmi"])

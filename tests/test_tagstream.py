@@ -124,6 +124,36 @@ class TestBinaryFormat:
             TimeTagStream.from_bytes(payload)
 
 
+class TestColumns:
+    def test_column_dtypes_are_kept_uncopied(self):
+        # the simulator, from_bytes and select hand over uint8 channels and
+        # uint64 ticks, which the stream holds as they are
+        channels, ticks = np.array([1, 0, 1], np.uint8), np.array([5, 9, 9], np.uint64)
+        stream = TimeTagStream(channels, ticks, 2)
+        assert stream.channels is channels and stream.ticks is ticks
+
+    def test_integral_floats_are_valid(self):
+        stream = TimeTagStream(np.array([0.0, 3.0]), np.array([7.0, 2.0 ** 60]), 4)
+        assert stream.channels.dtype == np.uint8 and stream.ticks.dtype == np.uint64
+        assert stream.channels.tolist() == [0, 3] and stream.ticks.tolist() == [7, 2 ** 60]
+
+    @pytest.mark.parametrize("tick", [-1, 0.5, 1.7, np.nan, np.inf, 2.0 ** 64],
+                             ids=["negative", "half", "fraction", "nan", "inf", "past-u64"])
+    def test_tick_outside_the_u64_column_is_refused(self, tick):
+        # before, -1 wrapped to 2**64 - 1, 0.5 and 1.7 became 0 and 1, and nan
+        # became 2**63 with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StreamFormatError, match="tick .* at record 1 is not a whole"):
+                TimeTagStream(np.array([0, 0], np.uint8), np.array([0, tick]), 2)
+
+    @pytest.mark.parametrize("channel", [300, 256, -1, 1.5])
+    def test_channel_outside_the_u8_column_is_refused(self, channel):
+        # before, 300 was refused as channel 44 and 256 passed as channel 0
+        with pytest.raises(StreamFormatError, match=f"channel {channel} at record 1"):
+            TimeTagStream(np.array([0, channel]), np.array([0, 1], np.uint64), 2)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize("kernel", [
     lambda s, x: extract_coincidences(s, window_ns=x),
