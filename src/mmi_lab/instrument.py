@@ -6,9 +6,11 @@ spontaneous decay parks the atom in a dark state.  One polarisation is
 routed through a fibre delay of one duty cycle so that sequentially
 emitted photons arrive at the interference element simultaneously;
 simultaneous pairs at different inputs are drawn from the time-resolved
-joint detection density, everything else propagates as independent
-single photons.  Detection applies the loss chain, timing jitter,
-per-channel dead time and dark counts, and quantises to converter ticks.
+joint detection density (for orthogonal polarisations its kappa = 0 limit,
+which routes and times the two photons independently), everything else
+propagates as independent single photons.  Detection applies the loss
+chain, timing jitter, per-channel dead time and dark counts, and quantises
+to converter ticks.
 
 Runs are simulated in blocks of whole atom transits.  One root generator,
 ``default_rng(seed)``, draws the transit count, the sorted transit intervals
@@ -152,7 +154,9 @@ class Layout:
     ``hom_splitter`` and ``mmi`` route the two polarisations onto the
     interference element's ``input_delayed`` / ``input_direct`` modes with
     a one-duty-cycle delay on the former.  ``orthogonal`` polarisation
-    makes the paired photons fully distinguishable.
+    makes the paired photons fully distinguishable: their pairs are drawn
+    from the joint detection density with kappa = 0, which has no
+    interference term.
     """
 
     kind: str = "mmi"
@@ -238,7 +242,8 @@ def _time_table(envelope: Wavepacket) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _DrawTables:
-    """Every table a run draws from, read-only; pair fields for parallel pairs."""
+    """Every table a run draws from, read-only; pair fields for every layout
+    but ``hbt``, which has no pairs."""
 
     dt: float  # ns, the cell width of every time grid
     time_cdf: np.ndarray  # the emission envelope's _time_table
@@ -261,10 +266,13 @@ def _draw_tables(source: SourceConfig, layout: Layout) -> _DrawTables:
     route_cdf = np.stack((direct, delayed))
     route_cdf.setflags(write=False)
     tables = _DrawTables(envelope.dt, *_time_table(envelope), route_cdf)
-    if layout.kind == "hbt" or layout.polarization != "parallel":
+    if layout.kind == "hbt":
         return tables
+    # orthogonal pairs are fully distinguishable: the kappa = 0 density
+    coherence = (source.coherence() if layout.polarization == "parallel"
+                 else CoherenceModel.incoherent())
     flat = joint_density(matrix, layout.input_delayed, layout.input_direct, envelope,
-                         envelope, source.coherence(), t_max=envelope.duration).densities
+                         envelope, coherence, t_max=envelope.duration).densities
     modes = np.array(mode_pairs(matrix.n_modes))
     modes.setflags(write=False)
     pair_cdf = _cdf(flat.ravel(), "joint density vanishes; cannot sample pairs")
@@ -374,16 +382,15 @@ def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorCon
     The generator calls are fixed in method, order and size: emission, dark
     branch and phase per transit; two uniforms per photon for its emission
     time; the hbt channels or the routing errors; three joint draws per
-    parallel pair or one output draw per pair photon; one output draw per
-    other photon; every photon's detection draw; each survivor's jitter.
+    pair; one output draw per other photon; every photon's detection draw;
+    each survivor's jitter.
     Until the detection draw only the routing errors are read, since they
     decide the pairs; the other uniforms stay raw, and then the emission
     times, pair cells and outputs are inverted for the survivors alone,
     each pair with a survivor once.
 
     Photons are routed pair photons first (the pairs' first photons, then
-    their second ones, for parallel pairs; each pair's two in arrival order
-    for the others), then every other photon in arrival order, and the
+    their second ones), then every other photon in arrival order, and the
     survivors keep that order.
     """
     duty, keep = source.duty_cycle_ns, source.detection_chain_prob()
@@ -422,63 +429,43 @@ def _simulate_block(source: SourceConfig, layout: Layout, detectors: DetectorCon
         del starts
         delivered_pairs = n_pairs = int(pair_first.size)
         two = 2 * n_pairs
-        joint = tables.pair_cdf is not None
-        if joint:
-            u_pair, f1, f2 = rng.random(n_pairs), rng.random(n_pairs), rng.random(n_pairs)
-        else:
-            # one output draw per pair photon, for every pair's photon at
-            # the lower input mode first, then for those at the higher one
-            u_pair = rng.random(two)
-        # and one per other photon, again the lower input mode's first
+        u_pair, f1, f2 = rng.random(n_pairs), rng.random(n_pairs), rng.random(n_pairs)
+        # one output draw per other photon, the lower input mode's first
         u_single = rng.random(n_emitted - two)
 
         kept = np.flatnonzero(rng.random(n_emitted) < keep)
         split = int(np.searchsorted(kept, two))
-        # the photons at the higher-numbered input mode, whose draws follow
-        # the lower one's; a pair has one photon at each input, so a pair
-        # photon's draw is its pair's index, plus n_pairs at the higher input
-        high = delayed if layout.input_delayed > layout.input_direct else ~delayed
-        pos, chans, times = [], [], []  # pos: the survivors timed from emission
-        if joint:
-            r = kept[:split]
-            second = r >= n_pairs
-            j = r - n_pairs * second
-            per_pair = np.bincount(j, minlength=n_pairs)
-            detected_pairs = int(np.count_nonzero(per_pair == 2))
-            live = np.flatnonzero(per_pair)
-            pair, c1, c2 = _pair_cells(tables, u_pair[live])
-            at = np.searchsorted(live, j)
-            chans.append(tables.pair_modes[pair[at], second.view(np.uint8)])
-            t_pair = arrival[pair_first[j]] * duty
-            t_pair += (np.where(second, c2[at], c1[at])
-                       + np.where(second, f2[j], f1[j])) * tables.dt
-            times.append(t_pair)
-        else:
-            j, second = np.divmod(kept[:split], 2)
-            detected_pairs = int(np.count_nonzero(j[1:] == j[:-1]))
-            s = pair_first[j] + second
-            chans.append(_route(tables, delayed[s], u_pair[j + n_pairs * high[s]]))
-            pos.append(s)
+        r = kept[:split]
+        second = r >= n_pairs
+        j = r - n_pairs * second
+        per_pair = np.bincount(j, minlength=n_pairs)
+        detected_pairs = int(np.count_nonzero(per_pair == 2))
+        live = np.flatnonzero(per_pair)
+        pair, c1, c2 = _pair_cells(tables, u_pair[live])
+        at = np.searchsorted(live, j)
+        pair_channel = tables.pair_modes[pair[at], second.view(np.uint8)]
+        t_pair = arrival[pair_first[j]] * duty
+        t_pair += (np.where(second, c2[at], c1[at])
+                   + np.where(second, f2[j], f1[j])) * tables.dt
+
         # the q-th single photon follows every pair with at most q singles
-        # before it
+        # before it; the photons at the higher-numbered input mode draw after
+        # the lower one's, and each pair before a single holds one of them
+        high = delayed if layout.input_delayed > layout.input_direct else ~delayed
         q = kept[split:] - two
         n_before = np.searchsorted(pair_first - 2 * np.arange(n_pairs), q, side="right")
         s = q + 2 * n_before
         high_before = np.cumsum(high)[s] - high[s] - n_before  # singles only
         low_singles = n_emitted - two - (np.count_nonzero(high) - n_pairs)
         draw = np.where(high[s], low_singles + high_before, q - high_before)
-        chans.append(_route(tables, delayed[s], u_single[draw]))
-        pos.append(s)
-
-        s = np.concatenate(pos)
+        single_channel = _route(tables, delayed[s], u_single[draw])
         photon = order[s]
-        t_emit = arrival[s] * duty
-        t_emit += _emission_times(tables, u_time[photon], u_frac[photon])
-        times.append(t_emit)
+        t_single = arrival[s] * duty
+        t_single += _emission_times(tables, u_time[photon], u_frac[photon])
         # the block's outputs are allocated once its photon arrays are freed
-        del arrival, order, delayed, high, u_time, u_frac, u_single, kept, pos, s, photon
-        channel = np.concatenate(chans).astype(np.uint8, copy=False)
-        t_ns = np.concatenate(times)
+        del arrival, order, delayed, high, u_time, u_frac, u_single, kept, s, photon
+        channel = np.concatenate((pair_channel, single_channel)).astype(np.uint8, copy=False)
+        t_ns = np.concatenate((t_pair, t_single))
 
     if detectors.jitter_sd_ps > 0 and t_ns.size:
         t_ns += rng.normal(0.0, detectors.jitter_sd_ps * 1e-3, t_ns.size)

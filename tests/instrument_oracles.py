@@ -35,7 +35,11 @@ verbatim but for the ``dense_`` prefix of their names.  They read the draw
 tables with each input's routing CDF keyed by its input mode, as
 ``dense_tables`` builds them from the layout's matrix.  The block that
 inverts only the survivors' draws must equal ``dense_simulate_block`` bit for
-bit and make the same generator calls (``DrawLog``).
+bit and make the same generator calls (``DrawLog``).  Over tables without
+the pair fields, which the simulator built for orthogonal layouts before
+their pairs were drawn from the kappa = 0 joint density, it routes the pair
+photons one by one: the replaced rule, which the new one must match in
+distribution.
 
 ``amplitude_at`` (once the ``Wavepacket`` method that resampled an envelope
 at arbitrary times, which this module's ``joint_density`` needs to shift an

@@ -4,7 +4,10 @@
 Every block of a run must equal the single-generator simulator's phases
 (``simulate_block``) bit for bit, and the run must equal their composition
 (``composed_run``): byte-identical streams and zero-dead-time streams and
-equal truth counts.  The density array must reproduce every number of the
+equal truth counts.  That oracle routes orthogonal pairs photon by photon,
+where the simulator draws them from the kappa = 0 joint density: those
+layouts are checked against the dense oracle blocks, which take the pair
+table, and against the replaced rule in distribution.  The density array must reproduce every number of the
 dict of per-pair arrays, and the zero-padded envelope grid every byte of the
 resampled one.  The oracle keeps its own pair sampler, so the
 cached draw tables are checked too.  Against the whole-run ``simulate_run`` oracle,
@@ -32,8 +35,8 @@ from instrument_oracles import simulate_run as oracle_simulate_run
 from instrument_oracles import stacked_dtau_marginal
 
 from mmi_lab import (CoherenceModel, DetectorConfig, Layout, SourceConfig, TimeTagStream,
-                     Wavepacket, balanced_splitter, calibrate_gaussian_jitter, config,
-                     hom_profile, instrument, joint_density, measured_chip_matrix,
+                     TransferMatrix, Wavepacket, balanced_splitter, calibrate_gaussian_jitter,
+                     config, hom_profile, instrument, joint_density, measured_chip_matrix,
                      mode_pairs, random_unitary, simulate_run, sin2_envelope, temporal)
 from mmi_lab.instrument import (_apply_dead_time, _block_bounds, _draw_tables, _DrawTables,
                                 _emission_times, _pair_cells, _route, _simulate_block,
@@ -108,6 +111,25 @@ def same_block(got, want):
     assert got[2:] == want[2:]
 
 
+def pairs_by_photon(layout):
+    """Whether the single-generator oracle routes ``layout``'s pairs photon by
+    photon, the rule that the kappa = 0 joint density replaced for
+    orthogonal polarisations; its blocks then differ from the simulator's,
+    and the dense oracle blocks, which take the pair table, are the
+    reference."""
+    return layout.kind != "hbt" and layout.polarization == "orthogonal"
+
+
+def dense_block(source, layout, detectors, tables=None):
+    """``dense_simulate_block`` as a block function of the transit intervals
+    and the block's generator, over ``tables`` (else ``dense_tables``)."""
+    tables = dense_tables(source, layout) if tables is None else tables
+
+    def block(intervals, rng):
+        return dense_simulate_block(source, layout, detectors, intervals, rng, tables)
+    return block
+
+
 def check_dense_block(source, layout, detectors, transit_intervals, rng_seed):
     """``(block, log)``: ``_simulate_block`` from one seed, equal to the dense
     oracle block and drawing what it draws; ``log`` is its :class:`DrawLog`."""
@@ -122,7 +144,10 @@ def check_dense_block(source, layout, detectors, transit_intervals, rng_seed):
 
 
 def check_block(source, layout, detectors, transit_intervals, rng_seed):
-    """``_simulate_block`` against the oracle block from one seed."""
+    """``_simulate_block`` against the oracle block from one seed: the dense
+    one where :func:`pairs_by_photon`, else the single-generator one."""
+    if pairs_by_photon(layout):
+        return check_dense_block(source, layout, detectors, transit_intervals, rng_seed)[0]
     got = _simulate_block(source, layout, detectors, transit_intervals,
                           np.random.default_rng(rng_seed), _draw_tables(source, layout))
     want = oracle_simulate_block(source, layout, detectors, transit_intervals,
@@ -135,7 +160,8 @@ def check_run(source, layout, seconds, seed, detectors=DetectorConfig()):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, truth = simulate_run(source, layout, detectors, seconds, seed, with_truth=True)
-        want, want_truth, blocks = composed_run(source, layout, detectors, seconds, seed)
+        block = dense_block(source, layout, detectors) if pairs_by_photon(layout) else None
+        want, want_truth, blocks = composed_run(source, layout, detectors, seconds, seed, block)
         for b, intervals in enumerate(blocks):
             check_block(source, layout, detectors, intervals, block_seed(seed, b))
     assert got.to_bytes() == want.to_bytes()
@@ -301,8 +327,7 @@ def test_pairs_with_none_one_and_both_photons_kept(layout):
     assert n_pairs == 300
     # the pair photons' detection draws lead the last uniform draw, in routed order
     kept = [c[3] for c in log.calls if c[0] == "random"][-1][:2 * n_pairs] < 0.5
-    kept = kept.reshape(2, -1) if layout.polarization == "parallel" else kept.reshape(-1, 2).T
-    survivors = np.bincount(kept.sum(axis=0), minlength=3)
+    survivors = np.bincount(kept.reshape(2, -1).sum(axis=0), minlength=3)
     assert survivors.min() > 0 and survivors[2] == got[4]
 
 
@@ -312,13 +337,9 @@ def test_pairs_with_none_one_and_both_photons_kept(layout):
 def test_runs_equal_dense_runs_at_any_thread_count(monkeypatch, layout, threads):
     monkeypatch.setenv("MMI_LAB_THREADS", threads)
     source, detectors = SourceConfig(), DetectorConfig()
-    tables = dense_tables(source, layout)
-
-    def dense(intervals, rng):
-        return dense_simulate_block(source, layout, detectors, intervals, rng, tables)
-
     got, truth = simulate_run(source, layout, detectors, 40_000.0, 43, with_truth=True)
-    want, want_truth, blocks = composed_run(source, layout, detectors, 40_000.0, 43, dense)
+    want, want_truth, blocks = composed_run(source, layout, detectors, 40_000.0, 43,
+                                            dense_block(source, layout, detectors))
     assert len(blocks) > 2
     assert got.to_bytes() == want.to_bytes()
     assert truth.pre_deadtime.to_bytes() == want_truth.pre_deadtime.to_bytes()
@@ -332,11 +353,13 @@ FUNNEL_RUNS = 16
 FUNNEL_Z = 4.0  # standard errors of the difference of two independent means
 
 
-def test_funnel_means_match_the_single_generator_oracle():
+@pytest.mark.parametrize("layout", [Layout.mmi(), HOM_ORTHOGONAL], ids=["mmi", "hom-orthogonal"])
+def test_funnel_means_match_the_single_generator_oracle(layout):
     # blocks draw from other streams than the whole-run generator, so single
     # runs differ; over FUNNEL_RUNS seeded 10 ks runs on each side, every
     # funnel mean must agree with the oracle's within FUNNEL_Z standard errors
-    args = (SourceConfig(), Layout.mmi(), DetectorConfig(), 10_000.0)
+    # (the oracle routes orthogonal pairs photon by photon)
+    args = (SourceConfig(), layout, DetectorConfig(), 10_000.0)
     new, old = (np.array([[getattr(truth, name) for name in FUNNEL]
                           for truth in (run(*args, seed, with_truth=True)[1]
                                         for seed in range(FUNNEL_RUNS))], dtype=float)
@@ -344,6 +367,71 @@ def test_funnel_means_match_the_single_generator_oracle():
     se = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / FUNNEL_RUNS)
     for name, a, b, e in zip(FUNNEL, new.mean(axis=0), old.mean(axis=0), se):
         assert abs(a - b) <= FUNNEL_Z * e, (name, a, b, e)
+
+
+TWO_SAMPLE_BLOCKS = 48
+TWO_SAMPLE_Z = 4.0  # standard errors of the difference of two independent means
+
+
+def block_statistics(block, duty_ns):
+    """A block's tags per channel, detected pairs and cross coincidences:
+    tags next to each other in time, in one duty cycle, on two channels."""
+    channel, t_ns, _, _, detected_pairs = block
+    order = np.argsort(t_ns)
+    channel, cycle = channel[order], np.floor(t_ns[order] / duty_ns)
+    cross = np.count_nonzero((cycle[1:] == cycle[:-1]) & (channel[1:] != channel[:-1]))
+    return [*np.bincount(channel, minlength=2), detected_pairs, cross]
+
+
+def test_orthogonal_pairs_keep_the_distribution_of_the_replaced_rule():
+    # the kappa = 0 joint density routes and times a distinguishable pair's
+    # photons independently, as the per-photon rule it replaced did: the dense
+    # block over tables without the pair fields.  Over TWO_SAMPLE_BLOCKS
+    # seeded blocks a side, every statistic's mean agrees within TWO_SAMPLE_Z
+    # standard errors
+    source, detectors = SourceConfig(), DetectorConfig()
+    replaced = dense_block(source, HOM_ORTHOGONAL, detectors,
+                           dataclasses.replace(dense_tables(source, HOM_ORTHOGONAL),
+                                               pair_cdf=None, pair_shape=(), pair_modes=None))
+    tables = _draw_tables(source, HOM_ORTHOGONAL)
+    new, old = (np.array([block_statistics(run(np.random.default_rng([side, b])),
+                                           source.duty_cycle_ns)
+                          for b in range(TWO_SAMPLE_BLOCKS)], dtype=float)
+                for side, run in enumerate((
+                    lambda rng: _simulate_block(source, HOM_ORTHOGONAL, detectors, SPREAD,
+                                                rng, tables),
+                    lambda rng: replaced(SPREAD, rng))))
+    se = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / TWO_SAMPLE_BLOCKS)
+    names = ("channel 0", "channel 1", "detected_pairs", "cross coincidences")
+    for name, a, b, e in zip(names, new.mean(axis=0), old.mean(axis=0), se):
+        assert abs(a - b) <= TWO_SAMPLE_Z * e, (name, a, b, e)
+
+
+def nonunitary(n_modes, seed):
+    rng = np.random.default_rng(seed)
+    return TransferMatrix(rng.random((n_modes, n_modes))
+                          * np.exp(2j * np.pi * rng.random((n_modes, n_modes))))
+
+
+@pytest.mark.parametrize("layout", [
+    Layout(polarization="orthogonal"),
+    Layout(input_delayed=3, input_direct=0, polarization="orthogonal"),
+    HOM_ORTHOGONAL,
+    Layout(interference_matrix=nonunitary(3, 340), input_delayed=2, input_direct=0,
+           polarization="orthogonal"),
+    Layout(interference_matrix=nonunitary(5, 341), input_delayed=1, input_direct=4,
+           polarization="orthogonal"),
+], ids=["chip", "chip-inputs-4-1", "splitter", "random3", "random5"])
+def test_distinguishable_pair_mass_is_the_product_of_the_routing_rows(layout):
+    # with kappa = 0 a mode pair's mass is that of the delayed photon at one
+    # output and the direct one at the other, each routed by its own row
+    tables = _draw_tables(SourceConfig(), layout)
+    mass = np.diff(tables.pair_cdf.reshape(tables.pair_shape[0], -1)[:, -1], prepend=0.0)
+    direct, delayed = np.diff(tables.route_cdf, prepend=0.0, axis=1)
+    both = np.outer(delayed, direct)
+    k, l = tables.pair_modes.T
+    want = np.where(k == l, both[k, l], both[k, l] + both[l, k])
+    assert mass.shape == want.shape and np.abs(mass - want).max() <= 1e-12
 
 
 class AlmostOne:
