@@ -6,11 +6,10 @@ spontaneous decay parks the atom in a dark state.  One polarisation is
 routed through a fibre delay of one duty cycle so that sequentially
 emitted photons arrive at the interference element simultaneously;
 simultaneous pairs at different inputs are drawn from the time-resolved
-joint detection density (for orthogonal polarisations its kappa = 0 limit,
-which routes and times the two photons independently), everything else
-propagates as independent single photons.  Detection applies the loss
-chain, timing jitter, per-channel dead time and dark counts, and quantises
-to converter ticks.
+joint detection density (its kappa = 0 limit for orthogonal polarisations),
+everything else propagates as independent single photons.  Detection
+applies the loss chain, timing jitter, per-channel dead time and dark
+counts, and quantises to converter ticks.
 
 Runs are simulated in blocks of whole atom transits.  One root generator,
 ``default_rng(seed)``, draws the transit count, the sorted transit intervals
@@ -154,9 +153,7 @@ class Layout:
     ``hom_splitter`` and ``mmi`` route the two polarisations onto the
     interference element's ``input_delayed`` / ``input_direct`` modes with
     a one-duty-cycle delay on the former.  ``orthogonal`` polarisation
-    makes the paired photons fully distinguishable: their pairs are drawn
-    from the joint detection density with kappa = 0, which has no
-    interference term.
+    makes the paired photons fully distinguishable (kappa = 0).
     """
 
     kind: str = "mmi"
@@ -242,8 +239,7 @@ def _time_table(envelope: Wavepacket) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _DrawTables:
-    """Every table a run draws from, read-only; pair fields for every layout
-    but ``hbt``, which has no pairs."""
+    """Every table a run draws from, read-only; no pair fields for hbt."""
 
     dt: float  # ns, the cell width of every time grid
     time_cdf: np.ndarray  # the emission envelope's _time_table
@@ -268,7 +264,6 @@ def _draw_tables(source: SourceConfig, layout: Layout) -> _DrawTables:
     tables = _DrawTables(envelope.dt, *_time_table(envelope), route_cdf)
     if layout.kind == "hbt":
         return tables
-    # orthogonal pairs are fully distinguishable: the kappa = 0 density
     coherence = (source.coherence() if layout.polarization == "parallel"
                  else CoherenceModel.incoherent())
     flat = joint_density(matrix, layout.input_delayed, layout.input_direct, envelope,

@@ -65,9 +65,8 @@ def _fs(ns: float) -> int:
 
 
 def _column(values, dtype, what: str) -> np.ndarray:
-    """``values`` as a ``dtype`` array, uncopied when it is one already;
-    StreamFormatError at the first value ``dtype`` cannot hold exactly: a
-    negative, fractional, non-finite or too large one."""
+    """``values`` as a ``dtype`` array, uncopied when it is one already; StreamFormatError
+    at the first value it cannot hold: negative, fractional, non-finite or too large."""
     arr = np.asarray(values)
     if arr.dtype == dtype:
         return arr

@@ -394,13 +394,14 @@ def test_orthogonal_pairs_keep_the_distribution_of_the_replaced_rule():
                            dataclasses.replace(dense_tables(source, HOM_ORTHOGONAL),
                                                pair_cdf=None, pair_shape=(), pair_modes=None))
     tables = _draw_tables(source, HOM_ORTHOGONAL)
-    new, old = (np.array([block_statistics(run(np.random.default_rng([side, b])),
+
+    def block(intervals, rng):
+        return _simulate_block(source, HOM_ORTHOGONAL, detectors, intervals, rng, tables)
+
+    new, old = (np.array([block_statistics(run(SPREAD, np.random.default_rng([side, b])),
                                            source.duty_cycle_ns)
                           for b in range(TWO_SAMPLE_BLOCKS)], dtype=float)
-                for side, run in enumerate((
-                    lambda rng: _simulate_block(source, HOM_ORTHOGONAL, detectors, SPREAD,
-                                                rng, tables),
-                    lambda rng: replaced(SPREAD, rng))))
+                for side, run in enumerate((block, replaced)))
     se = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / TWO_SAMPLE_BLOCKS)
     names = ("channel 0", "channel 1", "detected_pairs", "cross coincidences")
     for name, a, b, e in zip(names, new.mean(axis=0), old.mean(axis=0), se):
