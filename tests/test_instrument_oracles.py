@@ -7,12 +7,12 @@ Every block of a run must equal the single-generator simulator's phases
 equal truth counts.  That oracle routes orthogonal pairs photon by photon,
 where the simulator draws them from the kappa = 0 joint density: those
 layouts are checked against the dense oracle blocks, which take the pair
-table, and against the replaced rule in distribution.  The density array must reproduce every number of the
-dict of per-pair arrays, and the zero-padded envelope grid every byte of the
-resampled one.  The oracle keeps its own pair sampler, so the
-cached draw tables are checked too.  Against the whole-run ``simulate_run`` oracle,
-which draws every photon from one generator, only the funnel means can
-agree.
+table, and against the replaced rule in distribution.  The density array
+must reproduce every number of the dict of per-pair arrays, and the
+zero-padded envelope grid every byte of the resampled one.  The oracle
+keeps its own pair sampler, so the cached draw tables are checked too.
+Against the whole-run ``simulate_run`` oracle, which draws every photon
+from one generator, only the funnel means can agree.
 """
 
 import dataclasses
