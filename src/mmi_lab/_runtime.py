@@ -1,5 +1,7 @@
 """Run-time pieces every layer shares: the two error bases, the size budget
-and the worker pool.  This module imports no other ``mmi_lab`` module.
+and the ordered map that works on the calling thread plus up to
+MMI_LAB_THREADS - 1 worker threads.  This module imports no other
+``mmi_lab`` module.
 
 Every error raised for a bad setting or bad data derives from exactly one
 base, and the base sets the command line's exit code: :class:`ConfigError`
@@ -10,8 +12,7 @@ other exception is a bug (exit 1, with a traceback).
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from threading import Lock, Thread, local
 
 
 class ConfigError(ValueError):
@@ -39,24 +40,50 @@ def max_threads() -> int:
     return int(value)
 
 
-_worker = threading.local()
+_worker = local()
 
 
 def _ordered_map(fn, items) -> list:
-    """``[fn(x) for x in items]`` on up to ``max_threads()`` threads.
+    """``[fn(x) for x in items]`` on the calling thread and up to
+    ``max_threads() - 1`` worker threads.
 
-    Results keep the order of ``items``.  A call from inside a worker runs
-    serially, so there is never a pool inside a pool and never more than
-    MMI_LAB_THREADS threads at work.
+    Every thread takes its next item from one shared iterator and puts the
+    result in the item's slot, so results keep the order of ``items``.
+    Once a call raises, no thread starts another item; every worker is
+    joined, then the first exception is raised.  A call from inside a map,
+    on a worker or on the caller during its share, runs serially, so there
+    is never a map inside a map and never more than MMI_LAB_THREADS threads
+    at work.
     """
     items = list(items)
-    workers = min(max_threads(), len(items))
-    if workers < 2 or getattr(_worker, "busy", False):
+    threads = min(max_threads(), len(items))
+    if threads < 2 or getattr(_worker, "busy", False):
         return [fn(x) for x in items]
+    results = [None] * len(items)
+    pending, lock, errors = iter(enumerate(items)), Lock(), []
 
-    def work(x):
+    def work():
         _worker.busy = True
-        return fn(x)
+        try:
+            while not errors:
+                with lock:
+                    k, x = next(pending, (None, None))
+                if k is None:
+                    return
+                results[k] = fn(x)
+        except BaseException as exc:  # raised on the calling thread below
+            errors.append(exc)
+        finally:
+            _worker.busy = False
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, items))
+    workers = [Thread(target=work) for _ in range(threads - 1)]
+    for t in workers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in workers:
+            t.join()
+    if errors:
+        raise errors[0]
+    return results

@@ -219,8 +219,10 @@ _TIME_BINS = 2 ** 16  # a power of two: u * _TIME_BINS and the bin edges are exa
 
 def _cdf(weights: np.ndarray, what: str) -> np.ndarray:
     """Read-only running sum of ``weights`` ending at exactly 1, so every draw in
-    [0, 1) finds a cell; ConfigError ``what`` if the weights sum to 0."""
-    cdf = np.cumsum(weights)
+    [0, 1) finds a cell; ConfigError ``what`` if the weights sum to 0.  The sum
+    is taken in place: ``weights`` becomes the CDF, so pass an array that
+    nothing else holds."""
+    cdf = np.cumsum(weights, out=weights)
     if cdf[-1] <= 0:
         raise ConfigError(what)
     cdf /= cdf[-1]
@@ -542,7 +544,7 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     del order
 
     dead_ticks = int(round(detectors.dead_time_ns / detectors.tick_ns))
-    keep = _apply_dead_time(channel, ticks, dead_ticks)
+    keep = _apply_dead_time(channel, ticks, n_det, dead_ticks)
     stream = TimeTagStream(channel[keep], ticks[keep], n_channels=n_det,
                            tick_fs=detectors.tick_fs)
     if not with_truth:
@@ -563,32 +565,36 @@ def simulate_run(source: SourceConfig, layout: Layout, detectors: DetectorConfig
     return stream, truth
 
 
-def _apply_dead_time(channel: np.ndarray, ticks: np.ndarray, dead_ticks: int) -> np.ndarray:
+def _apply_dead_time(channel: np.ndarray, ticks: np.ndarray, n_channels: int,
+                     dead_ticks: int) -> np.ndarray:
     """Keep mask of tags in time order (ticks non-negative, channels below
-    256): a tag within ``dead_ticks`` of the last kept tag on its channel
-    is dropped.
+    ``n_channels``): a tag within ``dead_ticks`` of the last kept tag on its
+    channel is dropped.
 
     A tag at least ``dead_ticks`` after the previous tag on its channel is
     kept whatever became of that one, and so is each channel's first tag.
     Only the runs of closer tags need the tag-by-tag rule, starting from
     the kept tag just before the run; the run's first tag always falls.
+    The channels are taken one at a time, so besides the mask only one
+    channel's tags are held.
     """
-    keep = np.empty(channel.size, dtype=bool)
-    order = np.argsort(channel.astype(np.uint8), kind="stable")  # a radix sort
-    t, ch = ticks[order], channel[order]
-    close = np.zeros(t.size, dtype=bool)
-    close[1:] = (np.diff(t) < dead_ticks) & (ch[1:] == ch[:-1])
-    edges = np.diff(close.view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    kept = ~close
-    long = ends - starts > 1
-    for a, b in zip(starts[long].tolist(), ends[long].tolist()):
-        last = int(t[a - 1])
-        for n, tick in enumerate(t[a + 1:b].tolist(), a + 1):
-            if tick - last >= dead_ticks:
-                kept[n] = True
-                last = tick
-    keep[order] = kept
+    keep = np.ones(channel.size, dtype=bool)
+    for c in range(n_channels):
+        tags = np.flatnonzero(channel == c)  # in time order
+        t = ticks[tags]
+        close = np.zeros(t.size, dtype=bool)
+        close[1:] = np.diff(t) < dead_ticks
+        edges = np.diff(close.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+        starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+        kept = ~close
+        long = ends - starts > 1
+        for a, b in zip(starts[long].tolist(), ends[long].tolist()):
+            last = int(t[a - 1])
+            for n, tick in enumerate(t[a + 1:b].tolist(), a + 1):
+                if tick - last >= dead_ticks:
+                    kept[n] = True
+                    last = tick
+        keep[tags] = kept
     return keep
 
 

@@ -143,22 +143,29 @@ def joint_density(matrix: TransferMatrix, i: int, j: int,
     a pair arrive together.  The grid covers [0, ``t_max``).  With perfect
     coherence and matched envelopes the integrated table equals the
     indistinguishable closed form; with kappa = 0 it equals the
-    distinguishable one.
+    distinguishable one.  For :meth:`CoherenceModel.incoherent` the
+    interference term is left out: it is zero, and adding it changed no bit
+    of the sum of non-negative products that remains.
     """
     _check_input_pair(matrix.n_modes, i, j)
     t, zi, zj = _on_grid(env_i, env_j, t_max)
     ii = np.abs(zi) ** 2
     ij = np.abs(zj) ** 2
-    u = zi * np.conj(zj)
-    cross = np.outer(u, np.conj(u))
-    kap = coherence.kappa(np.subtract.outer(t, t).T)  # kappa(t2 - t1)
+    incoherent = coherence.kind == "incoherent"
+    if not incoherent:
+        u = zi * np.conj(zj)
+        cross = np.outer(u, np.conj(u))
+        kap2 = 2.0 * coherence.kappa(np.subtract.outer(t, t).T)  # 2 kappa(t2 - t1)
     pairs = mode_pairs(matrix.n_modes)
     # pair by pair: broadcasting over all pairs multiplies the complex temporaries
     densities = np.empty((len(pairs), t.size, t.size))
     for n, (a, b, dup) in enumerate(_pair_amplitudes(matrix, i, j)):
-        p = (abs(a) ** 2 * np.outer(ii, ij)
-             + abs(b) ** 2 * np.outer(ij, ii)
-             + 2.0 * kap * (a * np.conj(b) * cross).real) / dup
+        p = abs(a) ** 2 * np.outer(ii, ij) + abs(b) ** 2 * np.outer(ij, ii)
+        if incoherent:  # never below zero: nothing to check or clip
+            np.divide(p, dup, out=densities[n])
+            continue
+        p += kap2 * (a * np.conj(b) * cross).real
+        p /= dup
         # interference can only redistribute, never push below zero;
         # anything beyond float dust indicates a broken kernel
         floor = p.min()

@@ -336,11 +336,12 @@ class TestMemory:
 
     A block's per-photon arrays die with the block, so the traced peak is
     the last phase's per-tag arrays plus a block's temporaries per thread:
-    about 12 bytes per emitted photon at 100 ks and 1,000 ks on one thread,
-    and up to 21 at 100 ks on two, where two blocks are alive at once.  The
-    single-generator simulator peaked at 30 (100 ks) and 29 (1,000 ks); keeping
-    every phase's arrays alive to the end of the run took 120 (mmi, hom) and
-    58 (hbt).
+    about 11 bytes per emitted photon at 100 ks and 8 at 1,000 ks on one
+    thread, and 12 to 18 at 100 ks on two, where two blocks are alive at
+    once.  The dead time that sorted every channel at once held 12 at
+    1,000 ks on either thread count.  The single-generator simulator peaked
+    at 30 (100 ks) and 29 (1,000 ks); keeping every phase's arrays alive to
+    the end of the run took 120 (mmi, hom) and 58 (hbt).
     """
 
     PEAK_BYTES_PER_PHOTON = 24.0
@@ -367,3 +368,42 @@ class TestMemory:
                     tracemalloc.stop()
             assert n_emitted > 2.5 * seconds
             assert peak / n_emitted < self.PEAK_BYTES_PER_PHOTON, seconds
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        """``(result, bytes)``: ``fn(*args)`` and its traced peak above the
+        memory traced before the call."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    def test_pair_table_is_built_in_place(self):
+        # the CDF is the joint density's own array, summed in place, so the
+        # build holds one table plus the time tables and the density loop's
+        # grid temporaries (about 0.8 of the mmi table); a second table, as a
+        # copying running sum made, puts the peak past 2x
+        tables, peak = self.traced_peak(instrument._draw_tables.__wrapped__,
+                                        SourceConfig(), Layout.mmi())
+        assert tables.pair_cdf.nbytes == 7_200_000
+        assert peak < 1.9 * tables.pair_cdf.nbytes
+
+    def test_dead_time_holds_one_channel_at_a_time(self):
+        # 300k tags on 4 channels, in simulator order: the keep mask and one
+        # channel's indices, ticks and differences come to about 8 bytes a
+        # tag; sorting all channels at once held about 25
+        rng = np.random.default_rng(5)
+        ticks = np.cumsum(rng.integers(0, 1_200, 300_000)).astype(np.uint64)
+        channel = rng.integers(0, 4, ticks.size).astype(np.uint8)
+        order = np.lexsort((channel, ticks))
+        channel, ticks = channel[order], ticks[order]
+        keep, peak = self.traced_peak(instrument._apply_dead_time, channel, ticks, 4, 617)
+        assert 0 < np.count_nonzero(~keep) < keep.size
+        assert peak / ticks.size < 10.0

@@ -468,11 +468,33 @@ def test_top_single_draw_lands_in_the_last_output_with_mass(chip):
     assert np.array_equal(_route(tables, delayed, AlmostOne().random(3)), [last] * 3)
 
 
+def dead_time_streams(dead_ticks):
+    """Seeded 4-channel streams in simulator order whose gaps straddle
+    ``dead_ticks``: no tag on channel 2, every tag on channel 1, and every
+    tick on channels 0 and 3 at once."""
+    rng = np.random.default_rng(dead_ticks)
+    gaps = rng.choice([0, 1, max(dead_ticks - 1, 0), dead_ticks, dead_ticks + 1,
+                       2 * dead_ticks + 5], size=2_000)
+    ticks = np.cumsum(gaps).astype(np.uint64)
+    streams = {"no-tag-on-a-channel": (rng.choice(np.array([0, 1, 3], np.uint8), ticks.size),
+                                       ticks),
+               "one-channel": (np.ones(ticks.size, np.uint8), ticks),
+               "equal-ticks-on-two-channels": (np.tile(np.array([0, 3], np.uint8), ticks.size),
+                                               np.repeat(ticks, 2))}
+    return {name: (channel[order], ticks[order]) for name, (channel, ticks) in streams.items()
+            for order in [np.lexsort((channel, ticks))]}
+
+
 @pytest.mark.parametrize("dead_time_ns", [0.0, 50.0, 400.0, 5_000.0])
 def test_dead_times_match_oracle(dead_time_ns):
-    truth = check_run(SourceConfig(), Layout.mmi(), 20_000.0, seed=42,
-                      detectors=DetectorConfig(dead_time_ns=dead_time_ns))
+    detectors = DetectorConfig(dead_time_ns=dead_time_ns)
+    truth = check_run(SourceConfig(), Layout.mmi(), 20_000.0, seed=42, detectors=detectors)
     assert (truth.n_suppressed > 0) == (dead_time_ns > 0)
+    dead_ticks = int(round(dead_time_ns / detectors.tick_ns))  # 0 at 0 ns
+    for name, (channel, ticks) in dead_time_streams(dead_ticks).items():
+        keep = _apply_dead_time(channel, ticks, 4, dead_ticks)
+        assert np.array_equal(keep, oracle_apply_dead_time(channel, ticks, 4, dead_ticks)), name
+        assert keep.all() == (dead_ticks == 0), name
 
 
 def test_pair_sampler_cache_serves_interleaved_configurations(chip):
@@ -567,7 +589,7 @@ def dead_time_cases(draw):
 @example((np.zeros(50, np.int64), np.arange(50, dtype=np.int64) * 300, 617))
 def test_dead_time_matches_loop(case):
     channel, ticks, dead = case
-    got = _apply_dead_time(channel, ticks, dead)
+    got = _apply_dead_time(channel, ticks, 4, dead)
     assert got.dtype == bool
     assert np.array_equal(got, oracle_apply_dead_time(channel, ticks, 4, dead))
 
@@ -615,6 +637,27 @@ def test_stacked_density_equals_dict_form(case, chip, envelope):
     for pair in [pairs[0], pairs[-1], (1, 0), (matrix.n_modes - 1, 0)]:
         for a, b in zip(stacked_dtau_marginal(got, pair), want.dtau_marginal(pair)):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["chip", "chip-inputs-4-3", "splitter", "random4", "random6"])
+def test_incoherent_density_and_pair_table_keep_their_bits(case, chip, envelope):
+    # the kappa = 0 density leaves out the interference term and the clip
+    # that the oracle applies: the term added only +-0 to a sum >= +0
+    matrix, i, j = {"chip": (chip, 0, 1), "chip-inputs-4-3": (chip, 3, 2),
+                    "splitter": (balanced_splitter(), 0, 1),
+                    "random4": (random_unitary(4, np.random.default_rng(31)), 1, 0),
+                    "random6": (random_unitary(6, np.random.default_rng(32)), 2, 5)}[case]
+    args = (matrix, i, j, envelope, envelope, CoherenceModel.incoherent())
+    got = joint_density(*args, t_max=envelope.duration).densities
+    want = oracle_joint_density(*args, t_max=envelope.duration).densities
+    want = np.stack([want[p] for p in mode_pairs(matrix.n_modes)])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    layout = Layout(interference_matrix=matrix, input_delayed=i, input_direct=j,
+                    polarization="orthogonal")
+    cdf = np.cumsum(want)
+    cdf /= cdf[-1]
+    tables = _draw_tables(SourceConfig(), layout)
+    assert tables.pair_shape == want.shape and tables.pair_cdf.tobytes() == cdf.tobytes()
 
 
 @pytest.mark.parametrize("coherence", ["perfect", "incoherent", "calibrated", "gaussian"])

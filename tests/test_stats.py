@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,21 +255,31 @@ class TestSharedDraws:
         assert poisson_mc_similarity(counts, q, 3000, 5).mean != rows[w].vs_quantum.mean
 
     def test_chunked_windows_build_one_pool(self, chip, rng, monkeypatch):
+        # the window map starts MMI_LAB_THREADS - 1 workers and works on the
+        # calling thread too; each window's chunk and summary maps run
+        # serially on the thread that judges it
         dtau, labels, q, c = self._events(chip, rng, 400)
-        built = []
+        started, judges = [], []
 
-        class CountingPool(_runtime.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                built.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+        class CountingThread(_runtime.Thread):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        def judge(*args, **kwargs):
+            judges.append(threading.current_thread())
+            return poisson_mc_similarity(*args, **kwargs)
 
         trials = stats._CHUNK + 10  # two chunks per window
         serial = similarity_vs_dt(dtau, labels, q, c, trials=trials, seed=9, half_window=40.0)
-        monkeypatch.setattr(_runtime, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(_runtime, "Thread", CountingThread)
+        monkeypatch.setattr(stats, "poisson_mc_similarity", judge)
         monkeypatch.setenv("MMI_LAB_THREADS", "3")
         threaded = similarity_vs_dt(dtau, labels, q, c, trials=trials, seed=9, half_window=40.0)
         assert len(threaded) >= 4
-        assert built == [3]
+        assert len(started) == 2 and not any(t.is_alive() for t in started)
+        assert len(judges) == len(threaded)
+        assert set(judges) <= {threading.current_thread(), *started}
         same_windows(serial, threaded)
 
 
